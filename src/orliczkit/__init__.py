@@ -7,11 +7,13 @@ operator with norm-ratio diagnostics.
 """
 
 from .phi_core import (
+    UNIT_BALL_VOLUME,
     ConstructionError,
     Domain,
     DomainError,
     PhiCurve,
     PhiFunction,
+    PowerTable,
     PowerTerm,
     Region,
     from_curve,
@@ -60,7 +62,6 @@ from .norms import (
     pairing,
 )
 from .maximal import (
-    UNIT_BALL_VOLUME,
     MaximalConfig,
     default_config,
     maximal,

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import transforms
 from .phi_core import PhiCurve, PhiFunction, make_family, region_from_dict
-from .conditions import SampleSpec, check_a0, check_a1, check_a2, \
-    check_adec, check_ainc, check_equivalence, check_weak_equivalence, \
-    weight_from_dict
+from .conditions import SampleSpec, _jsonable, check_a0, check_a1, \
+    check_a2, check_adec, check_ainc, check_equivalence, \
+    check_weak_equivalence, weight_from_dict
 from .norms import GridFunction, luxemburg_norm, modular
 from .maximal import MaximalConfig, default_config, maximal, \
     operator_norm_estimate
@@ -57,22 +57,6 @@ def _load_phi(arg: str) -> PhiFunction:
         return make_family(d["kind"], d.get("params", {}), None)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"invalid phi spec: {exc}") from exc
-
-
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(float(obj))
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _emit(report: dict, args, name: str) -> None:

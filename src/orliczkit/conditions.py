@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phi_core import (
+    UNIT_BALL_VOLUME,
     Domain,
     PhiCurve,
     PhiFunction,
@@ -99,7 +100,7 @@ class WeightFunction:
     def indicator(region: Region) -> "WeightFunction":
         return WeightFunction(
             "indicator",
-            lambda X: np.asarray(region.contains_many(X), float),
+            lambda X: region.contains_many(X).astype(float),
             l1_norm=region.measure, linf_norm=1.0,
             params={"of": region.to_dict()})
 
@@ -163,10 +164,21 @@ def reports_table(reports: Sequence[ConditionReport]) -> str:
     return "\n".join([header, "-" * len(header)] + [r.table_row() for r in reports])
 
 
-def _jsonable(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
+def _jsonable(obj):
+    """JSON-ready copy: infinities become "inf", numpy values plain ones."""
+    if isinstance(obj, float):
+        return "inf" if math.isinf(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(float(obj))
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
 
 
 def _fmt(v):
@@ -183,20 +195,6 @@ def _as_phi(phi) -> PhiFunction:
 
 # ---------------------------------------------------------------------------
 # Almost-monotone growth of phi(x, t) / t^p
-
-
-def _small_t_exponent(curve: PhiCurve) -> float | None:
-    terms = [tm for tm in curve.pieces[0] if tm.coef > 0 and tm.shift == 0.0]
-    if not terms:
-        return None
-    return min(tm.exponent for tm in terms)
-
-
-def _large_t_exponent(curve: PhiCurve) -> float | None:
-    if curve.infinite_tail is not None:
-        return None
-    terms = [tm for tm in curve.pieces[-1] if tm.coef > 0]
-    return max(tm.exponent for tm in terms)
 
 
 def check_ainc(phi, p: float, A: np.ndarray | None = None,
@@ -229,26 +227,15 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
     X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
     grid = spec.t_grid(lo if lo > 0 else None, hi)
 
-    flags = []
-    # analytic divergence at the open ends of T
-    for x in X[:: max(len(X) // 8, 1)]:
-        curve = phi.curve_at(tuple(x))
-        if lo == 0.0:
-            e0 = _small_t_exponent(curve)
-            if e0 is not None:
-                if increasing and e0 < p:
-                    flags.append("diverges_at_zero")
-                if not increasing and e0 > p:
-                    flags.append("diverges_at_zero")
-        if math.isinf(hi):
-            e1 = _large_t_exponent(curve)
-            if e1 is not None:
-                if increasing and e1 < p:
-                    flags.append("diverges_at_infinity")
-                if not increasing and e1 > p:
-                    flags.append("diverges_at_infinity")
-        if flags:
-            break
+    # analytic divergence at the open ends of T, from the first thinned
+    # sample whose piece exponents show any
+    e0, e1 = phi.table(X[:: max(len(X) // 8, 1)]).end_exponents()
+    sign = 1.0 if increasing else -1.0
+    at_zero = (lo == 0.0) & (sign * (p - e0) > 0)
+    at_inf = math.isinf(hi) & (sign * (p - e1) > 0)
+    hit = np.flatnonzero(at_zero | at_inf)[:1]
+    flags = [name for name, on in (("diverges_at_zero", at_zero[hit]),
+                                   ("diverges_at_infinity", at_inf[hit])) if np.any(on)]
 
     a_star, witness = _sampled_sup(phi, X, grid, p, increasing)
     for _ in range(spec.refinement_rounds):
@@ -359,8 +346,6 @@ def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
 # ---------------------------------------------------------------------------
 # Local comparability across small balls (the (A1')-type condition)
 
-UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
-
 
 def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
              n_balls: int = 40, pairs_per_ball: int = 6,
@@ -377,7 +362,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
     omega = UNIT_BALL_VOLUME[dim]
     r_max = (1.0 / omega) ** (1.0 / dim)
 
-    xs, ys, ts, rhs = [], [], [], []
+    xs, ys, vols = [], [], []
     for _ in range(n_balls):
         center = lower + rng.random(dim) * (upper - lower)
         radius = float(np.exp(rng.uniform(np.log(0.02), np.log(r_max))))
@@ -389,29 +374,26 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
             tries += 1
             if np.linalg.norm(cand - center) <= radius and phi.domain.contains(tuple(cand)):
                 pts.append(cand)
-        for k in range(0, len(pts) - 1, 2):
-            x, y = pts[k], pts[k + 1]
-            t_lo = phi.inverse(tuple(y), 1.0)
-            t_hi = phi.inverse(tuple(y), 1.0 / vol)
-            if not (t_lo > 0 and math.isfinite(t_hi) and t_hi >= t_lo):
-                continue
-            for t in np.geomspace(max(t_lo, 1e-12), max(t_hi, t_lo), t_per_pair):
-                v = phi.eval(tuple(y), float(t))
-                if 1.0 - 1e-9 <= v <= 1.0 / vol + 1e-9:
-                    xs.append(x)
-                    ys.append(y)
-                    ts.append(float(t))
-                    rhs.append(float(v))
+        xs += pts[0:len(pts) - 1:2]
+        ys += pts[1::2]
+        vols += [vol] * (len(pts) // 2)
 
-    if not xs:
+    # levels t with phi(y, t) in [1, 1/|B|], all pairs at once
+    xs, ys, vols = np.reshape(xs, (-1, dim)), np.reshape(ys, (-1, dim)), np.asarray(vols)
+    table = phi.table(ys)
+    t_lo, t_hi = table.inverse(1.0), table.inverse(1.0 / vols)
+    good = (t_lo > 0) & np.isfinite(t_hi) & (t_hi >= t_lo)
+    levels = np.geomspace(np.maximum(t_lo[good], 1e-12),
+                          np.maximum(t_hi[good], t_lo[good]), t_per_pair, axis=1)
+    vals = table.rows(good).value(levels)
+    keep = (1.0 - 1e-9 <= vals) & (vals <= 1.0 / vols[good][:, None] + 1e-9)
+    pair = np.nonzero(keep)[0]
+    X, ys, Tv, R = xs[good][pair], ys[good][pair], levels[keep], vals[keep]
+    if not len(X):
         return ConditionReport(
             condition="A1prime", holds=True, constants={"beta": 1.0},
             sample_spec={**spec.describe(), "n_samples": 0},
             flags=("vacuous",))
-
-    X = np.asarray(xs)
-    Tv = np.asarray(ts)
-    R = np.asarray(rhs)
     tol = 1e-9
 
     def ok(beta: float) -> bool:
@@ -440,7 +422,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
     k = int(np.argmax(lhs - R))
     return ConditionReport(
         condition="A1prime", holds=holds, constants={"beta": beta},
-        sample_spec={**spec.describe(), "n_samples": len(xs)},
+        sample_spec={**spec.describe(), "n_samples": len(X)},
         worst_witness={"x": [float(v) for v in X[k]],
                        "y": [float(v) for v in ys[k]],
                        "t": float(Tv[k]), "phi_y_t": float(R[k])})

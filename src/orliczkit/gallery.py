@@ -46,11 +46,11 @@ class SpecError(ValueError):
         self.pointer = pointer
 
 
-def _claim(name: str, report, expected: bool = True) -> dict:
-    holds = report.holds if hasattr(report, "holds") else bool(report["holds"])
+def _claim(name: str, observed: bool, report, expected: bool = True) -> dict:
+    """One claim record; ``report`` is a ConditionReport or a plain dict."""
     rep = report.to_dict() if hasattr(report, "to_dict") else report
-    return {"claim": name, "expected": expected, "observed": holds,
-            "matches": holds == expected, "report": rep}
+    return {"claim": name, "expected": expected, "observed": observed,
+            "matches": observed == expected, "report": rep}
 
 
 def _finish(bundle: dict) -> dict:
@@ -71,12 +71,12 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
     phi = make_family("example_3_2", {}, None)
     G = region_from_dict({"region": "inv_square_strip"})
     h = WeightFunction.indicator(G)
-    claims = [
-        _claim("A0 with beta = 1", check_a0(phi)),
-        _claim("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
-        _claim("A2 against t^2 with h = chi_G, beta = 1",
-               check_a2(phi, power_curve(2.0), h, beta=1.0)),
-    ]
+    claims = [_claim(name, rep.holds, rep) for name, rep in (
+        ("A0 with beta = 1", check_a0(phi)),
+        ("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
+        ("A2 against t^2 with h = chi_G, beta = 1",
+         check_a2(phi, power_curve(2.0), h, beta=1.0)),
+    )]
     # on the region, small values grow only linearly: no aInc_p for p > 1
     gx = np.linspace(1.0, 10.0, 12)
     A = np.column_stack([gx, np.zeros_like(gx)])
@@ -84,11 +84,8 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
     for p in (1.1, 1.5, 2.0):
         rep = check_ainc(phi, p, A=A, T=(0.0, 1.0), spec=deep)
         big = rep.constants["sampled_sup"] > 1e6
-        claims.append({"claim": f"aInc_{p} fails on region x (0,1] with "
-                                "ratio > 1e6",
-                       "expected": True, "observed": (not rep.holds) and big,
-                       "matches": (not rep.holds) and big,
-                       "report": rep.to_dict()})
+        claims.append(_claim(f"aInc_{p} fails on region x (0,1] with "
+                             "ratio > 1e6", (not rep.holds) and big, rep))
     # bounded maximal operator: norm ratios stable across truncations
     ratios = {}
     for R in (8.0, 16.0, 32.0):
@@ -97,12 +94,10 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
     arr = np.array([ratios[R] for R in sorted(ratios)])
     spread = float(np.max((arr.max(axis=0) - arr.min(axis=0))
                           / arr.min(axis=0)))
-    claims.append({"claim": "operator-norm ratios stable within 20% "
-                            "across truncation radii",
-                   "expected": True, "observed": spread <= 0.2,
-                   "matches": spread <= 0.2,
-                   "report": {"ratios": {str(k): v for k, v in ratios.items()},
-                              "max_spread": spread}})
+    claims.append(_claim("operator-norm ratios stable within 20% "
+                         "across truncation radii", spread <= 0.2,
+                         {"ratios": {str(k): v for k, v in ratios.items()},
+                          "max_spread": spread}))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_2",
                     "phi": phi.to_dict(), "claims": claims})
 
@@ -110,20 +105,18 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
 def _run_ex3_4(resolution: float, seed: int) -> dict:
     phi = make_family("example_3_4", {}, None)
     h0 = WeightFunction.zero()
-    claims = [
-        _claim("A0", check_a0(phi)),
-        _claim("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
-        _claim("A2 against t with h = 0, beta = 1/2",
-               check_a2(phi, power_curve(1.0), h0, beta=0.5)),
-    ]
+    claims = [_claim(name, rep.holds, rep) for name, rep in (
+        ("A0", check_a0(phi)),
+        ("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
+        ("A2 against t with h = 0, beta = 1/2",
+         check_a2(phi, power_curve(1.0), h0, beta=0.5)),
+    )]
     rep = check_ainc(phi, 2.0, T=(1.0, math.inf))
     ok2 = rep.holds and rep.constants["sampled_sup"] <= 2.0 + 1e-9
-    claims.append({"claim": "aInc_2 on [1, inf) with constant <= 2",
-                   "expected": True, "observed": ok2, "matches": ok2,
-                   "report": rep.to_dict()})
-    claims.append(_claim("aInc_1.5 fails on (0, 1]",
-                         check_ainc(phi, 1.5, T=(0.0, 1.0),
-                                    spec=SampleSpec(t_min=1e-70, t_max=1.0)),
+    claims.append(_claim("aInc_2 on [1, inf) with constant <= 2", ok2, rep))
+    rep = check_ainc(phi, 1.5, T=(0.0, 1.0),
+                     spec=SampleSpec(t_min=1e-70, t_max=1.0))
+    claims.append(_claim("aInc_1.5 fails on (0, 1]", rep.holds, rep,
                          expected=False))
     # divergence: modular of M(chi_ball) grows like log R, ratios grow
     radii = [8.0, 16.0, 32.0, 64.0]
@@ -134,15 +127,11 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
     norm_rep = operator_norm_estimate(phi, fam, radii=radii)
     log_fit = (growth.get("r_squared", 0.0) >= 0.98
                and growth.get("slope_vs_log_radius", 0.0) > 0)
-    claims.append({"claim": "modular of Mf grows like log R (R^2 >= 0.98)",
-                   "expected": True, "observed": log_fit, "matches": log_fit,
-                   "report": growth})
-    claims.append({"claim": "norm ratios grow with truncation "
-                            "(unbounded evidence)",
-                   "expected": True,
-                   "observed": norm_rep["unbounded_evidence"],
-                   "matches": norm_rep["unbounded_evidence"],
-                   "report": {k: v for k, v in norm_rep.items()}})
+    claims.append(_claim("modular of Mf grows like log R (R^2 >= 0.98)",
+                         log_fit, growth))
+    claims.append(_claim("norm ratios grow with truncation "
+                         "(unbounded evidence)",
+                         norm_rep["unbounded_evidence"], dict(norm_rep)))
     # pointwise asymptotics of M(chi_ball)
     R = 32.0
     f = GridFunction.indicator_ball([0.0, 0.0], 1.0, ((-R, R), (-R, R)),
@@ -153,11 +142,10 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
     sel = (rad >= 2.0) & (rad <= R / 2.0)
     prod = Mf.values.ravel()[sel] * (rad[sel] + 1.0) ** 2
     in_box = bool(prod.min() >= 1.0 / 8.0 and prod.max() <= 8.0)
-    claims.append({"claim": "Mf(x) (|x|+1)^2 within [1/8, 8] on "
-                            "2 <= |x| <= R/2",
-                   "expected": True, "observed": in_box, "matches": in_box,
-                   "report": {"min": float(prod.min()),
-                              "max": float(prod.max()), "R": R}})
+    claims.append(_claim("Mf(x) (|x|+1)^2 within [1/8, 8] on "
+                         "2 <= |x| <= R/2", in_box,
+                         {"min": float(prod.min()),
+                          "max": float(prod.max()), "R": R}))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_4",
                     "phi": phi.to_dict(), "claims": claims})
 
@@ -166,14 +154,14 @@ def _run_ex3_5(resolution: float, seed: int) -> dict:
     phi = make_family("example_3_5", {}, None)
     h = WeightFunction.recip_power(4.0, 2)
     t2 = from_curve(power_curve(2.0), dim=2)
-    claims = [
-        _claim("A0 with beta = 1", check_a0(phi)),
-        _claim("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
-        _claim("A2 against t^2 with h = (|x|+1)^-4, beta = 1",
-               check_a2(phi, power_curve(2.0), h, beta=1.0)),
-        _claim("weakly equivalent to t^2 with h, L = 1",
-               check_weak_equivalence(phi, t2, L=1.0, h=h)),
-    ]
+    claims = [_claim(name, rep.holds, rep) for name, rep in (
+        ("A0 with beta = 1", check_a0(phi)),
+        ("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
+        ("A2 against t^2 with h = (|x|+1)^-4, beta = 1",
+         check_a2(phi, power_curve(2.0), h, beta=1.0)),
+        ("weakly equivalent to t^2 with h, L = 1",
+         check_weak_equivalence(phi, t2, L=1.0, h=h)),
+    )]
     # the sandwich t^2 <= phi <= t^2 + h(x), checked on the default lattice
     spec = SampleSpec()
     from .conditions import default_x_samples
@@ -184,35 +172,30 @@ def _run_ex3_5(resolution: float, seed: int) -> dict:
     hi = lo + h.many(X)[:, None]
     sandwich = bool(np.all(vals >= lo - 1e-12)
                     and np.all(vals <= hi * (1 + 1e-12) + 1e-12))
-    claims.append({"claim": "t^2 <= phi <= t^2 + h at all samples",
-                   "expected": True, "observed": sandwich,
-                   "matches": sandwich, "report": {"n_x": len(X)}})
+    claims.append(_claim("t^2 <= phi <= t^2 + h at all samples", sandwich,
+                         {"n_x": len(X)}))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_5",
                     "phi": phi.to_dict(), "claims": claims})
 
 
 def _run_ex4_6(resolution: float, seed: int) -> dict:
     phi = make_family("example_4_6", {}, None)
-    claims = [_claim("A0", check_a0(phi))]
+    rep = check_a0(phi)
+    claims = [_claim("A0", rep.holds, rep)]
     for eps in (0.25, 0.5):
         A = np.linspace(-2.0 + eps + 1e-9, 2.0 - eps - 1e-9, 41).reshape(-1, 1)
         rep = check_ainc(phi, 1.0 + eps, A=A)
         ok = rep.holds and rep.constants["sampled_sup"] <= 10.0
-        claims.append({"claim": f"aInc_{1 + eps} on the eps = {eps} "
-                                "interior with constant <= 10",
-                       "expected": True, "observed": ok, "matches": ok,
-                       "report": rep.to_dict()})
+        claims.append(_claim(f"aInc_{1 + eps} on the eps = {eps} "
+                             "interior with constant <= 10", ok, rep))
     A_edge = np.concatenate([np.linspace(-1.999999, -1.9, 30),
                              np.linspace(1.9, 1.999999, 30)]).reshape(-1, 1)
     deep = SampleSpec(t_min=1e-80)
     for p in (1.05, 1.1):
         rep = check_ainc(phi, p, A=A_edge, spec=deep)
         big = rep.constants["sampled_sup"] > 1e3
-        obs = (not rep.holds) and big
-        claims.append({"claim": f"aInc_{p} fails on the whole interval "
-                                "with ratio > 1e3",
-                       "expected": True, "observed": obs, "matches": obs,
-                       "report": rep.to_dict()})
+        claims.append(_claim(f"aInc_{p} fails on the whole interval "
+                             "with ratio > 1e3", (not rep.holds) and big, rep))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex4_6",
                     "phi": phi.to_dict(), "claims": claims})
 
@@ -230,20 +213,17 @@ def _run_dp_cor49(resolution: float, seed: int) -> dict:
         phi = make_family("double_phase", {"p": p, "q": q, "a": a_field}, None)
         instances[f"p={p}"] = phi.to_dict()
         beta = (1.0 / 2.0) ** (1.0 / p)  # beta^p (1 + a_max) = 1
-        claims.append(_claim(f"p={p}: A0", check_a0(phi)))
-        claims.append(_claim(
-            f"p={p}: A2 against t^{p} with h = 0",
-            check_a2(phi, power_curve(p), h0, beta=beta)))
+        for name, rep in ((f"p={p}: A0", check_a0(phi)),
+                          (f"p={p}: A2 against t^{p} with h = 0",
+                           check_a2(phi, power_curve(p), h0, beta=beta))):
+            claims.append(_claim(name, rep.holds, rep))
         small = check_ainc(power_curve(p), 1.0 + 0.25 * (p - 1.0) if p > 1
                            else 1.05, T=(0.0, 1.0),
                            spec=SampleSpec(t_min=1e-70, t_max=1.0))
-        expected = p > 1.0
-        claims.append({"claim": f"p={p}: asymptote t^{p} almost-increases "
-                                "at small t for some exponent > 1 "
-                                "(necessary for a bounded maximal operator)",
-                       "expected": expected, "observed": small.holds,
-                       "matches": small.holds == expected,
-                       "report": small.to_dict()})
+        claims.append(_claim(f"p={p}: asymptote t^{p} almost-increases "
+                             "at small t for some exponent > 1 "
+                             "(necessary for a bounded maximal operator)",
+                             small.holds, small, expected=p > 1.0))
     bundle = {"schema": BUNDLE_SCHEMA, "name": "dp_cor49",
               "phi": instances, "claims": claims}
     return _finish(bundle)
@@ -447,8 +427,8 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
     for i, chk in enumerate(spec.get("checks", ())):
         rep = _run_check(phi, chk, f"/checks/{i}")
         bundle["checks"].append(
-            _claim(chk.get("label", chk.get("condition", "check")), rep,
-                   expected=bool(chk.get("expect", True))))
+            _claim(chk.get("label", chk.get("condition", "check")), rep.holds,
+                   rep, expected=bool(chk.get("expect", True))))
     for i, exp in enumerate(spec.get("experiments", ())):
         bundle["experiments"].append(
             _run_experiment(phi, exp, f"/experiments/{i}", resolution, seed))

@@ -24,27 +24,18 @@ from .norms import GridFunction, luxemburg_norm, modular
 
 INF = math.inf
 
-UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
-
-#: Direct 2D dilation is used up to this footprint width; larger disks are
-#: decomposed into iterated smaller dilations (a further slight
-#: under-approximation, keeping the safe direction).
-_DIRECT_DILATION_WIDTH = 129
-
 
 @dataclass(frozen=True)
 class MaximalConfig:
     """Discretization of the ball supremum.
 
     ``radius_set`` are the ball radii; centers live on the cell-center
-    grid thinned by ``center_stride``.  ``boundary_rule`` fixes how balls
-    leaving the domain are treated (averages divide by the intersected
-    measure only).
+    grid thinned by ``center_stride``.  Balls leaving the domain average
+    over the intersected measure only.
     """
 
     radius_set: tuple
     center_stride: int = 1
-    boundary_rule: str = "intersect_domain"
 
     def __post_init__(self):
         rs = tuple(float(r) for r in self.radius_set)
@@ -55,8 +46,6 @@ class MaximalConfig:
             raise ValueError("radius_set must be increasing and positive")
         if self.center_stride < 1:
             raise ValueError("center_stride must be at least 1")
-        if self.boundary_rule != "intersect_domain":
-            raise ValueError("unsupported boundary rule")
 
 
 def default_config(f: GridFunction) -> MaximalConfig:
@@ -206,7 +195,7 @@ def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:
         if len(ratios) >= 4 and doublings >= 3 and growing:
             report["unbounded_evidence"] = True
         if len(ratios) >= 2:
-            slope, intercept = np.polyfit(np.log(rs), ratios, 1)
+            slope = np.polyfit(np.log(rs), ratios, 1)[0]
             report["growth_slope_vs_log_radius"] = float(slope)
     return report
 

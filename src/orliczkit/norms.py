@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_core import PhiFunction
+from .phi_core import UNIT_BALL_VOLUME, PhiFunction
 
 INF = math.inf
 
@@ -27,8 +27,6 @@ EPS_LUX = 1e-6
 
 #: Scalings probed before declaring a function outside the space.
 LAMBDA_CAP = 1e12
-
-UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
 
 
 @dataclass(frozen=True)
@@ -287,8 +285,11 @@ class ConjugateFunction:
     def eval_many(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, float))
         T = np.asarray(T, float).ravel()
-        return np.array([self.phi.conjugate_value(tuple(x), float(t))
-                         for x, t in zip(X, T)])
+        # phi*(x, 0) = 0 at every x, so only levels t != 0 need a curve
+        out = np.zeros(len(T))
+        for i in np.flatnonzero(T):
+            out[i] = self.phi.conjugate_value(tuple(X[i]), float(T[i]))
+        return out
 
     def inverse(self, x, tau: float) -> float:
         """inf{t : conjugate(x, t) >= tau} by doubling plus bisection."""

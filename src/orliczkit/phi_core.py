@@ -3,10 +3,13 @@
 A growth function is represented pointwise in space by a :class:`PhiCurve`,
 an ordered list of half-open pieces, each a sum of power terms
 ``coef * (t - shift)^exponent``.  A spatially varying family is a
-:class:`PhiFunction`, mapping a point ``x`` to a curve.  The restriction to
-power-term pieces keeps evaluation exact, gives closed-form inverses for
-single-term pieces, and makes joint measurability automatic for every
-family in the catalog.
+:class:`PhiFunction`, stated once as a batched form: for an array of points
+it returns a :class:`PowerTable` of per-row breakpoint, coefficient,
+exponent, shift and infinite-tail arrays.  Curves, batch and grid
+evaluation and inverses are all read off such tables; a curve is the
+one-row case.  The restriction to power-term pieces keeps evaluation
+exact, gives closed-form inverses for single-term pieces, and makes joint
+measurability automatic for every family in the catalog.
 """
 
 from __future__ import annotations
@@ -14,17 +17,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 INF = math.inf
 
-# Relative tolerances of the numerical kernels.  Closed forms are exact up
-# to rounding; bisection and grid refinement target these.
-EPS_INV = 1e-10
+# Relative tolerance of the inverse's bisection on multi-term pieces;
+# closed forms are exact up to rounding.
 EPS_INV_BISECT = 1e-12
-EPS_CONJ = 1e-8
 
 
 class ConstructionError(ValueError):
@@ -36,7 +38,7 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Curves
+# Curves and their batched power tables
 
 
 @dataclass(frozen=True)
@@ -59,23 +61,271 @@ class PowerTerm:
         if self.shift < 0:
             raise ConstructionError(f"negative shift {self.shift}")
 
-    def __call__(self, t):
-        u = np.maximum(np.asarray(t, dtype=float) - self.shift, 0.0)
-        if self.exponent == 0.0:
-            out = np.where(np.asarray(t, dtype=float) >= self.shift, self.coef, 0.0)
-        else:
-            out = self.coef * u ** self.exponent
-        if np.ndim(t) == 0:
-            return float(out)
+
+#: An unused term slot of a :class:`PowerTable`; it is 0 at every t.
+PAD = (0.0, 0.0, INF)
+
+
+def _pow(u: np.ndarray, e) -> np.ndarray:
+    """``u ** e`` for a float or per-row exponent e, with numpy's scalar
+    fast paths (exact squares and square roots) applied per element, so a
+    value does not depend on how its row was batched."""
+    if isinstance(e, float):
+        return u if e == 1.0 else u ** e
+    out = np.power(u, e)
+    for k, exact in ((2.0, np.square), (0.5, np.sqrt)):
+        if np.any(e == k):
+            out = np.where(e == k, exact(u), out)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PowerTable:
+    """N piecewise power curves as padded arrays, one curve per row.
+
+    Row i has pieces on ``[bps[i, k], bps[i, k + 1])``, the last one
+    unbounded.  Piece k is the sum over slots j of ``coef * max(t - shift,
+    0)**expo``, or ``coef * (t >= shift)`` where ``expo`` is 0.  A piece
+    whose next breakpoint equals its own is empty, and trailing unused
+    pieces have breakpoint ``inf``: rows with fewer pieces, or pieces that
+    only some rows need, are written that way.  Unused slots hold
+    :data:`PAD`.  ``tail[i]`` is the infinite tail of row i (``inf`` for
+    none): the value is ``+inf`` for ``t > tail``.
+
+    Shapes: ``bps`` (N, K); ``coef``, ``expo``, ``shift`` (N, K, J);
+    ``tail`` (N,).
+    """
+
+    bps: np.ndarray
+    coef: np.ndarray
+    expo: np.ndarray
+    shift: np.ndarray
+    tail: np.ndarray
+
+    @staticmethod
+    def build(n: int, bps, pieces, tail=None) -> "PowerTable":
+        """Stack K breakpoints and K pieces, each a list of ``(coef,
+        exponent, shift)`` terms, into an n-row table; every number is a
+        scalar or an (n,) array."""
+        width = max([1] + [len(p) for p in pieces])
+        terms = [t for p in pieces for t in list(p) + [PAD] * (width - len(p))]
+
+        def stack(values):  # an array of scalars only is one row, broadcast
+            if all(np.ndim(v) == 0 for v in values):
+                return np.broadcast_to(np.array(values, float), (n, len(values)))
+            return np.stack([np.broadcast_to(np.asarray(v, float), (n,)) for v in values], 1)
+
+        return PowerTable(stack(list(bps)),
+                          *(stack([t[i] for t in terms]).reshape(n, len(pieces), width)
+                            for i in range(3)),
+                          np.broadcast_to(np.asarray(INF if tail is None else tail, float), (n,)))
+
+    def _map(self, f) -> "PowerTable":
+        return PowerTable(f(self.bps), f(self.coef), f(self.expo),
+                          f(self.shift), f(self.tail))
+
+    def rows(self, idx) -> "PowerTable":
+        """The sub-table of rows ``idx``."""
+        return self._map(lambda a: a[idx])
+
+    def join(self, other: "PowerTable", at) -> "PowerTable":
+        """Row i as self below ``at[i]`` and as other from there on, with
+        other's tail; ``at[i] = inf`` keeps self alone."""
+        n, width = len(other.bps), max(self.coef.shape[2], other.coef.shape[2])
+        at = np.broadcast_to(at, (n,))[:, None]
+
+        def cat(a, b, pad):
+            return np.concatenate([np.pad(np.broadcast_to(m, (n,) + m.shape[1:]),
+                                          ((0, 0), (0, 0), (0, width - m.shape[2])),
+                                          constant_values=pad) for m in (a, b)], 1)
+
+        return PowerTable(np.concatenate([np.minimum(self.bps, at), np.maximum(other.bps, at)], 1),
+                          cat(self.coef, other.coef, 0.0), cat(self.expo, other.expo, 0.0),
+                          cat(self.shift, other.shift, INF), other.tail)
+
+    def repeat(self, n: int) -> "PowerTable":
+        """A one-row table broadcast to n rows."""
+        return self._map(lambda a: np.broadcast_to(a, (n,) + a.shape[1:]))
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """``(tail, pieces)`` with each piece as its breakpoint and used term
+        slots ``(coef, exponent, shift)``.  Numbers of an array whose rows
+        are one broadcast row, or of a one-row table, are floats, so
+        numpy's scalar fast paths apply; others are (N, 1) columns.  Slots
+        unused in every row are left out."""
+        def num(a, idx=()):
+            if len(a) and (len(a) == 1 or a.strides[0] == 0):
+                return float(a[(0,) + idx])
+            return a[(slice(None),) + idx][:, None]
+
+        pieces = []
+        for k in range(self.bps.shape[1]):
+            terms = [tuple(num(a, (k, j)) for a in (self.coef, self.expo, self.shift))
+                     for j in range(self.coef.shape[2])]
+            pieces.append((num(self.bps, (k,)),
+                           [t for t in terms if not (isinstance(t[2], float) and t[2] == INF)]))
+        return num(self.tail), pieces
+
+    def _piece(self, k: int, T: np.ndarray) -> np.ndarray:
+        """Piece k of every row at levels T (N, M), tail ignored."""
+        out = None
+        for c, e, s in self._plan[1][k][1]:
+            u = T if isinstance(s, float) and s == 0.0 else np.maximum(T - s, 0.0)
+            g = _pow(u, e)
+            zero = e == 0.0
+            if zero if isinstance(zero, bool) else zero.any():
+                g = np.where(zero, T >= s, g)
+            g = g if isinstance(c, float) and c == 1.0 else c * g
+            out = g if out is None else out + g
+        return np.zeros(T.shape) if out is None else out
+
+    def _untailed(self, T: np.ndarray) -> np.ndarray:
+        """Each row at levels T (N, M): the last piece starting at or below t."""
+        out = self._piece(0, T)
+        for k in range(1, self.bps.shape[1]):
+            b = self._plan[1][k][0]
+            if isinstance(b, float) and b == INF:
+                break  # no row uses this piece or any after it
+            out = np.where(T >= b, self._piece(k, T), out)
         return out
 
+    def _next_bps(self) -> np.ndarray:
+        return np.concatenate([self.bps[:, 1:], np.full((len(self.bps), 1), INF)], 1)
 
-def _piece_value(terms: Sequence[PowerTerm], t):
+    def live(self) -> np.ndarray:
+        """(N, K) mask of the pieces that are neither empty nor unused."""
+        return np.isfinite(self.bps) & (self.bps < self._next_bps())
+
+    def value(self, T) -> np.ndarray:
+        """Row i at levels ``T[i, m]``; T broadcasts to (N, M).  Returns
+        +inf past the tail."""
+        T = np.asarray(T, dtype=float)
+        if (T < 0).any():
+            raise ValueError("t must be nonnegative")
+        if len(T) != len(self.bps):
+            T = np.broadcast_to(T, (len(self.bps), T.shape[1]))
+        tail, out = self._plan[0], self._untailed(T)
+        return out if isinstance(tail, float) and tail == INF else np.where(T > tail, INF, out)
+
+    def end_exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the least exponent of the live unshifted terms at t = 0
+        and the largest live exponent of the last piece; nan where there is
+        none (no such term, or an infinite tail)."""
+        r = np.arange(len(self.tail))
+        first = np.sum(self.bps <= 0.0, axis=1) - 1
+        last = np.sum(np.isfinite(self.bps), axis=1) - 1
+        small = (self.coef[r, first] > 0) & (self.shift[r, first] == 0.0)
+        e0 = np.min(np.where(small, self.expo[r, first], INF), axis=1)
+        e1 = np.max(np.where(self.coef[r, last] > 0, self.expo[r, last], -INF), axis=1)
+        return np.where(np.isinf(e0), np.nan, e0), np.where(np.isinf(self.tail), e1, np.nan)
+
+    def validate(self) -> None:
+        """Raise ConstructionError unless every row is a growth curve:
+        breakpoints from 0 up, a first piece vanishing at 0, no downward
+        jump at a seam, and escape to infinity."""
+        b = self.bps
+        if np.any(b[:, 0] != 0.0) or np.any(b[:, 1:] < b[:, :-1]):
+            raise ConstructionError("breakpoints must start at 0 and increase")
+        if np.any(self.tail <= 0):
+            raise ConstructionError("infinite_tail must be positive")
+        e0, e1 = self.end_exponents()
+        if np.any(e0 == 0.0):
+            raise ConstructionError("first piece must vanish at t = 0")
+        real = (b[:, :-1] < b[:, 1:]) & np.isfinite(b[:, 1:])
+        if np.any(real):
+            seam = np.where(real, b[:, 1:], 0.0)
+            right = self._untailed(seam)
+            for k in range(seam.shape[1]):
+                left = self._piece(k, seam[:, k:k + 1])[:, 0]
+                bad = real[:, k] & (right[:, k] < left * (1 - 1e-12) - 1e-300)
+                if np.any(bad):
+                    i = np.argmax(bad)
+                    raise ConstructionError(f"downward jump at breakpoint {seam[i, k]}: "
+                                            f"{left[i]} -> {right[i, k]}")
+        if np.any(~(e1 > 0) & np.isinf(self.tail)):
+            raise ConstructionError("curve does not tend to infinity")
+
+    # -- generalized inverse
+
+    def inverse(self, tau) -> np.ndarray:
+        """Per row, ``inf{s >= 0 : value(s) >= tau}``; tau is a scalar or
+        an (N,) array."""
+        tau = np.broadcast_to(np.asarray(tau, dtype=float), self.tail.shape)
+        if np.any(tau < 0):
+            raise ValueError("tau must be nonnegative")
+        out = np.where(tau == 0.0, 0.0, np.nan)
+        hi = np.minimum(self._next_bps(), self.tail[:, None])
+        for k in range(self.bps.shape[1]):
+            i = np.flatnonzero(np.isnan(out) & (self.bps[:, k] < hi[:, k]))
+            if len(i):
+                out[i] = self.rows(i)._invert_piece(k, tau[i], self.bps[i, k], hi[i, k])
+        # finite values never reach tau; the jump to +inf at the tail does
+        return np.where(np.isnan(out), self.tail, out)
+
+    def _invert_piece(self, k: int, tau, lo, hi) -> np.ndarray:
+        """Least s in [lo, hi] where piece k reaches tau; nan for rows whose
+        piece stays below tau on [lo, hi)."""
+        def at(t):
+            return self._piece(k, t[:, None])[:, 0]
+
+        c, e, s = self.coef[:, k], self.expo[:, k], self.shift[:, k]
+        live = c > 0
+        open_hi = np.isinf(hi)  # a last piece without a tail grows to infinity
+        top = np.where(open_hi, INF, at(np.where(open_hi, lo, hi)))
+        out = np.where(at(lo) >= tau, lo, np.nan)
+        reach = np.isnan(out) & (top >= tau)
+        single = reach & (np.sum(live, axis=1) == 1)
+        r, j = np.arange(len(tau)), np.argmax(live, axis=1)
+        cj, ej, sj = c[r, j], e[r, j], s[r, j]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            root = sj + (tau / cj) ** (1.0 / ej)
+        closed = np.where(ej == 0.0, np.maximum(lo, sj),
+                          np.minimum(np.maximum(root, lo), np.where(open_hi, root, hi)))
+        out[single] = closed[single]
+        i = np.flatnonzero(reach & ~single)
+        if len(i):
+            out[i] = self.rows(i)._bisect_piece(k, tau[i], lo[i], hi[i])
+        return out
+
+    def _bisect_piece(self, k: int, tau, lo, hi) -> np.ndarray:
+        """Monotone bisection for multi-term pieces, row by row in step."""
+        def at(t):
+            return self._piece(k, t[:, None])[:, 0]
+
+        a = lo
+        b = np.where(np.isinf(hi), np.maximum(lo, 1.0), hi)
+        grow = np.isinf(hi)
+        while np.any(grow):
+            grow &= at(b) < tau
+            b = np.where(grow, 2.0 * b, b)
+        live = np.ones(len(tau), dtype=bool)
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            up = at(mid) >= tau
+            b = np.where(live & up, mid, b)
+            a = np.where(live & ~up, mid, a)
+            live &= b - a > EPS_INV_BISECT * np.maximum(1.0, b)
+            if not np.any(live):
+                break
+        return b
+
+    def curve(self, i: int) -> "PhiCurve":
+        """Row i as a PhiCurve, without its empty pieces and unused slots."""
+        keep = np.flatnonzero(self.live()[i])
+        coef, expo, shift = (a[i, keep].tolist() for a in (self.coef, self.expo, self.shift))
+        tail = float(self.tail[i])
+        return PhiCurve(tuple(self.bps[i, keep].tolist()),
+                        tuple(tuple(PowerTerm(*t) for t in zip(*piece) if t[2] != INF)
+                              for piece in zip(coef, expo, shift)),
+                        None if math.isinf(tail) else tail)
+
+
+def _one_row(table: PowerTable, t):
+    """Evaluate a one-row table at scalar or array t, keeping t's shape."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for term in terms:
-        out = out + term(t)
-    return out
+    out = table.value(t.reshape(1, -1))
+    return float(out[0, 0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -84,12 +334,14 @@ class PhiCurve:
 
     ``pieces[i]`` applies on ``[breakpoints[i], breakpoints[i+1])`` with the
     final right endpoint ``inf``.  If ``infinite_tail`` is set, the value is
-    ``+inf`` for ``t > infinite_tail``.
+    ``+inf`` for ``t > infinite_tail``.  ``table`` is the curve as a
+    one-row :class:`PowerTable`, which evaluates and inverts it.
     """
 
     breakpoints: tuple
     pieces: tuple
     infinite_tail: float | None = None
+    table: PowerTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
@@ -97,55 +349,27 @@ class PhiCurve:
         object.__setattr__(
             self, "pieces", tuple(tuple(p) for p in self.pieces)
         )
-        self._validate()
-
-    def _validate(self):
-        bps = self.breakpoints
         if len(bps) != len(self.pieces) or not bps or bps[0] != 0.0:
             raise ConstructionError("breakpoints must start at 0 and match pieces")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ConstructionError("breakpoints must be strictly increasing")
-        if self.infinite_tail is not None and self.infinite_tail <= 0:
-            raise ConstructionError("infinite_tail must be positive")
-        # value(0) = 0 requires no constant contribution at the origin
-        for term in self.pieces[0]:
-            if term.coef > 0 and term.exponent == 0.0 and term.shift == 0.0:
-                raise ConstructionError("first piece must vanish at t = 0")
-        # no downward jumps at seams (weak growth functions are non-decreasing)
-        for i in range(len(bps) - 1):
-            left = float(_piece_value(self.pieces[i], bps[i + 1]))
-            right = float(_piece_value(self.pieces[i + 1], bps[i + 1]))
-            if right < left * (1 - 1e-12) - 1e-300:
-                raise ConstructionError(
-                    f"downward jump at breakpoint {bps[i + 1]}: {left} -> {right}"
-                )
-        # escape to infinity: a growing last piece or an infinite tail
-        if self.infinite_tail is None:
-            last = self.pieces[-1]
-            if not any(t.coef > 0 and t.exponent > 0 for t in last):
-                raise ConstructionError("curve does not tend to infinity")
+        table = PowerTable.build(
+            1, bps, [[(tm.coef, tm.exponent, tm.shift) for tm in p] for p in self.pieces],
+            self.infinite_tail)
+        table.validate()
+        object.__setattr__(self, "table", table)
 
     # -- evaluation
 
     def value(self, t):
         """Evaluate the curve; vectorized, returns +inf past the tail."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        if np.any(t < 0):
-            raise ValueError("t must be nonnegative")
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        out = np.zeros_like(t)
-        for i, terms in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = _piece_value(terms, t[mask])
-        if self.infinite_tail is not None:
-            out[t > self.infinite_tail] = INF
-        return float(out[0]) if scalar else out
+        return _one_row(self.table, t)
 
     def __call__(self, t):
         return self.value(t)
+
+    def _piece_at(self, i: int, t: float) -> float:
+        return float(self.table._piece(i, np.array([[t]]))[0, 0])
 
     def value_left(self, t: float) -> float:
         """Left limit at ``t`` (the containing piece evaluated from below)."""
@@ -154,8 +378,7 @@ class PhiCurve:
         if self.infinite_tail is not None and t > self.infinite_tail:
             return INF
         i = np.searchsorted(self.breakpoints, t, side="left") - 1
-        i = max(int(i), 0)
-        return float(_piece_value(self.pieces[i], t))
+        return self._piece_at(max(int(i), 0), t)
 
     def _piece_bounds(self, i: int) -> tuple[float, float]:
         hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else INF
@@ -163,63 +386,9 @@ class PhiCurve:
             hi = min(hi, self.infinite_tail)
         return self.breakpoints[i], hi
 
-    # -- generalized inverse
-
     def inverse(self, tau: float) -> float:
         """Generalized inverse ``inf{s >= 0 : value(s) >= tau}``."""
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if tau == 0.0:
-            return 0.0
-        for i, terms in enumerate(self.pieces):
-            lo, hi = self._piece_bounds(i)
-            if lo >= hi:
-                continue
-            if float(_piece_value(terms, lo)) >= tau:
-                return lo
-            top = self._piece_sup(terms, hi)
-            if top < tau:
-                continue
-            return self._invert_piece(terms, tau, lo, hi)
-        if self.infinite_tail is not None:
-            # finite values never reach tau; the jump to +inf does
-            return self.infinite_tail
-        return INF  # unreachable for valid curves
-
-    @staticmethod
-    def _piece_sup(terms, hi: float) -> float:
-        if math.isinf(hi):
-            return INF if any(t.coef > 0 and t.exponent > 0 for t in terms) else (
-                float(_piece_value(terms, 1.0)) if terms else 0.0
-            )
-        return float(_piece_value(terms, hi))
-
-    @staticmethod
-    def _invert_piece(terms, tau: float, lo: float, hi: float) -> float:
-        live = [t for t in terms if t.coef > 0]
-        if len(live) == 1:
-            term = live[0]
-            if term.exponent == 0.0:
-                return max(lo, term.shift)
-            s = term.shift + (tau / term.coef) ** (1.0 / term.exponent)
-            return min(max(s, lo), hi if not math.isinf(hi) else s)
-        # monotone bisection on the piece
-        a = lo
-        if math.isinf(hi):
-            b = max(lo, 1.0)
-            while float(_piece_value(terms, b)) < tau:
-                b *= 2.0
-        else:
-            b = hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if float(_piece_value(terms, mid)) >= tau:
-                b = mid
-            else:
-                a = mid
-            if b - a <= EPS_INV_BISECT * max(1.0, b):
-                break
-        return b
+        return float(self.table.inverse(tau)[0])
 
     # -- convex conjugate
 
@@ -251,7 +420,7 @@ class PhiCurve:
                 c, e = tm.coef, tm.exponent
                 s = tm.shift + (t / (c * e)) ** (1.0 / (e - 1.0))
                 s = min(max(s, lo), hi if not math.isinf(hi) else s)
-                best = max(best, s * t - float(_piece_value(terms, s)))
+                best = max(best, s * t - self._piece_at(i, s))
         # log-grid sweep with local refinement
         grid = np.geomspace(max(1e-12, 1e-6 * s_hi), s_hi, 256)
         vals = grid * t - self.value(grid)
@@ -381,11 +550,17 @@ def _as_point(x, dim: int) -> tuple:
     return x
 
 
+#: Lebesgue measure of the unit ball in dimensions 1 and 2.
+UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
+
+
 @dataclass(frozen=True)
 class Region:
     """A named semialgebraic subset of R^n with a membership test.
 
-    ``measure`` is the Lebesgue measure when known in closed form.
+    ``indicator`` maps points of shape (..., dim) to a bool array of the
+    leading shape.  ``measure`` is the Lebesgue measure when known in
+    closed form.
     """
 
     name: str
@@ -408,14 +583,12 @@ def region_from_dict(d: dict) -> Region:
     name = d["region"]
     if name == "empty":
         dim = int(d.get("dim", 2))
-        return Region("empty", dim, lambda X: np.zeros(X.shape[:-1] if X.ndim > 1 else (), bool),
+        return Region("empty", dim, lambda X: np.zeros(X.shape[:-1], bool),
                       measure=0.0, params={"dim": dim})
     if name == "inv_square_strip":
         # {(x, y) : x >= 1, |y| <= 1/x^2}; measure 2
         def ind(X):
-            X = np.atleast_2d(X)
-            inside = (X[..., 0] >= 1.0) & (np.abs(X[..., 1]) <= 1.0 / np.maximum(X[..., 0], 1.0) ** 2)
-            return inside if inside.size > 1 else bool(inside.ravel()[0])
+            return (X[..., 0] >= 1.0) & (np.abs(X[..., 1]) <= 1.0 / np.maximum(X[..., 0], 1.0) ** 2)
         return Region("inv_square_strip", 2, ind, measure=2.0)
     if name == "ball":
         center = np.asarray(d["center"], dtype=float)
@@ -423,11 +596,8 @@ def region_from_dict(d: dict) -> Region:
         dim = len(center)
 
         def ind(X):
-            X = np.asarray(X, dtype=float)
-            r = np.linalg.norm(np.atleast_2d(X) - center, axis=-1)
-            inside = r <= radius
-            return inside if inside.size > 1 else bool(inside.ravel()[0])
-        meas = 2 * radius if dim == 1 else math.pi * radius ** 2
+            return np.linalg.norm(X - center, axis=-1) <= radius
+        meas = UNIT_BALL_VOLUME[dim] * radius ** dim
         return Region("ball", dim, ind, measure=meas,
                       params={"center": list(center), "radius": radius})
     if name == "halfplane":
@@ -435,9 +605,7 @@ def region_from_dict(d: dict) -> Region:
         offset = float(d.get("offset", 0.0))
 
         def ind(X):
-            X = np.asarray(X, dtype=float)
-            inside = np.atleast_2d(X) @ normal >= offset
-            return inside if inside.size > 1 else bool(inside.ravel()[0])
+            return X @ normal >= offset
         return Region("halfplane", len(normal), ind,
                       params={"normal": list(normal), "offset": offset})
     raise ConstructionError(f"unknown region {name!r}")
@@ -472,17 +640,12 @@ def field_from_dict(d: dict) -> Callable:
         return lambda X: np.interp(_norms(X), us, vs)
     if kind == "indicator":
         region = region_from_dict(d["of"])
-        return lambda X: np.asarray(region.contains_many(np.atleast_2d(np.asarray(X, float))),
-                                    dtype=float).reshape(_lead_shape(X))
+        return lambda X: region.contains_many(X).astype(float).reshape(_lead_shape(X))
     raise ConstructionError(f"unknown field {kind!r}")
 
 
 def _norms(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim <= 1:
-        X = X.reshape(1, -1)
-        return np.linalg.norm(X, axis=-1)
-    return np.linalg.norm(X, axis=-1)
+    return np.linalg.norm(np.atleast_2d(np.asarray(X, dtype=float)), axis=-1)
 
 
 def _lead_shape(X):
@@ -497,64 +660,59 @@ def _lead_shape(X):
 class PhiFunction:
     """A family ``x -> PhiCurve`` over a spatial domain.
 
-    Instances are immutable and safe to evaluate concurrently.  Catalog
-    families additionally carry a vectorized evaluator used by the
-    quadrature and maximal-operator code paths.
+    ``form`` states phi once: it maps an (N, dim) array of points to the
+    :class:`PowerTable` of their curves, raising ConstructionError at
+    points where the parameters give no growth curve.  Single curves,
+    point and batch evaluation, level grids and inverses are all read off
+    that table, so they agree exactly.  Instances are immutable and safe
+    to evaluate concurrently.
     """
 
     def __init__(self, kind: str, params: dict, domain: Domain,
-                 curve_factory: Callable[[tuple], PhiCurve],
-                 vec_eval: Callable | None = None,
+                 form: Callable[[np.ndarray], PowerTable],
                  x_independent: bool = False,
                  provenance: dict | None = None):
         self.kind = kind
         self.params = params
         self.domain = domain
-        self._curve_factory = curve_factory
-        self._vec_eval = vec_eval
+        self._form = form
         self.x_independent = x_independent
         self.provenance = provenance
-        self._fixed_curve = curve_factory(tuple([0.0] * domain.dim)) if x_independent else None
+        self._fixed_curve = (self.table(np.zeros((1, domain.dim))).curve(0)
+                             if x_independent else None)
 
     # -- evaluation
 
-    def curve_at(self, x) -> PhiCurve:
+    def table(self, X) -> PowerTable:
+        """The power table of phi at the points X (N, dim), one row each."""
+        X = np.asarray(X, dtype=float)
+        return self._form(X.reshape(-1, X.shape[-1] if X.ndim > 1 else self.domain.dim))
+
+    def _point(self, x) -> np.ndarray:
         x = _as_point(x, self.domain.dim)
         if not self.domain.contains(x):
             raise DomainError(f"{x} outside domain")
-        if self._fixed_curve is not None:
-            return self._fixed_curve
-        return self._curve_factory(x)
+        return np.array([x])
+
+    def curve_at(self, x) -> PhiCurve:
+        X = self._point(x)
+        return self._fixed_curve or self.table(X).curve(0)
 
     def eval(self, x, t):
         """phi(x, t); exact piecewise power evaluation, +inf past a tail."""
-        return self.curve_at(x).value(t)
+        return _one_row(self.table(self._point(x)), t)
 
     def eval_many(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Vectorized phi(X[i], T[i]) for matching leading shapes."""
-        X = np.asarray(X, dtype=float)
         T = np.asarray(T, dtype=float)
-        if self._vec_eval is not None:
-            return self._vec_eval(X, T)
-        if self._fixed_curve is not None:
-            return self._fixed_curve.value(T)
-        pts = X.reshape(-1, self.domain.dim)
-        ts = np.broadcast_to(T, (pts.shape[0],)).ravel() if T.ndim <= 1 else T.ravel()
-        out = np.array([self.curve_at(tuple(p)).value(tv) for p, tv in zip(pts, ts)])
-        return out.reshape(T.shape)
+        return self.table(X).value(T.reshape(-1, 1)).reshape(T.shape)
 
     def eval_grid(self, X: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """phi on the product of points X (N, dim) and levels ts (M,) -> (N, M)."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.domain.dim)
-        ts = np.asarray(ts, dtype=float)
-        if self._vec_eval is not None:
-            XX = np.repeat(X, len(ts), axis=0)
-            TT = np.tile(ts, len(X))
-            return self._vec_eval(XX, TT).reshape(len(X), len(ts))
-        return np.stack([self.curve_at(tuple(p)).value(ts) for p in X])
+        return self.table(X).value(np.asarray(ts, dtype=float).reshape(1, -1))
 
     def inverse(self, x, tau: float) -> float:
-        return self.curve_at(x).inverse(tau)
+        return float(self.table(self._point(x)).inverse(tau)[0])
 
     def conjugate_value(self, x, t: float) -> float:
         return self.curve_at(x).conjugate(t)
@@ -593,18 +751,20 @@ class PhiFunction:
         return PhiFunction.from_dict(json.loads(s))
 
 
+def _fixed(curve: PhiCurve) -> Callable:
+    """The form of the x-independent family ``x -> curve``."""
+    return lambda X: curve.table.repeat(len(X))
+
+
 def from_curve(curve: PhiCurve, dim: int = 1, domain: Domain | None = None,
                kind: str = "curve", provenance: dict | None = None) -> PhiFunction:
     """Wrap a single curve as an x-independent family."""
-    dom = domain or Domain(dim)
-    return PhiFunction(kind, {"curve": curve.to_dict()}, dom,
-                       lambda x: curve,
-                       vec_eval=lambda X, T: curve.value(np.asarray(T, float)),
-                       x_independent=True, provenance=provenance)
+    return PhiFunction(kind, {"curve": curve.to_dict()}, domain or Domain(dim),
+                       _fixed(curve), x_independent=True, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
-# Catalog families
+# Catalog families: each states phi(x, t) once, as its batched form
 
 
 def _make_orlicz(params, domain):
@@ -613,9 +773,12 @@ def _make_orlicz(params, domain):
     else:
         curve = power_curve(float(params["p"]), float(params.get("coef", 1.0)))
     dom = domain or Domain(int(params.get("dim", 1)))
-    return PhiFunction("orlicz", params, dom, lambda x: curve,
-                       vec_eval=lambda X, T: curve.value(np.asarray(T, float)),
-                       x_independent=True)
+    return PhiFunction("orlicz", params, dom, _fixed(curve), x_independent=True)
+
+
+def _optional(on, coef, exponent):
+    """The term ``coef * t**exponent`` on rows where ``on``, unused elsewhere."""
+    return np.where(on, coef, 0.0), exponent, np.where(on, 0.0, INF)
 
 
 def _make_variable_exponent(params, domain):
@@ -623,20 +786,13 @@ def _make_variable_exponent(params, domain):
     af = field_from_dict(params.get("a", {"field": "const", "value": 1.0}))
     dom = domain or Domain(int(params.get("dim", 1)))
 
-    def factory(x):
-        X = np.asarray(x, float)
-        p = float(np.ravel(pf(X))[0])
-        a = float(np.ravel(af(X))[0])
-        if p < 1 or a < 0:
-            raise ConstructionError("variable exponent needs p >= 1, a >= 0")
-        return PhiCurve((0.0,), ((PowerTerm(a, p),),))
+    def form(X):
+        p, a = pf(X), af(X)
+        if np.any(p < 1) or np.any(a <= 0):
+            raise ConstructionError("variable exponent needs p >= 1, a > 0")
+        return PowerTable.build(len(X), [0.0], [[(a, p, 0.0)]])
 
-    def vec(X, T):
-        X = np.asarray(X, float)
-        T = np.asarray(T, float)
-        return np.ravel(af(X)).reshape(T.shape) * T ** np.ravel(pf(X)).reshape(T.shape)
-
-    return PhiFunction("variable_exponent", params, dom, factory, vec_eval=vec)
+    return PhiFunction("variable_exponent", params, dom, form)
 
 
 def _make_double_phase(params, domain):
@@ -647,21 +803,13 @@ def _make_double_phase(params, domain):
     af = field_from_dict(params.get("a", {"field": "const", "value": 0.0}))
     dom = domain or Domain(int(params.get("dim", 1)))
 
-    def factory(x):
-        a = float(np.ravel(af(np.asarray(x, float)))[0])
-        if a < 0:
+    def form(X):
+        a = af(X)
+        if np.any(a < 0):
             raise ConstructionError("weight a must be nonnegative")
-        terms = [PowerTerm(1.0, p)]
-        if a > 0:
-            terms.append(PowerTerm(a, q))
-        return PhiCurve((0.0,), (tuple(terms),))
+        return PowerTable.build(len(X), [0.0], [[(1.0, p, 0.0), _optional(a > 0, a, q)]])
 
-    def vec(X, T):
-        T = np.asarray(T, float)
-        a = np.ravel(af(np.asarray(X, float))).reshape(T.shape)
-        return T ** p + a * T ** q
-
-    return PhiFunction("double_phase", params, dom, factory, vec_eval=vec)
+    return PhiFunction("double_phase", params, dom, form)
 
 
 def _make_vdp(params, domain):
@@ -670,27 +818,13 @@ def _make_vdp(params, domain):
     af = field_from_dict(params.get("a", {"field": "const", "value": 0.0}))
     dom = domain or Domain(int(params.get("dim", 1)))
 
-    def factory(x):
-        X = np.asarray(x, float)
-        p = float(np.ravel(pf(X))[0])
-        q = float(np.ravel(qf(X))[0])
-        a = float(np.ravel(af(X))[0])
-        if p < 1 or q < p or a < 0:
+    def form(X):
+        p, q, a = pf(X), qf(X), af(X)
+        if np.any(p < 1) or np.any(q < p) or np.any(a < 0):
             raise ConstructionError("needs 1 <= p(x) <= q(x), a >= 0")
-        terms = [PowerTerm(1.0, p)]
-        if a > 0:
-            terms.append(PowerTerm(a, q))
-        return PhiCurve((0.0,), (tuple(terms),))
+        return PowerTable.build(len(X), [0.0], [[(1.0, p, 0.0), _optional(a > 0, a, q)]])
 
-    def vec(X, T):
-        X = np.asarray(X, float)
-        T = np.asarray(T, float)
-        p = np.ravel(pf(X)).reshape(T.shape)
-        q = np.ravel(qf(X)).reshape(T.shape)
-        a = np.ravel(af(X)).reshape(T.shape)
-        return T ** p + a * T ** q
-
-    return PhiFunction("vdp", params, dom, factory, vec_eval=vec)
+    return PhiFunction("vdp", params, dom, form)
 
 
 # Built-in gallery instances used by the example bundles and the test suite.
@@ -698,76 +832,48 @@ def _make_vdp(params, domain):
 
 def _make_example_3_2(params, domain):
     region = region_from_dict({"region": "inv_square_strip"})
-    dom = domain or Domain(2)
-    on_g = PhiCurve((0.0, 1.0), ((PowerTerm(1.0, 1.0),), (PowerTerm(1.0, 2.0),)))
-    off_g = power_curve(2.0)
 
-    def factory(x):
-        return on_g if region.contains(x) else off_g
+    def form(X):
+        # t then t^2 from t = 1 on the strip G; off it the first piece is
+        # empty and phi = t^2
+        seam = np.where(region.contains_many(X), 1.0, 0.0)
+        return PowerTable.build(len(X), [0.0, seam],
+                                [[(1.0, 1.0, 0.0)], [(1.0, 2.0, 0.0)]])
 
-    def vec(X, T):
-        X = np.atleast_2d(np.asarray(X, float))
-        T = np.asarray(T, float)
-        ing = np.asarray(region.contains_many(X), bool).reshape(T.shape)
-        return np.where(ing & (T < 1.0), T, T ** 2)
-
-    return PhiFunction("example_3_2", params, dom, factory, vec_eval=vec)
+    return PhiFunction("example_3_2", params, domain or Domain(2), form)
 
 
 def _make_example_3_4(params, domain):
     dim = int(params.get("dim", 2))
-    dom = domain or Domain(dim)
 
-    def factory(x):
-        b = 1.0 / (float(np.linalg.norm(np.asarray(x, float))) + 2.0)
-        return PhiCurve((0.0, b),
-                        ((PowerTerm(1.0, 1.0),),
-                         (PowerTerm(1.0, 2.0), PowerTerm(1.0, 1.0))))
+    def form(X):
+        seam = 1.0 / (_norms(X) + 2.0)
+        return PowerTable.build(len(X), [0.0, seam],
+                                [[(1.0, 1.0, 0.0)],
+                                 [(1.0, 2.0, 0.0), (1.0, 1.0, 0.0)]])
 
-    def vec(X, T):
-        T = np.asarray(T, float)
-        b = 1.0 / (_norms(X).reshape(T.shape) + 2.0)
-        return np.where(T <= b, T, T ** 2 + T)
-
-    return PhiFunction("example_3_4", params, dom, factory, vec_eval=vec)
+    return PhiFunction("example_3_4", params, domain or Domain(dim), form)
 
 
 def _make_example_3_5(params, domain):
     dim = int(params.get("dim", 2))
-    dom = domain or Domain(dim)
 
-    def factory(x):
-        w = (float(np.linalg.norm(np.asarray(x, float))) + 1.0) ** dim
-        b = 1.0 / w
-        return PhiCurve((0.0, b),
-                        ((PowerTerm(1.0 / w, 1.0),), (PowerTerm(1.0, 2.0),)))
+    def form(X):
+        w = (_norms(X) + 1.0) ** dim
+        return PowerTable.build(len(X), [0.0, 1.0 / w],
+                                [[(1.0 / w, 1.0, 0.0)], [(1.0, 2.0, 0.0)]])
 
-    def vec(X, T):
-        T = np.asarray(T, float)
-        w = (_norms(X).reshape(T.shape) + 1.0) ** dim
-        return np.where(T <= 1.0 / w, T / w, T ** 2)
-
-    return PhiFunction("example_3_5", params, dom, factory, vec_eval=vec)
+    return PhiFunction("example_3_5", params, domain or Domain(dim), form)
 
 
 def _make_example_4_6(params, domain):
     # t^{p(x)} on (-2, 2) with p piecewise linear: 2 on [-1, 1], 1 at the ends
-    dom = domain or Domain(1, (-2.0,), (2.0,))
 
-    def pexp(X):
-        r = _norms(X)
-        return np.minimum(2.0, 3.0 - r)
+    def form(X):
+        p = np.maximum(np.minimum(2.0, 3.0 - _norms(X)), 1.0)
+        return PowerTable.build(len(X), [0.0], [[(1.0, p, 0.0)]])
 
-    def factory(x):
-        p = float(pexp(np.asarray(x, float))[0])
-        return PhiCurve((0.0,), ((PowerTerm(1.0, max(p, 1.0)),),))
-
-    def vec(X, T):
-        T = np.asarray(T, float)
-        p = np.maximum(pexp(np.asarray(X, float)).reshape(T.shape), 1.0)
-        return T ** p
-
-    return PhiFunction("example_4_6", params, dom, factory, vec_eval=vec)
+    return PhiFunction("example_4_6", params, domain or Domain(1, (-2.0,), (2.0,)), form)
 
 
 _FAMILIES = {

@@ -22,9 +22,9 @@ from .phi_core import (
     Domain,
     PhiCurve,
     PhiFunction,
+    PowerTable,
     PowerTerm,
     Region,
-    from_curve,
 )
 from .conditions import (
     SampleSpec,
@@ -77,96 +77,76 @@ class AsymptotePair:
 # Raise small values to a power on a region
 
 
-def _raise_below_one(curve: PhiCurve, p: float) -> PhiCurve:
-    """Replace the curve by its p-th power on [0, 1]; requires each piece
-    below 1 to be a single unshifted power so the result stays power-law."""
-    bps, pieces = [], []
-    for i, b in enumerate(curve.breakpoints):
-        if b >= 1.0:
-            break
-        live = [t for t in curve.pieces[i] if t.coef > 0]
-        if len(live) != 1 or live[0].shift != 0.0 or live[0].exponent == 0.0:
-            raise ConstructionError(
-                "small-value glueing needs single-power pieces below t = 1")
-        tm = live[0]
-        bps.append(b)
-        pieces.append((PowerTerm(tm.coef ** p, tm.exponent * p),))
-    j = np.searchsorted(curve.breakpoints, 1.0, side="right") - 1
-    if curve.breakpoints[j] < 1.0:
-        bps.append(1.0)
-        pieces.append(curve.pieces[j])
-    for k in range(j + 1, len(curve.breakpoints)):
-        bps.append(curve.breakpoints[k])
-        pieces.append(curve.pieces[k])
-    return PhiCurve(tuple(bps), tuple(pieces), curve.infinite_tail)
-
-
 def glue_small_values(psi1: PhiFunction, region: Region, p: float,
                       spec: SampleSpec | None = None) -> PhiFunction:
     """Return psi2 with psi2 = psi1**p on region x [0, 1] and psi2 = psi1
     elsewhere.
 
-    Requires psi1(x, 1) = 1 at sampled region points (the normalization
-    that makes the two branches agree at t = 1).
+    Requires psi1(x, 1) = 1 on the region (the normalization that makes
+    the two branches agree at t = 1), and each piece of psi1 below t = 1
+    there to be a single unshifted power, so that the result stays
+    power-law.  Construction checks both at the sampled points of ``spec``;
+    evaluation checks them at every point it is asked for.
     """
     if p <= 1:
         raise ConstructionError("p must exceed 1")
-    spec = spec or SampleSpec()
-    X = default_x_samples(psi1.domain, spec)
-    inside = region.contains_many(X)
-    if np.any(inside):
-        at_one = psi1.eval_grid(X[inside], np.array([1.0]))[:, 0]
-        if np.any(np.abs(at_one - 1.0) > 1e-9):
-            k = int(np.argmax(np.abs(at_one - 1.0)))
+
+    def form(X):
+        on = region.contains_many(X)
+        base = psi1.table(X)
+        at_one = base.value(np.ones((len(X), 1)))[:, 0]
+        off = on & (np.abs(at_one - 1.0) > 1e-9)
+        if np.any(off):
             raise ConstructionError(
-                f"psi1(x, 1) = {at_one[k]} != 1 at a region sample; "
+                f"psi1(x, 1) = {at_one[np.argmax(off)]} != 1 on the region; "
                 "normalize before glueing")
+        low = (on[:, None] & base.live() & (base.bps < 1.0))[..., None]
+        live = base.coef > 0
+        if np.any(low[..., 0] & (np.sum(live, axis=2) != 1)) or np.any(
+                low & live & ((base.shift != 0.0) | (base.expo == 0.0))):
+            raise ConstructionError(
+                "small-value glueing needs single-power pieces below t = 1")
+        raised = PowerTable(base.bps,
+                            np.where(low, np.where(live, base.coef ** p, 0.0), base.coef),
+                            np.where(low, np.where(live, base.expo * p, 0.0), base.expo),
+                            np.where(low & ~live, INF, base.shift), base.tail)
+        return raised.join(base, np.where(on, 1.0, 0.0))
 
-    def factory(x):
-        base = psi1.curve_at(x)
-        return _raise_below_one(base, p) if region.contains(x) else base
-
-    base_vec = psi1.eval_many
-
-    def vec(X_, T_):
-        X_ = np.asarray(X_, float)
-        T_ = np.asarray(T_, float)
-        out = base_vec(X_, T_)
-        mask = region.contains_many(np.atleast_2d(X_)).reshape(out.shape) & (T_ < 1.0)
-        out = np.where(mask, out ** p, out)
-        return out
-
+    form(default_x_samples(psi1.domain, spec or SampleSpec()))  # fail early
     return PhiFunction(
         "glued_small_values",
         {"base": psi1.to_dict(), "region": region.to_dict(), "p": p},
-        psi1.domain, factory, vec_eval=vec)
+        psi1.domain, form)
 
 
 # ---------------------------------------------------------------------------
 # Threshold below which both the function and its asymptote stay <= 1
 
 
-def _last_t_at_most(curve: PhiCurve, level: float, tol: float = T1_TOL) -> float:
-    """sup{t : curve(t) <= level} by doubling plus bisection."""
-    if curve.value(0.0) > level:
-        return 0.0
-    lo = 0.0
-    hi = 1.0
-    while curve.value(hi) <= level:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            return INF
-    while curve.value(lo) > level and lo > 1e-300:
-        hi = lo
-        lo *= 0.5
-    while hi - lo > tol * max(1.0, lo):
+def _last_t_at_most(table: PowerTable, level: float,
+                    tol: float = T1_TOL) -> np.ndarray:
+    """Per row, sup{t : value(t) <= level} by doubling plus bisection."""
+    def fits(t):
+        return table.value(t[:, None])[:, 0] <= level
+
+    lo, hi = np.zeros(len(table.tail)), np.ones(len(table.tail))
+    out = np.where(fits(lo), np.nan, 0.0)
+    grow = np.isnan(out)
+    while np.any(grow):
+        grow &= fits(hi)
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+        out[grow & (hi > 1e300)] = INF
+        grow &= hi <= 1e300
+    todo = np.isnan(out)
+    while True:
+        todo &= hi - lo > tol * np.maximum(1.0, lo)
+        if not np.any(todo):
+            break
         mid = 0.5 * (lo + hi)
-        if curve.value(mid) <= level:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        ok = fits(mid)
+        lo = np.where(todo & ok, mid, lo)
+        hi = np.where(todo & ~ok, mid, hi)
+    return np.where(np.isnan(out), lo, out)
 
 
 def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve,
@@ -178,11 +158,8 @@ def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve,
     spec = spec or SampleSpec()
     X = (np.atleast_2d(x_samples) if x_samples is not None
          else default_x_samples(phi.domain, spec))
-    sup = _last_t_at_most(phi_inf, 1.0)
-    for x in X:
-        sup = min(sup, _last_t_at_most(phi.curve_at(tuple(x)), 1.0))
-        if sup == 0.0:
-            break
+    sup = float(np.min(_last_t_at_most(phi.table(X), 1.0),
+                       initial=_last_t_at_most(phi_inf.table, 1.0)[0]))
     if not sup > 0.0:
         raise ConstructionError("phi exceeds 1 at arbitrarily small t "
                                 "at some sample; no positive threshold")
@@ -258,55 +235,35 @@ def rebuild_with_ainc(phi: PhiFunction, pair: AsymptotePair,
         raise ConstructionError("asymptote must be positive and finite at "
                                 "beta * t1")
 
-    def _scaled_terms(terms):
-        return tuple(PowerTerm(tm.coef * beta ** tm.exponent, tm.exponent,
-                               shift=tm.shift / beta) for tm in terms)
+    # the x-independent head: phi_inf(beta * t) below t1, then the flat
+    # bridge at level c
+    keep = [i for i, b in enumerate(phi_inf.breakpoints) if b / beta < t1]
+    head = PowerTable.build(
+        1, [phi_inf.breakpoints[i] / beta for i in keep] + [t1],
+        [[(tm.coef * beta ** tm.exponent, tm.exponent, tm.shift / beta)
+          for tm in phi_inf.pieces[i]] for i in keep] + [[(c, 0.0, t1)]])
 
-    def factory(x):
-        bc = phi.curve_at(x)
-        bps, pieces = [], []
-        for i, b in enumerate(phi_inf.breakpoints):
-            sb = b / beta
-            if sb >= t1:
-                break
-            bps.append(sb)
-            pieces.append(_scaled_terms(phi_inf.pieces[i]))
-        t_star = max(t1, bc.inverse(c))
-        tail = bc.infinite_tail
-        if math.isinf(t_star):
+    def form(X_):
+        base = phi.table(X_)
+        t_star = np.maximum(t1, base.inverse(c))
+        if np.any(np.isinf(t_star)):
             # phi never reaches level c: flat at c forever is not a growth
             # curve, so this input is rejected
             raise ConstructionError("phi does not reach the asymptote level")
-        if t_star > t1 * (1.0 + 1e-12):
-            bps.append(t1)
-            pieces.append((PowerTerm(c, 0.0, shift=t1),))
-            start = t_star
-        else:
-            start = t1
-        if tail is not None and start >= tail:
-            return PhiCurve(tuple(bps), tuple(pieces), infinite_tail=tail)
-        j = int(np.searchsorted(bc.breakpoints, start, side="right") - 1)
-        bps.append(start)
-        pieces.append(bc.pieces[j])
-        for k in range(j + 1, len(bc.breakpoints)):
-            bps.append(bc.breakpoints[k])
-            pieces.append(bc.pieces[k])
-        return PhiCurve(tuple(bps), tuple(pieces), infinite_tail=tail)
-
-    base_vec = phi.eval_many
-
-    def vec(X_, T_):
-        T_ = np.asarray(T_, float)
-        out = np.maximum(c, base_vec(X_, T_))
-        small = T_ < t1
-        if np.any(small):
-            out = np.where(small, phi_inf.value(np.minimum(T_, t1) * beta), out)
-        return out
+        bridge = t_star > t1 * (1.0 + 1e-12)
+        start = np.where(bridge, t_star, t1)
+        # where phi is +inf from `start` on, no piece of phi is kept; the
+        # bridge is empty unless needed, and phi starts at `start`
+        cut = start >= base.tail
+        head_bps = np.repeat(head.bps, len(X_), axis=0)
+        head_bps[:, -1] = np.where(cut & ~bridge, INF, t1)
+        return PowerTable(head_bps, head.coef, head.expo, head.shift, head.tail).join(
+            base, np.where(cut, INF, start))
 
     return PhiFunction(
         "ainc_rebuild",
         {"base": phi.to_dict(), "pair": pair.to_dict(), "t1": t1},
-        phi.domain, factory, vec_eval=vec)
+        phi.domain, form)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +317,6 @@ def tail_asymptotes(phi: PhiFunction, t_grid: np.ndarray | None = None,
         raise ValueError("need at least two radii to judge convergence")
 
     if phi.x_independent:
-        lower, _ = phi.domain.sampling_box(1.0)
         curve = phi.curve_at(tuple(np.zeros(phi.domain.dim)))
         return AsymptoteEstimate(curve, curve, True)
 

@@ -29,8 +29,6 @@ def test_config_validation():
         MaximalConfig((1.0, 0.5))
     with pytest.raises(ValueError):
         MaximalConfig((1.0,), center_stride=0)
-    with pytest.raises(ValueError):
-        MaximalConfig((1.0,), boundary_rule="reflect")
 
 
 def test_default_config_covers_cell_to_diameter():

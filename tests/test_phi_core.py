@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orliczkit import (
+    AsymptotePair,
     ConstructionError,
     Domain,
     DomainError,
     PhiCurve,
     PhiFunction,
     PowerTerm,
+    WeightFunction,
     from_curve,
+    glue_small_values,
     make_family,
     power_curve,
+    rebuild_with_ainc,
     region_from_dict,
+    small_value_threshold,
 )
 
 INF = math.inf
@@ -179,17 +184,98 @@ def test_vdp_formula():
     assert abs(phi.eval((1.0,), t) - (t ** 1.5 + 0.5 * t ** 2.5)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["example_3_2", "example_3_4",
-                                  "example_3_5", "example_4_6"])
+_PARAMS = {
+    "orlicz": {"p": 2.5, "dim": 2},
+    "curve": {"dim": 2, "curve": PhiCurve(
+        (0.0, 1.0), ((PowerTerm(1.0, 1.5),),
+                     (PowerTerm(1.0, 0.0, shift=1.0),
+                      PowerTerm(2.0, 2.0, shift=1.0)))).to_dict()},
+    "variable_exponent": {"dim": 2, "p": {"field": "pw_linear",
+                                          "points": [[0.0, 2.0], [6.0, 1.2]]}},
+    "double_phase": {"p": 1.5, "q": 2.5, "dim": 2,
+                     "a": {"field": "indicator",
+                           "of": {"region": "ball", "center": [0.0, 0.0],
+                                  "radius": 5.0}}},
+    "vdp": {"dim": 2, "p": {"field": "pw_linear", "points": [[0.0, 2.0], [6.0, 1.5]]},
+            "q": {"field": "const", "value": 2.5},
+            "a": {"field": "abs_power", "coef": 1.0, "offset": 1.0, "power": -1.0}},
+}
+
+
+def _sample_family(name, families):
+    if name in families:
+        return families[name]
+    if name in _PARAMS:
+        return make_family(name, _PARAMS[name], None)
+    strip = region_from_dict({"region": "inv_square_strip"})
+    if name == "glued":
+        return glue_small_values(families["example_3_2"], strip, 1.5)
+    phi = families["example_3_5"]
+    pair = AsymptotePair(power_curve(2.0),
+                         WeightFunction.recip_power(4.0, 2), beta=1.0)
+    return rebuild_with_ainc(phi, pair, small_value_threshold(phi, pair.phi_inf))
+
+
+@pytest.mark.parametrize("name", ["example_3_2", "example_3_4", "example_3_5",
+                                  "example_4_6", "orlicz", "curve",
+                                  "variable_exponent", "double_phase", "vdp",
+                                  "glued", "rebuilt"])
 def test_vectorized_eval_matches_curves(name, families):
-    phi = families[name]
+    # batch and per-point evaluation share one kernel, so they agree
+    # exactly, also at every breakpoint where two pieces meet
+    phi = _sample_family(name, families)
     rng = np.random.default_rng(7)
     lo, hi = phi.domain.sampling_box(8.0)
     X = np.column_stack([rng.uniform(l, h, 40) for l, h in zip(lo, hi)])
-    T = rng.uniform(1e-3, 10.0, 40)
-    grid = phi.eval_many(X, T)
+    X = np.vstack([np.zeros((1, phi.domain.dim)), X,
+                   [[2.0, 0.0], [4.0, 0.01]] if phi.domain.dim == 2 else [[1.5]]])
+    T = rng.uniform(1e-3, 10.0, len(X))
+    curves = [phi.curve_at(tuple(x)) for x in X]
+    for c in curves:
+        assert c == PhiCurve.from_dict(c.to_dict())  # a valid curve
+    X = np.vstack([X] + [np.repeat(x[None], len(c.breakpoints), 0)
+                         for x, c in zip(X, curves)])
+    T = np.concatenate([T] + [c.breakpoints for c in curves])
     direct = np.array([phi.curve_at(tuple(x)).value(t) for x, t in zip(X, T)])
-    np.testing.assert_allclose(grid, direct, rtol=1e-12, atol=1e-300)
+    np.testing.assert_array_equal(phi.eval_many(X, T), direct)
+    np.testing.assert_array_equal(
+        [phi.eval(tuple(x), t) for x, t in zip(X, T)], direct)
+
+
+def test_eval_many_validates_like_curve_at():
+    phi = make_family("variable_exponent", {"p": {"field": "const", "value": 0.5}})
+    with pytest.raises(ConstructionError):
+        phi.eval((0.0,), 4.0)
+    with pytest.raises(ConstructionError):
+        phi.eval_many(np.array([[0.0]]), np.array([4.0]))
+    # glueing needs single powers below t = 1; no lattice sample lies in
+    # the small ball, so only evaluation there can tell
+    sum_below_one = from_curve(PhiCurve(
+        (0.0,), ((PowerTerm(0.5, 1.0), PowerTerm(0.5, 2.0)),)), dim=2)
+    ball = region_from_dict({"region": "ball", "center": [0.5, 0.5],
+                             "radius": 0.1})
+    psi = glue_small_values(sum_below_one, ball, 2.0)
+    with pytest.raises(ConstructionError):
+        psi.curve_at((0.5, 0.5))
+    with pytest.raises(ConstructionError):
+        psi.eval_many(np.array([[0.5, 0.5]]), np.array([0.5]))
+    assert psi.eval_many(np.array([[3.0, 3.0]]), np.array([0.5]))[0] == 0.375
+
+
+def test_one_point_membership_and_glued_eval():
+    strip = region_from_dict({"region": "inv_square_strip"})
+    for region, point in ((strip, [2.0, 0.0]),
+                          (region_from_dict({"region": "ball", "center": [0.0, 0.0],
+                                             "radius": 1.0}), [0.5, 0.0]),
+                          (region_from_dict({"region": "halfplane",
+                                             "normal": [1.0, 0.0]}), [1.0, 0.0])):
+        inside = region.contains_many(np.array([point]))
+        assert inside.dtype == bool and inside.shape == (1,) and inside[0]
+    psi = glue_small_values(make_family("example_3_2"), strip, 1.5)
+    assert psi.eval_many(np.array([[2.0, 0.0]]), np.array([0.5]))[0] == pytest.approx(
+        0.5 ** 1.5, rel=1e-14)
+    # above t = 1 the strip keeps phi = t^2
+    assert psi.eval((2.0, 0.0), 3.0) == 9.0
 
 
 def test_example_formulas(families):
@@ -201,6 +287,9 @@ def test_example_formulas(families):
     # seam at 1/(|x|+2)
     phi = families["example_3_4"]
     assert phi.eval((0.0, 0.0), 0.25) == 0.25
+    # pieces are half-open: the seam 1/2 at x = 0 belongs to t^2 + t
+    assert phi.eval((0.0, 0.0), 0.5) == 0.75
+    assert phi.eval_many(np.zeros((1, 2)), np.array([0.5]))[0] == 0.75
     assert phi.eval((0.0, 0.0), 0.75) == 0.75 ** 2 + 0.75
     # damped linear branch below (|x|+1)^-2
     phi = families["example_3_5"]

@@ -164,15 +164,6 @@ def test_rebuild_passes_required_checks(rebuilt):
                                   h=pair.h).holds
 
 
-def test_rebuild_curve_vs_vectorized(rebuilt):
-    _, _, _, psi = rebuilt
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-8.0, 8.0, size=(25, 2))
-    T = rng.uniform(1e-3, 20.0, 25)
-    direct = np.array([psi.curve_at(tuple(x)).value(t) for x, t in zip(X, T)])
-    np.testing.assert_allclose(psi.eval_many(X, T), direct, rtol=1e-12)
-
-
 def test_rebuild_serialization_roundtrip(rebuilt):
     _, _, _, psi = rebuilt
     rt = PhiFunction.from_dict(json.loads(psi.to_json()))
