@@ -81,10 +81,13 @@ def _grid_function(args, dim: int) -> GridFunction:
         if "const" in d:
             return GridFunction(box, float(d["const"]) * np.ones((n,) * dim))
         raise UsageError("grid function spec needs 'ball' or 'const'")
-    if args.csv:
-        return GridFunction.from_csv(args.csv, box, n)
-    if args.binary:
-        return GridFunction.from_binary(args.binary)
+    try:
+        if args.csv:
+            return GridFunction.from_csv(args.csv, box, n)
+        if args.binary:
+            return GridFunction.from_binary(args.binary)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read grid function: {exc}") from exc
     raise UsageError("provide --function, --csv, or --binary")
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_core import UNIT_BALL_VOLUME, PhiFunction
+from .phi_core import EPS_INV_BISECT, UNIT_BALL_VOLUME, PhiFunction, \
+    _as_point, _last_t_where
 
 INF = math.inf
 
@@ -89,15 +90,8 @@ class GridFunction:
     def from_callable(func, box, resolution) -> "GridFunction":
         box = tuple(box)
         res = (resolution,) * len(box) if np.isscalar(resolution) else tuple(resolution)
-        axes = [lo + (np.arange(n) + 0.5) * (hi - lo) / n
-                for (lo, hi), n in zip(box, res)]
-        if len(box) == 1:
-            vals = np.asarray(func(axes[0].reshape(-1, 1)), float).reshape(res)
-        else:
-            gx, gy = np.meshgrid(*axes, indexing="ij")
-            pts = np.column_stack([gx.ravel(), gy.ravel()])
-            vals = np.asarray(func(pts), float).reshape(res)
-        return GridFunction(box, vals)
+        pts = GridFunction(box, np.zeros(res)).points()
+        return GridFunction(box, np.asarray(func(pts), float).reshape(res))
 
     @staticmethod
     def indicator_ball(center, radius: float, box, resolution) -> "GridFunction":
@@ -114,10 +108,8 @@ class GridFunction:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["index"] + [f"x{i}" for i in range(self.dim)] + ["value"])
-        pts = self.points()
-        flat = self.values.ravel()
-        for i in range(len(flat)):
-            w.writerow([i] + [repr(float(c)) for c in pts[i]] + [repr(float(flat[i]))])
+        cols = (*self.points().T, self.values.ravel())
+        w.writerows(zip(range(self.values.size), *(map(repr, c.tolist()) for c in cols)))
         text = buf.getvalue()
         if path is None:
             return text
@@ -132,14 +124,26 @@ class GridFunction:
         else:
             with open(source) as fh:
                 text = fh.read()
-        rows = list(csv.reader(io.StringIO(text)))
         box = tuple(box)
         res = (resolution,) * len(box) if np.isscalar(resolution) else tuple(resolution)
-        vals = np.zeros(int(np.prod(res)))
-        for row in rows[1:]:
-            if not row:
-                continue
-            vals[int(row[0])] = float(row[-1])
+        count = int(np.prod(res))
+        try:
+            data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"CSV: {exc}") from None
+        if len(data) and data.shape[1] != len(box) + 2:
+            raise ValueError(f"CSV rows have {data.shape[1]} fields, expected {len(box) + 2}")
+        idx = data[:, 0]
+        bad = (idx != np.floor(idx)) | (idx < 0) | (idx >= count)
+        if np.any(bad):
+            raise ValueError(f"CSV data row {np.argmax(bad) + 1}: index "
+                             f"{idx[np.argmax(bad)]} is not one of 0..{count - 1}")
+        hits = np.bincount(idx.astype(int), minlength=count)
+        if np.any(hits != 1):
+            raise ValueError(f"CSV index {np.argmax(hits != 1)} appears "
+                             f"{hits[np.argmax(hits != 1)]} times, expected once")
+        vals = np.empty(count)
+        vals[idx.astype(int)] = data[:, -1]
         return GridFunction(box, vals.reshape(res))
 
     # -- compact binary form:
@@ -167,30 +171,27 @@ class GridFunction:
         else:
             with open(source, "rb") as fh:
                 blob = fh.read()
-        (n,) = struct.unpack_from("<I", blob, 0)
-        off = 4
-        box = []
-        for _ in range(n):
-            lo, hi = struct.unpack_from("<dd", blob, off)
-            box.append((lo, hi))
-            off += 16
-        res = struct.unpack_from(f"<{n}I", blob, off)
-        off += 4 * n
+        n = struct.unpack_from("<I", blob)[0] if len(blob) >= 4 else 0
+        off = 4 + 20 * n
+        if n not in (1, 2) or len(blob) < off:
+            raise ValueError(f"binary grid header: {len(blob)} bytes and {n} axes, "
+                             "expected 1 or 2 axes and 4 + 20 bytes per axis")
+        box = [struct.unpack_from("<dd", blob, 4 + 16 * k) for k in range(n)]
+        res = struct.unpack_from(f"<{n}I", blob, 4 + 16 * n)
         count = int(np.prod(res))
+        if len(blob) != off + 8 * count:
+            raise ValueError(f"binary grid payload: {len(blob) - off} bytes, header "
+                             f"says {count} values ({8 * count} bytes)")
         vals = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         return GridFunction(tuple(box), vals.reshape(res).copy())
 
 
 def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:
-    dom = getattr(phi, "domain", None)
-    if dom is None or (dom.lower is None and dom.upper is None):
+    """The cells whose centers lie inside phi's domain, a box taken open."""
+    dom = phi.domain
+    if dom.unbounded:
         return np.ones(len(pts), dtype=bool)
-    mask = np.ones(len(pts), dtype=bool)
-    if dom.lower is not None:
-        mask &= np.all(pts > np.asarray(dom.lower)[None, :], axis=1)
-    if dom.upper is not None:
-        mask &= np.all(pts < np.asarray(dom.upper)[None, :], axis=1)
-    return mask
+    return np.all((pts > np.asarray(dom.lower)) & (pts < np.asarray(dom.upper)), axis=1)
 
 
 def modular(phi, f: GridFunction) -> float:
@@ -249,14 +250,9 @@ def ball_norm_check(phi: PhiFunction, center, radius: float,
         box = tuple((c - 1.5 * radius, c + 1.5 * radius) for c in center)
     chi = GridFunction.indicator_ball(center, radius, box, resolution)
     norm = luxemburg_norm(phi, chi)
-    if y_samples is None:
-        offs = [np.zeros(dim)]
-        for ax in range(dim):
-            for sgn in (-1.0, 1.0):
-                e = np.zeros(dim)
-                e[ax] = sgn * 0.5 * radius
-                offs.append(e)
-        y_samples = [center + e for e in offs]
+    if y_samples is None:  # the center, and half a radius off it along each axis
+        y_samples = center + 0.5 * radius * np.vstack(
+            [np.zeros(dim), np.kron(np.eye(dim), [[-1.0], [1.0]])])
     estimates = [1.0 / phi.inverse(tuple(y), 1.0 / vol) for y in y_samples]
     ratios = [norm / e for e in estimates]
     return {
@@ -280,36 +276,21 @@ class ConjugateFunction:
         self.domain = phi.domain
 
     def eval(self, x, t: float) -> float:
-        return self.phi.conjugate_value(x, t)
+        return float(self.eval_many(np.array([_as_point(x, self.domain.dim)]), [t])[0])
 
     def eval_many(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, float))
-        T = np.asarray(T, float).ravel()
-        # phi*(x, 0) = 0 at every x, so only levels t != 0 need a curve
-        out = np.zeros(len(T))
-        for i in np.flatnonzero(T):
-            out[i] = self.phi.conjugate_value(tuple(X[i]), float(T[i]))
-        return out
+        return self.phi.conjugate_value(X, T)
 
     def inverse(self, x, tau: float) -> float:
-        """inf{t : conjugate(x, t) >= tau} by doubling plus bisection."""
-        if tau <= 0:
-            return 0.0
-        hi = 1.0
-        while self.eval(x, hi) < tau:
-            hi *= 2.0
-            if hi > 1e300:
-                return INF
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.eval(x, mid) >= tau:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return hi
+        """inf{t : conjugate(x, t) >= tau}."""
+        return float(_conjugate_inverse(self.phi, [_as_point(x, self.domain.dim)], tau)[0])
+
+
+def _conjugate_inverse(phi: PhiFunction, X, tau: float) -> np.ndarray:
+    """Per point of X, inf{t : phi*(x, t) >= tau}, all points in step."""
+    table = phi.table(X)
+    return _last_t_where(lambda t: table.conjugate(t) < tau, len(table.tail),
+                         EPS_INV_BISECT)
 
 
 def conjugate_function(phi: PhiFunction) -> ConjugateFunction:
@@ -348,14 +329,11 @@ def annulus_test_function(phi: PhiFunction, level: float, r_in: float,
                           r_out: float, box, resolution) -> GridFunction:
     """g(x) = (phi*)^{-1}(x, level) on the annulus r_in < |x| < r_out,
     zero elsewhere: the standard test function for norm lower bounds."""
-    conj = conjugate_function(phi)
-
     def func(X):
         rad = np.linalg.norm(X, axis=1)
+        on = (r_in < rad) & (rad < r_out)
         out = np.zeros(len(X))
-        for i, (x, r) in enumerate(zip(X, rad)):
-            if r_in < r < r_out:
-                out[i] = conj.inverse(tuple(x), level)
+        out[on] = _conjugate_inverse(phi, X[on], level)
         return out
 
     return GridFunction.from_callable(func, box, resolution)

@@ -6,10 +6,10 @@ an ordered list of half-open pieces, each a sum of power terms
 :class:`PhiFunction`, stated once as a batched form: for an array of points
 it returns a :class:`PowerTable` of per-row breakpoint, coefficient,
 exponent, shift and infinite-tail arrays.  Curves, batch and grid
-evaluation and inverses are all read off such tables; a curve is the
-one-row case.  The restriction to power-term pieces keeps evaluation
-exact, gives closed-form inverses for single-term pieces, and makes joint
-measurability automatic for every family in the catalog.
+evaluation, inverses and convex conjugates are all read off such tables;
+a curve is the one-row case.  The restriction to power-term pieces keeps
+evaluation exact, gives closed-form inverses for single-term pieces, and
+makes joint measurability automatic for every family in the catalog.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 INF = math.inf
 
-# Relative tolerance of the inverse's bisection on multi-term pieces;
-# closed forms are exact up to rounding.
+# Relative tolerance of the bisections inverting multi-term pieces and
+# conjugates; closed forms are exact up to rounding.
 EPS_INV_BISECT = 1e-12
 
 
@@ -180,15 +180,21 @@ class PowerTable:
             out = g if out is None else out + g
         return np.zeros(T.shape) if out is None else out
 
-    def _untailed(self, T: np.ndarray) -> np.ndarray:
-        """Each row at levels T (N, M): the last piece starting at or below t."""
+    def _untailed(self, T: np.ndarray, left: bool = False) -> np.ndarray:
+        """Each row at levels T (N, M): the last piece starting at or below
+        t, or strictly below t for the left limit."""
         out = self._piece(0, T)
         for k in range(1, self.bps.shape[1]):
             b = self._plan[1][k][0]
             if isinstance(b, float) and b == INF:
                 break  # no row uses this piece or any after it
-            out = np.where(T >= b, self._piece(k, T), out)
+            out = np.where(T > b if left else T >= b, self._piece(k, T), out)
         return out
+
+    def _value(self, T: np.ndarray, left: bool = False) -> np.ndarray:
+        """:meth:`value` without its checks, or its left limit."""
+        tail, out = self._plan[0], self._untailed(T, left)
+        return out if isinstance(tail, float) and tail == INF else np.where(T > tail, INF, out)
 
     def _next_bps(self) -> np.ndarray:
         return np.concatenate([self.bps[:, 1:], np.full((len(self.bps), 1), INF)], 1)
@@ -205,8 +211,7 @@ class PowerTable:
             raise ValueError("t must be nonnegative")
         if len(T) != len(self.bps):
             T = np.broadcast_to(T, (len(self.bps), T.shape[1]))
-        tail, out = self._plan[0], self._untailed(T)
-        return out if isinstance(tail, float) and tail == INF else np.where(T > tail, INF, out)
+        return self._value(T)
 
     def end_exponents(self) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the least exponent of the live unshifted terms at t = 0
@@ -233,16 +238,13 @@ class PowerTable:
         if np.any(e0 == 0.0):
             raise ConstructionError("first piece must vanish at t = 0")
         real = (b[:, :-1] < b[:, 1:]) & np.isfinite(b[:, 1:])
-        if np.any(real):
-            seam = np.where(real, b[:, 1:], 0.0)
-            right = self._untailed(seam)
-            for k in range(seam.shape[1]):
-                left = self._piece(k, seam[:, k:k + 1])[:, 0]
-                bad = real[:, k] & (right[:, k] < left * (1 - 1e-12) - 1e-300)
-                if np.any(bad):
-                    i = np.argmax(bad)
-                    raise ConstructionError(f"downward jump at breakpoint {seam[i, k]}: "
-                                            f"{left[i]} -> {right[i, k]}")
+        seam = np.where(real, b[:, 1:], 0.0)
+        left, right = self._untailed(seam, left=True), self._untailed(seam)
+        bad = real & (right < left * (1 - 1e-12) - 1e-300)
+        if np.any(bad):
+            k, i = np.argwhere(bad.T)[0]
+            raise ConstructionError(f"downward jump at breakpoint {seam[i, k]}: "
+                                    f"{left[i, k]} -> {right[i, k]}")
         if np.any(~(e1 > 0) & np.isinf(self.tail)):
             raise ConstructionError("curve does not tend to infinity")
 
@@ -310,6 +312,80 @@ class PowerTable:
                 break
         return b
 
+    # -- convex conjugate
+
+    def conjugate(self, T) -> np.ndarray:
+        """Per row, ``sup_{s >= 0} (s*T[i] - value_i(s))``; T is a scalar or
+        an (N,) array.
+
+        0 at t = 0, and +inf where a last piece without a tail grows at
+        most linearly with slope below t.  Elsewhere the largest of these
+        candidates: both one-sided values at every breakpoint and at the
+        tail, the stationary point of every single-term piece with exponent
+        > 1 clipped to its piece, and a 256-point log sweep up to a bracket
+        past which ``s*t - value(s)`` does not grow, refined 6 times on 33
+        points."""
+        n = len(self.tail)
+        T = np.broadcast_to(np.asarray(T, dtype=float), (n,))
+        if np.any(T < 0):
+            raise ValueError("t must be nonnegative")
+        r = np.arange(n)
+        last = np.sum(np.isfinite(self.bps), axis=1) - 1
+        c, e = self.coef[r, last], self.expo[r, last]
+        slope = np.sum(np.where((c > 0) & (e == 1.0), c, 0.0), axis=1)
+        e1 = self.end_exponents()[1]  # nan on tailed rows
+        diverges = (e1 < 1.0) | ((e1 == 1.0) & (T > slope))
+        out = np.where(T == 0.0, 0.0, np.where(diverges, INF, np.nan))
+        i = np.flatnonzero(np.isnan(out))
+        if len(i):
+            out[i] = self.rows(i)._conjugate_sup(T[i], e1[i] == 1.0)
+        return out
+
+    def _conjugate_sup(self, T: np.ndarray, linear: np.ndarray) -> np.ndarray:
+        """The candidates of :meth:`conjugate` on rows where it is finite
+        and t > 0, all rows in step; ``linear`` marks the rows whose last
+        piece has no tail and grows linearly."""
+        r, best = np.arange(len(T)), np.zeros(len(T))
+        seams = np.concatenate([self.bps[:, 1:], self.tail[:, None]], 1)
+        seams = np.where(np.isfinite(seams), seams, 0.0)
+        for left in (True, False):
+            gain = seams * T[:, None] - self._value(seams, left)
+            best = np.maximum(best, np.max(gain, axis=1))
+        hi = np.minimum(self._next_bps(), self.tail[:, None])
+        live = self.coef > 0
+        for k in range(self.bps.shape[1]):
+            j = np.argmax(live[:, k], axis=1)
+            c, e, s = self.coef[r, k, j], self.expo[r, k, j], self.shift[r, k, j]
+            ok = (np.sum(live[:, k], axis=1) == 1) & (e > 1.0) & (self.bps[:, k] < hi[:, k])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                s = s + (T / (c * e)) ** (1.0 / (e - 1.0))
+            ok &= s < INF
+            s = np.where(ok, np.minimum(np.maximum(s, self.bps[:, k]), hi[:, k]), 0.0)
+            gain = s * T - self._piece(k, s[:, None])[:, 0]
+            best = np.maximum(best, np.where(ok, gain, 0.0))
+        # the sweep ends at the tail.  On a linear last piece (slope >= t
+        # here) the gain stops growing once every term has started, so it
+        # ends at the last breakpoint or shift; otherwise at the first
+        # s = 2^k with value(s) >= 2ts, where the gain is at most -ts.
+        starts = np.concatenate([self.bps, self.shift.reshape(len(T), -1)], 1)
+        last = np.max(np.where(np.isfinite(starts), starts, 0.0), axis=1)
+        grow = np.isinf(self.tail) & ~linear
+        top = np.where(linear, np.maximum(last, 1.0), np.where(grow, 1.0, self.tail))
+        for _ in range(200):
+            grow &= self._value(top[:, None])[:, 0] < 2.0 * T * top
+            if not np.any(grow):
+                break
+            top = np.where(grow, 2.0 * top, top)
+        grid = np.geomspace(np.maximum(1e-12, 1e-6 * top), top, 256, axis=1)
+        for _ in range(7):
+            gain = grid * T[:, None] - self._value(grid)
+            k = np.argmax(gain, axis=1)
+            best = np.maximum(best, gain[r, k])
+            end = grid.shape[1] - 1
+            grid = np.linspace(grid[r, np.maximum(k - 1, 0)],
+                               grid[r, np.minimum(k + 1, end)], 33, axis=1)
+        return best
+
     def curve(self, i: int) -> "PhiCurve":
         """Row i as a PhiCurve, without its empty pieces and unused slots."""
         keep = np.flatnonzero(self.live()[i])
@@ -326,6 +402,32 @@ def _one_row(table: PowerTable, t):
     t = np.asarray(t, dtype=float)
     out = table.value(t.reshape(1, -1))
     return float(out[0, 0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+def _last_t_where(fits: Callable[[np.ndarray], np.ndarray], n: int,
+                  tol: float) -> np.ndarray:
+    """Per row i of n, ``sup{t >= 0 : fits(t)[i]}`` for a predicate on (n,)
+    levels that holds on an initial interval of [0, inf): doubling from
+    t = 1, then bisection until ``hi - lo <= tol * max(1, lo)``, all rows
+    in step.  0 where fits(0) fails, inf where fits still holds past 1e300."""
+    lo, hi = np.zeros(n), np.ones(n)
+    out = np.where(fits(lo), np.nan, 0.0)
+    grow = np.isnan(out)
+    while np.any(grow):
+        grow &= fits(hi)
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+        out[grow & (hi > 1e300)] = INF
+        grow &= hi <= 1e300
+    todo = np.isnan(out)
+    while True:
+        todo &= hi - lo > tol * np.maximum(1.0, lo)
+        if not np.any(todo):
+            break
+        mid = 0.5 * (lo + hi)
+        ok = fits(mid)
+        lo = np.where(todo & ok, mid, lo)
+        hi = np.where(todo & ~ok, mid, hi)
+    return np.where(np.isnan(out), lo, out)
 
 
 @dataclass(frozen=True)
@@ -368,95 +470,20 @@ class PhiCurve:
     def __call__(self, t):
         return self.value(t)
 
-    def _piece_at(self, i: int, t: float) -> float:
-        return float(self.table._piece(i, np.array([[t]]))[0, 0])
-
     def value_left(self, t: float) -> float:
         """Left limit at ``t`` (the containing piece evaluated from below)."""
         if t <= 0:
             return 0.0
-        if self.infinite_tail is not None and t > self.infinite_tail:
-            return INF
-        i = np.searchsorted(self.breakpoints, t, side="left") - 1
-        return self._piece_at(max(int(i), 0), t)
-
-    def _piece_bounds(self, i: int) -> tuple[float, float]:
-        hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else INF
-        if self.infinite_tail is not None:
-            hi = min(hi, self.infinite_tail)
-        return self.breakpoints[i], hi
+        return float(self.table._value(np.array([[t]], dtype=float), left=True)[0, 0])
 
     def inverse(self, tau: float) -> float:
         """Generalized inverse ``inf{s >= 0 : value(s) >= tau}``."""
         return float(self.table.inverse(tau)[0])
 
-    # -- convex conjugate
-
     def conjugate(self, t: float) -> float:
-        """``sup_{s>0} (s*t - value(s))`` with closed-form candidates plus a
-        log-grid refinement pass."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        if t == 0.0:
-            return 0.0
-        if self.infinite_tail is None:
-            verdict = self._tail_conjugate_finite(t)
-            if verdict is False:
-                return INF
-        s_hi = self._conjugate_bracket(t)
-        best = 0.0
-        # breakpoints, two-sided
-        for b in self.breakpoints[1:]:
-            best = max(best, b * t - self.value_left(b), b * t - self.value(b))
-        if self.infinite_tail is not None:
-            b0 = self.infinite_tail
-            best = max(best, b0 * t - self.value(b0))
-        # closed-form stationary points of single-term pieces
-        for i, terms in enumerate(self.pieces):
-            lo, hi = self._piece_bounds(i)
-            live = [tm for tm in terms if tm.coef > 0]
-            if len(live) == 1 and live[0].exponent > 1.0:
-                tm = live[0]
-                c, e = tm.coef, tm.exponent
-                s = tm.shift + (t / (c * e)) ** (1.0 / (e - 1.0))
-                s = min(max(s, lo), hi if not math.isinf(hi) else s)
-                best = max(best, s * t - self._piece_at(i, s))
-        # log-grid sweep with local refinement
-        grid = np.geomspace(max(1e-12, 1e-6 * s_hi), s_hi, 256)
-        vals = grid * t - self.value(grid)
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        for _ in range(6):
-            local = np.linspace(a, b, 33)
-            lv = local * t - self.value(local)
-            j = int(np.argmax(lv))
-            best = max(best, float(lv[j]))
-            a, b = local[max(j - 1, 0)], local[min(j + 1, 32)]
-        return max(best, 0.0)
-
-    def _tail_conjugate_finite(self, t: float):
-        """False if the supremum diverges along the unbounded last piece."""
-        last = [tm for tm in self.pieces[-1] if tm.coef > 0]
-        e_max = max(tm.exponent for tm in last)
-        if e_max > 1.0:
-            return True
-        if e_max < 1.0:
-            return False
-        c_lin = sum(tm.coef for tm in last if tm.exponent == 1.0)
-        return t <= c_lin
-
-    def _conjugate_bracket(self, t: float) -> float:
-        """An s beyond which ``s*t - value(s)`` is non-positive."""
-        if self.infinite_tail is not None:
-            return self.infinite_tail
-        s = 1.0
-        for _ in range(200):
-            if self.value(s) >= 2.0 * t * s:
-                return s
-            s *= 2.0
-        return s
+        """Convex conjugate ``sup_{s>0} (s*t - value(s))``; see
+        :meth:`PowerTable.conjugate`."""
+        return float(self.table.conjugate(t)[0])
 
     # -- serialization
 
@@ -522,6 +549,13 @@ class Domain:
         if self.unbounded:
             return True
         return all(lo <= xi <= hi for xi, lo, hi in zip(x, self.lower, self.upper))
+
+    def contains_many(self, X: np.ndarray) -> np.ndarray:
+        """Membership of the rows of X (N, width) in the closed box, or in
+        R^n, which takes rows of any width; a box takes none of another."""
+        if self.unbounded or X.shape[1] != self.dim:
+            return np.full(len(X), self.unbounded)
+        return np.all((np.asarray(self.lower) <= X) & (X <= np.asarray(self.upper)), axis=1)
 
     def sampling_box(self, radius: float = 16.0) -> tuple[tuple, tuple]:
         if self.unbounded:
@@ -663,9 +697,9 @@ class PhiFunction:
     ``form`` states phi once: it maps an (N, dim) array of points to the
     :class:`PowerTable` of their curves, raising ConstructionError at
     points where the parameters give no growth curve.  Single curves,
-    point and batch evaluation, level grids and inverses are all read off
-    that table, so they agree exactly.  Instances are immutable and safe
-    to evaluate concurrently.
+    point and batch evaluation, level grids, inverses and conjugates are
+    all read off that table, so they agree exactly.  Instances are
+    immutable and safe to evaluate concurrently.
     """
 
     def __init__(self, kind: str, params: dict, domain: Domain,
@@ -678,25 +712,25 @@ class PhiFunction:
         self._form = form
         self.x_independent = x_independent
         self.provenance = provenance
-        self._fixed_curve = (self.table(np.zeros((1, domain.dim))).curve(0)
-                             if x_independent else None)
 
     # -- evaluation
 
     def table(self, X) -> PowerTable:
-        """The power table of phi at the points X (N, dim), one row each."""
+        """The power table of phi at the points X (N, dim), one row each.
+
+        Raises DomainError if a row lies outside the domain."""
         X = np.asarray(X, dtype=float)
-        return self._form(X.reshape(-1, X.shape[-1] if X.ndim > 1 else self.domain.dim))
+        X = X.reshape(-1, X.shape[-1] if X.ndim > 1 else self.domain.dim)
+        out = ~self.domain.contains_many(X)
+        if np.any(out):
+            raise DomainError(f"{tuple(X[np.argmax(out)])} outside domain")
+        return self._form(X)
 
     def _point(self, x) -> np.ndarray:
-        x = _as_point(x, self.domain.dim)
-        if not self.domain.contains(x):
-            raise DomainError(f"{x} outside domain")
-        return np.array([x])
+        return np.array([_as_point(x, self.domain.dim)])
 
     def curve_at(self, x) -> PhiCurve:
-        X = self._point(x)
-        return self._fixed_curve or self.table(X).curve(0)
+        return self.table(self._point(x)).curve(0)
 
     def eval(self, x, t):
         """phi(x, t); exact piecewise power evaluation, +inf past a tail."""
@@ -714,8 +748,11 @@ class PhiFunction:
     def inverse(self, x, tau: float) -> float:
         return float(self.table(self._point(x)).inverse(tau)[0])
 
-    def conjugate_value(self, x, t: float) -> float:
-        return self.curve_at(x).conjugate(t)
+    def conjugate_value(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Vectorized convex conjugate ``sup_s (s*T[i] - phi(X[i], s))`` for
+        matching leading shapes, as :meth:`eval_many`."""
+        T = np.asarray(T, dtype=float)
+        return self.table(X).conjugate(T.reshape(-1)).reshape(T.shape)
 
     # -- serialization
 

@@ -25,6 +25,7 @@ from .phi_core import (
     PowerTable,
     PowerTerm,
     Region,
+    _last_t_where,
 )
 from .conditions import (
     SampleSpec,
@@ -123,32 +124,6 @@ def glue_small_values(psi1: PhiFunction, region: Region, p: float,
 # Threshold below which both the function and its asymptote stay <= 1
 
 
-def _last_t_at_most(table: PowerTable, level: float,
-                    tol: float = T1_TOL) -> np.ndarray:
-    """Per row, sup{t : value(t) <= level} by doubling plus bisection."""
-    def fits(t):
-        return table.value(t[:, None])[:, 0] <= level
-
-    lo, hi = np.zeros(len(table.tail)), np.ones(len(table.tail))
-    out = np.where(fits(lo), np.nan, 0.0)
-    grow = np.isnan(out)
-    while np.any(grow):
-        grow &= fits(hi)
-        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
-        out[grow & (hi > 1e300)] = INF
-        grow &= hi <= 1e300
-    todo = np.isnan(out)
-    while True:
-        todo &= hi - lo > tol * np.maximum(1.0, lo)
-        if not np.any(todo):
-            break
-        mid = 0.5 * (lo + hi)
-        ok = fits(mid)
-        lo = np.where(todo & ok, mid, lo)
-        hi = np.where(todo & ~ok, mid, hi)
-    return np.where(np.isnan(out), lo, out)
-
-
 def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve,
                           spec: SampleSpec | None = None,
                           x_samples: np.ndarray | None = None) -> float:
@@ -158,8 +133,13 @@ def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve,
     spec = spec or SampleSpec()
     X = (np.atleast_2d(x_samples) if x_samples is not None
          else default_x_samples(phi.domain, spec))
-    sup = float(np.min(_last_t_at_most(phi.table(X), 1.0),
-                       initial=_last_t_at_most(phi_inf.table, 1.0)[0]))
+
+    def last_at_most_one(table):
+        return _last_t_where(lambda t: table.value(t[:, None])[:, 0] <= 1.0,
+                             len(table.tail), T1_TOL)
+
+    sup = float(np.min(last_at_most_one(phi.table(X)),
+                       initial=last_at_most_one(phi_inf.table)[0]))
     if not sup > 0.0:
         raise ConstructionError("phi exceeds 1 at arbitrarily small t "
                                 "at some sample; no positive threshold")
@@ -294,8 +274,7 @@ def _shell_points(domain: Domain, radius: float, n: int) -> np.ndarray:
         axes = radius * np.array([[1.0, 0.0], [-1.0, 0.0],
                                   [0.0, 1.0], [0.0, -1.0]])
         pts = np.vstack([pts, axes])
-    keep = np.array([domain.contains(tuple(p)) for p in pts])
-    return pts[keep]
+    return pts[domain.contains_many(pts)]
 
 
 def tail_asymptotes(phi: PhiFunction, t_grid: np.ndarray | None = None,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from orliczkit import PhiCurve, SpecError, WeightFunction, power_curve, \
@@ -185,3 +186,34 @@ def test_cli_transform(capsys):
 def test_cli_usage_error_missing_args(phi_file):
     assert main(["check", "--phi", f"@{phi_file}", "--condition", "ainc"]) == 2
     assert main(["check", "--phi", f"@{phi_file}", "--condition", "a2"]) == 2
+
+
+def _malformed_grid(case):
+    """``(flag, file contents)`` of a bad --csv/--binary input for the
+    16-cell grid on (-1, 1); no file for None."""
+    from orliczkit import GridFunction
+    g = GridFunction(((-1.0, 1.0),), np.linspace(0.0, 1.0, 16))
+    rows, blob = g.to_csv().splitlines(), g.to_binary()
+    return {"missing_csv": ("--csv", None),
+            "missing_binary": ("--binary", None),
+            "csv_index_missing": ("--csv", rows[:5] + rows[6:]),
+            "csv_index_repeated": ("--csv", rows[:6] + rows[5:6] + rows[7:]),
+            "csv_index_out_of_range": ("--csv", rows + ["16,1.0625,0.5"]),
+            "binary_short": ("--binary", blob[:-8]),
+            "binary_long": ("--binary", blob + bytes(8))}[case]
+
+
+@pytest.mark.parametrize("case", ["missing_csv", "missing_binary",
+                                  "csv_index_missing", "csv_index_repeated",
+                                  "csv_index_out_of_range", "binary_short",
+                                  "binary_long"])
+def test_cli_malformed_grid_input_is_exit_2(phi_file, tmp_path, case, capsys):
+    flag, data = _malformed_grid(case)
+    path = tmp_path / "grid"
+    if isinstance(data, list):
+        path.write_text("\n".join(data) + "\n")
+    elif data is not None:
+        path.write_bytes(data)
+    assert main(["norm", "--phi", f"@{phi_file}", flag, str(path),
+                 "--truncation-radius", "1", "--resolution", "8"]) == 2
+    assert "cannot read grid function" in capsys.readouterr().err

@@ -152,8 +152,20 @@ def test_region_inv_square_strip():
 
 
 def test_domain_error_outside(families):
-    with pytest.raises(DomainError):
-        families["example_4_6"].eval((3.0,), 1.0)
+    # point and batch paths both refuse a point outside a bounded domain
+    phi = families["example_4_6"]
+    for call in (lambda: phi.eval((3.0,), 2.0), lambda: phi.curve_at((3.0,)),
+                 lambda: phi.inverse((3.0,), 2.0),
+                 lambda: phi.eval_many(np.array([[0.0], [3.0]]), np.array([2.0, 2.0])),
+                 lambda: phi.eval_grid(np.array([[3.0]]), np.array([2.0])),
+                 lambda: phi.conjugate_value(np.array([[3.0]]), np.array([2.0]))):
+        with pytest.raises(DomainError):
+            call()
+    assert phi.eval_many(np.array([[2.0]]), np.array([2.0]))[0] == 2.0  # closed box
+    # an unbounded domain takes rows of any width
+    square = from_curve(power_curve(2.0), dim=1)
+    np.testing.assert_array_equal(
+        square.eval_many(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0])), [1.0, 4.0, 9.0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +240,19 @@ def test_vectorized_eval_matches_curves(name, families):
     lo, hi = phi.domain.sampling_box(8.0)
     X = np.column_stack([rng.uniform(l, h, 40) for l, h in zip(lo, hi)])
     X = np.vstack([np.zeros((1, phi.domain.dim)), X,
-                   [[2.0, 0.0], [4.0, 0.01]] if phi.domain.dim == 2 else [[1.5]]])
+                   [[2.0, 0.0], [4.0, 0.01]] if phi.domain.dim == 2 else [[1.5], [-2.0]]])
     T = rng.uniform(1e-3, 10.0, len(X))
     curves = [phi.curve_at(tuple(x)) for x in X]
     for c in curves:
         assert c == PhiCurve.from_dict(c.to_dict())  # a valid curve
+    # conjugates likewise, at t = 0 and past the slope of a linear tail
+    # (example_4_6 is t at x = -2)
+    Tc = np.where(np.arange(len(X)) % 5 == 0, 0.0, T)
+    Tc[-1] = 3.0
+    conj = phi.conjugate_value(X, Tc)
+    np.testing.assert_array_equal(conj, [c.conjugate(t) for c, t in zip(curves, Tc)])
+    assert np.all(conj[Tc == 0.0] == 0.0)
+    assert np.isinf(conj[-1]) == (name == "example_4_6")
     X = np.vstack([X] + [np.repeat(x[None], len(c.breakpoints), 0)
                          for x, c in zip(X, curves)])
     T = np.concatenate([T] + [c.breakpoints for c in curves])
@@ -340,9 +360,53 @@ def test_inverse_identity_property(p, tau, t):
     assert abs(c.inverse(c.value(t)) - t) <= 1e-9 * t
 
 
-@given(st.floats(1.1, 4.0), st.floats(0.05, 20.0))
-def test_conjugate_young_inequality(p, t):
-    c = power_curve(p)
+def _multi_piece_curves(p: float) -> dict:
+    """Curves with seams: t then t^p from 1, an example_3_5 row (t/9 then
+    t^2 from 1/9), three single powers with exponents >= p, and 4t^2 + t
+    then a linear tail of slope 8 from 1."""
+    rng = np.random.default_rng(int(p * 1000))
+    bps, pieces = [0.0], [(PowerTerm(rng.uniform(0.5, 2.0), p),)]
+    for b in np.sort(rng.uniform(0.2, 4.0, 2)):
+        prev = pieces[-1][0]
+        e = p + rng.uniform(0.0, 1.5)
+        # the next piece starts at or above the left value: no downward jump
+        c = prev.coef * b ** (prev.exponent - e) * rng.uniform(1.0, 2.0)
+        bps.append(float(b))
+        pieces.append((PowerTerm(c, e),))
+    return {"seam": PhiCurve((0.0, 1.0), ((PowerTerm(1.0, 1.0),), (PowerTerm(1.0, p),))),
+            "example_3_5": make_family("example_3_5").curve_at((2.0, 0.0)),
+            "random_powers": PhiCurve(tuple(bps), tuple(pieces)),
+            "linear_tail": PhiCurve((0.0, 1.0), (
+                (PowerTerm(4.0, 2.0), PowerTerm(1.0, 1.0)),
+                (PowerTerm(5.0, 0.0, shift=1.0), PowerTerm(8.0, 1.0, shift=1.0))))}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_conjugate_matches_brute_force_sup(p):
+    # a dense sweep of s*t - phi(s) never beats the conjugate, which is
+    # within 1e-3 of it; a stationary point outside its piece would
+    # overshoot (t -> t^2 from 1 once gave t^2/4 at t = 0.5, not 0), and a
+    # sweep starting past the seam would miss the top of 4s^2 + s (at
+    # t = 7 the gain peaks at s = 3/4, and the slope-8 tail never doubles)
+    for name, c in _multi_piece_curves(p).items():
+        seams = np.array(c.breakpoints[1:])
+        for t in (0.05, 0.5, 1.0, 2.0, 7.0):
+            top = 1.0
+            while c.value(top) < 2.0 * t * top and top < 1e6:
+                top *= 2.0
+            s = np.concatenate([np.geomspace(1e-6, top, 200_001), seams,
+                                seams * (1.0 - 1e-12)])
+            brute = max(float(np.max(s * t - c.value(s))), 0.0)
+            conj = c.conjugate(t)
+            assert conj >= brute, (name, t)
+            assert conj <= brute + 1e-3 * max(brute, 1e-12), (name, t, conj, brute)
+
+
+@given(st.floats(1.1, 4.0), st.floats(0.05, 20.0),
+       st.sampled_from(["power", "seam", "example_3_5", "random_powers",
+                        "linear_tail"]))
+def test_conjugate_young_inequality(p, t, name):
+    c = power_curve(p) if name == "power" else _multi_piece_curves(p)[name]
     conj = c.conjugate(t)
-    for s in np.geomspace(1e-3, 1e3, 20):
+    for s in np.concatenate([np.geomspace(1e-3, 1e3, 20), c.breakpoints]):
         assert s * t <= c.value(s) + conj + 1e-8 * max(1.0, s * t)
