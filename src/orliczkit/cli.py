@@ -27,8 +27,7 @@ from .conditions import SampleSpec, _jsonable, check_a0, check_a1, \
     check_a2, check_adec, check_ainc, check_equivalence, \
     check_weak_equivalence, weight_from_dict
 from .norms import GridFunction, luxemburg_norm, modular
-from .maximal import MaximalConfig, default_config, maximal, \
-    operator_norm_estimate
+from .maximal import MaximalConfig, default_config, maximal
 from .gallery import EXAMPLE_NAMES, SpecError, run_example, run_pipeline
 
 OUT_ENV = "ORLICZKIT_OUT"

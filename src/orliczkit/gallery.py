@@ -29,8 +29,7 @@ from .conditions import (
 )
 from .norms import GridFunction, ball_norm_check, duality_lower_bound, \
     luxemburg_norm, modular
-from .maximal import MaximalConfig, maximal, modular_growth, \
-    operator_norm_estimate
+from .maximal import maximal, modular_growth, operator_norm_estimate
 from .phi_core import PhiFunction
 
 EXAMPLE_NAMES = ("ex3_2", "ex3_4", "ex3_5", "ex4_6", "dp_cor49")

@@ -9,12 +9,20 @@ flags are robust.
 Per radius, ball averages are computed by convolution with the ball
 footprint (count-normalized, so the boundary sees the true intersected
 measure) and the max over admissible centers is a grayscale dilation by
-the same footprint.
+the same footprint.  In 2D only work that can change the result is done,
+so each output equals the plain formulation's bit for bit: the count of
+footprint cells inside the grid is a closed-form integer product, not a
+second convolution; the dilation reads only the centers on the stride
+lattice (every other average is -inf); and it crops the footprint to the
+grid, whose far rows and widths reach no further cell.  The last few
+results are memoized by input content, so a bundle that asks for the
+same maximal function twice evaluates it once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,56 +115,105 @@ def _disk_convolve(v: np.ndarray, half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _disk_dilate(a: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Max of a over the disk footprint; rows of the disk are handled as
-    1D maximum filters so the cost is O(cells * rows)."""
+def _crop_to_grid(half: np.ndarray, shape: tuple) -> np.ndarray:
+    """The footprint rows that reach the grid, with their x half-counts
+    clamped: rows with |dy| >= ny, and half-counts beyond nx - 1, reach no
+    further cell of a grid of ``shape`` from any center."""
+    nx, ny = shape
     my = (len(half) - 1) // 2
-    out = np.full_like(a, -INF)
-    rowmax = {}
-    for j, w in enumerate(half):
-        if w not in rowmax:
-            rowmax[w] = ndimage.maximum_filter1d(
-                a, size=2 * int(w) + 1, axis=0, mode="constant", cval=-INF)
-        dy = j - my
-        src = rowmax[w]
-        if dy == 0:
-            out = np.maximum(out, src)
-        elif dy > 0:
-            out[:, dy:] = np.maximum(out[:, dy:], src[:, :-dy])
-        else:
-            out[:, :dy] = np.maximum(out[:, :dy], src[:, -dy:])
-    return out
+    ky = min(my, ny - 1)
+    return np.minimum(half[my - ky: my + ky + 1], nx - 1)
+
+
+def _disk_count(half: np.ndarray, shape: tuple, s: int) -> np.ndarray:
+    """Number of footprint cells inside the grid at every lattice center
+    (every s-th cell along both axes): per footprint row, the clamped
+    x-count times the indicator that the row's y lies in the grid."""
+    nx, ny = shape
+    my = (len(half) - 1) // 2
+    i = np.arange(0, nx, s)
+    w = half[:, None]
+    cx = np.minimum(i + w, nx - 1) - np.maximum(i - w, 0) + 1
+    k = np.arange(0, ny, s) + np.arange(-my, my + 1)[:, None]
+    iy = (k >= 0) & (k < ny)
+    # integer-valued products and sums far below 2**53: exact in float64
+    return cx.T.astype(float) @ iy.astype(float)
+
+
+def _disk_dilate(out: np.ndarray, a: np.ndarray, half: np.ndarray,
+                 s: int) -> None:
+    """Max of lattice values over the disk footprint, into ``out``.
+
+    ``a`` holds the lattice columns 0, s, 2s, ... of the grid, -inf off
+    the lattice rows.  Each disk row is a 1D maximum filter along x,
+    shared by the rows +dy and -dy (and by neighbours of equal width),
+    and is maxed into the every-s-th output columns it reaches."""
+    ny = out.shape[1]
+    ncols = a.shape[1]
+    my = (len(half) - 1) // 2
+    last = None
+    for d in range(my + 1):
+        w = int(half[my + d])
+        if w != last:
+            src = ndimage.maximum_filter1d(
+                a, size=2 * w + 1, axis=0, mode="constant", cval=-INF)
+            last = w
+        for dy in {d, -d}:
+            # lattice column m * s lands on column m * s + dy; keep those
+            # inside the grid
+            lo = max(0, -(dy // s))
+            hi = min(ncols, -((dy - ny) // s))
+            if hi > lo:
+                dst = out[:, lo * s + dy:: s][:, : hi - lo]
+                np.maximum(dst, src[:, lo:hi], out=dst)
 
 
 def _maximal_2d(v: np.ndarray, hx: float, hy: float,
                 cfg: MaximalConfig) -> np.ndarray:
-    ones = np.ones_like(v)
+    s = cfg.center_stride
     out = np.full_like(v, -INF)
-    stride_mask = np.zeros(v.shape, dtype=bool)
-    stride_mask[:: cfg.center_stride, :: cfg.center_stride] = True
+    avg = np.full((v.shape[0], -(-v.shape[1] // s)), -INF)
     for r in cfg.radius_set:
         half = _disk_halfwidths(r, hx, hy)
-        num = _disk_convolve(v, half)
-        cnt = np.rint(_disk_convolve(ones, half))
-        cnt = np.maximum(cnt, 1.0)
-        avg = np.maximum(num, 0.0) / cnt
-        avg = np.where(stride_mask, avg, -INF)
-        out = np.maximum(out, _disk_dilate(avg, half))
+        # the full footprint fixes the FFT size, and with it the rounding
+        num = _disk_convolve(v, half)[::s, ::s]
+        half = _crop_to_grid(half, v.shape)
+        avg[::s] = np.maximum(num, 0.0) / _disk_count(half, v.shape, s)
+        _disk_dilate(out, avg, half, s)
     return out
 
 
+#: Most recent maximal functions, keyed by input content and config.
+_MEMO: OrderedDict = OrderedDict()
+#: Enough for a divergence family of up to 8 radii evaluated twice (by
+#: ``modular_growth`` and ``operator_norm_estimate``); an entry on a 512²
+#: grid holds 4 MB.
+_MEMO_SIZE = 8
+
+
 def maximal(f: GridFunction, cfg: MaximalConfig | None = None) -> GridFunction:
-    """Discretized maximal function of |f| on f's grid."""
+    """Discretized maximal function of |f| on f's grid.
+
+    The last few results are kept: a repeated input (same box, values and
+    config) is evaluated once, and every call gets its own array."""
     cfg = cfg or default_config(f)
     v = np.abs(f.values)
-    if f.dim == 1:
-        out = _maximal_1d(v, f.cell_sizes[0], cfg)
+    key = (f.box, v.shape, v.tobytes(), cfg)
+    out = _MEMO.get(key)
+    if out is None:
+        if f.dim == 1:
+            out = _maximal_1d(v, f.cell_sizes[0], cfg)
+        else:
+            out = _maximal_2d(v, *f.cell_sizes, cfg)
+        # every cell sits in the smallest ball around its own center, so
+        # the pointwise bound Mf >= f survives striding
+        out = np.maximum(out, v)
+        _MEMO[key] = out
+        if len(_MEMO) > _MEMO_SIZE:
+            _MEMO.popitem(last=False)
     else:
-        out = _maximal_2d(v, *f.cell_sizes, cfg)
-    # every cell sits in the smallest ball around its own center, so the
-    # pointwise bound Mf >= f survives striding
-    out = np.maximum(out, v)
-    return GridFunction(f.box, out)
+        _MEMO.move_to_end(key)
+    return GridFunction(f.box, out.copy())
 
 
 def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,15 @@ class GridFunction:
         res = (resolution,) * len(box) if np.isscalar(resolution) else tuple(resolution)
         count = int(np.prod(res))
         try:
-            data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as a stray warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"CSV: {exc}") from None
-        if len(data) and data.shape[1] != len(box) + 2:
+        if not len(data):
+            raise ValueError("CSV has no data rows")
+        if data.shape[1] != len(box) + 2:
             raise ValueError(f"CSV rows have {data.shape[1]} fields, expected {len(box) + 2}")
         idx = data[:, 0]
         bad = (idx != np.floor(idx)) | (idx < 0) | (idx >= count)

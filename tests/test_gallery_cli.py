@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -199,14 +200,15 @@ def _malformed_grid(case):
             "csv_index_missing": ("--csv", rows[:5] + rows[6:]),
             "csv_index_repeated": ("--csv", rows[:6] + rows[5:6] + rows[7:]),
             "csv_index_out_of_range": ("--csv", rows + ["16,1.0625,0.5"]),
+            "csv_header_only": ("--csv", rows[:1]),
             "binary_short": ("--binary", blob[:-8]),
             "binary_long": ("--binary", blob + bytes(8))}[case]
 
 
 @pytest.mark.parametrize("case", ["missing_csv", "missing_binary",
                                   "csv_index_missing", "csv_index_repeated",
-                                  "csv_index_out_of_range", "binary_short",
-                                  "binary_long"])
+                                  "csv_index_out_of_range", "csv_header_only",
+                                  "binary_short", "binary_long"])
 def test_cli_malformed_grid_input_is_exit_2(phi_file, tmp_path, case, capsys):
     flag, data = _malformed_grid(case)
     path = tmp_path / "grid"
@@ -214,6 +216,8 @@ def test_cli_malformed_grid_input_is_exit_2(phi_file, tmp_path, case, capsys):
         path.write_text("\n".join(data) + "\n")
     elif data is not None:
         path.write_bytes(data)
-    assert main(["norm", "--phi", f"@{phi_file}", flag, str(path),
-                 "--truncation-radius", "1", "--resolution", "8"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the message alone, no stray warning
+        assert main(["norm", "--phi", f"@{phi_file}", flag, str(path),
+                     "--truncation-radius", "1", "--resolution", "8"]) == 2
     assert "cannot read grid function" in capsys.readouterr().err

@@ -1,7 +1,11 @@
+import importlib
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from orliczkit import (
     GridFunction,
@@ -14,6 +18,10 @@ from orliczkit import (
     operator_norm_estimate,
     power_curve,
 )
+
+# the package binds the name ``maximal`` to the function, so reach the
+# module (its kernels and memo) through the import system
+_mx = importlib.import_module("orliczkit.maximal")
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +135,120 @@ def test_operator_norm_skips_zero_functions():
     ball = GridFunction.indicator_ball([0.5], 0.2, ((0.0, 1.0),), 64)
     rep = operator_norm_estimate(phi, [zero, ball])
     assert rep["indices"] == [1]
+
+
+# ---------------------------------------------------------------------------
+# 2D kernels against a brute-force enumeration of lattice centers and disks
+
+_ORACLE_GRIDS = [((8, 8), ((-1.0, 1.0), (-1.0, 1.0))),
+                 ((9, 6), ((0.0, 2.0), (0.0, 3.0)))]
+
+
+def _oracle_radii(f):
+    # a generic ratio keeps every cell-center distance off the radii, so
+    # the strict disk |x - c| < r is unambiguous
+    h = min(f.cell_sizes)
+    diam = math.hypot(*(hi - lo for lo, hi in f.box))
+    radii = [0.7 * h]
+    while radii[-1] < 1.3 * diam:
+        radii.append(radii[-1] * 1.37)
+    return radii
+
+
+def _oracle_disks(f, r, stride):
+    """(lattice center, boolean disk-in-grid mask) pairs."""
+    (nx, ny), (hx, hy) = f.values.shape, f.cell_sizes
+    i, k = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    for p in range(0, nx, stride):
+        for q in range(0, ny, stride):
+            dist2 = ((i - p) * hx) ** 2 + ((k - q) * hy) ** 2
+            assert np.all(np.abs(np.sqrt(dist2) - r) > 1e-6 * r)
+            yield (p, q), dist2 < r * r
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("shape,box", _ORACLE_GRIDS)
+def test_2d_matches_brute_force(shape, box, stride):
+    f = GridFunction(box, np.random.default_rng(7).random(shape))
+    radii = _oracle_radii(f)
+    expected = f.values.copy()
+    for r in radii:
+        half = _mx._crop_to_grid(_mx._disk_halfwidths(r, *f.cell_sizes), shape)
+        count = _mx._disk_count(half, shape, stride)
+        for (p, q), disk in _oracle_disks(f, r, stride):
+            assert count[p // stride, q // stride] == disk.sum()
+            mean = f.values[disk].mean()
+            expected[disk] = np.maximum(expected[disk], mean)
+    got = maximal(f, MaximalConfig(tuple(radii), center_stride=stride))
+    np.testing.assert_allclose(got.values, expected, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# memo: one kernel evaluation per distinct (box, values, config)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = _mx._maximal_2d
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_mx, "_maximal_2d", counted)
+    monkeypatch.setattr(_mx, "_MEMO", type(_mx._MEMO)())
+    return calls
+
+
+def test_memo_reuses_and_isolates(kernel_calls):
+    box = ((0.0, 2.0), (0.0, 2.0))
+    f = GridFunction(box, np.random.default_rng(3).random((12, 12)))
+    first = maximal(f)
+    first_values = first.values.copy()
+    first.values[:] = -1.0  # a caller scribbling on its result
+    again = maximal(GridFunction(box, f.values.copy()))
+    assert len(kernel_calls) == 1
+    np.testing.assert_array_equal(again.values, first_values)
+    assert again.values is not first.values
+
+
+def test_memo_misses_on_any_change(kernel_calls):
+    box = ((0.0, 2.0), (0.0, 2.0))
+    vals = np.random.default_rng(4).random((12, 12))
+    f = GridFunction(box, vals)
+    cfg = default_config(f)
+    maximal(f)
+    one_cell = vals.copy()
+    one_cell[5, 7] += 0.25
+    maximal(GridFunction(box, one_cell), cfg)
+    maximal(GridFunction(((0.0, 2.0), (0.0, 3.0)), vals), cfg)
+    maximal(f, MaximalConfig(cfg.radius_set, center_stride=1))
+    assert len(kernel_calls) == 4
+    maximal(f, cfg)  # the default config, resolved, is the first key
+    assert len(kernel_calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# 2D properties on drawn grids
+
+_grids_2d = st.tuples(st.integers(3, 10), st.integers(3, 10)).flatmap(
+    lambda shape: st.tuples(
+        st.just(((0.0, shape[0] / 4.0), (0.0, shape[1] / 3.0))),
+        hnp.arrays(float, shape, elements=st.floats(0.0, 100.0)),
+        hnp.arrays(float, shape, elements=st.floats(0.0, 100.0))))
+
+
+@given(_grids_2d, st.floats(0.01, 100.0))
+def test_2d_homogeneity_sublinearity_and_bounds(grids, c):
+    box, a, b = grids
+    f, g = GridFunction(box, a), GridFunction(box, b)
+    cfg = default_config(f)
+    Mf, Mg = maximal(f, cfg).values, maximal(g, cfg).values
+    scale = max(a.max(), b.max(), 1.0)
+    np.testing.assert_allclose(maximal(f.scaled(c), cfg).values, c * Mf,
+                               rtol=1e-12, atol=1e-12 * c * scale)
+    Ms = maximal(GridFunction(box, a + b), cfg).values
+    assert np.all(Ms <= Mf + Mg + 1e-12 * scale)
+    assert np.all(Mf >= a)
+    assert np.all(Mf <= a.max() + 1e-12 * scale)
