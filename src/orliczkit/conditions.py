@@ -227,9 +227,9 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
     X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
     grid = spec.t_grid(lo if lo > 0 else None, hi)
 
-    # analytic divergence at the open ends of T, from the first thinned
-    # sample whose piece exponents show any
-    e0, e1 = phi.table(X[:: max(len(X) // 8, 1)]).end_exponents()
+    # analytic divergence at the open ends of T, from the first sample
+    # whose piece exponents show any
+    e0, e1 = phi.table(X).end_exponents()
     sign = 1.0 if increasing else -1.0
     at_zero = (lo == 0.0) & (sign * (p - e0) > 0)
     at_inf = math.isinf(hi) & (sign * (p - e1) > 0)
@@ -240,6 +240,8 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
     a_star, witness = _sampled_sup(phi, X, grid, p, increasing)
     for _ in range(spec.refinement_rounds):
         a_star, witness = _refine_witness(phi, grid, p, increasing, a_star, witness)
+    if flags:  # the first flagged sample alone reproduces the verdict
+        witness = _sampled_sup(phi, X[hit], grid, p, increasing)[1]
 
     diverges = bool(flags)
     holds = (not diverges) and math.isfinite(a_star) and a_star <= max_constant
@@ -352,7 +354,10 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
              t_per_pair: int = 10) -> ConditionReport:
     """Largest beta with phi(x, beta*t) <= phi(y, t) over sampled balls B
     with |B| <= 1, point pairs x, y in B, and levels with
-    phi(y, t) in [1, 1/|B|]."""
+    phi(y, t) in [1, 1/|B|].
+
+    A run that keeps no pair is flagged ``vacuous`` and does not hold:
+    no sampled evidence supports the condition."""
     spec = spec or SampleSpec()
     rng = np.random.default_rng(spec.seed)
     dim = phi.domain.dim
@@ -391,7 +396,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
     X, ys, Tv, R = xs[good][pair], ys[good][pair], levels[keep], vals[keep]
     if not len(X):
         return ConditionReport(
-            condition="A1prime", holds=True, constants={"beta": 1.0},
+            condition="A1prime", holds=False, constants={"beta": 1.0},
             sample_spec={**spec.describe(), "n_samples": 0},
             flags=("vacuous",))
     tol = 1e-9

@@ -6,17 +6,19 @@ finite radius ladder and grid-aligned centers, which *under*-estimates M:
 boundedness conclusions are evidence only, while growth (unboundedness)
 flags are robust.
 
-Per radius, ball averages are computed by convolution with the ball
-footprint (count-normalized, so the boundary sees the true intersected
-measure) and the max over admissible centers is a grayscale dilation by
-the same footprint.  In 2D only work that can change the result is done,
-so each output equals the plain formulation's bit for bit: the count of
-footprint cells inside the grid is a closed-form integer product, not a
-second convolution; the dilation reads only the centers on the stride
-lattice (every other average is -inf); and it crops the footprint to the
-grid, whose far rows and widths reach no further cell.  The last few
-results are memoized by input content, so a bundle that asks for the
-same maximal function twice evaluates it once.
+One kernel serves 1D and 2D grids (a 1D grid is one column whose ball is
+one row), with no FFT.  Per radius the ball is cropped to the grid, whose
+far rows and widths reach no further cell, and split into runs of rows
+of equal x half-width.  Ball sums at the stride-lattice centers come from
+summed-area tables: x prefix sums, taken once, give each run's x-window
+sums, whose y prefix sums give the sum over its rows.  Prefix sums of
+non-negative values never decrease, so no ball sum is negative, and on
+integer-valued input every one is exact.  Dividing by the closed-form
+count of cells inside the grid gives each ball its true intersected
+measure; the max over admissible centers is a grayscale dilation by the
+same runs that reads only the lattice centers.  The last few results are
+memoized by input content, so a bundle that asks for the same maximal
+function twice evaluates it once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage
 
 from .norms import GridFunction, luxemburg_norm, modular
 
@@ -75,112 +77,106 @@ def default_config(f: GridFunction) -> MaximalConfig:
     return MaximalConfig(tuple(radii), center_stride=stride)
 
 
-def _maximal_1d(v: np.ndarray, h: float, cfg: MaximalConfig) -> np.ndarray:
-    ones = np.ones_like(v)
-    out = np.full_like(v, -INF)
-    stride_mask = np.zeros(len(v), dtype=bool)
-    stride_mask[:: cfg.center_stride] = True
-    for r in cfg.radius_set:
-        m = int(math.ceil(r / h - 1e-9)) - 1  # offsets with |k| h < r
-        m = max(m, 0)
-        k = 2 * m + 1
-        kern = np.ones(k)
-        num = ndimage.correlate1d(v, kern, mode="constant", cval=0.0)
-        cnt = ndimage.correlate1d(ones, kern, mode="constant", cval=0.0)
-        avg = num / cnt
-        avg = np.where(stride_mask, avg, -INF)
-        out = np.maximum(
-            out, ndimage.maximum_filter1d(avg, size=k, mode="constant",
-                                          cval=-INF))
-    return out
+def _half_count(r, h):
+    """Largest k >= 0 with k h < r (cells strictly within r), elementwise."""
+    return np.maximum(np.ceil(np.asarray(r) / h - 1e-9).astype(int) - 1, 0)
 
 
-def _disk_halfwidths(r: float, hx: float, hy: float) -> np.ndarray:
-    """Per-row x half-count of the cell-center disk |dx| hx, |dy| hy < r."""
-    my = int(math.ceil(r / hy - 1e-9)) - 1
-    my = max(my, 0)
-    dy = np.arange(-my, my + 1) * hy
-    rem = np.sqrt(np.maximum(r * r - dy * dy, 0.0))
-    return np.maximum(np.ceil(rem / hx - 1e-9).astype(int) - 1, 0)
-
-
-def _disk_convolve(v: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Sum of v over the disk footprint at every cell, via FFT."""
-    my = (len(half) - 1) // 2
-    mx = int(half.max())
-    kern = np.zeros((2 * mx + 1, 2 * my + 1))
-    for j, w in enumerate(half):
-        kern[mx - w: mx + w + 1, j] = 1.0
-    out = signal.fftconvolve(v, kern, mode="same")
-    return out
-
-
-def _crop_to_grid(half: np.ndarray, shape: tuple) -> np.ndarray:
-    """The footprint rows that reach the grid, with their x half-counts
-    clamped: rows with |dy| >= ny, and half-counts beyond nx - 1, reach no
-    further cell of a grid of ``shape`` from any center."""
+def _runs(r: float, cell_sizes: tuple, shape: tuple) -> list:
+    """The cell-center ball |x - c| < r cropped to a grid of ``shape``, as
+    runs ``(w, d_lo, d_hi)``: the rows d_lo <= |dy| <= d_hi, all of x
+    half-count w.  Rows with |dy| >= ny, and half-counts beyond nx - 1,
+    reach no further cell from any center.  A 1D ball is the single row
+    of a one-column grid."""
     nx, ny = shape
-    my = (len(half) - 1) // 2
-    ky = min(my, ny - 1)
-    return np.minimum(half[my - ky: my + ky + 1], nx - 1)
+    if len(cell_sizes) == 1:
+        half = np.atleast_1d(_half_count(r, cell_sizes[0]))
+    else:
+        hx, hy = cell_sizes
+        dy = np.arange(min(int(_half_count(r, hy)), ny - 1) + 1) * hy
+        half = _half_count(np.sqrt(np.maximum(r * r - dy * dy, 0.0)), hx)
+    # half-counts never grow with |dy|, so equal ones are contiguous
+    half = np.minimum(half, nx - 1)
+    start = np.flatnonzero(np.diff(half, prepend=-1))
+    end = np.append(start[1:], len(half)) - 1
+    return [(int(half[a]), int(a), int(b)) for a, b in zip(start, end)]
 
 
-def _disk_count(half: np.ndarray, shape: tuple, s: int) -> np.ndarray:
-    """Number of footprint cells inside the grid at every lattice center
-    (every s-th cell along both axes): per footprint row, the clamped
-    x-count times the indicator that the row's y lies in the grid."""
+def _bands(d_lo: int, d_hi: int) -> list:
+    """The dy ranges [lo, hi] that make up the rows d_lo <= |dy| <= d_hi."""
+    return [(-d_hi, d_hi)] if d_lo == 0 else [(d_lo, d_hi), (-d_hi, -d_lo)]
+
+
+def _ball_counts(runs: list, shape: tuple, s: int) -> np.ndarray:
+    """Number of ball cells inside the grid at every lattice center: per
+    run, the clamped x-count times the count of its rows in the grid (of
+    |dy| <= d_hi less those of |dy| < d_lo)."""
     nx, ny = shape
-    my = (len(half) - 1) // 2
-    i = np.arange(0, nx, s)
-    w = half[:, None]
-    cx = np.minimum(i + w, nx - 1) - np.maximum(i - w, 0) + 1
-    k = np.arange(0, ny, s) + np.arange(-my, my + 1)[:, None]
-    iy = (k >= 0) & (k < ny)
+    w, d_lo, d_hi = (np.array(c)[:, None] for c in zip(*runs))
+    i, k = np.arange(0, nx, s), np.arange(0, ny, s)
+
+    def inside(lo, hi, c, n):
+        # how many of c + lo .. c + hi - 1 (a range holding c) lie in [0, n)
+        return np.minimum(c + hi, n) - np.maximum(c + lo, 0)
+
+    cx = inside(-w, w + 1, i, nx)
+    cy = (inside(-d_hi, d_hi + 1, k, ny)
+          - (d_lo > 0) * inside(1 - d_lo, d_lo, k, ny))
     # integer-valued products and sums far below 2**53: exact in float64
-    return cx.T.astype(float) @ iy.astype(float)
+    return cx.T.astype(float) @ cy.astype(float)
 
 
-def _disk_dilate(out: np.ndarray, a: np.ndarray, half: np.ndarray,
-                 s: int) -> None:
-    """Max of lattice values over the disk footprint, into ``out``.
+def _dilate(out: np.ndarray, a: np.ndarray, runs: list, s: int) -> None:
+    """Max of lattice values over the footprint ``runs``, into ``out``.
 
     ``a`` holds the lattice columns 0, s, 2s, ... of the grid, -inf off
-    the lattice rows.  Each disk row is a 1D maximum filter along x,
-    shared by the rows +dy and -dy (and by neighbours of equal width),
-    and is maxed into the every-s-th output columns it reaches."""
-    ny = out.shape[1]
-    ncols = a.shape[1]
-    my = (len(half) - 1) // 2
-    last = None
-    for d in range(my + 1):
-        w = int(half[my + d])
-        if w != last:
-            src = ndimage.maximum_filter1d(
-                a, size=2 * w + 1, axis=0, mode="constant", cval=-INF)
-            last = w
-        for dy in {d, -d}:
-            # lattice column m * s lands on column m * s + dy; keep those
-            # inside the grid
-            lo = max(0, -(dy // s))
-            hi = min(ncols, -((dy - ny) // s))
-            if hi > lo:
-                dst = out[:, lo * s + dy:: s][:, : hi - lo]
-                np.maximum(dst, src[:, lo:hi], out=dst)
+    the lattice rows.  Each run is one 1D maximum filter along x, which
+    each of its rows maxes into the every-s-th output columns it reaches."""
+    ny, ncols = out.shape[1], a.shape[1]
+    for w, d_lo, d_hi in runs:
+        src = ndimage.maximum_filter1d(
+            a, size=2 * w + 1, axis=0, mode="constant", cval=-INF)
+        for lo, hi in _bands(d_lo, d_hi):
+            for dy in range(lo, hi + 1):
+                # column m * s lands on m * s + dy; keep those in the grid
+                m0 = max(0, -(dy // s))
+                m1 = min(ncols, -((dy - ny) // s))
+                if m1 > m0:
+                    dst = out[:, m0 * s + dy:: s][:, : m1 - m0]
+                    np.maximum(dst, src[:, m0:m1], out=dst)
 
 
-def _maximal_2d(v: np.ndarray, hx: float, hy: float,
-                cfg: MaximalConfig) -> np.ndarray:
+def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
+                       cfg: MaximalConfig) -> np.ndarray:
+    """Maximal function of v >= 0 on a 1D or 2D grid (module docstring)."""
+    g = v.reshape(len(v), -1)  # a 1D grid is one column
+    nx, ny = g.shape
     s = cfg.center_stride
-    out = np.full_like(v, -INF)
-    avg = np.full((v.shape[0], -(-v.shape[1] // s)), -INF)
+    lattice = (-(-nx // s), -(-ny // s))
+    # px[nx + j] is the sum of g[:j] along x, for j clamped to [0, nx], so
+    # that every clamped window edge is a strided slice
+    px = np.zeros((3 * nx, ny))
+    np.cumsum(g, axis=0, out=px[nx + 1: 2 * nx + 1])
+    px[2 * nx + 1:] = px[2 * nx]
+    # py[:, ny + j] likewise sums one run's x-window sums over y < j
+    py = np.zeros((lattice[0], 3 * ny))
+    out = np.full_like(g, -INF)
+    avg = np.full((nx, lattice[1]), -INF)
     for r in cfg.radius_set:
-        half = _disk_halfwidths(r, hx, hy)
-        # the full footprint fixes the FFT size, and with it the rounding
-        num = _disk_convolve(v, half)[::s, ::s]
-        half = _crop_to_grid(half, v.shape)
-        avg[::s] = np.maximum(num, 0.0) / _disk_count(half, v.shape, s)
-        _disk_dilate(out, avg, half, s)
-    return out
+        runs = _runs(r, cell_sizes, g.shape)
+        num = np.zeros(lattice)
+        for w, d_lo, d_hi in runs:
+            np.cumsum(px[nx + w + 1: 2 * nx + w + 1: s]
+                      - px[nx - w: 2 * nx - w: s],
+                      axis=1, out=py[:, ny + 1: 2 * ny + 1])
+            # clamp j > ny as far as the run's rows reach
+            py[:, 2 * ny + 1: 2 * ny + d_hi + 1] = py[:, 2 * ny, None]
+            for lo, hi in _bands(d_lo, d_hi):
+                num += (py[:, ny + hi + 1: 2 * ny + hi + 1: s]
+                        - py[:, ny + lo: 2 * ny + lo: s])
+        avg[::s] = num / _ball_counts(runs, g.shape, s)
+        _dilate(out, avg, runs, s)
+    return out.reshape(v.shape)
 
 
 #: Most recent maximal functions, keyed by input content and config.
@@ -201,10 +197,7 @@ def maximal(f: GridFunction, cfg: MaximalConfig | None = None) -> GridFunction:
     key = (f.box, v.shape, v.tobytes(), cfg)
     out = _MEMO.get(key)
     if out is None:
-        if f.dim == 1:
-            out = _maximal_1d(v, f.cell_sizes[0], cfg)
-        else:
-            out = _maximal_2d(v, *f.cell_sizes, cfg)
+        out = _staircase_maximal(v, f.cell_sizes, cfg)
         # every cell sits in the smallest ball around its own center, so
         # the pointwise bound Mf >= f survives striding
         out = np.maximum(out, v)

@@ -77,6 +77,19 @@ def test_ainc_reported_constant_recheckable():
         assert r[i] <= a * np.min(r[i + 1:]) * (1 + 1e-9)
 
 
+def test_ainc_fails_on_example_3_2_strip(families):
+    # Example 3.2: phi = t for t < 1 on the strip x1 >= 1, |x2| <= x1^-2,
+    # so aInc_p fails for every p > 1; the strip's default samples lie
+    # off the diagonal of the sample lattice
+    rep = check_ainc(families["example_3_2"], 1.1)
+    assert not rep.holds and "diverges_at_zero" in rep.flags
+    assert rep.constants["a"] == INF
+    # the witness alone reproduces the verdict
+    again = check_ainc(families["example_3_2"], 1.1,
+                       A=[rep.worst_witness["x"]])
+    assert not again.holds and again.flags == rep.flags
+
+
 def test_ainc_witness_and_interval_validation():
     rep = check_ainc(families_ex34(), 2.0, T=(1.0, INF))
     w = rep.worst_witness
@@ -124,6 +137,12 @@ def test_a0_needs_shrinking_beta():
 def test_a1_x_independent_is_exact():
     rep = check_a1(from_curve(power_curve(2.0), dim=1))
     assert rep.holds and rep.constants["beta"] == 1.0
+
+
+def test_a1_vacuous_run_does_not_hold():
+    rep = check_a1(from_curve(power_curve(2.0), dim=1), n_balls=0)
+    assert not rep.holds and rep.flags == ("vacuous",)
+    assert rep.sample_spec["n_samples"] == 0
 
 
 def test_a1_families(families):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -62,7 +63,8 @@ def test_1d_closed_form(interval_indicator):
 def test_constant_fixed_point():
     f = GridFunction(((0.0, 4.0), (0.0, 4.0)), 3.0 * np.ones((32, 32)))
     Mf = maximal(f)
-    np.testing.assert_allclose(Mf.values, 3.0, rtol=1e-9)
+    # every ball sum is an exact multiple of 3
+    np.testing.assert_array_equal(Mf.values, 3.0)
 
 
 def test_pointwise_bound_and_scaling(interval_indicator):
@@ -138,15 +140,16 @@ def test_operator_norm_skips_zero_functions():
 
 
 # ---------------------------------------------------------------------------
-# 2D kernels against a brute-force enumeration of lattice centers and disks
+# the kernel against a brute-force enumeration of lattice centers and balls
 
+_ORACLE_GRIDS_1D = [((13,), ((0.0, 2.0),)), ((20,), ((-1.0, 1.5),))]
 _ORACLE_GRIDS = [((8, 8), ((-1.0, 1.0), (-1.0, 1.0))),
                  ((9, 6), ((0.0, 2.0), (0.0, 3.0)))]
 
 
 def _oracle_radii(f):
     # a generic ratio keeps every cell-center distance off the radii, so
-    # the strict disk |x - c| < r is unambiguous
+    # the strict ball |x - c| < r is unambiguous
     h = min(f.cell_sizes)
     diam = math.hypot(*(hi - lo for lo, hi in f.box))
     radii = [0.7 * h]
@@ -155,32 +158,54 @@ def _oracle_radii(f):
     return radii
 
 
-def _oracle_disks(f, r, stride):
-    """(lattice center, boolean disk-in-grid mask) pairs."""
-    (nx, ny), (hx, hy) = f.values.shape, f.cell_sizes
-    i, k = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    for p in range(0, nx, stride):
-        for q in range(0, ny, stride):
-            dist2 = ((i - p) * hx) ** 2 + ((k - q) * hy) ** 2
-            assert np.all(np.abs(np.sqrt(dist2) - r) > 1e-6 * r)
-            yield (p, q), dist2 < r * r
+def _oracle_balls(f, r, stride):
+    """(lattice center, boolean ball-in-grid mask) pairs."""
+    idx = np.indices(f.values.shape)
+    h = np.reshape(f.cell_sizes, (-1,) + (1,) * f.dim)
+    for c in itertools.product(*(range(0, n, stride)
+                                 for n in f.values.shape)):
+        dist2 = np.sum(((idx - np.reshape(c, h.shape)) * h) ** 2, axis=0)
+        assert np.all(np.abs(np.sqrt(dist2) - r) > 1e-6 * r)
+        yield c, dist2 < r * r
+
+
+def _check_brute_force(shape, box, stride):
+    """Random input to 1e-12 relative; integer-valued input, whose ball
+    sums are exact, bit for bit."""
+    rng = np.random.default_rng(7)
+    lattice = tuple(-(-n // stride) for n in shape)
+    grid = (shape[0], -1)  # the kernel sees a 1D grid as one column
+    for values, exact in ((rng.random(shape), False),
+                          (rng.integers(0, 5, shape).astype(float), True)):
+        f = GridFunction(box, values)
+        radii = _oracle_radii(f)
+        expected = values.copy()
+        for r in radii:
+            g = values.reshape(grid).shape
+            count = _mx._ball_counts(_mx._runs(r, f.cell_sizes, g), g,
+                                     stride).reshape(lattice)
+            for c, ball in _oracle_balls(f, r, stride):
+                assert count[tuple(np.array(c) // stride)] == ball.sum()
+                expected[ball] = np.maximum(expected[ball],
+                                            values[ball].mean())
+        got = maximal(f, MaximalConfig(tuple(radii), center_stride=stride))
+        if exact:
+            np.testing.assert_array_equal(got.values, expected)
+        else:
+            np.testing.assert_allclose(got.values, expected, rtol=1e-12,
+                                       atol=0)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("shape,box", _ORACLE_GRIDS_1D)
+def test_1d_matches_brute_force(shape, box, stride):
+    _check_brute_force(shape, box, stride)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("shape,box", _ORACLE_GRIDS)
 def test_2d_matches_brute_force(shape, box, stride):
-    f = GridFunction(box, np.random.default_rng(7).random(shape))
-    radii = _oracle_radii(f)
-    expected = f.values.copy()
-    for r in radii:
-        half = _mx._crop_to_grid(_mx._disk_halfwidths(r, *f.cell_sizes), shape)
-        count = _mx._disk_count(half, shape, stride)
-        for (p, q), disk in _oracle_disks(f, r, stride):
-            assert count[p // stride, q // stride] == disk.sum()
-            mean = f.values[disk].mean()
-            expected[disk] = np.maximum(expected[disk], mean)
-    got = maximal(f, MaximalConfig(tuple(radii), center_stride=stride))
-    np.testing.assert_allclose(got.values, expected, rtol=1e-12, atol=0)
+    _check_brute_force(shape, box, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +215,13 @@ def test_2d_matches_brute_force(shape, box, stride):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = []
-    kernel = _mx._maximal_2d
+    kernel = _mx._staircase_maximal
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(_mx, "_maximal_2d", counted)
+    monkeypatch.setattr(_mx, "_staircase_maximal", counted)
     monkeypatch.setattr(_mx, "_MEMO", type(_mx._MEMO)())
     return calls
 
@@ -211,6 +236,10 @@ def test_memo_reuses_and_isolates(kernel_calls):
     assert len(kernel_calls) == 1
     np.testing.assert_array_equal(again.values, first_values)
     assert again.values is not first.values
+    line = GridFunction(((0.0, 2.0),), f.values[0])
+    np.testing.assert_array_equal(maximal(line).values,
+                                  maximal(line).values)
+    assert len(kernel_calls) == 2
 
 
 def test_memo_misses_on_any_change(kernel_calls):
@@ -246,6 +275,8 @@ def test_2d_homogeneity_sublinearity_and_bounds(grids, c):
     cfg = default_config(f)
     Mf, Mg = maximal(f, cfg).values, maximal(g, cfg).values
     scale = max(a.max(), b.max(), 1.0)
+    # prefix sums round relative to the running total, not to each ball's
+    # sum: hence tolerances relative to the largest value
     np.testing.assert_allclose(maximal(f.scaled(c), cfg).values, c * Mf,
                                rtol=1e-12, atol=1e-12 * c * scale)
     Ms = maximal(GridFunction(box, a + b), cfg).values

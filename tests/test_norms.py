@@ -117,10 +117,12 @@ def test_norm_trivial_cases():
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("measure", [0.25, 1.0, 4.0])
 def test_norm_indicator_closed_form(p, measure):
+    # ||c chi_E|| = c |E|^(1/p) for t^p
     phi = from_curve(power_curve(p))
-    f = GridFunction(((0.0, measure),), np.ones(128))
-    assert luxemburg_norm(phi, f) == pytest.approx(measure ** (1.0 / p),
-                                                   rel=2e-6)
+    for c in (1.0, 0.3, 7.0):
+        f = GridFunction(((0.0, measure),), c * np.ones(128))
+        assert luxemburg_norm(phi, f) == pytest.approx(
+            c * measure ** (1.0 / p), rel=2e-6)
 
 
 def test_norm_not_in_space():
@@ -185,6 +187,13 @@ def test_conjugate_function_square():
     assert conj.eval((0.0,), 2.0) == pytest.approx(1.0, abs=1e-8)
     # (phi*)^{-1}(tau) = 2 sqrt(tau) for phi = t^2
     assert conj.inverse((0.0,), 1.0) == pytest.approx(2.0, rel=1e-9)
+    # (c t^p)* (s) = (p-1) p^(-p/(p-1)) c^(-1/(p-1)) s^(p/(p-1))
+    for p, c in ((2.0, 3.0), (1.5, 0.5), (3.0, 2.0)):
+        conj = conjugate_function(from_curve(power_curve(p, coef=c)))
+        q = p / (p - 1.0)  # so that -1/(p-1) = 1 - q
+        for s in (0.1, 1.0, 4.0):
+            exact = (p - 1.0) * p ** -q * c ** (1.0 - q) * s ** q
+            assert conj.eval((0.0,), s) == pytest.approx(exact, rel=1e-8)
 
 
 def test_duality_lower_bound():
