@@ -107,6 +107,8 @@ class WeightFunction:
     @staticmethod
     def recip_power(k: float, dim: int, c: float = 1.0) -> "WeightFunction":
         """h(x) = (|x| + c)^(-k); L1 norm closed-form for k > dim."""
+        if not c > 0:
+            raise ValueError(f"c must be positive, got {c!r}")
         if dim == 1:
             l1 = 2.0 * c ** (1.0 - k) / (k - 1.0) if k > 1 else None
         else:

@@ -11,26 +11,19 @@ every observed outcome matches the claimed one.  Claims include expected
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from . import transforms
-from .phi_core import make_family, power_curve, region_from_dict, from_curve
-from .conditions import (
-    SampleSpec,
-    WeightFunction,
-    check_a0,
-    check_a1,
-    check_a2,
-    check_adec,
-    check_ainc,
-    check_equivalence,
-    check_weak_equivalence,
-)
-from .norms import GridFunction, ball_norm_check, duality_lower_bound, \
-    luxemburg_norm, modular
+from .phi_core import PhiFunction, from_curve, make_family, power_curve, \
+    region_from_dict
+from .conditions import SampleSpec, WeightFunction, check_a0, check_a1, \
+    check_a2, check_adec, check_ainc, check_equivalence, \
+    check_weak_equivalence, default_x_samples, weight_from_dict
+from .norms import GridFunction, ball_norm_check, duality_lower_bound
 from .maximal import maximal, modular_growth, operator_norm_estimate
-from .phi_core import PhiFunction
 
 EXAMPLE_NAMES = ("ex3_2", "ex3_4", "ex3_5", "ex4_6", "dp_cor49")
 
@@ -163,7 +156,6 @@ def _run_ex3_5(resolution: float, seed: int) -> dict:
     )]
     # the sandwich t^2 <= phi <= t^2 + h(x), checked on the default lattice
     spec = SampleSpec()
-    from .conditions import default_x_samples
     X = default_x_samples(phi.domain, spec)
     grid = spec.t_grid()
     vals = phi.eval_grid(X, grid)
@@ -257,155 +249,172 @@ def run_example(name: str, resolution: float = 8.0, seed: int = 0) -> dict:
 # Declarative pipelines
 
 
-def _require(d: dict, key: str, pointer: str):
+@contextmanager
+def _at(pointer: str):
+    """Lookup, type and value errors (ConstructionError and DomainError
+    too) in the block are bad input at ``pointer``; a deeper SpecError
+    keeps its finer pointer, and anything else is an internal error."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        msg = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise SpecError(pointer, msg) from exc
+
+
+def _field(d, pointer: str, key: str, parse=None, default=...):
+    """``parse(d[key])``, failing at the field's pointer; a missing field
+    is ``default``, or an error when there is none."""
     if not isinstance(d, dict):
         raise SpecError(pointer, "expected an object")
     if key not in d:
-        raise SpecError(f"{pointer}/{key}", "missing required field")
-    return d[key]
+        if default is ...:
+            raise SpecError(f"{pointer}/{key}", "missing required field")
+        return default
+    with _at(f"{pointer}/{key}"):
+        return parse(d[key]) if parse else d[key]
+
+
+def _list(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
+
+
+def _positive(v):
+    """A finite JSON number > 0, as given: reports echo it."""
+    if type(v) not in (int, float) or not 0 < v < math.inf:
+        raise ValueError(f"expected a positive finite number, got {v!r}")
+    return v
+
+
+def _t_range(T) -> tuple:
+    lo, hi = T
+    return float(lo), math.inf if hi is None else float(hi)
 
 
 def _build_phi(spec, pointer: str):
-    """Build a PhiFunction from a make spec or a transform pipeline,
-    returning (phi, transform_records)."""
-    records = []
+    """Build a PhiFunction from a phi document, a make spec or a transform
+    pipeline, returning (phi, transform_records)."""
     if isinstance(spec, dict) and "pipeline" not in spec:
-        try:
-            if "kind" in spec and "params" in spec:
-                return PhiFunction.from_dict(spec), records
-            kind = _require(spec, "kind", pointer)
-            return make_family(kind, spec.get("params", {}), None), records
-        except SpecError:
-            raise
-        except (KeyError, ValueError) as exc:
-            raise SpecError(pointer, str(exc)) from exc
-    steps = _require(spec, "pipeline", pointer)
-    phi = None
-    for i, step in enumerate(steps):
+        _field(spec, pointer, "kind")
+        with _at(pointer):
+            return PhiFunction.from_dict(spec), []
+    phi, records = None, []
+    for i, step in enumerate(_field(spec, pointer, "pipeline", _list)):
         ptr = f"{pointer}/pipeline/{i}"
-        if "make" in step:
+        if isinstance(step, dict) and "make" in step:
             phi, _ = _build_phi(step["make"], f"{ptr}/make")
             continue
-        op = _require(step, "transform", ptr)
+        op = _field(step, ptr, "transform")
         if phi is None:
             raise SpecError(ptr, "transform before any make step")
-        if op == "glue_small_values":
-            region = region_from_dict(_require(step, "region", ptr))
-            phi = transforms.glue_small_values(phi, region,
-                                               _require(step, "p", ptr))
-        elif op == "rebuild_with_ainc":
-            pair = transforms.AsymptotePair.from_dict(
-                _require(step, "pair", ptr))
-            t1 = step.get("t1", "auto")
-            if t1 == "auto":
-                t1 = transforms.small_value_threshold(phi, pair.phi_inf)
-            records.append({"step": op, "t1": t1})
-            phi = transforms.rebuild_with_ainc(phi, pair, t1)
-            continue
-        elif op == "tail_asymptotes":
-            est = transforms.tail_asymptotes(phi)
-            records.append({"step": op, "converged": est.converged,
-                            "flags": list(est.flags),
-                            "upper": est.upper.to_dict(),
-                            "lower": est.lower.to_dict()})
-            continue
-        else:
-            raise SpecError(f"{ptr}/transform", f"unknown transform {op!r}")
-        records.append({"step": op})
+        with _at(ptr):
+            if op == "glue_small_values":
+                phi = transforms.glue_small_values(
+                    phi, _field(step, ptr, "region", region_from_dict),
+                    _field(step, ptr, "p"))
+                records.append({"step": op})
+            elif op == "rebuild_with_ainc":
+                pair = _field(step, ptr, "pair",
+                              transforms.AsymptotePair.from_dict)
+                t1 = step.get("t1", "auto")
+                if t1 == "auto":
+                    t1 = transforms.small_value_threshold(phi, pair.phi_inf)
+                records.append({"step": op, "t1": t1})
+                phi = transforms.rebuild_with_ainc(phi, pair, t1)
+            elif op == "tail_asymptotes":
+                records.append({"step": op,
+                                **transforms.tail_asymptotes(phi).to_dict()})
+            else:
+                raise SpecError(f"{ptr}/transform",
+                                f"unknown transform {op!r}")
     if phi is None:
         raise SpecError(f"{pointer}/pipeline", "pipeline produced no function")
     return phi, records
 
 
 def _run_check(phi, chk: dict, pointer: str):
-    cond = _require(chk, "condition", pointer)
-    T = tuple(chk.get("T", (0.0, None)))
-    T = (float(T[0]), math.inf if T[1] is None else float(T[1]))
-    spec = SampleSpec(t_min=chk.get("t_min", 1e-4),
-                      t_max=chk.get("t_max", 1e4),
-                      seed=chk.get("seed", 0))
-    A = np.asarray(chk["A"], float) if "A" in chk else None
-    try:
-        if cond == "ainc":
-            return check_ainc(phi, _require(chk, "p", pointer), A=A, T=T,
-                              spec=spec)
-        if cond == "adec":
-            return check_adec(phi, _require(chk, "q", pointer), A=A, T=T,
-                              spec=spec)
-        if cond == "a0":
-            return check_a0(phi, spec)
-        if cond == "a1":
-            return check_a1(phi, spec)
+    """Run one check spec (a pipeline's ``checks`` entry, or the CLI
+    ``check`` flags) on ``phi``; sampling defaults are SampleSpec's."""
+    field = partial(_field, chk, pointer)
+    cond = field("condition")
+    spec = SampleSpec(**{key: field(key, parse) for key, parse in (
+        ("t_min", _positive), ("t_max", _positive), ("seed", None))
+        if key in chk})
+    with _at(pointer):
+        if cond in ("ainc", "adec"):
+            check = check_ainc if cond == "ainc" else check_adec
+            return check(phi, field("p" if cond == "ainc" else "q"),
+                         A=field("A", lambda A: np.asarray(A, float), None),
+                         T=field("T", _t_range, (0.0, math.inf)), spec=spec)
+        if cond in ("a0", "a1"):
+            return (check_a0 if cond == "a0" else check_a1)(phi, spec)
         if cond == "a2":
-            pair = transforms.AsymptotePair.from_dict(
-                _require(chk, "pair", pointer))
+            pair = field("pair", transforms.AsymptotePair.from_dict)
             return check_a2(phi, pair.phi_inf, pair.h, pair.beta, pair.s,
                             spec)
         if cond in ("equivalence", "weak_equivalence"):
-            other, _ = _build_phi(_require(chk, "other", pointer),
-                                  f"{pointer}/other")
-            L = float(chk.get("L", 1.0))
+            other, _ = _build_phi(field("other"), f"{pointer}/other")
+            L = field("L", float, 1.0)
             if cond == "equivalence":
                 return check_equivalence(phi, other, L, spec)
-            pair_h = chk.get("h", {"weight": "zero"})
-            from .conditions import weight_from_dict
-            return check_weak_equivalence(phi, other, L,
-                                          weight_from_dict(pair_h), spec)
-    except SpecError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise SpecError(pointer, str(exc)) from exc
+            return check_weak_equivalence(
+                phi, other, L, field("h", weight_from_dict,
+                                     WeightFunction.zero()), spec)
     raise SpecError(f"{pointer}/condition", f"unknown condition {cond!r}")
 
 
 def _grid_from_spec(d: dict, box, resolution: int,
                     pointer: str) -> GridFunction:
-    if "ball" in d:
-        b = d["ball"]
-        return GridFunction.indicator_ball(
-            _require(b, "center", f"{pointer}/ball"),
-            _require(b, "radius", f"{pointer}/ball"), box, resolution)
-    if "const" in d:
-        shape = (resolution,) * len(box)
-        return GridFunction(box, float(d["const"]) * np.ones(shape))
-    raise SpecError(pointer, "unknown grid function spec")
+    """``{"const": c}``, or else ``{"ball": {"center": .., "radius": ..}}``."""
+    if isinstance(d, dict) and "const" in d:
+        c = _field(d, pointer, "const", float)
+        with _at(pointer):
+            return GridFunction(box, c * np.ones((resolution,) * len(box)))
+    ball, ptr = _field(d, pointer, "ball"), f"{pointer}/ball"
+    center, radius = (_field(ball, ptr, k) for k in ("center", "radius"))
+    with _at(ptr):
+        return GridFunction.indicator_ball(center, radius, box, resolution)
 
 
 def _run_experiment(phi, exp: dict, pointer: str, resolution: float,
                     seed: int) -> dict:
-    kind = _require(exp, "experiment", pointer)
-    if kind == "maximal-divergence":
-        radii = [float(r) for r in exp.get("radii", (8.0, 16.0, 32.0))]
-        fam = [GridFunction.indicator_ball(
-            exp.get("center", [0.0] * phi.domain.dim),
-            exp.get("ball_radius", 1.0),
-            tuple((-R, R) for _ in range(phi.domain.dim)),
-            int(resolution * R)) for R in radii]
-        out = {"experiment": kind,
-               "modular_growth": modular_growth(phi, fam, radii=radii),
-               "operator_norm": operator_norm_estimate(phi, fam, radii=radii)}
-        return out
-    if kind == "operator-norm":
-        R = float(exp.get("truncation_radius", 16.0))
-        fam = _ball_family(R, resolution)
-        return {"experiment": kind,
-                "report": operator_norm_estimate(phi, fam)}
-    if kind == "ball-norm":
-        return {"experiment": kind,
-                "report": ball_norm_check(
-                    phi, _require(exp, "center", pointer),
-                    _require(exp, "radius", pointer),
-                    resolution=exp.get("cells", 256))}
-    if kind == "duality":
-        R = float(exp.get("truncation_radius", 1.0))
-        box = tuple((-R, R) for _ in range(phi.domain.dim))
-        n = int(resolution * R)
-        f = _grid_from_spec(_require(exp, "f", pointer), box, n,
-                            f"{pointer}/f")
-        g = _grid_from_spec(_require(exp, "g", pointer), box, n,
-                            f"{pointer}/g")
-        return {"experiment": kind,
-                "report": duality_lower_bound(phi, f, g)}
+    field = partial(_field, exp, pointer)
+    kind = field("experiment")
+    dim = phi.domain.dim
+    with _at(pointer):
+        if kind == "maximal-divergence":
+            radii = field("radii", lambda rs: [float(_positive(r))
+                                               for r in _list(rs)],
+                          [8.0, 16.0, 32.0])
+            center = field("center", default=[0.0] * dim)
+            r = field("ball_radius", _positive, 1.0)
+            fam = [GridFunction.indicator_ball(
+                center, r, tuple((-R, R) for _ in range(dim)),
+                int(resolution * R)) for R in radii]
+            return {"experiment": kind,
+                    "modular_growth": modular_growth(phi, fam, radii=radii),
+                    "operator_norm": operator_norm_estimate(phi, fam,
+                                                            radii=radii)}
+        if kind == "operator-norm":
+            fam = _ball_family(field("truncation_radius", _positive, 16.0),
+                               resolution)
+            return {"experiment": kind,
+                    "report": operator_norm_estimate(phi, fam)}
+        if kind == "ball-norm":
+            return {"experiment": kind,
+                    "report": ball_norm_check(
+                        phi, field("center"), field("radius", _positive),
+                        resolution=field("cells", _positive, 256))}
+        if kind == "duality":
+            R = field("truncation_radius", _positive, 1.0)
+            box = tuple((-R, R) for _ in range(dim))
+            f, g = (_grid_from_spec(field(k), box, int(resolution * R),
+                                    f"{pointer}/{k}") for k in "fg")
+            return {"experiment": kind,
+                    "report": duality_lower_bound(phi, f, g)}
     raise SpecError(f"{pointer}/experiment", f"unknown experiment {kind!r}")
 
 
@@ -419,16 +428,16 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
     if not isinstance(spec, dict):
         raise SpecError("", "spec must be a JSON object")
     name = spec.get("name", "pipeline")
-    phi, transform_records = _build_phi(_require(spec, "phi", ""), "/phi")
+    phi, transform_records = _build_phi(_field(spec, "", "phi"), "/phi")
     bundle = {"schema": BUNDLE_SCHEMA, "name": name, "phi": phi.to_dict(),
               "transforms": transform_records, "checks": [],
               "experiments": [], "seed": seed}
-    for i, chk in enumerate(spec.get("checks", ())):
+    for i, chk in enumerate(_field(spec, "", "checks", _list, [])):
         rep = _run_check(phi, chk, f"/checks/{i}")
         bundle["checks"].append(
-            _claim(chk.get("label", chk.get("condition", "check")), rep.holds,
-                   rep, expected=bool(chk.get("expect", True))))
-    for i, exp in enumerate(spec.get("experiments", ())):
+            _claim(chk.get("label", chk["condition"]), rep.holds, rep,
+                   expected=bool(chk.get("expect", True))))
+    for i, exp in enumerate(_field(spec, "", "experiments", _list, [])):
         bundle["experiments"].append(
             _run_experiment(phi, exp, f"/experiments/{i}", resolution, seed))
     bundle["verdict"] = all(c["matches"] for c in bundle["checks"])

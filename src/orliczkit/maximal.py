@@ -16,13 +16,15 @@ non-negative values never decrease, so no ball sum is negative, and on
 integer-valued input every one is exact.  Dividing by the closed-form
 count of cells inside the grid gives each ball its true intersected
 measure; the max over admissible centers is a grayscale dilation by the
-same runs that reads only the lattice centers.  The last few results are
+same runs that reads only the lattice centers.  A radius whose cropped
+ball equals the previous one's is skipped.  The last few results are
 memoized by input content, so a bundle that asks for the same maximal
 function twice evaluates it once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -52,8 +54,9 @@ class MaximalConfig:
         object.__setattr__(self, "radius_set", rs)
         if not rs:
             raise ValueError("radius_set must be nonempty")
-        if any(r <= 0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("radius_set must be increasing and positive")
+        if not all(0 < a < b <= INF for a, b in zip(rs, rs[1:] + (INF,))):
+            raise ValueError("radius_set must be increasing, positive "
+                             "and finite")
         if self.center_stride < 1:
             raise ValueError("center_stride must be at least 1")
 
@@ -162,8 +165,9 @@ def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
     py = np.zeros((lattice[0], 3 * ny))
     out = np.full_like(g, -INF)
     avg = np.full((nx, lattice[1]), -INF)
-    for r in cfg.radius_set:
-        runs = _runs(r, cell_sizes, g.shape)
+    # max is idempotent: a radius repeating the last cropped ball adds nothing
+    for runs, _ in itertools.groupby(_runs(r, cell_sizes, g.shape)
+                                     for r in cfg.radius_set):
         num = np.zeros(lattice)
         for w, d_lo, d_hi in runs:
             np.cumsum(px[nx + w + 1: 2 * nx + w + 1: s]

@@ -47,8 +47,8 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "values", vals)
-        if len(box) not in (1, 2) or vals.ndim != len(box):
-            raise ValueError("box and values must both be 1D or 2D")
+        if len(box) not in (1, 2) or vals.ndim != len(box) or not vals.size:
+            raise ValueError("box and values must be 1D or 2D and nonempty")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("box sides must have positive length")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):

@@ -500,6 +500,8 @@ class PhiCurve:
 
     @staticmethod
     def from_dict(d: dict) -> "PhiCurve":
+        if not isinstance(d, dict):
+            raise TypeError(f"expected a curve object, got {d!r}")
         tail = d.get("infinite_tail")
         if tail == "inf":
             tail = None
@@ -569,9 +571,10 @@ class Domain:
 
     @staticmethod
     def from_dict(d: dict) -> "Domain":
+        dim = d["dim"]  # first, so that a non-object is a TypeError
         if d.get("all"):
-            return Domain(d["dim"])
-        return Domain(d["dim"], tuple(d["lower"]), tuple(d["upper"]))
+            return Domain(dim)
+        return Domain(dim, tuple(d["lower"]), tuple(d["upper"]))
 
 
 def _as_point(x, dim: int) -> tuple:
@@ -932,4 +935,6 @@ def make_family(kind: str, params: dict | None = None, domain: Domain | None = N
     """Construct a catalog family; raises ConstructionError for bad input."""
     if kind not in _FAMILIES:
         raise ConstructionError(f"unknown family kind {kind!r}")
+    if not isinstance(params or {}, dict):
+        raise ConstructionError(f"params must be an object, got {params!r}")
     return _FAMILIES[kind](params or {}, domain)

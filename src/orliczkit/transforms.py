@@ -264,6 +264,10 @@ class AsymptoteEstimate:
     def __iter__(self):
         return iter((self.upper, self.lower))
 
+    def to_dict(self) -> dict:
+        return {"upper": self.upper.to_dict(), "lower": self.lower.to_dict(),
+                "converged": self.converged, "flags": list(self.flags)}
+
 
 def _shell_points(domain: Domain, radius: float, n: int) -> np.ndarray:
     if domain.dim == 1:

@@ -1,12 +1,20 @@
+import contextlib
+import copy
+import importlib
+import io
 import json
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from orliczkit import PhiCurve, SpecError, WeightFunction, power_curve, \
     run_example, run_pipeline
 from orliczkit.cli import main
+
+_cli = importlib.import_module("orliczkit.cli")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +106,14 @@ def test_pipeline_expected_failure_flips_verdict():
     ({"phi": {"pipeline": []}}, "/phi/pipeline"),
     ({"phi": {"kind": "example_3_4", "params": {}}, "checks": [{"p": 2}]},
      "/checks/0/condition"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "checks": [{"condition": "ainc", "p": 2, "T": [0]}]}, "/checks/0/T"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2, "dim": 2}},
+      "experiments": [{"experiment": "ball-norm", "center": [0, 0],
+                       "radius": 5, "cells": 16}]}, "/experiments/0"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "maximal-divergence", "radii": [-1]}]},
+     "/experiments/0/radii"),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     with pytest.raises(SpecError) as err:
@@ -151,10 +167,16 @@ def test_cli_maximal_writes_outputs(tmp_path, monkeypatch, capsys):
     assert report["max_value"] == pytest.approx(1.0, rel=1e-6)
 
 
-def test_cli_internal_error_is_exit_3():
+def test_cli_internal_error_is_exit_3(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(_cli, "maximal", broken)
     assert main(["maximal", "--dim", "1",
                  "--function", '{"ball": {"center": [0], "radius": 1}}',
-                 "--radii", "-1"]) == 3
+                 "--truncation-radius", "2"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: RuntimeError: kernel fault\n"
 
 
 def test_cli_example(tmp_path, capsys):
@@ -221,3 +243,129 @@ def test_cli_malformed_grid_input_is_exit_2(phi_file, tmp_path, case, capsys):
         assert main(["norm", "--phi", f"@{phi_file}", flag, str(path),
                      "--truncation-radius", "1", "--resolution", "8"]) == 2
     assert "cannot read grid function" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: exit 2 with a pointer to the bad flag or field, never 3
+
+_PHI = json.dumps({"kind": "orlicz", "params": {"p": 2}})
+_BALL_1D = '{"ball": {"center": [0], "radius": 1}}'
+_BAD_PAIR = {"phi_inf": power_curve(2.0).to_dict(), "h": {"weight": "zero"},
+             "beta": 2}
+
+
+def _check(*flags):
+    return ["check", "--phi", _PHI, *flags]
+
+
+def _pipeline(phi=None, **fields):
+    phi = phi or {"kind": "orlicz", "params": {"p": 2}}
+    return ["pipeline", json.dumps({"phi": phi, **fields}),
+            "--resolution", "1"]
+
+
+_GLUE_BASE = {"kind": "example_3_2", "params": {}}
+
+
+@pytest.mark.parametrize("argv,pointer", [
+    pytest.param(_check("--condition", "a2", "--pair", '{"beta": 1}'),
+                 "/pair", id="check-pair-missing-field"),
+    pytest.param(_check("--condition", "a2", "--pair", json.dumps(_BAD_PAIR)),
+                 "/pair", id="check-pair-beta-2"),
+    pytest.param(_pipeline(checks=[{"condition": "a2", "pair": _BAD_PAIR}]),
+                 "/checks/0/pair", id="pipeline-pair-beta-2"),
+    pytest.param(["check", "--phi", "[1, 2]", "--condition", "a0"], "--phi",
+                 id="check-phi-list"),
+    pytest.param(_check("--condition", "weak-equivalence", "--other", _PHI,
+                        "--h", '{"weight": "nope"}'), "/h",
+                 id="check-unknown-weight"),
+    pytest.param(_pipeline(checks=[{"condition": "weak_equivalence",
+                                    "other": json.loads(_PHI),
+                                    "h": {"weight": "nope"}}]),
+                 "/checks/0/h", id="pipeline-unknown-weight"),
+    pytest.param(_check("--condition", "ainc", "--p", "2",
+                        "--t-range", "0", "abc"), "/T", id="check-t-range"),
+    pytest.param(["transform", "--op", "glue_small_values",
+                  "--phi", json.dumps(_GLUE_BASE),
+                  "--region", '{"region": "nope"}'], "--region",
+                 id="transform-unknown-region"),
+    pytest.param(_pipeline({"pipeline": [
+        {"make": _GLUE_BASE},
+        {"transform": "glue_small_values", "region": {"region": "nope"},
+         "p": 2}]}), "/phi/pipeline/1/region", id="pipeline-unknown-region"),
+    pytest.param(["transform", "--op", "cap_curve",
+                  "--phi-inf", '{"breakpoints": [0]}'], "--phi-inf",
+                 id="transform-curve-missing-pieces"),
+    pytest.param(["norm", "--phi", _PHI,
+                  "--function", '{"ball": {"center": [0, 0]}}'],
+                 "--function/ball/radius", id="norm-ball-missing-radius"),
+    pytest.param(["maximal", "--dim", "1", "--function", _BALL_1D,
+                  "--radii", "-1"], "--radii", id="maximal-negative-radius"),
+    pytest.param(["maximal", "--dim", "1", "--function", _BALL_1D,
+                  "--stride", "0"], "--stride", id="maximal-stride-0"),
+    pytest.param(_pipeline(checks=[{"condition": "ainc", "p": 2, "T": [0]}]),
+                 "/checks/0/T", id="pipeline-short-t-range"),
+    pytest.param(_pipeline({"kind": "orlicz", "params": {"p": 2, "dim": 2}},
+                           experiments=[{"experiment": "ball-norm",
+                                         "center": [0, 0], "radius": 5,
+                                         "cells": 16}]),
+                 "/experiments/0", id="pipeline-ball-norm-too-big"),
+    pytest.param(_pipeline(experiments=[{"experiment": "maximal-divergence",
+                                         "radii": [-1]}]),
+                 "/experiments/0/radii", id="pipeline-negative-radii"),
+])
+def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
+_FUZZ_PHI = {"kind": "orlicz", "params": {"p": 2.0, "dim": 2}}
+_FUZZ_SPEC = {
+    "name": "fuzz", "phi": _FUZZ_PHI,
+    "checks": [
+        {"condition": "a0"},
+        {"condition": "ainc", "p": 2.0, "T": [0.0, None]},
+        {"condition": "a2", "pair": {"phi_inf": power_curve(2.0).to_dict(),
+                                     "h": {"weight": "zero"}, "beta": 1.0}},
+        {"condition": "weak_equivalence", "other": _FUZZ_PHI, "L": 1.0,
+         "h": {"weight": "zero"}}],
+    "experiments": [
+        {"experiment": "operator-norm"},
+        {"experiment": "ball-norm", "center": [0.0, 0.0], "radius": 0.5,
+         "cells": 16}]}
+
+
+def _paths(node, prefix=()):
+    """Key paths to every value nested in ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_DELETE = object()
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(_paths(_FUZZ_SPEC))),
+       value=st.sampled_from([_DELETE, None, "x", -1, 0, [], {},
+                              {"weight": "nope"}]))
+def test_pipeline_spec_fuzz_never_exits_3(path, value):
+    """One key of a small valid spec deleted, or its value replaced: the
+    run ends in a verdict or in exit 2 naming a field.  No size is drawn
+    large, so no run allocates more than the valid spec does."""
+    spec = copy.deepcopy(_FUZZ_SPEC)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["pipeline", json.dumps(spec), "--resolution", "1"])
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue().startswith("error: /")

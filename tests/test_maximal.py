@@ -38,6 +38,9 @@ def test_config_validation():
         MaximalConfig((1.0, 0.5))
     with pytest.raises(ValueError):
         MaximalConfig((1.0,), center_stride=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MaximalConfig((1.0, bad))
 
 
 def test_default_config_covers_cell_to_diameter():
@@ -206,6 +209,24 @@ def test_1d_matches_brute_force(shape, box, stride):
 @pytest.mark.parametrize("shape,box", _ORACLE_GRIDS)
 def test_2d_matches_brute_force(shape, box, stride):
     _check_brute_force(shape, box, stride)
+
+
+def test_repeated_footprints_are_skipped(monkeypatch):
+    """A radius whose cropped ball equals the previous one's cannot change
+    the max: 95 of the 146 radii of the 1D default ladder on 512 cells
+    reach the dilation, and the result is the max over single radii."""
+    calls = []
+    dilate = _mx._dilate
+    monkeypatch.setattr(_mx, "_dilate",
+                        lambda *args: calls.append(1) or dilate(*args))
+    v = np.random.default_rng(5).random(512)
+    f = GridFunction(((-4.0, 4.0),), v)
+    cfg = default_config(f)
+    got = _mx._staircase_maximal(v, f.cell_sizes, cfg)
+    assert (len(cfg.radius_set), len(calls)) == (146, 95)
+    each = [_mx._staircase_maximal(v, f.cell_sizes, MaximalConfig((r,)))
+            for r in cfg.radius_set]
+    np.testing.assert_array_equal(got, np.max(each, axis=0))
 
 
 # ---------------------------------------------------------------------------
