@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import transforms
 from .phi_core import PhiCurve, region_from_dict
@@ -27,7 +28,7 @@ from .conditions import _jsonable
 from .norms import GridFunction, luxemburg_norm, modular
 from .maximal import MaximalConfig, default_config, maximal
 from .gallery import EXAMPLE_NAMES, SpecError, _at, _build_phi, \
-    _grid_from_spec, _positive, _run_check, run_example, run_pipeline
+    _grid_from_spec, _positive, _run_check, _seed, run_example, run_pipeline
 
 OUT_ENV = "ORLICZKIT_OUT"
 
@@ -60,13 +61,23 @@ def _given(**kw) -> dict:
     return {k: v for k, v in kw.items() if v is not None}
 
 
+@contextmanager
+def _writing_out():
+    """A file that cannot be written under --out is bad input there."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecError("--out", f"cannot write: {exc}") from exc
+
+
 def _emit(report: dict, args, name: str) -> None:
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
     print(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
-            fh.write(text + "\n")
+        with _writing_out():
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
+                fh.write(text + "\n")
 
 
 def _grid_function(args, dim: int) -> GridFunction:
@@ -167,9 +178,10 @@ def _cmd_maximal(args) -> int:
         report["norm_f"] = luxemburg_norm(phi, f)
         report["norm_Mf"] = luxemburg_norm(phi, Mf)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        Mf.to_csv(os.path.join(args.out, "maximal.csv"))
-        Mf.to_binary(os.path.join(args.out, "maximal.bin"))
+        with _writing_out():
+            os.makedirs(args.out, exist_ok=True)
+            Mf.to_csv(os.path.join(args.out, "maximal.csv"))
+            Mf.to_binary(os.path.join(args.out, "maximal.bin"))
         report["outputs"] = [os.path.join(args.out, "maximal.csv"),
                              os.path.join(args.out, "maximal.bin")]
     _emit(report, args, "maximal")
@@ -177,6 +189,9 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    if args.seed is not None:
+        with _at("--seed"):
+            _seed(args.seed)
     bundle = run_example(args.name, resolution=args.resolution,
                          **_given(seed=args.seed))
     _emit(bundle, args, f"example-{args.name}")

@@ -109,15 +109,20 @@ class WeightFunction:
         """h(x) = (|x| + c)^(-k); L1 norm closed-form for k > dim."""
         if not c > 0:
             raise ValueError(f"c must be positive, got {c!r}")
-        if dim == 1:
-            l1 = 2.0 * c ** (1.0 - k) / (k - 1.0) if k > 1 else None
-        else:
-            l1 = (2.0 * math.pi * c ** (2.0 - k) / ((k - 1.0) * (k - 2.0))
-                  if k > 2 else None)
+        try:
+            if dim == 1:
+                l1 = 2.0 * c ** (1.0 - k) / (k - 1.0) if k > 1 else None
+            else:
+                l1 = (2.0 * math.pi * c ** (2.0 - k) / ((k - 1.0) * (k - 2.0))
+                      if k > 2 else None)
+            linf = c ** (-k)
+        except OverflowError:
+            raise ValueError(f"c = {c!r} is too small: c^(-k) overflows "
+                             f"for k = {k!r}") from None
         return WeightFunction(
             "recip_power",
             lambda X: (np.linalg.norm(X, axis=-1) + c) ** (-k),
-            l1_norm=l1, linf_norm=c ** (-k), params={"k": k, "c": c, "dim": dim})
+            l1_norm=l1, linf_norm=linf, params={"k": k, "c": c, "dim": dim})
 
 
 def weight_from_dict(d: dict) -> WeightFunction:

@@ -289,6 +289,21 @@ def _positive(v):
     return v
 
 
+def _seed(v):
+    """A JSON integer >= 0, as numpy's generators take."""
+    if type(v) is not int or v < 0:
+        raise ValueError(f"expected a non-negative integer, got {v!r}")
+    return v
+
+
+def _name(v):
+    """A bundle name, which names a report file: no path separators."""
+    if not isinstance(v, str) or any(c in v for c in "/\\\0"):
+        raise ValueError(f"expected a string without '/', '\\' or NUL, "
+                         f"got {v!r}")
+    return v
+
+
 def _t_range(T) -> tuple:
     lo, hi = T
     return float(lo), math.inf if hi is None else float(hi)
@@ -341,7 +356,7 @@ def _run_check(phi, chk: dict, pointer: str):
     field = partial(_field, chk, pointer)
     cond = field("condition")
     spec = SampleSpec(**{key: field(key, parse) for key, parse in (
-        ("t_min", _positive), ("t_max", _positive), ("seed", None))
+        ("t_min", _positive), ("t_max", _positive), ("seed", _seed))
         if key in chk})
     with _at(pointer):
         if cond in ("ainc", "adec"):
@@ -427,7 +442,7 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
     """
     if not isinstance(spec, dict):
         raise SpecError("", "spec must be a JSON object")
-    name = spec.get("name", "pipeline")
+    name = _field(spec, "", "name", _name, "pipeline")
     phi, transform_records = _build_phi(_field(spec, "", "phi"), "/phi")
     bundle = {"schema": BUNDLE_SCHEMA, "name": name, "phi": phi.to_dict(),
               "transforms": transform_records, "checks": [],

@@ -16,10 +16,18 @@ non-negative values never decrease, so no ball sum is negative, and on
 integer-valued input every one is exact.  Dividing by the closed-form
 count of cells inside the grid gives each ball its true intersected
 measure; the max over admissible centers is a grayscale dilation by the
-same runs that reads only the lattice centers.  A radius whose cropped
-ball equals the previous one's is skipped.  The last few results are
-memoized by input content, so a bundle that asks for the same maximal
-function twice evaluates it once.
+same runs that reads only the lattice centers.  Its x-windows come from
+one doubling table per radius (Urbach & Wilkinson, IEEE TIP 2008): level
+k holds the max over 2**k rows, and a window is the max of two rows of
+one level.  A radius whose cropped ball equals the previous one's is
+skipped.
+
+The members of a family that share a grid and a config run through the
+kernel together, stacked on a first axis, up to ``_BATCH_CELLS`` cells a
+call; every step is elementwise per member, so each result is bit for
+bit the member's alone.  The last few results are memoized by input
+content, so a bundle that asks for the same maximal function twice
+evaluates it once.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .norms import GridFunction, luxemburg_norm, modular
 
@@ -129,57 +136,88 @@ def _ball_counts(runs: list, shape: tuple, s: int) -> np.ndarray:
     return cx.T.astype(float) @ cy.astype(float)
 
 
-def _dilate(out: np.ndarray, a: np.ndarray, runs: list, s: int) -> None:
+def _clamped(p: np.ndarray, start: int, s: int, count: int,
+             axis: int) -> np.ndarray:
+    """``p[clip(start + m * s, 0, n)]`` along ``axis`` for m < count, where
+    p holds n + 1 prefix sums: an index past either end reads the end."""
+    idx = np.arange(start, start + s * count, s)
+    return np.take(p, idx, axis=axis, mode="clip")
+
+
+def _dilate(out: np.ndarray, tab: np.ndarray, runs: list, s: int) -> None:
     """Max of lattice values over the footprint ``runs``, into ``out``.
 
-    ``a`` holds the lattice columns 0, s, 2s, ... of the grid, -inf off
-    the lattice rows.  Each run is one 1D maximum filter along x, which
-    each of its rows maxes into the every-s-th output columns it reaches."""
-    ny, ncols = out.shape[1], a.shape[1]
-    for w, d_lo, d_hi in runs:
-        src = ndimage.maximum_filter1d(
-            a, size=2 * w + 1, axis=0, mode="constant", cval=-INF)
+    Per member (first axis), the last nx rows of ``tab`` hold the lattice
+    columns 0, s, 2s, ... of the grid, -inf off the lattice rows and in the
+    rows before them.  It becomes a doubling table in place: at level k,
+    row i holds the max of rows i .. i + 2**k - 1 (-inf past the end), so
+    the x-window [i - w, i + w] of a run is the max of two
+    level-floor(log2(2w + 1)) rows.  Runs are visited narrowest first, so
+    only one level is alive; each row of a run maxes its window maxima
+    into the every-s-th output columns it reaches."""
+    nx, ny = out.shape[1:]
+    ncols, pad = tab.shape[2], tab.shape[1] - nx
+    first = pad - runs[0][0]  # the widest run reads furthest left
+    level = 0
+    for w, d_lo, d_hi in reversed(runs):
+        k = (2 * w + 1).bit_length() - 1
+        while level < k:
+            h = 1 << level
+            np.maximum(tab[:, first: -h], tab[:, first + h:],
+                       out=tab[:, first: -h])
+            level += 1
+        right = pad + w + 1 - (1 << k)
+        src = np.maximum(tab[:, pad - w: pad - w + nx],
+                         tab[:, right: right + nx])
         for lo, hi in _bands(d_lo, d_hi):
             for dy in range(lo, hi + 1):
                 # column m * s lands on m * s + dy; keep those in the grid
                 m0 = max(0, -(dy // s))
                 m1 = min(ncols, -((dy - ny) // s))
                 if m1 > m0:
-                    dst = out[:, m0 * s + dy:: s][:, : m1 - m0]
-                    np.maximum(dst, src[:, m0:m1], out=dst)
+                    dst = out[..., m0 * s + dy:: s][..., : m1 - m0]
+                    np.maximum(dst, src[..., m0:m1], out=dst)
 
 
 def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
                        cfg: MaximalConfig) -> np.ndarray:
-    """Maximal function of v >= 0 on a 1D or 2D grid (module docstring)."""
-    g = v.reshape(len(v), -1)  # a 1D grid is one column
-    nx, ny = g.shape
+    """Maximal function of v >= 0 on a 1D or 2D grid (module docstring).
+
+    v may also stack the grids of a family's members along a first axis;
+    every step is elementwise per member, so each comes out as if alone."""
+    dim = len(cell_sizes)
+    # a 1D grid is one column
+    g = v.reshape((-1,) + v.shape[v.ndim - dim:] + (1,) * (2 - dim))
+    members, nx, ny = g.shape
     s = cfg.center_stride
     lattice = (-(-nx // s), -(-ny // s))
-    # px[nx + j] is the sum of g[:j] along x, for j clamped to [0, nx], so
-    # that every clamped window edge is a strided slice
-    px = np.zeros((3 * nx, ny))
-    np.cumsum(g, axis=0, out=px[nx + 1: 2 * nx + 1])
-    px[2 * nx + 1:] = px[2 * nx]
-    # py[:, ny + j] likewise sums one run's x-window sums over y < j
-    py = np.zeros((lattice[0], 3 * ny))
+    footprints = [runs for runs, _ in itertools.groupby(
+        # max is idempotent: a radius repeating the last cropped ball adds
+        # nothing
+        _runs(r, cell_sizes, (nx, ny)) for r in cfg.radius_set)]
+    # px[:, j] is the sum of g[:, :j] along x; a window edge past either
+    # end of the grid reads the end
+    px = np.zeros((members, nx + 1, ny))
+    np.cumsum(g, axis=1, out=px[:, 1:])
+    # py[..., j] likewise sums one run's x-window sums over y < j
+    py = np.zeros((members, lattice[0], ny + 1))
     out = np.full_like(g, -INF)
-    avg = np.full((nx, lattice[1]), -INF)
-    # max is idempotent: a radius repeating the last cropped ball adds nothing
-    for runs, _ in itertools.groupby(_runs(r, cell_sizes, g.shape)
-                                     for r in cfg.radius_set):
-        num = np.zeros(lattice)
+    # the doubling table, with room left of the grid for the widest window
+    pad = max(runs[0][0] for runs in footprints)
+    tab = np.empty((members, pad + nx, lattice[1]))
+    for runs in footprints:
+        num = np.zeros((members,) + lattice)
         for w, d_lo, d_hi in runs:
-            np.cumsum(px[nx + w + 1: 2 * nx + w + 1: s]
-                      - px[nx - w: 2 * nx - w: s],
-                      axis=1, out=py[:, ny + 1: 2 * ny + 1])
-            # clamp j > ny as far as the run's rows reach
-            py[:, 2 * ny + 1: 2 * ny + d_hi + 1] = py[:, 2 * ny, None]
+            sums = _clamped(px, w + 1, s, lattice[0], 1)
+            sums -= _clamped(px, -w, s, lattice[0], 1)
+            np.cumsum(sums, axis=2, out=py[..., 1:])
             for lo, hi in _bands(d_lo, d_hi):
-                num += (py[:, ny + hi + 1: 2 * ny + hi + 1: s]
-                        - py[:, ny + lo: 2 * ny + lo: s])
-        avg[::s] = num / _ball_counts(runs, g.shape, s)
-        _dilate(out, avg, runs, s)
+                sums = _clamped(py, hi + 1, s, lattice[1], 2)
+                sums -= _clamped(py, lo, s, lattice[1], 2)
+                num += sums
+        tab.fill(-INF)
+        tab[:, pad:: s] = num / _ball_counts(runs, (nx, ny), s)
+        _dilate(out, tab, runs, s)
     return out.reshape(v.shape)
 
 
@@ -189,6 +227,45 @@ _MEMO: OrderedDict = OrderedDict()
 #: ``modular_growth`` and ``operator_norm_estimate``); an entry on a 512²
 #: grid holds 4 MB.
 _MEMO_SIZE = 8
+#: Most grid cells, summed over members, that one kernel call evaluates.
+#: The kernel holds about eight arrays of that many floats at once, 16 MB
+#: at this cap: the 10-member ball family on a 128² grid runs as one
+#: batch, and on a 256² grid four members at a time.
+_BATCH_CELLS = 2 ** 18
+
+
+def _maximal_family(family, cfg: MaximalConfig | None = None) -> list:
+    """Discretized maximal functions of |f| for every f of ``family``.
+
+    Inputs seen lately (same box, values and config) are read from the
+    memo.  The others run through the kernel in batches of members that
+    share a grid and a config, each batch at most ``_BATCH_CELLS`` cells,
+    and are memoized; every result gets its own array."""
+    family = list(family)
+    keys = []
+    for f in family:
+        v = np.abs(f.values)
+        keys.append((f.box, v.shape, v.tobytes(), cfg or default_config(f)))
+    done, todo = {}, {}
+    for f, key in zip(family, keys):
+        if key in _MEMO:
+            _MEMO.move_to_end(key)
+            done[key] = _MEMO[key]
+        else:  # members on one grid under one config share a batch
+            todo.setdefault(key[:2] + key[3:], {})[key] = f
+    for (_, shape, c), members in todo.items():
+        items = list(members.items())
+        size = max(1, _BATCH_CELLS // math.prod(shape))
+        for batch in (items[i: i + size] for i in range(0, len(items), size)):
+            vs = np.abs([f.values for _, f in batch])
+            out = _staircase_maximal(vs, batch[0][1].cell_sizes, c)
+            for (key, _), o, v in zip(batch, out, vs):
+                # every cell sits in the smallest ball around its own
+                # center, so the pointwise bound Mf >= f survives striding
+                done[key] = _MEMO[key] = np.maximum(o, v)
+                if len(_MEMO) > _MEMO_SIZE:
+                    _MEMO.popitem(last=False)
+    return [GridFunction(key[0], done[key].copy()) for key in keys]
 
 
 def maximal(f: GridFunction, cfg: MaximalConfig | None = None) -> GridFunction:
@@ -196,21 +273,7 @@ def maximal(f: GridFunction, cfg: MaximalConfig | None = None) -> GridFunction:
 
     The last few results are kept: a repeated input (same box, values and
     config) is evaluated once, and every call gets its own array."""
-    cfg = cfg or default_config(f)
-    v = np.abs(f.values)
-    key = (f.box, v.shape, v.tobytes(), cfg)
-    out = _MEMO.get(key)
-    if out is None:
-        out = _staircase_maximal(v, f.cell_sizes, cfg)
-        # every cell sits in the smallest ball around its own center, so
-        # the pointwise bound Mf >= f survives striding
-        out = np.maximum(out, v)
-        _MEMO[key] = out
-        if len(_MEMO) > _MEMO_SIZE:
-            _MEMO.popitem(last=False)
-    else:
-        _MEMO.move_to_end(key)
-    return GridFunction(f.box, out.copy())
+    return _maximal_family([f], cfg)[0]
 
 
 def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:
@@ -223,11 +286,12 @@ def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:
     """
     ratios = []
     kept = []
-    for i, f in enumerate(family):
-        if not np.any(f.values > 0):
-            continue
-        nf = luxemburg_norm(phi, f)
-        nmf = luxemburg_norm(phi, maximal(f, cfg))
+    family = list(family)
+    nonzero = [i for i, f in enumerate(family) if np.any(f.values > 0)]
+    maxes = _maximal_family([family[i] for i in nonzero], cfg)
+    for i, Mf in zip(nonzero, maxes):
+        nf = luxemburg_norm(phi, family[i])
+        nmf = luxemburg_norm(phi, Mf)
         if nf == 0.0 or math.isinf(nf):
             continue
         ratios.append(nmf / nf)
@@ -258,9 +322,7 @@ def modular_growth(phi, family, cfg=None, radii=None) -> dict:
     """Modular of Mf for each family member, with a log-radius fit: the
     divergence experiments check growth in the truncation radius, never a
     literal infinity."""
-    mods = []
-    for f in family:
-        mods.append(modular(phi, maximal(f, cfg)))
+    mods = [modular(phi, Mf) for Mf in _maximal_family(family, cfg)]
     report = {"modulars": mods}
     if radii is not None and len(mods) >= 2 and all(map(math.isfinite, mods)):
         logr = np.log(np.asarray(radii, float))

@@ -200,13 +200,28 @@ def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:
     return np.all((pts > np.asarray(dom.lower)) & (pts < np.asarray(dom.upper)), axis=1)
 
 
+#: The last grid ``modular`` bound phi to: (phi, box, shape, domain mask,
+#: evaluator of phi at the masked cell centers).  Holding phi keeps the
+#: ``is`` test sound.
+_BOUND = None
+
+
 def modular(phi, f: GridFunction) -> float:
     """Midpoint-rule integral of phi(x, f(x)) over the grid cells that lie
-    in phi's domain; +inf as soon as any cell evaluates to +inf."""
-    pts = f.points()
-    vals = f.values.ravel()
-    mask = _domain_mask(phi, pts)
-    out = phi.eval_many(pts[mask], vals[mask])
+    in phi's domain; +inf as soon as any cell evaluates to +inf.
+
+    phi is bound to the cell centers once per grid, so the steps of a
+    Luxemburg bisection, or f and Mf on one grid, share one table."""
+    global _BOUND
+    bound = _BOUND
+    if bound is None or bound[0] is not phi \
+            or bound[1:3] != (f.box, f.resolution):
+        pts = f.points()
+        mask = _domain_mask(phi, pts)
+        bound = _BOUND = (phi, f.box, f.resolution, mask,
+                          phi.evaluator(pts[mask]))
+    mask, evaluate = bound[3:]
+    out = evaluate(f.values.ravel()[mask])
     if np.any(np.isinf(out)):
         return INF
     return float(np.sum(out) * f.cell_volume)  # numpy pairwise summation
@@ -274,7 +289,8 @@ class ConjugateFunction:
     """Pointwise convex conjugate of a PhiFunction, evaluable like one.
 
     Supports the subset of the PhiFunction protocol that the modular and
-    norm routines use (``eval_many``, ``inverse``, ``domain``).
+    norm routines use (``eval_many``, ``evaluator``, ``inverse``,
+    ``domain``).
     """
 
     def __init__(self, phi: PhiFunction):
@@ -285,7 +301,17 @@ class ConjugateFunction:
         return float(self.eval_many(np.array([_as_point(x, self.domain.dim)]), [t])[0])
 
     def eval_many(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        return self.phi.conjugate_value(X, T)
+        return self.evaluator(X)(T)
+
+    def evaluator(self, X: np.ndarray):
+        """``T -> eval_many(X, T)`` with phi's table of X built once."""
+        table = self.phi.table(X)
+
+        def value(T):
+            T = np.asarray(T, dtype=float)
+            return table.conjugate(T.reshape(-1)).reshape(T.shape)
+
+        return value
 
     def inverse(self, x, tau: float) -> float:
         """inf{t : conjugate(x, t) >= tau}."""

@@ -741,8 +741,18 @@ class PhiFunction:
 
     def eval_many(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Vectorized phi(X[i], T[i]) for matching leading shapes."""
-        T = np.asarray(T, dtype=float)
-        return self.table(X).value(T.reshape(-1, 1)).reshape(T.shape)
+        return self.evaluator(X)(T)
+
+    def evaluator(self, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``T -> eval_many(X, T)`` with the table of X built once, for
+        callers that evaluate the same points at many levels."""
+        table = self.table(X)
+
+        def value(T):
+            T = np.asarray(T, dtype=float)
+            return table.value(T.reshape(-1, 1)).reshape(T.shape)
+
+        return value
 
     def eval_grid(self, X: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """phi on the product of points X (N, dim) and levels ts (M,) -> (N, M)."""

@@ -233,6 +233,8 @@ def test_weight_norms():
     h1 = WeightFunction.recip_power(2.0, 1)
     assert abs(h1.l1_norm - 2.0) < 1e-12
     assert WeightFunction.zero().l1_norm == 0.0
+    with pytest.raises(ValueError, match="c = 1e-300"):  # c^(-4) overflows
+        WeightFunction.recip_power(4.0, 2, 1e-300)
 
 
 def test_weight_roundtrip():

@@ -313,10 +313,28 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
     pytest.param(_pipeline(experiments=[{"experiment": "maximal-divergence",
                                          "radii": [-1]}]),
                  "/experiments/0/radii", id="pipeline-negative-radii"),
+    pytest.param(["example", "ex3_5", "--seed", "-1"], "--seed",
+                 id="example-negative-seed"),
+    pytest.param(_pipeline(name="a/b"), "/name", id="pipeline-name-a/b"),
+    pytest.param(_pipeline(checks=[{
+        "condition": "weak_equivalence", "other": json.loads(_PHI),
+        "h": {"weight": "recip_power", "k": 4, "dim": 1, "c": 1e-300}}]),
+        "/checks/0/h", id="pipeline-weight-c-overflows"),
 ])
 def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    _pipeline(),
+    ["maximal", "--dim", "1", "--function", _BALL_1D, "--radii", "1"],
+], ids=["pipeline", "maximal"])
+def test_unwritable_out_is_exit_2(argv, tmp_path, capsys):
+    """An --out path under a regular file cannot be made a directory."""
+    (tmp_path / "file").write_text("")
+    assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: cannot write")
 
 
 _FUZZ_PHI = {"kind": "orlicz", "params": {"p": 2.0, "dim": 2}}

@@ -6,7 +6,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from orliczkit import (
     GridFunction,
@@ -277,6 +277,47 @@ def test_memo_misses_on_any_change(kernel_calls):
     assert len(kernel_calls) == 4
     maximal(f, cfg)  # the default config, resolved, is the first key
     assert len(kernel_calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# families: one batched kernel call per grid, bit for bit the lone member's
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(3, 24)),
+                       st.tuples(st.integers(3, 9), st.integers(3, 9))),
+       stride=st.integers(1, 3), members=st.integers(1, 7),
+       per_batch=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_family_batches_match_lone_members(shape, stride, members,
+                                           per_batch, seed):
+    """A family through ``_maximal_family`` equals each member run alone,
+    bit for bit, with the batch cap lowered so that families of more than
+    ``per_batch`` members span several kernel calls."""
+    rng = np.random.default_rng(seed)
+    box = tuple((0.0, n / 4.0) for n in shape)
+    # random and integer-valued members, and one repeated
+    vals = [rng.random(shape) if i % 2 else
+            rng.integers(0, 4, shape).astype(float) for i in range(members)]
+    family = [GridFunction(box, v) for v in vals + vals[:1]]
+    cfg = MaximalConfig(default_config(family[0]).radius_set, stride)
+    calls = []
+    kernel = _mx._staircase_maximal
+
+    def counted(v, *args):
+        calls.append(len(v))
+        return kernel(v, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_mx, "_MEMO", type(_mx._MEMO)())
+        mp.setattr(_mx, "_BATCH_CELLS", per_batch * math.prod(shape))
+        mp.setattr(_mx, "_staircase_maximal", counted)
+        got = _mx._maximal_family(family, cfg)
+    assert calls == [min(per_batch, members - i)
+                     for i in range(0, members, per_batch)]
+    for f, Mf in zip(family, got):
+        alone = np.maximum(kernel(f.values, f.cell_sizes, cfg), f.values)
+        assert Mf.box == f.box
+        assert Mf.values.tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from orliczkit import (
     GridFunction,
+    PhiFunction,
     annulus_test_function,
     ball_norm_check,
     cap_curve,
@@ -20,6 +22,9 @@ from orliczkit import (
     pairing,
     power_curve,
 )
+
+# the module itself, for its bound grid
+_norms = importlib.import_module("orliczkit.norms")
 
 INF = math.inf
 
@@ -101,6 +106,48 @@ def test_modular_grid_refinement():
     coarse = modular(phi, GridFunction.from_callable(smooth, ((0.0, 3.0),), 256))
     fine = modular(phi, GridFunction.from_callable(smooth, ((0.0, 3.0),), 512))
     assert abs(fine - coarse) < 0.01 * abs(fine)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Each PhiFunction.table call, with no grid bound yet."""
+    calls = []
+    table = PhiFunction.table
+
+    def counted(self, X):
+        calls.append(len(X))
+        return table(self, X)
+
+    monkeypatch.setattr(PhiFunction, "table", counted)
+    monkeypatch.setattr(_norms, "_BOUND", None)
+    return calls
+
+
+def test_modular_binds_phi_once_per_grid(table_builds):
+    """A whole bisection, and f and 2f on one grid, build phi's table of
+    the grid's cells once; another phi object or grid builds it again."""
+    phi = make_family("example_4_6", {}, None)  # lives on (-2, 2)
+    f = GridFunction(((-4.0, 4.0),), np.linspace(0.0, 3.0, 64))
+    norm = luxemburg_norm(phi, f)
+    assert luxemburg_norm(phi, f.scaled(2.0)) == pytest.approx(2 * norm)
+    assert table_builds == [32]  # the cells inside the domain
+    direct = phi.eval_many(f.points()[16:48], f.values[16:48])
+    assert table_builds == [32, 32]
+    assert modular(phi, f) == float(np.sum(direct) * f.cell_volume)
+    assert len(table_builds) == 2
+    modular(make_family("example_4_6", {}, None), f)
+    modular(phi, GridFunction(f.box, np.ones(32)))
+    modular(phi, GridFunction(((-4.0, 4.5),), f.values))
+    assert table_builds == [32, 32, 32, 16, 30]
+
+
+def test_conjugate_modular_binds_once(table_builds):
+    conj = conjugate_function(square(1))
+    g = GridFunction(((-1.0, 1.0),), np.linspace(0.0, 1.0, 16))
+    # (t^2)* = t^2 / 4: the norm of g under it is half that under t^2
+    assert luxemburg_norm(conj, g) == pytest.approx(
+        0.5 * luxemburg_norm(square(1), g), rel=2e-6)
+    assert table_builds == [16, 16]
 
 
 # ---------------------------------------------------------------------------
