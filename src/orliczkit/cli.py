@@ -80,7 +80,11 @@ def _emit(report: dict, args, name: str) -> None:
                 fh.write(text + "\n")
 
 
-def _grid_function(args, dim: int) -> GridFunction:
+def _grid_function(args, phi) -> GridFunction:
+    """The grid function of --function, --csv or --binary; the first two
+    lay it on phi's dimension (--dim without phi), and a binary grid must
+    have it when phi is given."""
+    dim = phi.domain.dim if phi else args.dim
     R = args.truncation_radius
     box = tuple((-R, R) for _ in range(dim))
     n = max(int(args.resolution * 2 * R), 8)
@@ -91,10 +95,14 @@ def _grid_function(args, dim: int) -> GridFunction:
     if not path:
         raise SpecError("--function", "provide --function, --csv, or --binary")
     try:
-        return GridFunction.from_csv(path, box, n) if args.csv \
+        f = GridFunction.from_csv(path, box, n) if args.csv \
             else GridFunction.from_binary(path)
     except (OSError, ValueError) as exc:
         raise SpecError(flag, f"cannot read grid function: {exc}") from exc
+    if phi is not None and f.dim != dim:
+        raise SpecError(flag, f"grid function has {f.dim} axes, phi's "
+                              f"domain has {dim}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +158,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_norm(args) -> int:
     phi = _phi(args.phi)
-    f = _grid_function(args, phi.domain.dim)
+    f = _grid_function(args, phi)
     report = {"modular": modular(phi, f),
               "luxemburg_norm": luxemburg_norm(phi, f),
               "cells": list(f.resolution),
@@ -161,7 +169,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_maximal(args) -> int:
     phi = _phi(args.phi)
-    f = _grid_function(args, phi.domain.dim if phi else args.dim)
+    f = _grid_function(args, phi)
     cfg = default_config(f)
     if args.radii is not None:
         with _at("--radii"):
@@ -188,12 +196,17 @@ def _cmd_maximal(args) -> int:
     return 0
 
 
-def _cmd_example(args) -> int:
+def _seed_flag(args) -> dict:
+    """The --seed flag, if given, checked as the bundle runners check it."""
     if args.seed is not None:
         with _at("--seed"):
             _seed(args.seed)
+    return _given(seed=args.seed)
+
+
+def _cmd_example(args) -> int:
     bundle = run_example(args.name, resolution=args.resolution,
-                         **_given(seed=args.seed))
+                         **_seed_flag(args))
     _emit(bundle, args, f"example-{args.name}")
     return 3 if "errored" in bundle else 0 if bundle["verdict"] else 1
 
@@ -202,7 +215,7 @@ def _cmd_pipeline(args) -> int:
     spec = _json_flag(args.spec if args.spec.lstrip().startswith("{")
                       else "@" + args.spec, "spec")
     bundle = run_pipeline(spec, resolution=args.resolution,
-                          **_given(seed=args.seed))
+                          **_seed_flag(args))
     _emit(bundle, args, f"pipeline-{bundle['name']}")
     return 0 if bundle["verdict"] else 1
 

@@ -5,7 +5,9 @@ constant by direct supremum or dyadic search, and returns a
 :class:`ConditionReport` carrying the constants, the sample spec and the
 worst witness, so failures are reproducible.  "Almost every x" is
 approximated by the sample set; the catalog families have no exceptional
-sets.
+sets.  Each checker builds phi's (and psi's) power table of its sample
+points once and reads every level of its dyadic or bisection search off
+it.
 """
 
 from __future__ import annotations
@@ -236,7 +238,8 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
 
     # analytic divergence at the open ends of T, from the first sample
     # whose piece exponents show any
-    e0, e1 = phi.table(X).end_exponents()
+    table = phi.table(X)
+    e0, e1 = table.end_exponents()
     sign = 1.0 if increasing else -1.0
     at_zero = (lo == 0.0) & (sign * (p - e0) > 0)
     at_inf = math.isinf(hi) & (sign * (p - e1) > 0)
@@ -244,11 +247,11 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
     flags = [name for name, on in (("diverges_at_zero", at_zero[hit]),
                                    ("diverges_at_infinity", at_inf[hit])) if np.any(on)]
 
-    a_star, witness = _sampled_sup(phi, X, grid, p, increasing)
+    a_star, witness = _sampled_sup(table, X, grid, p, increasing)
     for _ in range(spec.refinement_rounds):
         a_star, witness = _refine_witness(phi, grid, p, increasing, a_star, witness)
     if flags:  # the first flagged sample alone reproduces the verdict
-        witness = _sampled_sup(phi, X[hit], grid, p, increasing)[1]
+        witness = _sampled_sup(table.rows(hit), X[hit], grid, p, increasing)[1]
 
     diverges = bool(flags)
     holds = (not diverges) and math.isfinite(a_star) and a_star <= max_constant
@@ -263,8 +266,10 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
         worst_witness=witness, flags=tuple(sorted(set(flags))))
 
 
-def _sampled_sup(phi, X, grid, p, increasing):
-    vals = phi.eval_grid(X, grid)  # (N_x, N_t)
+def _sampled_sup(table, X, grid, p, increasing):
+    """Largest sampled ratio(t)/ratio(s) and its witness, over the rows of
+    ``table``, phi's table at the points X."""
+    vals = table.value(grid[None, :])  # (N_x, N_t)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = vals / grid[None, :] ** p
     best = -INF
@@ -302,7 +307,8 @@ def _refine_witness(phi, grid, p, increasing, a_star, witness):
         locs.append(np.geomspace(c / step, c * step, 33))
     local = np.unique(np.concatenate(locs + [grid]))
     local = local[(local >= grid[0]) & (local <= grid[-1])]
-    best, w = _sampled_sup(phi, np.atleast_2d(np.asarray(x)), local, p, increasing)
+    X = np.atleast_2d(np.asarray(x))
+    best, w = _sampled_sup(phi.table(X), X, local, p, increasing)
     if best > a_star:
         return best, w
     return a_star, witness
@@ -318,11 +324,12 @@ def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
     all sampled x, found by dyadic descent plus bisection refinement."""
     spec = spec or SampleSpec()
     X = np.atleast_2d(x_samples) if x_samples is not None else default_x_samples(phi.domain, spec)
+    table = phi.table(X)
     tol = 1e-9
 
     def ok(beta: float) -> bool:
-        lowv = phi.eval_grid(X, np.array([beta]))[:, 0]
-        highv = phi.eval_grid(X, np.array([1.0 / beta]))[:, 0]
+        lowv = table.value(np.array([[beta]]))[:, 0]
+        highv = table.value(np.array([[1.0 / beta]]))[:, 0]
         return bool(np.all(lowv <= 1.0 + tol) and np.all(highv >= 1.0 - tol))
 
     beta = None
@@ -407,9 +414,10 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
             sample_spec={**spec.describe(), "n_samples": 0},
             flags=("vacuous",))
     tol = 1e-9
+    at_x = phi.evaluator(X)
 
     def ok(beta: float) -> bool:
-        lhs = phi.eval_many(X, beta * Tv)
+        lhs = at_x(beta * Tv)
         return bool(np.all(lhs <= R * (1.0 + tol) + tol))
 
     if ok(1.0):
@@ -430,7 +438,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
                 hi_b = mid
         beta = lo_b
     holds = beta > 1e-6
-    lhs = phi.eval_many(X, beta * Tv) if beta > 0 else np.zeros_like(R)
+    lhs = at_x(beta * Tv) if beta > 0 else np.zeros_like(R)
     k = int(np.argmax(lhs - R))
     return ConditionReport(
         condition="A1prime", holds=holds, constants={"beta": beta},
@@ -459,8 +467,9 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     hv = h.many(X)
     inf_t = phi_inf.value(grid)
     inf_bt = phi_inf.value(beta * grid)
-    phiv = phi.eval_grid(X, grid)
-    phib = phi.eval_grid(X, beta * grid)
+    table = phi.table(X)
+    phiv = table.value(grid[None, :])
+    phib = table.value(beta * grid[None, :])
 
     tol = 1e-9
     worst = {"margin": -INF}
@@ -503,13 +512,14 @@ def check_equivalence(phi, psi, L: float, spec: SampleSpec | None = None,
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
     X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
-    grid = spec.t_grid()
-    phiv = phi.eval_grid(X, grid)
+    grid = spec.t_grid()[None, :]
+    phiv = phi.table(X).value(grid)
+    psi_table = psi.table(X)
     tol = 1e-9
 
     def passes(Lv: float):
-        lo_ = psi.eval_grid(X, grid / Lv)
-        hi_ = psi.eval_grid(X, grid * Lv)
+        lo_ = psi_table.value(grid / Lv)
+        hi_ = psi_table.value(grid * Lv)
         bad = np.maximum(lo_ - phiv, phiv - hi_)
         ix, it = np.unravel_index(int(np.argmax(bad)), bad.shape)
         margin = float(bad[ix, it])
@@ -527,7 +537,7 @@ def check_equivalence(phi, psi, L: float, spec: SampleSpec | None = None,
         condition="Equiv", holds=ok,
         constants={"L": L, "least_L": least if least is not None else INF},
         sample_spec={**spec.describe(), "n_x": len(X)},
-        worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[it]),
+        worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
                        "margin": margin})
 
 
@@ -540,22 +550,24 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
     X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
-    grid = spec.t_grid()
+    grid = spec.t_grid()[None, :]
     hv = h.many(X)[:, None]
     tol = 1e-9
-    d1 = psi.eval_grid(X, grid) - (phi.eval_grid(X, grid * L) + hv)
-    d2 = phi.eval_grid(X, grid) - (psi.eval_grid(X, grid * L) + hv)
+    phi_table, psi_table = phi.table(X), psi.table(X)
+    phiv = phi_table.value(grid)
+    d1 = psi_table.value(grid) - (phi_table.value(grid * L) + hv)
+    d2 = phiv - (psi_table.value(grid * L) + hv)
     bad = np.maximum(d1, d2)
     bad = np.where(np.isnan(bad), -INF, bad)  # inf - inf pairs compare equal
     ix, it = np.unravel_index(int(np.argmax(bad)), bad.shape)
     margin = float(bad[ix, it])
-    ref = phi.eval(tuple(X[ix]), float(grid[it]))
+    ref = float(phiv[ix, it])
     holds = margin <= tol * (1.0 + (ref if math.isfinite(ref) else 1.0))
     return ConditionReport(
         condition="WeakEquiv", holds=holds,
         constants={"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         sample_spec={**spec.describe(), "n_x": len(X)},
-        worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[it]),
+        worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
                        "margin": margin})
 
 

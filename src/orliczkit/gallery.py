@@ -231,10 +231,13 @@ _RUNNERS = {
 
 def run_example(name: str, resolution: float = 8.0, seed: int = 0) -> dict:
     """Run a named example bundle; ``resolution`` is cells per unit length
-    for the grid experiments."""
+    for the grid experiments.  An unknown name, or a seed that is not a
+    non-negative integer, raises :class:`SpecError`."""
     if name not in _RUNNERS:
         raise SpecError("/name", f"unknown example {name!r}; "
                                  f"choose from {sorted(_RUNNERS)}")
+    with _at("/seed"):
+        _seed(seed)
     try:
         return _RUNNERS[name](resolution, seed)
     except SpecError:
@@ -442,6 +445,8 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
     """
     if not isinstance(spec, dict):
         raise SpecError("", "spec must be a JSON object")
+    with _at("/seed"):
+        _seed(seed)
     name = _field(spec, "", "name", _name, "pipeline")
     phi, transform_records = _build_phi(_field(spec, "", "phi"), "/phi")
     bundle = {"schema": BUNDLE_SCHEMA, "name": name, "phi": phi.to_dict(),

@@ -49,8 +49,12 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
         if len(box) not in (1, 2) or vals.ndim != len(box) or not vals.size:
             raise ValueError("box and values must be 1D or 2D and nonempty")
-        if any(hi <= lo for lo, hi in box):
-            raise ValueError("box sides must have positive length")
+        # n cells on a side: (n - 0.5) * (hi - lo) must be finite for the
+        # cell centers; this also rejects nan and infinite bounds
+        if not all(lo < hi and math.isfinite(n * (hi - lo))
+                   for (lo, hi), n in zip(box, vals.shape)):
+            raise ValueError("box sides must have positive length, finite "
+                             "times the number of cells")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("values must be finite and nonnegative")
 

@@ -755,7 +755,11 @@ class PhiFunction:
         return value
 
     def eval_grid(self, X: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """phi on the product of points X (N, dim) and levels ts (M,) -> (N, M)."""
+        """phi on the product of points X (N, dim) and levels ts (M,) -> (N, M).
+
+        Each call builds the table of X; a caller that evaluates one set of
+        points at many levels builds it once with :meth:`table` (or
+        :meth:`evaluator`) and reads every level off it."""
         return self.table(X).value(np.asarray(ts, dtype=float).reshape(1, -1))
 
     def inverse(self, x, tau: float) -> float:

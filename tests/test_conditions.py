@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orliczkit import (
+    PhiFunction,
     SampleSpec,
     WeightFunction,
     check_a0,
@@ -196,6 +197,38 @@ def test_weak_equivalence(families):
     # without the additive term the same pair fails at L = 1
     assert not check_weak_equivalence(families["example_3_2"], t2, 1.0,
                                       WeightFunction.zero()).holds
+
+
+# ---------------------------------------------------------------------------
+# Each checker builds phi's table of its sample set once
+
+
+_DP = {"p": 2.0, "q": 3.0, "a": {"field": "abs_power", "power": 1.0}}
+_PHI = make_family("double_phase", _DP)
+_PSI = make_family("double_phase", {**_DP, "a": {**_DP["a"], "coef": 2.0}})
+
+
+@pytest.mark.parametrize("run, builds", [
+    (lambda: check_a0(_PHI), 1),
+    (lambda: check_equivalence(_PHI, _PSI, 2.0), 2),
+    (lambda: check_weak_equivalence(_PHI, _PSI, 2.0, WeightFunction.zero()), 2),
+    (lambda: check_a1(_PHI), 2),
+    # the sample set, then the refinement round's witness
+    (lambda: check_ainc(_PHI, 2.0), 2),
+    (lambda: check_adec(_PHI, 3.0), 2),
+    (lambda: check_a2(_PHI, power_curve(2.0), WeightFunction.zero(), 1.0), 1),
+], ids=["a0", "equivalence", "weak_equivalence", "a1", "ainc", "adec", "a2"])
+def test_checker_builds_each_table_once(monkeypatch, run, builds):
+    calls = []
+    table = PhiFunction.table
+
+    def counted(self, X):
+        calls.append(len(X))
+        return table(self, X)
+
+    monkeypatch.setattr(PhiFunction, "table", counted)
+    run()
+    assert len(calls) == builds
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@ import copy
 import importlib
 import io
 import json
+import math
+import os
+import struct
+import subprocess
+import sys
 import warnings
 
 import hypothesis.strategies as st
@@ -10,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from orliczkit import PhiCurve, SpecError, WeightFunction, power_curve, \
-    run_example, run_pipeline
+import orliczkit
+from orliczkit import GridFunction, PhiCurve, SpecError, WeightFunction, \
+    power_curve, run_example, run_pipeline
 from orliczkit.cli import main
 
 _cli = importlib.import_module("orliczkit.cli")
@@ -40,6 +46,30 @@ def test_bundle_deterministic():
 def test_unknown_example():
     with pytest.raises(SpecError):
         run_example("ex9_9")
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: run_example("ex3_5", seed=seed),
+    lambda seed: run_pipeline({"phi": {"kind": "orlicz", "params": {"p": 2}}},
+                              seed=seed),
+], ids=["example", "pipeline"])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_is_spec_error(run, seed):
+    with pytest.raises(SpecError) as err:
+        run(seed)
+    assert err.value.pointer == "/seed"
+
+
+def test_package_does_not_import_scipy():
+    """Only the benchmark uses scipy; the package runs on numpy alone."""
+    src = os.path.dirname(os.path.dirname(orliczkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, orliczkit, orliczkit.cli, orliczkit.gallery; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +244,6 @@ def test_cli_usage_error_missing_args(phi_file):
 def _malformed_grid(case):
     """``(flag, file contents)`` of a bad --csv/--binary input for the
     16-cell grid on (-1, 1); no file for None."""
-    from orliczkit import GridFunction
     g = GridFunction(((-1.0, 1.0),), np.linspace(0.0, 1.0, 16))
     rows, blob = g.to_csv().splitlines(), g.to_binary()
     return {"missing_csv": ("--csv", None),
@@ -243,6 +272,97 @@ def test_cli_malformed_grid_input_is_exit_2(phi_file, tmp_path, case, capsys):
         assert main(["norm", "--phi", f"@{phi_file}", flag, str(path),
                      "--truncation-radius", "1", "--resolution", "8"]) == 2
     assert "cannot read grid function" in capsys.readouterr().err
+
+
+_FUZZ_GRIDS = {dim: GridFunction(((-1.0, 1.0),) * dim,
+                                np.linspace(0.0, 1.0, 16).reshape(shape))
+               for dim, shape in ((1, (16,)), (2, (4, 4)))}
+#: One phi per domain kind: unbounded 1D and 2D, and the bounded 1D (-2, 2).
+_FUZZ_NORM_PHIS = [json.dumps({"kind": "orlicz", "params": {"p": 2}}),
+                   json.dumps({"kind": "orlicz", "params": {"p": 2, "dim": 2}}),
+                   json.dumps({"kind": "example_4_6", "params": {}})]
+_FIELDS = st.sampled_from(["", "x", "nan", "inf", "-1", "0", "1.5", "3",
+                           "15", "16", "1e300", "1e400", " "])
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} in a report")
+
+
+def _norm_exit(phi, flag, path):
+    """Exit code and stderr of ``orliczkit norm`` on the grid file at
+    ``path``; a CSV grid is read on (-1, 1) per axis, 16 cells each.  A
+    report must be strict JSON: no NaN from a garbled box."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["norm", "--phi", phi, flag, str(path),
+                     "--truncation-radius", "1", "--resolution", "8"])
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_strict)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2]), phi=st.sampled_from(_FUZZ_NORM_PHIS),
+       edits=st.lists(st.tuples(
+           st.sampled_from(["field", "drop_field", "add_field", "drop_row",
+                            "repeat_row", "swap_rows"]),
+           st.integers(0, 20), st.integers(0, 4), _FIELDS),
+           min_size=1, max_size=3))
+def test_csv_grid_fuzz_never_exits_3(tmp_path_factory, dim, phi, edits):
+    """Rows, fields and indices of a valid CSV grid edited: ``norm`` ends
+    in a report or in exit 2 at --csv, never in an internal error."""
+    rows = [r.split(",") for r in _FUZZ_GRIDS[dim].to_csv().splitlines()]
+    for op, i, j, value in edits:
+        i %= len(rows)
+        row = rows[i]
+        if op == "field" and row:
+            row[j % len(row)] = value
+        elif op == "drop_field" and row:
+            del row[j % len(row)]
+        elif op == "add_field":
+            row.insert(j % (len(row) + 1), value)
+        elif op == "drop_row" and len(rows) > 1:
+            del rows[i]
+        elif op == "repeat_row":
+            rows.insert(i, list(row))
+        elif op == "swap_rows":
+            k = j % len(rows)
+            rows[i], rows[k] = rows[k], rows[i]
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    code, err = _norm_exit(phi, "--csv", path)
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: --csv: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2]), phi=st.sampled_from(_FUZZ_NORM_PHIS),
+       axes=st.none() | st.sampled_from([0, 1, 2, 3, 2 ** 32 - 1]),
+       cells=st.none() | st.tuples(st.integers(0, 1), st.sampled_from(
+           [0, 1, 4, 16, 2 ** 31, 2 ** 32 - 1])),
+       bound=st.none() | st.tuples(st.integers(0, 3), st.sampled_from(
+           [math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0, 1e308])),
+       size=st.integers(-40, 40))
+def test_binary_grid_fuzz_never_exits_3(tmp_path_factory, dim, phi, axes,
+                                        cells, bound, size):
+    """Header integers (number of axes, cells per axis), axis bounds and
+    the payload length of a valid binary grid edited: ``norm`` ends in a
+    report or in exit 2 at --binary, never in an internal error."""
+    blob = bytearray(_FUZZ_GRIDS[dim].to_binary())
+    if axes is not None:
+        struct.pack_into("<I", blob, 0, axes)
+    if cells is not None:
+        struct.pack_into("<I", blob, 4 + 16 * dim + 4 * (cells[0] % dim),
+                         cells[1])
+    if bound is not None:
+        struct.pack_into("<d", blob, 4 + 8 * (bound[0] % (2 * dim)), bound[1])
+    blob = blob[:len(blob) + size] if size < 0 else blob + bytes(size)
+    path = tmp_path_factory.mktemp("bin") / "grid.bin"
+    path.write_bytes(bytes(blob))
+    code, err = _norm_exit(phi, "--binary", path)
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: --binary: ")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +435,8 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  "/experiments/0/radii", id="pipeline-negative-radii"),
     pytest.param(["example", "ex3_5", "--seed", "-1"], "--seed",
                  id="example-negative-seed"),
+    pytest.param(_pipeline() + ["--seed", "-1"], "--seed",
+                 id="pipeline-negative-seed"),
     pytest.param(_pipeline(name="a/b"), "/name", id="pipeline-name-a/b"),
     pytest.param(_pipeline(checks=[{
         "condition": "weak_equivalence", "other": json.loads(_PHI),
