@@ -3,7 +3,7 @@
 A GridFunction is a nonnegative function sampled on a regular grid over a
 box.  The modular integrates phi(x, |f(x)|) by the midpoint rule; the
 Luxemburg norm is the smallest lambda with modular(f / lambda) <= 1, found
-by bisection to a relative tolerance of 1e-6.
+from above by a bracket-and-bisect search to a relative tolerance of 1e-6.
 """
 
 import math

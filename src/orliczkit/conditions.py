@@ -1,12 +1,13 @@
 """Executable checkers for the growth and regularity conditions.
 
 Every checker samples a finite (x, t) lattice, extracts the extremal
-constant by direct supremum or dyadic search, and returns a
+constant by direct supremum, a dyadic ladder or the package's one level
+search (``phi_core._last_t_where``), and returns a
 :class:`ConditionReport` carrying the constants, the sample spec and the
 worst witness, so failures are reproducible.  "Almost every x" is
 approximated by the sample set; the catalog families have no exceptional
 sets.  Each checker builds phi's (and psi's) power table of its sample
-points once and reads every level of its dyadic or bisection search off
+points once and reads every level of its dyadic ladder or level search off
 it.
 """
 
@@ -25,6 +26,7 @@ from .phi_core import (
     PhiCurve,
     PhiFunction,
     Region,
+    _last_t_where,
     from_curve,
 )
 
@@ -320,8 +322,9 @@ def _refine_witness(phi, grid, p, increasing, a_star, witness):
 
 def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
              x_samples: np.ndarray | None = None) -> ConditionReport:
-    """Largest beta in (0, 1] with phi(x, beta) <= 1 <= phi(x, 1/beta) at
-    all sampled x, found by dyadic descent plus bisection refinement."""
+    """Largest beta in [2^-40, 1] with phi(x, beta) <= 1 <= phi(x, 1/beta)
+    at all sampled x, to 1e-9 relative by the one level search; the
+    condition fails, with beta 0, where even 2^-40 does not work."""
     spec = spec or SampleSpec()
     X = np.atleast_2d(x_samples) if x_samples is not None else default_x_samples(phi.domain, spec)
     table = phi.table(X)
@@ -332,31 +335,24 @@ def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
         highv = table.value(np.array([[1.0 / beta]]))[:, 0]
         return bool(np.all(lowv <= 1.0 + tol) and np.all(highv >= 1.0 - tol))
 
-    beta = None
-    if ok(1.0):
-        beta = 1.0
-    else:
-        b = 1.0
-        for _ in range(40):
-            b *= 0.5
-            if ok(b):
-                beta = b
-                break
-        if beta is not None:
-            lo_b, hi_b = beta, 2.0 * beta
-            for _ in range(30):
-                mid = 0.5 * (lo_b + hi_b)
-                if ok(mid):
-                    lo_b = mid
-                else:
-                    hi_b = mid
-            beta = lo_b
-    holds = beta is not None
+    beta = _largest_beta(ok, tol)
+    holds = beta > 0.0
     return ConditionReport(
         condition="A0", holds=holds,
-        constants={"beta": beta if holds else 0.0},
+        constants={"beta": beta},
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness=None if holds else {"x": [float(v) for v in X[0]]})
+
+
+def _largest_beta(ok: Callable[[float], bool], tol: float) -> float:
+    """The largest beta in [2^-40, 1] with ok(beta), to ``tol`` relative
+    and from below, for a test that holds on an initial interval; 0 where
+    ok(2^-40) fails."""
+    if ok(1.0):  # the cap: the search alone would go on above 1
+        return 1.0
+    lo = _last_t_where(lambda b: np.array([ok(float(b[0]))]), 1, tol,
+                       floor=2.0 ** -40)[0]
+    return float(lo[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +362,10 @@ def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
 def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
              n_balls: int = 40, pairs_per_ball: int = 6,
              t_per_pair: int = 10) -> ConditionReport:
-    """Largest beta with phi(x, beta*t) <= phi(y, t) over sampled balls B
-    with |B| <= 1, point pairs x, y in B, and levels with
-    phi(y, t) in [1, 1/|B|].
+    """Largest beta in [2^-40, 1] with phi(x, beta*t) <= phi(y, t) over
+    sampled balls B with |B| <= 1, point pairs x, y in B, and levels with
+    phi(y, t) in [1, 1/|B|], to 1e-9 relative by the one level search
+    (beta 0 where even 2^-40 does not work); it holds when beta > 1e-6.
 
     A run that keeps no pair is flagged ``vacuous`` and does not hold:
     no sampled evidence supports the condition."""
@@ -420,23 +417,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
         lhs = at_x(beta * Tv)
         return bool(np.all(lhs <= R * (1.0 + tol) + tol))
 
-    if ok(1.0):
-        beta = 1.0
-    else:
-        lo_b, hi_b = 0.0, 1.0
-        b = 1.0
-        for _ in range(40):
-            b *= 0.5
-            if ok(b):
-                lo_b = b
-                break
-        for _ in range(40):
-            mid = 0.5 * (lo_b + hi_b)
-            if ok(mid):
-                lo_b = mid
-            else:
-                hi_b = mid
-        beta = lo_b
+    beta = _largest_beta(ok, tol)
     holds = beta > 1e-6
     lhs = at_x(beta * Tv) if beta > 0 else np.zeros_like(R)
     k = int(np.argmax(lhs - R))
@@ -456,7 +437,8 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
              beta: float, s: float = 1.0, spec: SampleSpec | None = None,
              x_samples: np.ndarray | None = None) -> ConditionReport:
     """Verify phi(x, beta*t) <= phi_inf(t) + h(x) on {phi_inf(t) <= s} and
-    phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s}."""
+    phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s}, each sample
+    to within 1e-9 times one plus its right-hand side."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must be in (0, 1]")
     if s <= 0:
@@ -477,17 +459,19 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     # direction 1: phi(x, beta t) <= phi_inf(t) + h(x) where phi_inf(t) <= s
     mask1 = inf_t <= s + tol
     rhs1 = inf_t[None, :] + hv[:, None]
-    m1 = np.where(mask1[None, :], phib - rhs1, -INF)
     # direction 2: phi_inf(beta t) <= phi(x, t) + h(x) where phi(x, t) <= s
     mask2 = phiv <= s + tol
     rhs2 = phiv + hv[:, None]
-    m2 = np.where(mask2, inf_bt[None, :] - rhs2, -INF)
-    for m, direction in ((m1, "phi_vs_asymptote"), (m2, "asymptote_vs_phi")):
+    with np.errstate(invalid="ignore"):  # inf - inf only where masked out
+        m1 = np.where(mask1[None, :], phib - rhs1, -INF)
+        m2 = np.where(mask2, inf_bt[None, :] - rhs2, -INF)
+    for m, rhs, direction in ((m1, rhs1, "phi_vs_asymptote"),
+                              (m2, rhs2, "asymptote_vs_phi")):
+        # every sample against the size of its own right-hand side
+        if np.any(m > tol * (1.0 + np.abs(rhs))):
+            holds = False
         ix, it = np.unravel_index(int(np.argmax(m)), m.shape)
         margin = float(m[ix, it])
-        scale = 1.0 + abs(float(grid[it]))
-        if margin > tol * scale:
-            holds = False
         if margin > worst["margin"]:
             worst = {"margin": margin, "direction": direction,
                      "x": [float(v) for v in X[ix]], "t": float(grid[it])}

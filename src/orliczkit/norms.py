@@ -3,7 +3,8 @@
 A :class:`GridFunction` samples a nonnegative function at cell centers of
 a uniform grid on an axis-aligned box (1D or 2D).  The modular is the
 midpoint-rule integral of phi(x, f(x)); the Luxemburg norm is the least
-scaling bringing the modular to 1, found by bisection.  Ball-norm and
+scaling bringing the modular to 1, found by the package's one level
+search.  Ball-norm and
 duality reports record empirical comparability constants rather than
 asserting fixed ones.
 """
@@ -24,10 +25,12 @@ from .phi_core import EPS_INV_BISECT, UNIT_BALL_VOLUME, PhiFunction, \
 
 INF = math.inf
 
-#: Relative bisection tolerance for the Luxemburg norm.
+#: Relative tolerance of the Luxemburg norm: it is found to within this
+#: factor of itself, from above.
 EPS_LUX = 1e-6
 
-#: Scalings probed before declaring a function outside the space.
+#: The largest scaling lam probed before declaring a function outside the
+#: space.
 LAMBDA_CAP = 1e12
 
 
@@ -72,7 +75,7 @@ class GridFunction:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.cell_sizes))
+        return math.prod(self.cell_sizes)  # inf, not a warning, on overflow
 
     def axis_centers(self) -> list:
         return [lo + (np.arange(n) + 0.5) * (hi - lo) / n
@@ -215,7 +218,7 @@ def modular(phi, f: GridFunction) -> float:
     in phi's domain; +inf as soon as any cell evaluates to +inf.
 
     phi is bound to the cell centers once per grid, so the steps of a
-    Luxemburg bisection, or f and Mf on one grid, share one table."""
+    Luxemburg norm search, or f and Mf on one grid, share one table."""
     global _BOUND
     bound = _BOUND
     if bound is None or bound[0] is not phi \
@@ -232,33 +235,16 @@ def modular(phi, f: GridFunction) -> float:
 
 
 def luxemburg_norm(phi, f: GridFunction) -> float:
-    """inf{lam > 0 : modular(f / lam) <= 1}, approximated from above by
-    bisection; returns ``math.inf`` when no lam up to 1e12 works (the
-    function is outside the space at this truncation)."""
+    """inf{lam > 0 : modular(f / lam) <= 1}, approximated from above to
+    EPS_LUX relative: the one level search finds the largest u = 1/lam
+    with modular(u f) <= 1 and the norm is 1/lo of its final bracket.
+    Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the function
+    is outside the space at this truncation)."""
     if not np.any(f.values > 0):
         return 0.0
-
-    def m(lam: float) -> float:
-        return modular(phi, f.scaled(1.0 / lam))
-
-    hi = 1.0
-    while m(hi) > 1.0:
-        hi *= 2.0
-        if hi > LAMBDA_CAP:
-            return INF
-    lo = hi
-    while m(lo) <= 1.0 and lo > 1e-300:
-        hi = lo
-        lo *= 0.5
-    if lo <= 1e-300:
-        return 0.0
-    while hi - lo > EPS_LUX * hi:
-        mid = 0.5 * (lo + hi)
-        if m(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    u = _last_t_where(lambda u: np.array([modular(phi, f.scaled(u[0])) <= 1.0]),
+                      1, EPS_LUX, floor=1.0 / LAMBDA_CAP)[0][0]
+    return INF if u == 0.0 else float(1.0 / u)
 
 
 def ball_norm_check(phi: PhiFunction, center, radius: float,
@@ -326,7 +312,7 @@ def _conjugate_inverse(phi: PhiFunction, X, tau: float) -> np.ndarray:
     """Per point of X, inf{t : phi*(x, t) >= tau}, all points in step."""
     table = phi.table(X)
     return _last_t_where(lambda t: table.conjugate(t) < tau, len(table.tail),
-                         EPS_INV_BISECT)
+                         EPS_INV_BISECT)[0]
 
 
 def conjugate_function(phi: PhiFunction) -> ConjugateFunction:

@@ -24,8 +24,9 @@ import numpy as np
 
 INF = math.inf
 
-# Relative tolerance of the bisections inverting multi-term pieces and
-# conjugates; closed forms are exact up to rounding.
+# Relative tolerance of the searches inverting multi-term pieces and
+# conjugates: the final bracket is no wider than this times its lower end,
+# at every scale.  Closed forms are exact up to rounding.
 EPS_INV_BISECT = 1e-12
 
 
@@ -286,31 +287,12 @@ class PowerTable:
                           np.minimum(np.maximum(root, lo), np.where(open_hi, root, hi)))
         out[single] = closed[single]
         i = np.flatnonzero(reach & ~single)
-        if len(i):
-            out[i] = self.rows(i)._bisect_piece(k, tau[i], lo[i], hi[i])
+        if len(i):  # search the offset from lo; the bracket's upper end keeps value >= tau
+            sub, a, goal = self.rows(i), lo[i], tau[i]
+            d = _last_t_where(lambda d: sub._piece(k, (a + d)[:, None])[:, 0] < goal,
+                              len(i), EPS_INV_BISECT)[1]
+            out[i] = np.minimum(a + d, hi[i])
         return out
-
-    def _bisect_piece(self, k: int, tau, lo, hi) -> np.ndarray:
-        """Monotone bisection for multi-term pieces, row by row in step."""
-        def at(t):
-            return self._piece(k, t[:, None])[:, 0]
-
-        a = lo
-        b = np.where(np.isinf(hi), np.maximum(lo, 1.0), hi)
-        grow = np.isinf(hi)
-        while np.any(grow):
-            grow &= at(b) < tau
-            b = np.where(grow, 2.0 * b, b)
-        live = np.ones(len(tau), dtype=bool)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            up = at(mid) >= tau
-            b = np.where(live & up, mid, b)
-            a = np.where(live & ~up, mid, a)
-            live &= b - a > EPS_INV_BISECT * np.maximum(1.0, b)
-            if not np.any(live):
-                break
-        return b
 
     # -- convex conjugate
 
@@ -405,29 +387,47 @@ def _one_row(table: PowerTable, t):
 
 
 def _last_t_where(fits: Callable[[np.ndarray], np.ndarray], n: int,
-                  tol: float) -> np.ndarray:
-    """Per row i of n, ``sup{t >= 0 : fits(t)[i]}`` for a predicate on (n,)
-    levels that holds on an initial interval of [0, inf): doubling from
-    t = 1, then bisection until ``hi - lo <= tol * max(1, lo)``, all rows
-    in step.  0 where fits(0) fails, inf where fits still holds past 1e300."""
-    lo, hi = np.zeros(n), np.ones(n)
-    out = np.where(fits(lo), np.nan, 0.0)
-    grow = np.isnan(out)
+                  tol: float, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i of n, the final bracket ``(lo, hi)`` of ``sup{t >= 0 :
+    fits(t)[i]}`` for a predicate on (n,) levels that holds on an initial
+    interval of [0, inf): fits(lo) holds, fits(hi) fails and ``hi - lo <=
+    tol * lo``, all rows in step.
+
+    The search is scale-free: it doubles or halves from t = 1 to a bracket,
+    then bisects.  It asks fits at no level below ``floor`` (in [0, 1)),
+    the cut-off below which the answer counts as 0.  Rows where
+    fits(floor) fails get ``(0, floor)``; rows whose sup lies below
+    1e-300 get ``(0, hi)``; rows where fits still holds past 1e300 get
+    ``(inf, inf)``.  fits is always given all n rows; rows the search is
+    not asking about get the level 1."""
+    def holds(t, rows):
+        return rows & fits(np.where(rows, t, 1.0)) if rows.any() else rows
+
+    up = fits(np.ones(n))
+    lo, hi = np.where(up, 1.0, float(floor)), np.where(up, 2.0, 1.0)
+    far, grow, shrink = np.zeros(n, dtype=bool), up, ~up
     while np.any(grow):
-        grow &= fits(hi)
+        grow = holds(hi, grow)
         lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
-        out[grow & (hi > 1e300)] = INF
-        grow &= hi <= 1e300
-    todo = np.isnan(out)
+        far |= grow & (hi > 1e300)
+        grow &= ~far
+    while np.any(shrink):
+        shrink &= 0.5 * hi > max(floor, 1e-300)
+        ok = holds(0.5 * hi, shrink)
+        lo, hi = np.where(ok, 0.5 * hi, lo), np.where(shrink & ~ok, 0.5 * hi, hi)
+        shrink &= ~ok
+    low = ~up & (lo == floor)  # halved down to the floor: fits(floor) decides
+    fail = low & ~holds(np.full(n, float(floor)), low)
+    lo, hi = np.where(fail, 0.0, lo), np.where(fail, float(floor), hi)
+    todo = (lo > 0) & ~far
     while True:
-        todo &= hi - lo > tol * np.maximum(1.0, lo)
+        todo &= hi - lo > tol * lo
         if not np.any(todo):
             break
         mid = 0.5 * (lo + hi)
-        ok = fits(mid)
-        lo = np.where(todo & ok, mid, lo)
-        hi = np.where(todo & ~ok, mid, hi)
-    return np.where(np.isnan(out), lo, out)
+        ok = holds(mid, todo)
+        lo, hi = np.where(ok, mid, lo), np.where(todo & ~ok, mid, hi)
+    return np.where(far, INF, lo), np.where(far, INF, hi)
 
 
 @dataclass(frozen=True)
@@ -682,7 +682,14 @@ def field_from_dict(d: dict) -> Callable:
 
 
 def _norms(X) -> np.ndarray:
-    return np.linalg.norm(np.atleast_2d(np.asarray(X, dtype=float)), axis=-1)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(X, axis=-1)
+        big = np.isinf(out) & np.all(np.isfinite(X), axis=-1)
+        if np.any(big):  # the squares overflowed: scale by the largest coordinate
+            top = np.max(np.abs(X[big]), axis=-1)
+            out[big] = top * np.linalg.norm(X[big] / top[:, None], axis=-1)
+    return out
 
 
 def _lead_shape(X):

@@ -36,7 +36,8 @@ from .conditions import (
 
 INF = math.inf
 
-#: Absolute bisection tolerance for threshold searches.
+#: Relative tolerance of the threshold search: t1 is found to within this
+#: factor of itself, at every scale.
 T1_TOL = 1e-8
 
 #: Relative tolerance between successive shells before a tail asymptote is
@@ -136,7 +137,7 @@ def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve,
 
     def last_at_most_one(table):
         return _last_t_where(lambda t: table.value(t[:, None])[:, 0] <= 1.0,
-                             len(table.tail), T1_TOL)
+                             len(table.tail), T1_TOL)[0]
 
     sup = float(np.min(last_at_most_one(phi.table(X)),
                        initial=last_at_most_one(phi_inf.table)[0]))

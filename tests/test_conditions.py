@@ -9,6 +9,7 @@ from orliczkit import (
     PhiFunction,
     SampleSpec,
     WeightFunction,
+    cap_curve,
     check_a0,
     check_a1,
     check_a2,
@@ -164,6 +165,22 @@ def test_a2_families(families):
                     WeightFunction.zero(), beta=0.5).holds
     assert check_a2(families["example_3_5"], power_curve(2.0),
                     WeightFunction.recip_power(4.0, 2), beta=1.0).holds
+
+
+def test_a2_tolerance_is_relative_to_each_value():
+    # (0.7 t)^4 and 0.7^4 t^4 differ by rounding only, 0.5 near 2.4e15:
+    # a tolerance that does not grow with the values calls that a failure
+    beta = 0.7
+    assert check_a2(make_family("orlicz", {"p": 4}), power_curve(4.0, coef=beta ** 4),
+                    WeightFunction.zero(), beta=beta, s=1e30).holds
+
+
+def test_a2_against_infinite_tails():
+    # past both tails phi and the asymptote are +inf: those samples lie
+    # outside both level sets and must not make inf - inf
+    capped = cap_curve(power_curve(2.0), 3.0)
+    assert check_a2(from_curve(capped), capped, WeightFunction.zero(),
+                    beta=1.0, s=100.0).holds
 
 
 def test_a2_detects_failure(families):

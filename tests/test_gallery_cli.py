@@ -365,6 +365,19 @@ def test_binary_grid_fuzz_never_exits_3(tmp_path_factory, dim, phi, axes,
     assert code == 0 or err.startswith("error: --binary: ")
 
 
+def test_norm_near_the_float_limit_is_quiet(tmp_path, capsys):
+    # example_3_4's seam reads |x|: squaring coordinates near 1e300 must not
+    # overflow, and neither may the cell volume
+    path = tmp_path / "grid.bin"
+    GridFunction(((-1e300, 1e300),) * 2,
+                 np.linspace(0.0, 1.0, 16).reshape(4, 4)).to_binary(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norm", "--phi", json.dumps({"kind": "example_3_4", "params": {}}),
+                     "--binary", str(path)])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # Malformed input: exit 2 with a pointer to the bad flag or field, never 3
 

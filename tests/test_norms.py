@@ -232,8 +232,9 @@ def test_ball_norm_rejects_large_balls():
 def test_conjugate_function_square():
     conj = conjugate_function(square(1))
     assert conj.eval((0.0,), 2.0) == pytest.approx(1.0, abs=1e-8)
-    # (phi*)^{-1}(tau) = 2 sqrt(tau) for phi = t^2
-    assert conj.inverse((0.0,), 1.0) == pytest.approx(2.0, rel=1e-9)
+    # (phi*)^{-1}(tau) = 2 sqrt(tau) for phi = t^2, at every scale
+    for tau in (1.0, 1e-20, 1e-30):
+        assert conj.inverse((0.0,), tau) == pytest.approx(2.0 * math.sqrt(tau), rel=1e-9, abs=0.0)
     # (c t^p)* (s) = (p-1) p^(-p/(p-1)) c^(-1/(p-1)) s^(p/(p-1))
     for p, c in ((2.0, 3.0), (1.5, 0.5), (3.0, 2.0)):
         conj = conjugate_function(from_curve(power_curve(p, coef=c)))

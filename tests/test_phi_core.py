@@ -22,6 +22,7 @@ from orliczkit import (
     region_from_dict,
     small_value_threshold,
 )
+from orliczkit.phi_core import _last_t_where
 
 INF = math.inf
 
@@ -351,13 +352,36 @@ def test_curve_roundtrip():
 # Properties
 
 
-@given(st.floats(1.0, 4.0), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
-def test_inverse_identity_property(p, tau, t):
-    c = power_curve(p)
+@given(st.floats(1.0, 4.0), st.floats(-30.0, 3.0), st.floats(1e-3, 1e3),
+       st.sampled_from(["power", "two_powers", "linear_tail"]))
+def test_inverse_identity_property(p, log_tau, t, name):
+    c = {"power": power_curve(p),
+         "two_powers": PhiCurve((0.0,), ((PowerTerm(1.0, 1.5), PowerTerm(1.0, 3.0)),)),
+         **_multi_piece_curves(p)}[name]
+    tau = 10.0 ** log_tau
     # phi(phi^{-1}(tau)) = tau and phi^{-1}(phi(t)) = t for strictly
-    # increasing continuous curves
+    # increasing continuous curves, at every scale: the multi-term pieces
+    # are inverted by a search whose tolerance is relative
     assert abs(c.value(c.inverse(tau)) - tau) <= 1e-9 * tau
     assert abs(c.inverse(c.value(t)) - t) <= 1e-9 * t
+
+
+def test_level_search_brackets_at_every_scale():
+    # fits(lo) holds and fits(hi) fails, with hi - lo <= tol * lo, from
+    # 1e-200 to 1e200
+    roots = np.array([1e-200, 1e-30, 0.3, 1.0, 7e5, 1e200])
+    lo, hi = _last_t_where(lambda t: t < roots, len(roots), 1e-12)
+    assert np.all(lo < roots) and np.all(hi >= roots) and np.all(hi - lo <= 1e-12 * lo)
+    # 0 below 1e-300 (hi still fails) and where fits(0) fails; inf past 1e300
+    lo, hi = _last_t_where(lambda t: t < np.array([1e-305, 1e301, 0.0]), 3, 1e-12)
+    assert lo.tolist() == [0.0, INF, 0.0] and 1e-305 <= hi[0] <= 2e-300 and hi[2] == 0.0
+
+    def above_floor(t):  # a floor is a cut-off: nothing below it is asked
+        assert np.all(t >= 2.0 ** -40)
+        return t < 1e-20
+
+    lo, hi = _last_t_where(above_floor, 1, 1e-12, floor=2.0 ** -40)
+    assert (lo[0], hi[0]) == (0.0, 2.0 ** -40)
 
 
 def _multi_piece_curves(p: float) -> dict:
