@@ -27,6 +27,7 @@ from .phi_core import (
     PhiFunction,
     Region,
     _last_t_where,
+    _norms,
     from_curve,
 )
 
@@ -125,7 +126,7 @@ class WeightFunction:
                              f"for k = {k!r}") from None
         return WeightFunction(
             "recip_power",
-            lambda X: (np.linalg.norm(X, axis=-1) + c) ** (-k),
+            lambda X: (_norms(X) + c) ** (-k),
             l1_norm=l1, linf_norm=linf, params={"k": k, "c": c, "dim": dim})
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi_core import EPS_INV_BISECT, UNIT_BALL_VOLUME, PhiFunction, \
-    _as_point, _last_t_where
+    _as_point, _last_t_where, _norms
 
 INF = math.inf
 
@@ -106,7 +106,7 @@ class GridFunction:
         center = np.atleast_1d(np.asarray(center, float))
 
         def ind(X):
-            return (np.linalg.norm(X - center[None, :], axis=1) < radius).astype(float)
+            return (_norms(X - center[None, :]) < radius).astype(float)
 
         return GridFunction.from_callable(ind, box, resolution)
 
@@ -352,7 +352,7 @@ def annulus_test_function(phi: PhiFunction, level: float, r_in: float,
     """g(x) = (phi*)^{-1}(x, level) on the annulus r_in < |x| < r_out,
     zero elsewhere: the standard test function for norm lower bounds."""
     def func(X):
-        rad = np.linalg.norm(X, axis=1)
+        rad = _norms(X)
         on = (r_in < rad) & (rad < r_out)
         out = np.zeros(len(X))
         out[on] = _conjugate_inverse(phi, X[on], level)

@@ -633,7 +633,8 @@ def region_from_dict(d: dict) -> Region:
         dim = len(center)
 
         def ind(X):
-            return np.linalg.norm(X - center, axis=-1) <= radius
+            D = X - center
+            return _norms(D).reshape(D.shape[:-1]) <= radius
         meas = UNIT_BALL_VOLUME[dim] * radius ** dim
         return Region("ball", dim, ind, measure=meas,
                       params={"center": list(center), "radius": radius})

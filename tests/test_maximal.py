@@ -147,7 +147,10 @@ def test_operator_norm_skips_zero_functions():
 
 _ORACLE_GRIDS_1D = [((13,), ((0.0, 2.0),)), ((20,), ((-1.0, 1.5),))]
 _ORACLE_GRIDS = [((8, 8), ((-1.0, 1.0), (-1.0, 1.0))),
-                 ((9, 6), ((0.0, 2.0), (0.0, 3.0)))]
+                 ((9, 6), ((0.0, 2.0), (0.0, 3.0))),
+                 # too thin for the rectangle's table to fit the spare one
+                 ((1, 40), ((0.0, 0.1), (0.0, 4.0))),
+                 ((2, 40), ((0.0, 0.2), (0.0, 4.0)))]
 
 
 def _oracle_radii(f):
@@ -172,25 +175,32 @@ def _oracle_balls(f, r, stride):
         yield c, dist2 < r * r
 
 
+def _brute_force(f, radii, stride):
+    """Max over the radii and lattice centers of the ball averages, cell by
+    cell, checking each ball's cell count against the kernel's closed
+    form."""
+    values = f.values
+    lattice = tuple(-(-n // stride) for n in values.shape)
+    g = values.reshape(values.shape[0], -1).shape  # a 1D grid is a column
+    expected = values.copy()
+    for r in radii:
+        count = _mx._ball_counts(_mx._runs(r, f.cell_sizes, g), g,
+                                 stride).reshape(lattice)
+        for c, ball in _oracle_balls(f, r, stride):
+            assert count[tuple(np.array(c) // stride)] == ball.sum()
+            expected[ball] = np.maximum(expected[ball], values[ball].mean())
+    return expected
+
+
 def _check_brute_force(shape, box, stride):
     """Random input to 1e-12 relative; integer-valued input, whose ball
     sums are exact, bit for bit."""
     rng = np.random.default_rng(7)
-    lattice = tuple(-(-n // stride) for n in shape)
-    grid = (shape[0], -1)  # the kernel sees a 1D grid as one column
     for values, exact in ((rng.random(shape), False),
                           (rng.integers(0, 5, shape).astype(float), True)):
         f = GridFunction(box, values)
         radii = _oracle_radii(f)
-        expected = values.copy()
-        for r in radii:
-            g = values.reshape(grid).shape
-            count = _mx._ball_counts(_mx._runs(r, f.cell_sizes, g), g,
-                                     stride).reshape(lattice)
-            for c, ball in _oracle_balls(f, r, stride):
-                assert count[tuple(np.array(c) // stride)] == ball.sum()
-                expected[ball] = np.maximum(expected[ball],
-                                            values[ball].mean())
+        expected = _brute_force(f, radii, stride)
         got = maximal(f, MaximalConfig(tuple(radii), center_stride=stride))
         if exact:
             np.testing.assert_array_equal(got.values, expected)
@@ -209,6 +219,41 @@ def test_1d_matches_brute_force(shape, box, stride):
 @pytest.mark.parametrize("shape,box", _ORACLE_GRIDS)
 def test_2d_matches_brute_force(shape, box, stride):
     _check_brute_force(shape, box, stride)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_both_dilation_paths_match_brute_force(stride, monkeypatch):
+    """On a grid this size some runs dilate along their rows and some
+    along their rectangle; either way the result is the oracle's."""
+    rect, runs = [], []
+    for name, seen in (("_rect", rect), ("_dilate", runs)):
+        fn = getattr(_mx, name)
+        monkeypatch.setattr(_mx, name, lambda *args, fn=fn, seen=seen:
+                            seen.append(args[-1]) or fn(*args))
+    monkeypatch.setattr(_mx, "_MEMO", type(_mx._MEMO)())
+    _check_brute_force((33, 40), ((0.0, 3.3), (0.0, 4.0)), stride)
+    assert 0 < len(rect) < sum(len(footprint) for footprint in runs)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_ball_sums_beside_a_spike(stride):
+    """Each ball sum rounds relative to that ball: beside a cell 1e15
+    times the rest, every average matches the oracle to 1e-13 relative
+    (differences of plain prefix sums round relative to the spike and are
+    off by up to 1.7e-2 here).  Integer input up to 2**40, coarse enough
+    that the exact split keeps a low part, stays bit for bit."""
+    box = ((0.0, 64.0), (0.0, 64.0))
+    cfg = MaximalConfig((1.5, 2.5), center_stride=stride)
+    spike = np.full((64, 64), 1e-3)
+    spike[20, 33] = 1e12
+    f = GridFunction(box, spike)
+    np.testing.assert_allclose(maximal(f, cfg).values,
+                               _brute_force(f, cfg.radius_set, stride),
+                               rtol=1e-13, atol=0)
+    big = np.random.default_rng(11).integers(0, 2 ** 40, (64, 64))
+    f = GridFunction(box, big.astype(float))
+    np.testing.assert_array_equal(maximal(f, cfg).values,
+                                  _brute_force(f, cfg.radius_set, stride))
 
 
 def test_repeated_footprints_are_skipped(monkeypatch):

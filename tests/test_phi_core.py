@@ -189,6 +189,18 @@ def test_double_phase_formula():
         make_family("double_phase", {"p": 3.0, "q": 2.0}, None)
 
 
+def test_ball_weight_far_out_is_quiet():
+    """A ball-indicator weight measures distance without squaring
+    overflow: at (1e300, 1e300) it reads 0 with no RuntimeWarning (an
+    error under the test suite's warning filter)."""
+    ball = {"region": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    phi = make_family("double_phase", {"dim": 2, "p": 2, "q": 3,
+                                       "a": {"field": "indicator",
+                                             "of": ball}})
+    assert phi.eval((1e300, 1e300), 2.0) == 4.0
+    assert phi.eval((0.5, 0.0), 2.0) == 12.0
+
+
 def test_vdp_formula():
     phi = make_family("vdp", {"p": {"field": "const", "value": 1.5},
                               "q": {"field": "const", "value": 2.5},
