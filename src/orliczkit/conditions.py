@@ -38,6 +38,10 @@ INF = math.inf
 #: ~100; the deliberately failing ones blow past 1e3.
 DEFAULT_MAX_CONSTANT = 1e3
 
+#: Slack of every sampled inequality, and the relative accuracy of every
+#: beta that a level search returns.
+CHECK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -210,27 +214,28 @@ def _as_phi(phi) -> PhiFunction:
 
 
 def check_ainc(phi, p: float, A: np.ndarray | None = None,
-               T: tuple = (0.0, INF), spec: SampleSpec | None = None,
-               max_constant: float = DEFAULT_MAX_CONSTANT) -> ConditionReport:
+               T: tuple = (0.0, INF),
+               spec: SampleSpec | None = None) -> ConditionReport:
     """Is t -> phi(x, t) / t^p almost increasing on A x T, and with what
-    constant?
+    constant?  It holds when that constant is at most
+    ``DEFAULT_MAX_CONSTANT``.
 
     The sampled constant is the supremum of ratio(t)/ratio(s) over grid
     pairs t < s, sharpened by one local refinement round around the worst
     witness.  Divergence of the ratio at the open ends of T is detected
     analytically from the piece exponents.
     """
-    return _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing=True)
+    return _check_almost_monotone(phi, p, A, T, spec, increasing=True)
 
 
 def check_adec(phi, q: float, A: np.ndarray | None = None,
-               T: tuple = (0.0, INF), spec: SampleSpec | None = None,
-               max_constant: float = DEFAULT_MAX_CONSTANT) -> ConditionReport:
+               T: tuple = (0.0, INF),
+               spec: SampleSpec | None = None) -> ConditionReport:
     """Mirror of :func:`check_ainc`: t -> phi(x, t) / t^q almost decreasing."""
-    return _check_almost_monotone(phi, q, A, T, spec, max_constant, increasing=False)
+    return _check_almost_monotone(phi, q, A, T, spec, increasing=False)
 
 
-def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
+def _check_almost_monotone(phi, p, A, T, spec, increasing):
     phi = _as_phi(phi)
     spec = spec or SampleSpec()
     lo, hi = float(T[0]), float(T[1])
@@ -257,12 +262,13 @@ def _check_almost_monotone(phi, p, A, T, spec, max_constant, increasing):
         witness = _sampled_sup(table.rows(hit), X[hit], grid, p, increasing)[1]
 
     diverges = bool(flags)
-    holds = (not diverges) and math.isfinite(a_star) and a_star <= max_constant
+    holds = (not diverges and math.isfinite(a_star)
+             and a_star <= DEFAULT_MAX_CONSTANT)
     name = f"aInc_{p:g}" if increasing else f"aDec_{p:g}"
     constants = {("p" if increasing else "q"): p,
                  ("a" if increasing else "L"): (INF if diverges else a_star),
                  "sampled_sup": a_star,
-                 "max_constant": max_constant}
+                 "max_constant": DEFAULT_MAX_CONSTANT}
     return ConditionReport(
         condition=name, holds=holds, constants=constants,
         sample_spec={**spec.describe(), "T": [lo, _jsonable(hi)], "n_x": len(X)},
@@ -321,22 +327,22 @@ def _refine_witness(phi, grid, p, increasing, a_star, witness):
 # Normalization at level 1 (the (A0)-type condition)
 
 
-def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
-             x_samples: np.ndarray | None = None) -> ConditionReport:
+def check_a0(phi: PhiFunction,
+             spec: SampleSpec | None = None) -> ConditionReport:
     """Largest beta in [2^-40, 1] with phi(x, beta) <= 1 <= phi(x, 1/beta)
     at all sampled x, to 1e-9 relative by the one level search; the
     condition fails, with beta 0, where even 2^-40 does not work."""
     spec = spec or SampleSpec()
-    X = np.atleast_2d(x_samples) if x_samples is not None else default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain, spec)
     table = phi.table(X)
-    tol = 1e-9
 
     def ok(beta: float) -> bool:
         lowv = table.value(np.array([[beta]]))[:, 0]
         highv = table.value(np.array([[1.0 / beta]]))[:, 0]
-        return bool(np.all(lowv <= 1.0 + tol) and np.all(highv >= 1.0 - tol))
+        return bool(np.all(lowv <= 1.0 + CHECK_TOL)
+                    and np.all(highv >= 1.0 - CHECK_TOL))
 
-    beta = _largest_beta(ok, tol)
+    beta = _largest_beta(ok)
     holds = beta > 0.0
     return ConditionReport(
         condition="A0", holds=holds,
@@ -345,13 +351,13 @@ def check_a0(phi: PhiFunction, spec: SampleSpec | None = None,
         worst_witness=None if holds else {"x": [float(v) for v in X[0]]})
 
 
-def _largest_beta(ok: Callable[[float], bool], tol: float) -> float:
-    """The largest beta in [2^-40, 1] with ok(beta), to ``tol`` relative
-    and from below, for a test that holds on an initial interval; 0 where
-    ok(2^-40) fails."""
+def _largest_beta(ok: Callable[[float], bool]) -> float:
+    """The largest beta in [2^-40, 1] with ok(beta), to ``CHECK_TOL``
+    relative and from below, for a test that holds on an initial interval;
+    0 where ok(2^-40) fails."""
     if ok(1.0):  # the cap: the search alone would go on above 1
         return 1.0
-    lo = _last_t_where(lambda b: np.array([ok(float(b[0]))]), 1, tol,
+    lo = _last_t_where(lambda b: np.array([ok(float(b[0]))]), 1, CHECK_TOL,
                        floor=2.0 ** -40)[0]
     return float(lo[0])
 
@@ -361,12 +367,12 @@ def _largest_beta(ok: Callable[[float], bool], tol: float) -> float:
 
 
 def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
-             n_balls: int = 40, pairs_per_ball: int = 6,
-             t_per_pair: int = 10) -> ConditionReport:
+             n_balls: int = 40) -> ConditionReport:
     """Largest beta in [2^-40, 1] with phi(x, beta*t) <= phi(y, t) over
-    sampled balls B with |B| <= 1, point pairs x, y in B, and levels with
-    phi(y, t) in [1, 1/|B|], to 1e-9 relative by the one level search
-    (beta 0 where even 2^-40 does not work); it holds when beta > 1e-6.
+    ``n_balls`` sampled balls B with |B| <= 1, up to six point pairs x, y
+    in each B, and ten levels per pair with phi(y, t) in [1, 1/|B|], to
+    1e-9 relative by the one level search (beta 0 where even 2^-40 does
+    not work); it holds when beta > 1e-6.
 
     A run that keeps no pair is flagged ``vacuous`` and does not hold:
     no sampled evidence supports the condition."""
@@ -386,7 +392,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
         vol = omega * radius ** dim
         pts = []
         tries = 0
-        while len(pts) < 2 * pairs_per_ball and tries < 200:
+        while len(pts) < 12 and tries < 200:  # six pairs
             cand = center + rng.uniform(-radius, radius, dim)
             tries += 1
             if np.linalg.norm(cand - center) <= radius and phi.domain.contains(tuple(cand)):
@@ -401,7 +407,7 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
     t_lo, t_hi = table.inverse(1.0), table.inverse(1.0 / vols)
     good = (t_lo > 0) & np.isfinite(t_hi) & (t_hi >= t_lo)
     levels = np.geomspace(np.maximum(t_lo[good], 1e-12),
-                          np.maximum(t_hi[good], t_lo[good]), t_per_pair, axis=1)
+                          np.maximum(t_hi[good], t_lo[good]), 10, axis=1)
     vals = table.rows(good).value(levels)
     keep = (1.0 - 1e-9 <= vals) & (vals <= 1.0 / vols[good][:, None] + 1e-9)
     pair = np.nonzero(keep)[0]
@@ -411,14 +417,13 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
             condition="A1prime", holds=False, constants={"beta": 1.0},
             sample_spec={**spec.describe(), "n_samples": 0},
             flags=("vacuous",))
-    tol = 1e-9
     at_x = phi.evaluator(X)
 
     def ok(beta: float) -> bool:
         lhs = at_x(beta * Tv)
-        return bool(np.all(lhs <= R * (1.0 + tol) + tol))
+        return bool(np.all(lhs <= R * (1.0 + CHECK_TOL) + CHECK_TOL))
 
-    beta = _largest_beta(ok, tol)
+    beta = _largest_beta(ok)
     holds = beta > 1e-6
     lhs = at_x(beta * Tv) if beta > 0 else np.zeros_like(R)
     k = int(np.argmax(lhs - R))
@@ -435,8 +440,8 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
 
 
 def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
-             beta: float, s: float = 1.0, spec: SampleSpec | None = None,
-             x_samples: np.ndarray | None = None) -> ConditionReport:
+             beta: float, s: float = 1.0,
+             spec: SampleSpec | None = None) -> ConditionReport:
     """Verify phi(x, beta*t) <= phi_inf(t) + h(x) on {phi_inf(t) <= s} and
     phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s}, each sample
     to within 1e-9 times one plus its right-hand side."""
@@ -445,7 +450,7 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     if s <= 0:
         raise ValueError("s must be positive")
     spec = spec or SampleSpec()
-    X = np.atleast_2d(x_samples) if x_samples is not None else default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain, spec)
     grid = spec.t_grid()
     hv = h.many(X)
     inf_t = phi_inf.value(grid)
@@ -454,14 +459,13 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     phiv = table.value(grid[None, :])
     phib = table.value(beta * grid[None, :])
 
-    tol = 1e-9
     worst = {"margin": -INF}
     holds = True
     # direction 1: phi(x, beta t) <= phi_inf(t) + h(x) where phi_inf(t) <= s
-    mask1 = inf_t <= s + tol
+    mask1 = inf_t <= s + CHECK_TOL
     rhs1 = inf_t[None, :] + hv[:, None]
     # direction 2: phi_inf(beta t) <= phi(x, t) + h(x) where phi(x, t) <= s
-    mask2 = phiv <= s + tol
+    mask2 = phiv <= s + CHECK_TOL
     rhs2 = phiv + hv[:, None]
     with np.errstate(invalid="ignore"):  # inf - inf only where masked out
         m1 = np.where(mask1[None, :], phib - rhs1, -INF)
@@ -469,7 +473,7 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     for m, rhs, direction in ((m1, rhs1, "phi_vs_asymptote"),
                               (m2, rhs2, "asymptote_vs_phi")):
         # every sample against the size of its own right-hand side
-        if np.any(m > tol * (1.0 + np.abs(rhs))):
+        if np.any(m > CHECK_TOL * (1.0 + np.abs(rhs))):
             holds = False
         ix, it = np.unravel_index(int(np.argmax(m)), m.shape)
         margin = float(m[ix, it])
@@ -488,19 +492,17 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
 # Equivalence and weak equivalence
 
 
-def check_equivalence(phi, psi, L: float, spec: SampleSpec | None = None,
-                      A: np.ndarray | None = None,
-                      search_least: bool = True) -> ConditionReport:
+def check_equivalence(phi, psi, L: float,
+                      spec: SampleSpec | None = None) -> ConditionReport:
     """Verify psi(x, t/L) <= phi(x, t) <= psi(x, L t) at all samples, and
-    optionally search the least passing L on a dyadic ladder."""
+    search the least passing L on the ladder 2^(k/4), k = 0 .. 160."""
     phi = _as_phi(phi)
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
-    X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain, spec)
     grid = spec.t_grid()[None, :]
     phiv = phi.table(X).value(grid)
     psi_table = psi.table(X)
-    tol = 1e-9
 
     def passes(Lv: float):
         lo_ = psi_table.value(grid / Lv)
@@ -508,36 +510,30 @@ def check_equivalence(phi, psi, L: float, spec: SampleSpec | None = None,
         bad = np.maximum(lo_ - phiv, phiv - hi_)
         ix, it = np.unravel_index(int(np.argmax(bad)), bad.shape)
         margin = float(bad[ix, it])
-        return margin <= tol * (1.0 + abs(phiv[ix, it])), margin, (ix, it)
+        ok = margin <= CHECK_TOL * (1.0 + abs(phiv[ix, it]))
+        return ok, margin, (ix, it)
 
     ok, margin, (ix, it) = passes(L)
-    least = None
-    if search_least:
-        for k in range(161):
-            Lk = 2.0 ** (k / 4.0)
-            if passes(Lk)[0]:
-                least = Lk
-                break
+    least = next((Lk for Lk in (2.0 ** (k / 4.0) for k in range(161))
+                  if passes(Lk)[0]), INF)
     return ConditionReport(
         condition="Equiv", holds=ok,
-        constants={"L": L, "least_L": least if least is not None else INF},
+        constants={"L": L, "least_L": least},
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
                        "margin": margin})
 
 
 def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
-                           spec: SampleSpec | None = None,
-                           A: np.ndarray | None = None) -> ConditionReport:
+                           spec: SampleSpec | None = None) -> ConditionReport:
     """Verify psi(x, t) <= phi(x, L t) + h(x) and phi(x, t) <= psi(x, L t)
     + h(x) at all samples."""
     phi = _as_phi(phi)
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
-    X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain, spec)
     grid = spec.t_grid()[None, :]
     hv = h.many(X)[:, None]
-    tol = 1e-9
     phi_table, psi_table = phi.table(X), psi.table(X)
     phiv = phi_table.value(grid)
     d1 = psi_table.value(grid) - (phi_table.value(grid * L) + hv)
@@ -547,7 +543,8 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
     ix, it = np.unravel_index(int(np.argmax(bad)), bad.shape)
     margin = float(bad[ix, it])
     ref = float(phiv[ix, it])
-    holds = margin <= tol * (1.0 + (ref if math.isfinite(ref) else 1.0))
+    holds = margin <= CHECK_TOL * (1.0 + (ref if math.isfinite(ref)
+                                          else 1.0))
     return ConditionReport(
         condition="WeakEquiv", holds=holds,
         constants={"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},

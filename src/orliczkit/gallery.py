@@ -292,6 +292,20 @@ def _positive(v):
     return v
 
 
+def _boolean(v):
+    """A JSON boolean."""
+    if type(v) is not bool:
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _string(v):
+    """A JSON string."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
 def _seed(v):
     """A JSON integer >= 0, as numpy's generators take."""
     if type(v) is not int or v < 0:
@@ -375,7 +389,7 @@ def _run_check(phi, chk: dict, pointer: str):
                             spec)
         if cond in ("equivalence", "weak_equivalence"):
             other, _ = _build_phi(field("other"), f"{pointer}/other")
-            L = field("L", float, 1.0)
+            L = field("L", lambda v: float(_positive(v)), 1.0)
             if cond == "equivalence":
                 return check_equivalence(phi, other, L, spec)
             return check_weak_equivalence(
@@ -453,10 +467,12 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
               "transforms": transform_records, "checks": [],
               "experiments": [], "seed": seed}
     for i, chk in enumerate(_field(spec, "", "checks", _list, [])):
-        rep = _run_check(phi, chk, f"/checks/{i}")
+        ptr = f"/checks/{i}"
+        expected = _field(chk, ptr, "expect", _boolean, True)
+        label = _field(chk, ptr, "label", _string, chk.get("condition"))
+        rep = _run_check(phi, chk, ptr)
         bundle["checks"].append(
-            _claim(chk.get("label", chk["condition"]), rep.holds, rep,
-                   expected=bool(chk.get("expect", True))))
+            _claim(label, rep.holds, rep, expected=expected))
     for i, exp in enumerate(_field(spec, "", "experiments", _list, [])):
         bundle["experiments"].append(
             _run_experiment(phi, exp, f"/experiments/{i}", resolution, seed))

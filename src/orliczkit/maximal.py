@@ -37,13 +37,10 @@ grayscale dilation by the same runs that reads only the lattice centers.
 Its x-windows come from one doubling table per radius (Urbach &
 Wilkinson, IEEE TIP 2008): level k holds the max over 2**k rows, and a
 window is the max of two entries of one level.  Each run then maxes its
-window maxima into the output along each of its rows or, where that
-costs less, over the rectangle [-w, w] x [-d_hi, d_hi] read off a second
-doubling table along y; rows nearer the center belong to wider runs, so
-the rectangle stays inside the ball and the max is the same.  Every
-array keeps y first, so a shift along y moves one contiguous block: the
-tables store y by residue mod the stride, and the output is built as
-that many polyphase parts, interleaved once at the end.
+window maxima into the output along each of its rows.  Every array keeps
+y first, so a shift along y moves one contiguous block: the tables store
+y by residue mod the stride, and the output is built as that many
+polyphase parts, interleaved once at the end.
 
 The members of a family that share a grid and a config run through the
 kernel together, stacked on a first axis, up to ``_BATCH_CELLS`` cells a
@@ -87,8 +84,8 @@ class MaximalConfig:
         if not all(0 < a < b <= INF for a, b in zip(rs, rs[1:] + (INF,))):
             raise ValueError("radius_set must be increasing, positive "
                              "and finite")
-        if self.center_stride < 1:
-            raise ValueError("center_stride must be at least 1")
+        if not isinstance(self.center_stride, int) or self.center_stride < 1:
+            raise ValueError("center_stride must be an integer >= 1")
 
 
 def default_config(f: GridFunction) -> MaximalConfig:
@@ -249,64 +246,6 @@ def _row_spans(lengths: list, ncols: int, d_lo: int, d_hi: int) -> list:
     return spans
 
 
-def _rect_plan(lengths: list, ncols: int, d: int) -> tuple:
-    """The rectangle |dy| <= d read off a doubling table over the ncols
-    lattice columns: output column q of residue r takes the max of the
-    window of lattice columns q + a .. q + a + n - 1, those with m s within
-    d of q s + r.  Returns the (n, r, a) windows, shortest first, the -inf
-    columns the table needs before the lattice columns, and the cost in
-    row-path columns: filling the table, building its levels and two reads
-    per output column, each pass at about half a row's speed (measured)."""
-    s, wins = len(lengths), []
-    for r in range(s):
-        a = -((d - r) // s)
-        n = (r + d) // s - a + 1
-        if n > 0 and lengths[r]:
-            wins.append((n, r, a))
-    wins.sort()
-    left = max(0, -min(a for _, _, a in wins))
-    levels = wins[-1][0].bit_length() - 1
-    return wins, left, 2 * ((levels + 1) * (left + ncols) + 2 * sum(lengths))
-
-
-def _rect(outs: list, src: np.ndarray, scratch: np.ndarray,
-          plan: tuple) -> None:
-    """Max ``src`` into the polyphase outputs over the rectangle that
-    ``plan`` lays out, through a doubling table along the lattice columns
-    (-inf past the end, as in the x-table).  The table and its next level
-    live in ``scratch``, taking as many cells of src at a time as fit."""
-    wins, left, _ = plan
-    ncols = len(src)
-    size = left + ncols
-    cells = src.reshape(ncols, -1)
-    flat = [out.reshape(len(out), -1) for out in outs]
-    if scratch.size < 2 * size:  # a grid one or two cells wide
-        scratch = np.empty(2 * size * cells.shape[1])
-    step = scratch.size // (2 * size)
-    for i in range(0, cells.shape[1], step):
-        m = min(step, cells.shape[1] - i)
-        tab, spare = (scratch.reshape(-1)[h * m * size: (h + 1) * m * size]
-                      .reshape(size, m) for h in (0, 1))
-        tab[:left] = -INF
-        tab[left:] = cells[:, i: i + m]
-        level = 0
-        for n, r, a in wins:
-            k = n.bit_length() - 1
-            while level < k:
-                h = 1 << level
-                np.maximum(tab[:-h], tab[h:], out=spare[:-h])
-                spare[-h:] = tab[-h:]
-                tab, spare = spare, tab
-                level += 1
-            out = flat[r][:, i: i + m]
-            # a read past the table's end starts past the lattice: -inf
-            for c in {left + a, left + a + n - (1 << k)}:
-                cols = min(len(out), size - c)
-                if cols > 0:
-                    np.maximum(out[:cols], tab[c: c + cols],
-                               out=out[:cols])
-
-
 def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
             src: np.ndarray, runs: list) -> None:
     """Max of lattice values over the footprint ``runs``, into the
@@ -321,10 +260,7 @@ def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
     [i - w, i + w] of a run is the max of two level-floor(log2(2w + 1))
     entries, taken into ``src``.  Runs are visited narrowest first, so only
     one level is alive.  Each run maxes its window maxima into the outputs
-    along its rows or, where ``_rect_plan`` prices it cheaper, over the
-    rectangle [-w, w] x [-d_hi, d_hi] in the spare array: rows of
-    |dy| < d_lo belong to wider runs, so the rectangle stays in the
-    footprint and the max is the same."""
+    along its rows."""
     ncols, members, nx = src.shape
     pad = tab.shape[2] - nx
     lengths = [len(out) for out in outs]
@@ -342,14 +278,9 @@ def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
         right = pad + w + 1 - (1 << k)
         np.maximum(tab[..., pad - w: pad - w + nx],
                    tab[..., right: right + nx], out=src)
-        rows = _row_spans(lengths, ncols, d_lo, d_hi)
-        plan = _rect_plan(lengths, ncols, d_hi) if len(rows) > 1 else None
-        if plan and plan[2] < sum(m1 - m0 for *_, m0, m1 in rows):
-            _rect(outs, src, spare, plan)
-        else:
-            for r, q, m0, m1 in rows:
-                dst = outs[r][m0 + q: m1 + q]
-                np.maximum(dst, src[m0:m1], out=dst)
+        for r, q, m0, m1 in _row_spans(lengths, ncols, d_lo, d_hi):
+            dst = outs[r][m0 + q: m1 + q]
+            np.maximum(dst, src[m0:m1], out=dst)
 
 
 def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,

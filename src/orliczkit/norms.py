@@ -248,10 +248,10 @@ def luxemburg_norm(phi, f: GridFunction) -> float:
 
 
 def ball_norm_check(phi: PhiFunction, center, radius: float,
-                    resolution: int = 256, y_samples=None,
-                    box=None) -> dict:
+                    resolution: int = 256, box=None) -> dict:
     """Compare the norm of a ball indicator against 1/phi^{-1}(y, 1/|B|)
-    at sampled y in B; reports the empirical ratio range."""
+    at y the center and half a radius off it along each axis; reports the
+    empirical ratio range."""
     center = np.atleast_1d(np.asarray(center, float))
     dim = len(center)
     vol = UNIT_BALL_VOLUME[dim] * radius ** dim
@@ -261,9 +261,8 @@ def ball_norm_check(phi: PhiFunction, center, radius: float,
         box = tuple((c - 1.5 * radius, c + 1.5 * radius) for c in center)
     chi = GridFunction.indicator_ball(center, radius, box, resolution)
     norm = luxemburg_norm(phi, chi)
-    if y_samples is None:  # the center, and half a radius off it along each axis
-        y_samples = center + 0.5 * radius * np.vstack(
-            [np.zeros(dim), np.kron(np.eye(dim), [[-1.0], [1.0]])])
+    y_samples = center + 0.5 * radius * np.vstack(
+        [np.zeros(dim), np.kron(np.eye(dim), [[-1.0], [1.0]])])
     estimates = [1.0 / phi.inverse(tuple(y), 1.0 / vol) for y in y_samples]
     ratios = [norm / e for e in estimates]
     return {
@@ -327,9 +326,10 @@ def pairing(f: GridFunction, g: GridFunction) -> float:
 
 
 def duality_lower_bound(phi: PhiFunction, f: GridFunction,
-                        g: GridFunction, C: float = 2.0) -> dict:
-    """Check the pairing integral against C * ||f||; g must lie in the
-    unit ball of the conjugate norm."""
+                        g: GridFunction) -> dict:
+    """Check the pairing integral against 2 ||f||, the Hölder bound for
+    the Luxemburg norms; g must lie in the unit ball of the conjugate
+    norm."""
     conj = conjugate_function(phi)
     g_norm = luxemburg_norm(conj, g)
     if g_norm > 1.0 + 1e-6:
@@ -341,9 +341,9 @@ def duality_lower_bound(phi: PhiFunction, f: GridFunction,
         "pairing": pair,
         "norm_f": f_norm,
         "conj_norm_g": g_norm,
-        "bound_constant": C,
+        "bound_constant": 2.0,
         "observed_constant": observed,
-        "holds": pair <= C * f_norm + 1e-9,
+        "holds": pair <= 2.0 * f_norm + 1e-9,
     }
 
 

@@ -79,15 +79,15 @@ class AsymptotePair:
 # Raise small values to a power on a region
 
 
-def glue_small_values(psi1: PhiFunction, region: Region, p: float,
-                      spec: SampleSpec | None = None) -> PhiFunction:
+def glue_small_values(psi1: PhiFunction, region: Region,
+                      p: float) -> PhiFunction:
     """Return psi2 with psi2 = psi1**p on region x [0, 1] and psi2 = psi1
     elsewhere.
 
     Requires psi1(x, 1) = 1 on the region (the normalization that makes
     the two branches agree at t = 1), and each piece of psi1 below t = 1
     there to be a single unshifted power, so that the result stays
-    power-law.  Construction checks both at the sampled points of ``spec``;
+    power-law.  Construction checks both at the default sample lattice;
     evaluation checks them at every point it is asked for.
     """
     if p <= 1:
@@ -114,7 +114,7 @@ def glue_small_values(psi1: PhiFunction, region: Region, p: float,
                             np.where(low & ~live, INF, base.shift), base.tail)
         return raised.join(base, np.where(on, 1.0, 0.0))
 
-    form(default_x_samples(psi1.domain, spec or SampleSpec()))  # fail early
+    form(default_x_samples(psi1.domain))  # fail early
     return PhiFunction(
         "glued_small_values",
         {"base": psi1.to_dict(), "region": region.to_dict(), "p": p},
@@ -125,15 +125,11 @@ def glue_small_values(psi1: PhiFunction, region: Region, p: float,
 # Threshold below which both the function and its asymptote stay <= 1
 
 
-def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve,
-                          spec: SampleSpec | None = None,
-                          x_samples: np.ndarray | None = None) -> float:
+def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve) -> float:
     """t1 = half the largest t with max(phi_inf(t), phi(x, t)) <= 1 at every
-    sampled x.  The a.e.-sup is replaced by the min over sampled x, which
-    errs in the conservative (smaller t1) direction."""
-    spec = spec or SampleSpec()
-    X = (np.atleast_2d(x_samples) if x_samples is not None
-         else default_x_samples(phi.domain, spec))
+    x of the default sample lattice.  The a.e.-sup is replaced by the min
+    over sampled x, which errs in the conservative (smaller t1) direction."""
+    X = default_x_samples(phi.domain)
 
     def last_at_most_one(table):
         return _last_t_where(lambda t: table.value(t[:, None])[:, 0] <= 1.0,
@@ -270,11 +266,11 @@ class AsymptoteEstimate:
                 "converged": self.converged, "flags": list(self.flags)}
 
 
-def _shell_points(domain: Domain, radius: float, n: int) -> np.ndarray:
+def _shell_points(domain: Domain, radius: float) -> np.ndarray:
     if domain.dim == 1:
         pts = np.array([[-radius], [radius]])
     else:
-        ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         pts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
         axes = radius * np.array([[1.0, 0.0], [-1.0, 0.0],
                                   [0.0, 1.0], [0.0, -1.0]])
@@ -282,20 +278,17 @@ def _shell_points(domain: Domain, radius: float, n: int) -> np.ndarray:
     return pts[domain.contains_many(pts)]
 
 
-def tail_asymptotes(phi: PhiFunction, t_grid: np.ndarray | None = None,
-                    radius_sequence=(1e2, 1e3, 1e4),
-                    points_per_shell: int = 64,
-                    rel_tol: float = SHELL_TOL) -> AsymptoteEstimate:
+def tail_asymptotes(phi: PhiFunction,
+                    radius_sequence=(1e2, 1e3, 1e4)) -> AsymptoteEstimate:
     """Estimate limsup/liminf of phi(x, t) over |x| -> inf.
 
-    Evaluates phi on circles (or point pairs in 1D) of increasing radius,
-    takes the per-t max/min envelope on the outermost shell, and flags the
-    result inconclusive when the two outermost shells disagree by more
-    than ``rel_tol`` relatively.
+    Evaluates phi on the default sample spec's t grid on circles of 64
+    points plus the four axis points (or point pairs in 1D) of increasing
+    radius, takes the per-t max/min envelope on the outermost shell, and
+    flags the result inconclusive when the two outermost shells disagree
+    by more than ``SHELL_TOL`` relatively.
     """
-    if t_grid is None:
-        t_grid = SampleSpec().t_grid()
-    t_grid = np.asarray(t_grid, float)
+    t_grid = SampleSpec().t_grid()
     radii = sorted(float(r) for r in radius_sequence)
     if len(radii) < 2:
         raise ValueError("need at least two radii to judge convergence")
@@ -307,7 +300,7 @@ def tail_asymptotes(phi: PhiFunction, t_grid: np.ndarray | None = None,
     envelopes = {}
     shell_vals = {}
     for r in radii:
-        pts = _shell_points(phi.domain, r, points_per_shell)
+        pts = _shell_points(phi.domain, r)
         if len(pts) == 0:
             raise ConstructionError(f"no shell points of radius {r} lie in "
                                     "the domain")
@@ -319,9 +312,10 @@ def tail_asymptotes(phi: PhiFunction, t_grid: np.ndarray | None = None,
     up2, lo2 = envelopes[radii[-2]]
     up1, lo1 = envelopes[radii[-1]]
     scale = np.maximum(np.abs(up1), 1e-300)
-    converged = bool(np.all(np.abs(up1 - up2) <= rel_tol * scale)
-                     and np.all(np.abs(lo1 - lo2)
-                                <= rel_tol * np.maximum(np.abs(lo1), 1e-300)))
+    converged = bool(
+        np.all(np.abs(up1 - up2) <= SHELL_TOL * scale)
+        and np.all(np.abs(lo1 - lo2)
+                   <= SHELL_TOL * np.maximum(np.abs(lo1), 1e-300)))
     if not converged:
         flags.append("inconclusive")
 

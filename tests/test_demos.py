@@ -1,4 +1,5 @@
-"""The demos that take conjugates run clean as scripts."""
+"""The demos that take conjugates, and the maximal-operator demo, run
+clean as scripts."""
 
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_phi_functions.py", "04_norms.py"])
+@pytest.mark.parametrize("script", ["01_phi_functions.py", "04_norms.py",
+                                    "05_maximal.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

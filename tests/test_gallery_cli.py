@@ -144,6 +144,16 @@ def test_pipeline_expected_failure_flips_verdict():
     ({"phi": {"kind": "orlicz", "params": {"p": 2}},
       "experiments": [{"experiment": "maximal-divergence", "radii": [-1]}]},
      "/experiments/0/radii"),
+    # "fails" is truthy, so it once read as an expected pass
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "checks": [{"condition": "ainc", "p": 3, "expect": "fails"}]},
+     "/checks/0/expect"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "checks": [{"condition": "a0", "label": 3}]}, "/checks/0/label"),
+    *(({"phi": {"kind": "orlicz", "params": {"p": 2}},
+        "checks": [{"condition": "equivalence", "L": L,
+                    "other": {"kind": "orlicz", "params": {"p": 2}}}]},
+       "/checks/0/L") for L in (0, -1, "inf", True)),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     with pytest.raises(SpecError) as err:
@@ -418,6 +428,8 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  "/checks/0/h", id="pipeline-unknown-weight"),
     pytest.param(_check("--condition", "ainc", "--p", "2",
                         "--t-range", "0", "abc"), "/T", id="check-t-range"),
+    pytest.param(_check("--condition", "equivalence", "--other", _PHI,
+                        "--L", "0"), "/L", id="check-L-0"),
     pytest.param(["transform", "--op", "glue_small_values",
                   "--phi", json.dumps(_GLUE_BASE),
                   "--region", '{"region": "nope"}'], "--region",

@@ -38,6 +38,9 @@ def test_config_validation():
         MaximalConfig((1.0, 0.5))
     with pytest.raises(ValueError):
         MaximalConfig((1.0,), center_stride=0)
+    for bad in (2.0, 1.5):
+        with pytest.raises(ValueError):
+            MaximalConfig((1.0,), center_stride=bad)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             MaximalConfig((1.0, bad))
@@ -148,9 +151,10 @@ def test_operator_norm_skips_zero_functions():
 _ORACLE_GRIDS_1D = [((13,), ((0.0, 2.0),)), ((20,), ((-1.0, 1.5),))]
 _ORACLE_GRIDS = [((8, 8), ((-1.0, 1.0), (-1.0, 1.0))),
                  ((9, 6), ((0.0, 2.0), (0.0, 3.0))),
-                 # too thin for the rectangle's table to fit the spare one
+                 # as thin as grids get: every half-width crops to 0 or 1
                  ((1, 40), ((0.0, 0.1), (0.0, 4.0))),
-                 ((2, 40), ((0.0, 0.2), (0.0, 4.0)))]
+                 ((2, 40), ((0.0, 0.2), (0.0, 4.0))),
+                 ((33, 40), ((0.0, 3.3), (0.0, 4.0)))]
 
 
 def _oracle_radii(f):
@@ -219,20 +223,6 @@ def test_1d_matches_brute_force(shape, box, stride):
 @pytest.mark.parametrize("shape,box", _ORACLE_GRIDS)
 def test_2d_matches_brute_force(shape, box, stride):
     _check_brute_force(shape, box, stride)
-
-
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_both_dilation_paths_match_brute_force(stride, monkeypatch):
-    """On a grid this size some runs dilate along their rows and some
-    along their rectangle; either way the result is the oracle's."""
-    rect, runs = [], []
-    for name, seen in (("_rect", rect), ("_dilate", runs)):
-        fn = getattr(_mx, name)
-        monkeypatch.setattr(_mx, name, lambda *args, fn=fn, seen=seen:
-                            seen.append(args[-1]) or fn(*args))
-    monkeypatch.setattr(_mx, "_MEMO", type(_mx._MEMO)())
-    _check_brute_force((33, 40), ((0.0, 3.3), (0.0, 4.0)), stride)
-    assert 0 < len(rect) < sum(len(footprint) for footprint in runs)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
