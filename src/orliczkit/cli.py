@@ -113,8 +113,12 @@ def _cmd_check(args) -> int:
     chk = _given(condition=args.condition.replace("-", "_"), p=args.p,
                  q=args.q, L=args.L, pair=_json_flag(args.pair, "--pair"),
                  other=_json_flag(args.other, "--other"),
-                 h=_json_flag(args.h, "--h"), T=args.t_range,
-                 t_min=args.t_min, t_max=args.t_max, seed=args.seed)
+                 h=_json_flag(args.h, "--h"), t_min=args.t_min,
+                 t_max=args.t_max, seed=args.seed)
+    if args.t_range:
+        with _at("/T"):  # "inf" stands for the JSON spec's null
+            chk["T"] = [None if v == "inf" else float(v)
+                        for v in args.t_range]
     rep = _run_check(_phi(args.phi), chk, "")
     _emit(rep.to_dict(), args, f"check-{args.condition}")
     return 0 if rep.holds == (args.expect == "holds") else 1

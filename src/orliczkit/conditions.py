@@ -277,33 +277,35 @@ def _check_almost_monotone(phi, p, A, T, spec, increasing):
 
 def _sampled_sup(table, X, grid, p, increasing):
     """Largest sampled ratio(t)/ratio(s) and its witness, over the rows of
-    ``table``, phi's table at the points X."""
-    vals = table.value(grid[None, :])  # (N_x, N_t)
+    ``table``, phi's table at the points X; ties go to the first row and
+    then the first t."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = vals / grid[None, :] ** p
-    best = -INF
-    witness = None
-    for ix in range(len(X)):
-        row = r[ix]
-        if not increasing:
-            # L-almost decreasing: r(s) <= L r(t) for t < s
-            row = row[::-1]
-        # suffix minimum over the "later" argument
-        suff = np.minimum.accumulate(row[::-1])[::-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = row[:-1] / suff[1:]
-        k = int(np.nanargmax(ratios)) if len(ratios) else 0
-        if len(ratios) and ratios[k] > best:
-            best = float(ratios[k])
-            j = k + 1 + int(np.argmin(row[k + 1:]))
-            if increasing:
-                t_w, s_w = grid[k], grid[j]
-            else:
-                n = len(grid)
-                t_w, s_w = grid[n - 1 - j], grid[n - 1 - k]
-            witness = {"x": [float(v) for v in X[ix]],
-                       "t": float(t_w), "s": float(s_w), "ratio": best}
-    return best, witness
+        r = table.value(grid[None, :]) / grid[None, :] ** p  # (N_x, N_t)
+    if not increasing:
+        # L-almost decreasing: r(s) <= L r(t) for t < s
+        r = r[:, ::-1]
+    if r.shape[0] == 0 or r.shape[1] < 2:
+        return -INF, None
+    # suffix minima over the "later" argument; column k + 1 then takes the
+    # ratio of column k to them
+    suff = np.minimum.accumulate(r[:, ::-1], axis=1)[:, ::-1]
+    ratios = suff[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(r[:, :-1], ratios, out=ratios)
+    row_max = np.fmax.reduce(ratios, axis=1)  # nan only where all are nan
+    ix = int(np.argmax(np.where(np.isnan(row_max), -INF, row_max)))
+    if np.isnan(row_max[ix]):
+        return -INF, None
+    k = int(np.nanargmax(ratios[ix]))
+    j = k + 1 + int(np.argmin(r[ix, k + 1:]))
+    if increasing:
+        t_w, s_w = grid[k], grid[j]
+    else:
+        n = len(grid)
+        t_w, s_w = grid[n - 1 - j], grid[n - 1 - k]
+    best = float(row_max[ix])
+    return best, {"x": [float(v) for v in X[ix]],
+                  "t": float(t_w), "s": float(s_w), "ratio": best}
 
 
 def _refine_witness(phi, grid, p, increasing, a_star, witness):
@@ -409,7 +411,8 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
     levels = np.geomspace(np.maximum(t_lo[good], 1e-12),
                           np.maximum(t_hi[good], t_lo[good]), 10, axis=1)
     vals = table.rows(good).value(levels)
-    keep = (1.0 - 1e-9 <= vals) & (vals <= 1.0 / vols[good][:, None] + 1e-9)
+    keep = ((1.0 - CHECK_TOL <= vals)
+            & (vals <= 1.0 / vols[good][:, None] + CHECK_TOL))
     pair = np.nonzero(keep)[0]
     X, ys, Tv, R = xs[good][pair], ys[good][pair], levels[keep], vals[keep]
     if not len(X):

@@ -11,6 +11,7 @@ every observed outcome matches the claimed one.  Claims include expected
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from functools import partial
 
@@ -23,7 +24,8 @@ from .conditions import SampleSpec, WeightFunction, check_a0, check_a1, \
     check_a2, check_adec, check_ainc, check_equivalence, \
     check_weak_equivalence, default_x_samples, weight_from_dict
 from .norms import GridFunction, ball_norm_check, duality_lower_bound
-from .maximal import maximal, modular_growth, operator_norm_estimate
+from .maximal import _maximal_family, _modular_growth, _norm_ratios, \
+    operator_norm_estimate
 
 EXAMPLE_NAMES = ("ex3_2", "ex3_4", "ex3_5", "ex4_6", "dp_cor49")
 
@@ -115,8 +117,9 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
     fam = [GridFunction.indicator_ball(
         [0.0, 0.0], 1.0, ((-R, R), (-R, R)), int(resolution * R))
         for R in radii]
-    growth = modular_growth(phi, fam, radii=radii)
-    norm_rep = operator_norm_estimate(phi, fam, radii=radii)
+    maxes = _maximal_family(fam)
+    growth = _modular_growth(phi, maxes, radii)
+    norm_rep = _norm_ratios(phi, fam, maxes, radii)
     log_fit = (growth.get("r_squared", 0.0) >= 0.98
                and growth.get("slope_vs_log_radius", 0.0) > 0)
     claims.append(_claim("modular of Mf grows like log R (R^2 >= 0.98)",
@@ -126,9 +129,7 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
                          norm_rep["unbounded_evidence"], dict(norm_rep)))
     # pointwise asymptotics of M(chi_ball)
     R = 32.0
-    f = GridFunction.indicator_ball([0.0, 0.0], 1.0, ((-R, R), (-R, R)),
-                                    int(resolution * R))
-    Mf = maximal(f)
+    f, Mf = fam[radii.index(R)], maxes[radii.index(R)]
     pts = f.points()
     rad = np.linalg.norm(pts, axis=1)
     sel = (rad >= 2.0) & (rad <= R / 2.0)
@@ -285,6 +286,13 @@ def _list(v) -> list:
     return v
 
 
+def _finite(v):
+    """A finite JSON number, as given: reports echo it."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
+
+
 def _positive(v):
     """A finite JSON number > 0, as given: reports echo it."""
     if type(v) not in (int, float) or not 0 < v < math.inf:
@@ -322,8 +330,12 @@ def _name(v):
 
 
 def _t_range(T) -> tuple:
-    lo, hi = T
-    return float(lo), math.inf if hi is None else float(hi)
+    """``[lo, hi]`` with finite 0 <= lo < hi, hi null for inf."""
+    lo, hi = _list(T)
+    lo, hi = _finite(lo), math.inf if hi is None else _finite(hi)
+    if not 0 <= lo < hi:
+        raise ValueError(f"expected 0 <= lo < hi, got {T!r}")
+    return lo, hi
 
 
 def _build_phi(spec, pointer: str):
@@ -378,7 +390,7 @@ def _run_check(phi, chk: dict, pointer: str):
     with _at(pointer):
         if cond in ("ainc", "adec"):
             check = check_ainc if cond == "ainc" else check_adec
-            return check(phi, field("p" if cond == "ainc" else "q"),
+            return check(phi, field("p" if cond == "ainc" else "q", _finite),
                          A=field("A", lambda A: np.asarray(A, float), None),
                          T=field("T", _t_range, (0.0, math.inf)), spec=spec)
         if cond in ("a0", "a1"):
@@ -426,10 +438,10 @@ def _run_experiment(phi, exp: dict, pointer: str, resolution: float,
             fam = [GridFunction.indicator_ball(
                 center, r, tuple((-R, R) for _ in range(dim)),
                 int(resolution * R)) for R in radii]
+            maxes = _maximal_family(fam)
             return {"experiment": kind,
-                    "modular_growth": modular_growth(phi, fam, radii=radii),
-                    "operator_norm": operator_norm_estimate(phi, fam,
-                                                            radii=radii)}
+                    "modular_growth": _modular_growth(phi, maxes, radii),
+                    "operator_norm": _norm_ratios(phi, fam, maxes, radii)}
         if kind == "operator-norm":
             fam = _ball_family(field("truncation_radius", _positive, 16.0),
                                resolution)

@@ -45,16 +45,15 @@ polyphase parts, interleaved once at the end.
 The members of a family that share a grid and a config run through the
 kernel together, stacked on a first axis, up to ``_BATCH_CELLS`` cells a
 call; every step is elementwise per member, so each result is bit for
-bit the member's alone.  The last few results are memoized by input
-content, so a bundle that asks for the same maximal function twice
-evaluates it once.
+bit the member's alone.  Nothing is cached between calls: a bundle that
+needs one family's maximal functions in two reports computes them once
+and passes them to both.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,12 +358,6 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
     return outs
 
 
-#: Most recent maximal functions, keyed by input content and config.
-_MEMO: OrderedDict = OrderedDict()
-#: Enough for a divergence family of up to 8 radii evaluated twice (by
-#: ``modular_growth`` and ``operator_norm_estimate``); an entry on a 512²
-#: grid holds 4 MB.
-_MEMO_SIZE = 8
 #: Most grid cells, summed over members, that one kernel call evaluates,
 #: and most cells of ball-sum accumulators that it holds at once.  The
 #: kernel holds about seven arrays of that many floats, nine when the
@@ -377,46 +370,33 @@ _BATCH_CELLS = 2 ** 18
 def _maximal_family(family, cfg: MaximalConfig | None = None) -> list:
     """Discretized maximal functions of |f| for every f of ``family``.
 
-    Inputs seen lately (same box, values and config) are read from the
-    memo.  The others run through the kernel in batches of members that
-    share a grid and a config, each batch at most ``_BATCH_CELLS`` cells,
-    and are memoized; every result gets its own array."""
+    Members that share a grid and a config run through the kernel
+    together, in batches of at most ``_BATCH_CELLS`` cells."""
     family = list(family)
-    keys = []
-    for f in family:
-        v = np.abs(f.values)
-        keys.append((f.box, v.shape, v.tobytes(), cfg or default_config(f)))
-    done, todo = {}, {}
-    for f, key in zip(family, keys):
-        if key in _MEMO:
-            _MEMO.move_to_end(key)
-            done[key] = _MEMO[key]
-        else:  # members on one grid under one config share a batch
-            todo.setdefault(key[:2] + key[3:], {})[key] = f
-    for (_, shape, c), members in todo.items():
-        items = list(members.items())
+    groups = {}
+    for i, f in enumerate(family):
+        key = (f.box, f.resolution, cfg or default_config(f))
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(family)
+    for (box, shape, c), members in groups.items():
         size = max(1, _BATCH_CELLS // math.prod(shape))
-        for batch in (items[i: i + size] for i in range(0, len(items), size)):
-            vs = np.abs([f.values for _, f in batch])
-            out = _staircase_maximal(vs, batch[0][1].cell_sizes, c)
-            for (key, _), o, v in zip(batch, out, vs):
+        for batch in (members[i: i + size]
+                      for i in range(0, len(members), size)):
+            vs = np.abs([family[i].values for i in batch])
+            Ms = _staircase_maximal(vs, family[batch[0]].cell_sizes, c)
+            for i, M, v in zip(batch, Ms, vs):
                 # every cell sits in the smallest ball around its own
                 # center, so the pointwise bound Mf >= f survives striding
-                done[key] = _MEMO[key] = np.maximum(o, v)
-                if len(_MEMO) > _MEMO_SIZE:
-                    _MEMO.popitem(last=False)
-    return [GridFunction(key[0], done[key].copy()) for key in keys]
+                out[i] = GridFunction(box, np.maximum(M, v))
+    return out
 
 
 def maximal(f: GridFunction, cfg: MaximalConfig | None = None) -> GridFunction:
-    """Discretized maximal function of |f| on f's grid.
-
-    The last few results are kept: a repeated input (same box, values and
-    config) is evaluated once, and every call gets its own array."""
+    """Discretized maximal function of |f| on f's grid."""
     return _maximal_family([f], cfg)[0]
 
 
-def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:
+def operator_norm_estimate(phi, family, radii=None) -> dict:
     """Worst norm ratio ||Mf|| / ||f|| over a family of grid functions.
 
     When ``radii`` gives the truncation radius of each family member, the
@@ -424,17 +404,20 @@ def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:
     across at least three doublings, with a least-squares slope of ratio
     against log radius.
     """
+    family = list(family)
+    return _norm_ratios(phi, family, _maximal_family(family), radii)
+
+
+def _norm_ratios(phi, family, maxes, radii=None) -> dict:
+    """``operator_norm_estimate`` given the maximal functions ``maxes`` of
+    the ``family``; members of norm 0 or inf are left out."""
     ratios = []
     kept = []
-    family = list(family)
-    nonzero = [i for i, f in enumerate(family) if np.any(f.values > 0)]
-    maxes = _maximal_family([family[i] for i in nonzero], cfg)
-    for i, Mf in zip(nonzero, maxes):
-        nf = luxemburg_norm(phi, family[i])
-        nmf = luxemburg_norm(phi, Mf)
+    for i, (f, Mf) in enumerate(zip(family, maxes)):
+        nf = luxemburg_norm(phi, f)
         if nf == 0.0 or math.isinf(nf):
             continue
-        ratios.append(nmf / nf)
+        ratios.append(luxemburg_norm(phi, Mf) / nf)
         kept.append(i)
     report = {
         "ratios": ratios,
@@ -458,11 +441,16 @@ def operator_norm_estimate(phi, family, cfg=None, radii=None) -> dict:
     return report
 
 
-def modular_growth(phi, family, cfg=None, radii=None) -> dict:
+def modular_growth(phi, family, radii=None) -> dict:
     """Modular of Mf for each family member, with a log-radius fit: the
     divergence experiments check growth in the truncation radius, never a
     literal infinity."""
-    mods = [modular(phi, Mf) for Mf in _maximal_family(family, cfg)]
+    return _modular_growth(phi, _maximal_family(family), radii)
+
+
+def _modular_growth(phi, maxes, radii=None) -> dict:
+    """``modular_growth`` given the maximal functions ``maxes``."""
+    mods = [modular(phi, Mf) for Mf in maxes]
     report = {"modulars": mods}
     if radii is not None and len(mods) >= 2 and all(map(math.isfinite, mods)):
         logr = np.log(np.asarray(radii, float))

@@ -207,31 +207,28 @@ def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:
     return np.all((pts > np.asarray(dom.lower)) & (pts < np.asarray(dom.upper)), axis=1)
 
 
-#: The last grid ``modular`` bound phi to: (phi, box, shape, domain mask,
-#: evaluator of phi at the masked cell centers).  Holding phi keeps the
-#: ``is`` test sound.
-_BOUND = None
+def _bound_modular(phi, f: GridFunction):
+    """``u -> modular(phi, u f)``, with phi bound once to the cell centers
+    of f's grid that lie in its domain, so the steps of a norm search
+    share one table."""
+    pts = f.points()
+    mask = _domain_mask(phi, pts)
+    evaluate = phi.evaluator(pts[mask])
+    values = f.values.ravel()[mask]
+
+    def at(u: float) -> float:
+        out = evaluate(u * values)
+        if np.any(np.isinf(out)):
+            return INF
+        return float(np.sum(out) * f.cell_volume)  # numpy pairwise summation
+
+    return at
 
 
 def modular(phi, f: GridFunction) -> float:
     """Midpoint-rule integral of phi(x, f(x)) over the grid cells that lie
-    in phi's domain; +inf as soon as any cell evaluates to +inf.
-
-    phi is bound to the cell centers once per grid, so the steps of a
-    Luxemburg norm search, or f and Mf on one grid, share one table."""
-    global _BOUND
-    bound = _BOUND
-    if bound is None or bound[0] is not phi \
-            or bound[1:3] != (f.box, f.resolution):
-        pts = f.points()
-        mask = _domain_mask(phi, pts)
-        bound = _BOUND = (phi, f.box, f.resolution, mask,
-                          phi.evaluator(pts[mask]))
-    mask, evaluate = bound[3:]
-    out = evaluate(f.values.ravel()[mask])
-    if np.any(np.isinf(out)):
-        return INF
-    return float(np.sum(out) * f.cell_volume)  # numpy pairwise summation
+    in phi's domain; +inf as soon as any cell evaluates to +inf."""
+    return _bound_modular(phi, f)(1.0)
 
 
 def luxemburg_norm(phi, f: GridFunction) -> float:
@@ -242,13 +239,14 @@ def luxemburg_norm(phi, f: GridFunction) -> float:
     is outside the space at this truncation)."""
     if not np.any(f.values > 0):
         return 0.0
-    u = _last_t_where(lambda u: np.array([modular(phi, f.scaled(u[0])) <= 1.0]),
+    at = _bound_modular(phi, f)
+    u = _last_t_where(lambda u: np.array([at(u[0]) <= 1.0]),
                       1, EPS_LUX, floor=1.0 / LAMBDA_CAP)[0][0]
     return INF if u == 0.0 else float(1.0 / u)
 
 
 def ball_norm_check(phi: PhiFunction, center, radius: float,
-                    resolution: int = 256, box=None) -> dict:
+                    resolution: int = 256) -> dict:
     """Compare the norm of a ball indicator against 1/phi^{-1}(y, 1/|B|)
     at y the center and half a radius off it along each axis; reports the
     empirical ratio range."""
@@ -257,8 +255,7 @@ def ball_norm_check(phi: PhiFunction, center, radius: float,
     vol = UNIT_BALL_VOLUME[dim] * radius ** dim
     if vol > 1.0 + 1e-12:
         raise ValueError("ball must have measure at most 1")
-    if box is None:
-        box = tuple((c - 1.5 * radius, c + 1.5 * radius) for c in center)
+    box = tuple((c - 1.5 * radius, c + 1.5 * radius) for c in center)
     chi = GridFunction.indicator_ball(center, radius, box, resolution)
     norm = luxemburg_norm(phi, chi)
     y_samples = center + 0.5 * radius * np.vstack(

@@ -715,14 +715,12 @@ class PhiFunction:
 
     def __init__(self, kind: str, params: dict, domain: Domain,
                  form: Callable[[np.ndarray], PowerTable],
-                 x_independent: bool = False,
-                 provenance: dict | None = None):
+                 x_independent: bool = False):
         self.kind = kind
         self.params = params
         self.domain = domain
         self._form = form
         self.x_independent = x_independent
-        self.provenance = provenance
 
     # -- evaluation
 
@@ -782,11 +780,8 @@ class PhiFunction:
     # -- serialization
 
     def to_dict(self) -> dict:
-        d = {"schema": "orliczkit-phi/1", "kind": self.kind,
-             "params": self.params, "domain": self.domain.to_dict()}
-        if self.provenance:
-            d["provenance"] = self.provenance
-        return d
+        return {"schema": "orliczkit-phi/1", "kind": self.kind,
+                "params": self.params, "domain": self.domain.to_dict()}
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
@@ -818,11 +813,11 @@ def _fixed(curve: PhiCurve) -> Callable:
     return lambda X: curve.table.repeat(len(X))
 
 
-def from_curve(curve: PhiCurve, dim: int = 1, domain: Domain | None = None,
-               kind: str = "curve", provenance: dict | None = None) -> PhiFunction:
+def from_curve(curve: PhiCurve, dim: int = 1,
+               domain: Domain | None = None) -> PhiFunction:
     """Wrap a single curve as an x-independent family."""
-    return PhiFunction(kind, {"curve": curve.to_dict()}, domain or Domain(dim),
-                       _fixed(curve), x_independent=True, provenance=provenance)
+    return PhiFunction("curve", {"curve": curve.to_dict()},
+                       domain or Domain(dim), _fixed(curve), x_independent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ hand-built curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,7 +256,6 @@ class AsymptoteEstimate:
     lower: PhiCurve
     converged: bool
     flags: tuple = ()
-    shells: dict = field(default_factory=dict, compare=False)
 
     def __iter__(self):
         return iter((self.upper, self.lower))
@@ -331,5 +330,4 @@ def tail_asymptotes(phi: PhiFunction,
 
     upper = witness(up1, "upper")
     lower = witness(lo1, "lower")
-    return AsymptoteEstimate(upper, lower, converged, tuple(flags),
-                             shells={r: envelopes[r] for r in radii})
+    return AsymptoteEstimate(upper, lower, converged, tuple(flags))

@@ -27,6 +27,7 @@ from orliczkit import (
     reports_table,
     weight_from_dict,
 )
+from orliczkit.conditions import _sampled_sup
 
 INF = math.inf
 
@@ -112,6 +113,50 @@ def test_ainc_of_pure_power_property(e, frac):
     assert rep.holds and rep.constants["a"] <= 1.0 + 1e-9
     if e + 0.05 < 4.0:
         assert not check_ainc(power_curve(e), e + 0.05).holds
+
+
+class _Table:
+    """A stand-in for phi's table whose values are given outright."""
+
+    def __init__(self, vals):
+        self.vals = vals
+
+    def value(self, T):
+        return self.vals.copy()
+
+
+def _brute_sup(vals, grid, increasing):
+    """The largest r(t)/r(s) over t < s (r(s)/r(t) if not increasing),
+    nan skipped, with ties to the first row, then the first t, then the
+    least r(s) at the first s."""
+    best, witness = -INF, None
+    n = len(grid)
+    for ix, row in enumerate(vals):
+        order = list(range(n)) if increasing else list(range(n))[::-1]
+        for a in range(n - 1):
+            rest = [row[order[b]] for b in range(a + 1, n)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = row[order[a]] / np.min(rest)
+            if q > best:
+                best = float(q)
+                b = order[a + 1 + int(np.argmin(rest))]
+                t, s = (order[a], b) if increasing else (b, order[a])
+                witness = {"x": [float(ix)], "t": float(grid[t]),
+                           "s": float(grid[s]), "ratio": best}
+    return best, witness
+
+
+def test_sampled_sup_matches_brute_force():
+    rng = np.random.default_rng(11)
+    cells = np.array([0.0, 0.5, 1.0, 2.0, INF])  # few values: many ties
+    for _ in range(300):
+        n_x, n_t = rng.integers(1, 5), rng.integers(1, 7)
+        vals = rng.choice(cells, size=(n_x, n_t))
+        grid = np.arange(1.0, n_t + 1.0)
+        X = np.arange(float(n_x)).reshape(-1, 1)
+        for increasing in (True, False):
+            got = _sampled_sup(_Table(vals), X, grid, 0.0, increasing)
+            assert got == _brute_sup(vals, grid, increasing)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,16 @@ def test_pipeline_expected_failure_flips_verdict():
         "checks": [{"condition": "equivalence", "L": L,
                     "other": {"kind": "orlicz", "params": {"p": 2}}}]},
        "/checks/0/L") for L in (0, -1, "inf", True)),
+    # true once ran as aInc_1, and "2" failed only at /checks/0
+    *(({"phi": {"kind": "orlicz", "params": {"p": 2}},
+        "checks": [{"condition": cond, key: v}]}, f"/checks/0/{key}")
+      for cond, key in (("ainc", "p"), ("adec", "q"))
+      for v in (True, "2", math.nan, math.inf)),
+    # [-1, 2] once skipped the analytic divergence check at zero
+    *(({"phi": {"kind": "orlicz", "params": {"p": 2}},
+        "checks": [{"condition": "ainc", "p": 2, "T": T}]}, "/checks/0/T")
+      for T in ([-1, 2], [2, 1], [1, 1], [0, "inf"], [None, 1], [0, True],
+                [0, math.inf], "ab")),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     with pytest.raises(SpecError) as err:
@@ -183,6 +193,12 @@ def test_cli_check_exit_codes(phi_file, capsys):
     assert main(["check", "--phi", f"@{phi_file}", "--condition", "ainc",
                  "--p", "3", "--expect", "fails"]) == 0
     assert main(["check", "--phi", "not json", "--condition", "a0"]) == 2
+    # "inf" is the CLI's spelling of the spec's null
+    capsys.readouterr()
+    assert main(["check", "--phi", f"@{phi_file}", "--condition", "ainc",
+                 "--p", "2", "--t-range", "1", "inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["sample_spec"]["T"] == \
+        [1.0, "inf"]
 
 
 def test_cli_norm(phi_file, capsys):
@@ -428,6 +444,9 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  "/checks/0/h", id="pipeline-unknown-weight"),
     pytest.param(_check("--condition", "ainc", "--p", "2",
                         "--t-range", "0", "abc"), "/T", id="check-t-range"),
+    pytest.param(_check("--condition", "ainc", "--p", "2",
+                        "--t-range", "-1", "2"), "/T",
+                 id="check-negative-t-range"),
     pytest.param(_check("--condition", "equivalence", "--other", _PHI,
                         "--L", "0"), "/L", id="check-L-0"),
     pytest.param(["transform", "--op", "glue_small_values",

@@ -18,10 +18,11 @@ from orliczkit import (
     modular_growth,
     operator_norm_estimate,
     power_curve,
+    run_pipeline,
 )
 
 # the package binds the name ``maximal`` to the function, so reach the
-# module (its kernels and memo) through the import system
+# module (its kernels) through the import system
 _mx = importlib.import_module("orliczkit.maximal")
 
 
@@ -265,53 +266,42 @@ def test_repeated_footprints_are_skipped(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# memo: one kernel evaluation per distinct (box, values, config)
+# one kernel evaluation per grid, and no state kept between calls
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
+    """The number of members of each kernel call."""
     calls = []
     kernel = _mx._staircase_maximal
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(v, *args):
+        calls.append(len(v))
+        return kernel(v, *args)
 
     monkeypatch.setattr(_mx, "_staircase_maximal", counted)
-    monkeypatch.setattr(_mx, "_MEMO", type(_mx._MEMO)())
     return calls
 
 
-def test_memo_reuses_and_isolates(kernel_calls):
+def test_repeated_calls_agree_in_separate_arrays(kernel_calls):
     box = ((0.0, 2.0), (0.0, 2.0))
     f = GridFunction(box, np.random.default_rng(3).random((12, 12)))
-    first = maximal(f)
-    first_values = first.values.copy()
-    first.values[:] = -1.0  # a caller scribbling on its result
-    again = maximal(GridFunction(box, f.values.copy()))
-    assert len(kernel_calls) == 1
-    np.testing.assert_array_equal(again.values, first_values)
-    assert again.values is not first.values
-    line = GridFunction(((0.0, 2.0),), f.values[0])
-    np.testing.assert_array_equal(maximal(line).values,
-                                  maximal(line).values)
-    assert len(kernel_calls) == 2
+    first, again = maximal(f), maximal(f)
+    assert kernel_calls == [1, 1]
+    np.testing.assert_array_equal(again.values, first.values)
+    assert not np.shares_memory(again.values, first.values)
 
 
-def test_memo_misses_on_any_change(kernel_calls):
-    box = ((0.0, 2.0), (0.0, 2.0))
-    vals = np.random.default_rng(4).random((12, 12))
-    f = GridFunction(box, vals)
-    cfg = default_config(f)
-    maximal(f)
-    one_cell = vals.copy()
-    one_cell[5, 7] += 0.25
-    maximal(GridFunction(box, one_cell), cfg)
-    maximal(GridFunction(((0.0, 2.0), (0.0, 3.0)), vals), cfg)
-    maximal(f, MaximalConfig(cfg.radius_set, center_stride=1))
-    assert len(kernel_calls) == 4
-    maximal(f, cfg)  # the default config, resolved, is the first key
-    assert len(kernel_calls) == 4
+def test_divergence_experiment_runs_the_kernel_once_per_grid(kernel_calls):
+    """Both reports of the experiment read one maximal function per
+    truncation radius."""
+    spec = {"phi": {"kind": "example_3_4", "params": {}},
+            "experiments": [{"experiment": "maximal-divergence",
+                             "radii": [2, 4, 8]}]}
+    exp = run_pipeline(spec, resolution=2.0)["experiments"][0]
+    assert kernel_calls == [1, 1, 1]
+    assert len(exp["modular_growth"]["modulars"]) == 3
+    assert exp["operator_norm"]["indices"] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +317,8 @@ def test_family_batches_match_lone_members(shape, stride, members,
                                            per_batch, seed):
     """A family through ``_maximal_family`` equals each member run alone,
     bit for bit, with the batch cap lowered so that families of more than
-    ``per_batch`` members span several kernel calls."""
+    ``per_batch`` members span several kernel calls; a repeated member
+    takes a batch slot of its own."""
     rng = np.random.default_rng(seed)
     box = tuple((0.0, n / 4.0) for n in shape)
     # random and integer-valued members, and one repeated
@@ -343,12 +334,11 @@ def test_family_batches_match_lone_members(shape, stride, members,
         return kernel(v, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_mx, "_MEMO", type(_mx._MEMO)())
         mp.setattr(_mx, "_BATCH_CELLS", per_batch * math.prod(shape))
         mp.setattr(_mx, "_staircase_maximal", counted)
         got = _mx._maximal_family(family, cfg)
-    assert calls == [min(per_batch, members - i)
-                     for i in range(0, members, per_batch)]
+    assert calls == [min(per_batch, members + 1 - i)
+                     for i in range(0, members + 1, per_batch)]
     for f, Mf in zip(family, got):
         alone = np.maximum(kernel(f.values, f.cell_sizes, cfg), f.values)
         assert Mf.box == f.box

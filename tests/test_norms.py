@@ -1,4 +1,3 @@
-import importlib
 import io
 import math
 
@@ -22,9 +21,6 @@ from orliczkit import (
     pairing,
     power_curve,
 )
-
-# the module itself, for its bound grid
-_norms = importlib.import_module("orliczkit.norms")
 
 INF = math.inf
 
@@ -110,7 +106,7 @@ def test_modular_grid_refinement():
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Each PhiFunction.table call, with no grid bound yet."""
+    """Each PhiFunction.table call."""
     calls = []
     table = PhiFunction.table
 
@@ -119,26 +115,24 @@ def table_builds(monkeypatch):
         return table(self, X)
 
     monkeypatch.setattr(PhiFunction, "table", counted)
-    monkeypatch.setattr(_norms, "_BOUND", None)
     return calls
 
 
-def test_modular_binds_phi_once_per_grid(table_builds):
-    """A whole bisection, and f and 2f on one grid, build phi's table of
-    the grid's cells once; another phi object or grid builds it again."""
+def test_modular_binds_phi_once_per_call(table_builds):
+    """A whole bisection builds phi's table of the grid's cells in its
+    domain once; every modular or norm call builds its own."""
     phi = make_family("example_4_6", {}, None)  # lives on (-2, 2)
     f = GridFunction(((-4.0, 4.0),), np.linspace(0.0, 3.0, 64))
     norm = luxemburg_norm(phi, f)
-    assert luxemburg_norm(phi, f.scaled(2.0)) == pytest.approx(2 * norm)
     assert table_builds == [32]  # the cells inside the domain
-    direct = phi.eval_many(f.points()[16:48], f.values[16:48])
+    assert luxemburg_norm(phi, f.scaled(2.0)) == pytest.approx(2 * norm)
     assert table_builds == [32, 32]
+    direct = phi.eval_many(f.points()[16:48], f.values[16:48])
     assert modular(phi, f) == float(np.sum(direct) * f.cell_volume)
-    assert len(table_builds) == 2
-    modular(make_family("example_4_6", {}, None), f)
+    assert table_builds == [32, 32, 32, 32]
     modular(phi, GridFunction(f.box, np.ones(32)))
     modular(phi, GridFunction(((-4.0, 4.5),), f.values))
-    assert table_builds == [32, 32, 32, 16, 30]
+    assert table_builds == [32, 32, 32, 32, 16, 30]
 
 
 def test_conjugate_modular_binds_once(table_builds):
