@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from . import transforms
 from .phi_core import PhiCurve, region_from_dict
 from .conditions import _jsonable
-from .norms import GridFunction, luxemburg_norm, modular
+from .norms import GridFunction, _luxemburg_norms, luxemburg_norm, modular
 from .maximal import MaximalConfig, default_config, maximal
 from .gallery import EXAMPLE_NAMES, SpecError, _at, _build_phi, \
     _grid_from_spec, _positive, _run_check, _seed, run_example, run_pipeline
@@ -187,8 +187,7 @@ def _cmd_maximal(args) -> int:
               "center_stride": cfg.center_stride,
               "max_value": float(Mf.values.max())}
     if phi is not None:
-        report["norm_f"] = luxemburg_norm(phi, f)
-        report["norm_Mf"] = luxemburg_norm(phi, Mf)
+        report["norm_f"], report["norm_Mf"] = _luxemburg_norms(phi, [f, Mf])
     if args.out:
         with _writing_out():
             os.makedirs(args.out, exist_ok=True)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import GridFunction, luxemburg_norm, modular
+from .norms import GridFunction, _luxemburg_norms, modular
 
 INF = math.inf
 
@@ -410,15 +410,13 @@ def operator_norm_estimate(phi, family, radii=None) -> dict:
 
 def _norm_ratios(phi, family, maxes, radii=None) -> dict:
     """``operator_norm_estimate`` given the maximal functions ``maxes`` of
-    the ``family``; members of norm 0 or inf are left out."""
-    ratios = []
-    kept = []
-    for i, (f, Mf) in enumerate(zip(family, maxes)):
-        nf = luxemburg_norm(phi, f)
-        if nf == 0.0 or math.isinf(nf):
-            continue
-        ratios.append(luxemburg_norm(phi, Mf) / nf)
-        kept.append(i)
+    the ``family``; members of norm 0 or inf are left out.  The norms of
+    the members and of their maximal functions are two batched searches,
+    each binding phi once per grid."""
+    norms = _luxemburg_norms(phi, family)
+    kept = [i for i, nf in enumerate(norms) if nf != 0.0 and not math.isinf(nf)]
+    ratios = [nM / norms[i] for i, nM in
+              zip(kept, _luxemburg_norms(phi, [maxes[i] for i in kept]))]
     report = {
         "ratios": ratios,
         "indices": kept,

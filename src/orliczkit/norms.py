@@ -4,9 +4,12 @@ A :class:`GridFunction` samples a nonnegative function at cell centers of
 a uniform grid on an axis-aligned box (1D or 2D).  The modular is the
 midpoint-rule integral of phi(x, f(x)); the Luxemburg norm is the least
 scaling bringing the modular to 1, found by the package's one level
-search.  Ball-norm and
-duality reports record empirical comparability constants rather than
-asserting fixed ones.
+search.  Functions that share a grid are measured together: phi is bound
+once to the cells in its domain where some of them is positive (phi(x, 0)
+= 0 elsewhere), and one search brackets every norm, each exactly as if
+searched alone; :func:`modular` and :func:`luxemburg_norm` are the
+one-function case.  Ball-norm and duality reports record empirical
+comparability constants rather than asserting fixed ones.
 """
 
 from __future__ import annotations
@@ -207,28 +210,72 @@ def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:
     return np.all((pts > np.asarray(dom.lower)) & (pts < np.asarray(dom.upper)), axis=1)
 
 
-def _bound_modular(phi, f: GridFunction):
-    """``u -> modular(phi, u f)``, with phi bound once to the cell centers
-    of f's grid that lie in its domain, so the steps of a norm search
-    share one table."""
-    pts = f.points()
-    mask = _domain_mask(phi, pts)
-    evaluate = phi.evaluator(pts[mask])
-    values = f.values.ravel()[mask]
+def _modular_at(phi, fs: list):
+    """``u -> modulars of u[i] * fs[i]``, an (m,) array, for m functions on
+    one grid.
 
-    def at(u: float) -> float:
-        out = evaluate(u * values)
-        if np.any(np.isinf(out)):
-            return INF
-        return float(np.sum(out) * f.cell_volume)  # numpy pairwise summation
+    phi is bound once, to the cell centers in its domain where some
+    member is positive: elsewhere every member is 0 and phi(x, 0) = 0, so
+    those cells add exact zeros.  A member whose level is the one of the
+    previous call keeps its modular (a level search leaves the rows it is
+    done with at one level); the others are evaluated together, scattered
+    into zero rows over all cells in the domain, and each row is summed
+    alone (a C-contiguous row, numpy's pairwise summation), so member i's
+    modular is bit for bit the one it has alone on the full grid."""
+    pts = fs[0].points()
+    mask = _domain_mask(phi, pts)
+    values = np.stack([f.values.ravel()[mask] for f in fs])
+    positive = np.any(values > 0, axis=0)
+    # every cell: plain slices, no gather or scatter
+    support = slice(None) if positive.all() else np.flatnonzero(positive)
+    levels = values[:, support]
+    evaluate = phi.evaluator(pts[mask][support]) if positive.any() else None
+    volume = fs[0].cell_volume
+    last_u, last = np.full(len(fs), np.nan), np.zeros(len(fs))
+
+    def at(u: np.ndarray) -> np.ndarray:
+        rows = np.flatnonzero(u != last_u)
+        out = np.zeros((len(rows), values.shape[1]))
+        if evaluate is not None and len(rows):
+            lv = levels if len(rows) == len(u) else levels[rows]
+            # the evaluator takes (cells, members): a transposed view
+            out[:, support] = evaluate((lv * u[rows, None]).T).T
+        with np.errstate(over="ignore"):  # an overflowing modular is inf
+            sums = np.sum(out, axis=1)
+            scaled = sums * volume
+        # a member with an inf cell has modular inf; only a row whose sum
+        # is inf (an inf cell, or finite cells overflowing) can hold one
+        hit = np.isinf(sums)
+        hit[hit] = np.any(np.isinf(out[hit]), axis=1)
+        last[rows] = np.where(hit, INF, scaled)
+        last_u[rows] = u[rows]
+        return last.copy()
 
     return at
+
+
+def _luxemburg_norms(phi, fs: list) -> list:
+    """:func:`luxemburg_norm` of each of fs: one binding of phi per grid
+    and one level search for all of that grid's members, each row
+    bracketed as if searched alone."""
+    groups = {}  # by grid; a function without a positive value has norm 0
+    for i, f in enumerate(fs):
+        if np.any(f.values > 0):
+            groups.setdefault((f.box, f.resolution), []).append(i)
+    out = [0.0] * len(fs)
+    for idx in groups.values():
+        at = _modular_at(phi, [fs[i] for i in idx])
+        u = _last_t_where(lambda u: at(u) <= 1.0, len(idx), EPS_LUX,
+                          floor=1.0 / LAMBDA_CAP)[0]
+        for i, ui in zip(idx, u):
+            out[i] = INF if ui == 0.0 else float(1.0 / ui)
+    return out
 
 
 def modular(phi, f: GridFunction) -> float:
     """Midpoint-rule integral of phi(x, f(x)) over the grid cells that lie
     in phi's domain; +inf as soon as any cell evaluates to +inf."""
-    return _bound_modular(phi, f)(1.0)
+    return float(_modular_at(phi, [f])(np.ones(1))[0])
 
 
 def luxemburg_norm(phi, f: GridFunction) -> float:
@@ -237,12 +284,7 @@ def luxemburg_norm(phi, f: GridFunction) -> float:
     with modular(u f) <= 1 and the norm is 1/lo of its final bracket.
     Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the function
     is outside the space at this truncation)."""
-    if not np.any(f.values > 0):
-        return 0.0
-    at = _bound_modular(phi, f)
-    u = _last_t_where(lambda u: np.array([at(u[0]) <= 1.0]),
-                      1, EPS_LUX, floor=1.0 / LAMBDA_CAP)[0][0]
-    return INF if u == 0.0 else float(1.0 / u)
+    return _luxemburg_norms(phi, [f])[0]
 
 
 def ball_norm_check(phi: PhiFunction, center, radius: float,
@@ -290,12 +332,16 @@ class ConjugateFunction:
         return self.evaluator(X)(T)
 
     def evaluator(self, X: np.ndarray):
-        """``T -> eval_many(X, T)`` with phi's table of X built once."""
+        """``T -> eval_many(X, T)`` with phi's table of X built once; T may
+        add trailing axes, as for :meth:`PhiFunction.evaluator`.  The
+        conjugate takes one level per row, so each trailing column is
+        evaluated in turn on the one table."""
         table = self.phi.table(X)
 
         def value(T):
             T = np.asarray(T, dtype=float)
-            return table.conjugate(T.reshape(-1)).reshape(T.shape)
+            cols = T.reshape(len(table.tail), -1).T
+            return np.stack([table.conjugate(c) for c in cols], 1).reshape(T.shape)
 
         return value
 

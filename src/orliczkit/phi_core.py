@@ -751,12 +751,13 @@ class PhiFunction:
 
     def evaluator(self, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``T -> eval_many(X, T)`` with the table of X built once, for
-        callers that evaluate the same points at many levels."""
+        callers that evaluate the same points at many levels.  T may add
+        trailing axes to X's leading shape: several levels per point."""
         table = self.table(X)
 
         def value(T):
             T = np.asarray(T, dtype=float)
-            return table.value(T.reshape(-1, 1)).reshape(T.shape)
+            return table.value(T.reshape(len(table.tail), -1)).reshape(T.shape)
 
         return value
 

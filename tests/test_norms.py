@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orliczkit import (
+    Domain,
     GridFunction,
     PhiFunction,
     annulus_test_function,
@@ -21,6 +22,11 @@ from orliczkit import (
     pairing,
     power_curve,
 )
+from orliczkit.gallery import _ball_family
+from orliczkit.maximal import _maximal_family, _norm_ratios
+from orliczkit.norms import EPS_LUX, LAMBDA_CAP, _domain_mask, _luxemburg_norms, \
+    _modular_at
+from orliczkit.phi_core import _last_t_where
 
 INF = math.inf
 
@@ -84,6 +90,8 @@ def test_modular_infinite():
     capped = from_curve(cap_curve(power_curve(1.0), 1.0))
     f = GridFunction(((0.0, 1.0),), np.full(8, 3.0))
     assert modular(capped, f) == INF
+    # finite cells (1e308 each) whose sum overflows: inf, and no warning
+    assert modular(square(), GridFunction(((0.0, 64.0),), np.full(64, 1e154))) == INF
 
 
 def test_modular_respects_domain():
@@ -119,8 +127,8 @@ def table_builds(monkeypatch):
 
 
 def test_modular_binds_phi_once_per_call(table_builds):
-    """A whole bisection builds phi's table of the grid's cells in its
-    domain once; every modular or norm call builds its own."""
+    """A whole bisection builds phi's table once, of the grid's cells in
+    its domain where f > 0; every modular or norm call builds its own."""
     phi = make_family("example_4_6", {}, None)  # lives on (-2, 2)
     f = GridFunction(((-4.0, 4.0),), np.linspace(0.0, 3.0, 64))
     norm = luxemburg_norm(phi, f)
@@ -133,6 +141,10 @@ def test_modular_binds_phi_once_per_call(table_builds):
     modular(phi, GridFunction(f.box, np.ones(32)))
     modular(phi, GridFunction(((-4.0, 4.5),), f.values))
     assert table_builds == [32, 32, 32, 32, 16, 30]
+    # cells where f = 0 are not bound: phi(x, 0) = 0 adds exact zeros
+    odd = GridFunction(f.box, np.where(np.arange(64) % 2, f.values, 0.0))
+    assert modular(phi, odd) == float(np.sum(direct[1::2]) * f.cell_volume)
+    assert table_builds[-1] == 16
 
 
 def test_conjugate_modular_binds_once(table_builds):
@@ -141,7 +153,103 @@ def test_conjugate_modular_binds_once(table_builds):
     # (t^2)* = t^2 / 4: the norm of g under it is half that under t^2
     assert luxemburg_norm(conj, g) == pytest.approx(
         0.5 * luxemburg_norm(square(1), g), rel=2e-6)
-    assert table_builds == [16, 16]
+    assert table_builds == [15, 15]  # g(-15/16) = 0 is left out
+
+
+def test_norm_ratios_bind_phi_twice_per_grid(table_builds):
+    """The ten members of a ball family share a grid: one table for their
+    norms and one for those of their maximal functions, not 20, and the
+    ratios are bit for bit those of one norm at a time."""
+    phi = make_family("example_3_2", {}, None)
+    fam = _ball_family(6.0, 4.0)
+    maxes = _maximal_family(fam)
+    table_builds.clear()
+    rep = _norm_ratios(phi, fam, maxes)
+    assert len(table_builds) == 2
+    assert table_builds[1] == fam[0].values.size  # Mf > 0 everywhere
+    one = [luxemburg_norm(phi, Mf) / luxemburg_norm(phi, f)
+           for f, Mf in zip(fam, maxes)]
+    assert rep["indices"] == list(range(10)) and rep["ratios"] == one
+    table_builds.clear()
+    two = fam + [GridFunction.indicator_ball([0.0, 0.0], 1.0, ((-2.0, 2.0),) * 2, 8)]
+    _luxemburg_norms(phi, two)
+    assert len(table_builds) == 2  # one per grid
+
+
+# The norm search as it was before batching, kept as the reference: phi
+# bound to every cell in its domain and one member searched at a time.
+
+
+def _reference_modular_at(phi, f):
+    pts = f.points()
+    mask = _domain_mask(phi, pts)
+    evaluate = phi.evaluator(pts[mask])
+    values = f.values.ravel()[mask]
+
+    def at(u):
+        out = evaluate(u * values)
+        if np.any(np.isinf(out)):
+            return INF
+        return float(np.sum(out) * f.cell_volume)
+
+    return at
+
+
+def _reference_norm(phi, f):
+    if not np.any(f.values > 0):
+        return 0.0
+    at = _reference_modular_at(phi, f)
+    u = _last_t_where(lambda u: np.array([at(u[0]) <= 1.0]),
+                      1, EPS_LUX, floor=1.0 / LAMBDA_CAP)[0][0]
+    return INF if u == 0.0 else float(1.0 / u)
+
+
+def _bits(xs):
+    return np.array(xs, dtype=float).view(np.uint64)
+
+
+_BATCH_PHIS = {
+    "square": square,
+    "capped": lambda dim: from_curve(cap_curve(power_curve(1.0), 1.0), dim=dim),
+    "example_3_4": lambda dim: make_family("example_3_4", {"dim": dim}),
+    # a bounded domain: the grid's outer cells lie outside it
+    "bounded": lambda dim: make_family(
+        "double_phase", {"p": 1.5, "q": 3.0, "dim": dim,
+                         "a": {"field": "abs_power", "power": 1.0}},
+        Domain(dim, (-2.0,) * dim, (1.5,) * dim)),
+    "conjugate": lambda dim: conjugate_function(square(dim)),
+}
+
+
+@st.composite
+def _family(draw, dim):
+    """A family on one grid: dense, sparse, all-zero and huge members (the
+    last outside the space under the capped phi)."""
+    n = draw(st.integers(3, 10 if dim == 2 else 40))
+    box = ((-3.0, 3.0),) * dim
+    fam = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "sparse", "zero", "huge"]),
+                              min_size=1, max_size=3)):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        v = rng.random((n,) * dim) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+        if kind == "sparse":
+            v = np.where(rng.random(v.shape) < 0.1, v, 0.0)
+        fam.append(GridFunction(box, {"zero": 0.0 * v, "huge": np.full(v.shape, 1e14)}
+                                .get(kind, v)))
+    return fam
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(_BATCH_PHIS))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_batched_norms_match_one_member_reference(name, dim, data):
+    phi = _BATCH_PHIS[name](dim)
+    fam = data.draw(_family(dim))
+    norms, mods = _luxemburg_norms(phi, fam), _modular_at(phi, fam)(np.ones(len(fam)))
+    np.testing.assert_array_equal(_bits(norms), _bits([_reference_norm(phi, f) for f in fam]))
+    np.testing.assert_array_equal(_bits(mods), _bits([_reference_modular_at(phi, f)(1.0)
+                                                      for f in fam]))
 
 
 # ---------------------------------------------------------------------------

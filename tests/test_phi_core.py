@@ -14,6 +14,7 @@ from orliczkit import (
     PhiFunction,
     PowerTerm,
     WeightFunction,
+    conjugate_function,
     from_curve,
     glue_small_values,
     make_family,
@@ -241,10 +242,25 @@ def _sample_family(name, families):
     return rebuild_with_ainc(phi, pair, small_value_threshold(phi, pair.phi_inf))
 
 
-@pytest.mark.parametrize("name", ["example_3_2", "example_3_4", "example_3_5",
-                                  "example_4_6", "orlicz", "curve",
-                                  "variable_exponent", "double_phase", "vdp",
-                                  "glued", "rebuilt"])
+_SAMPLE_NAMES = ["example_3_2", "example_3_4", "example_3_5", "example_4_6",
+                 "orlicz", "curve", "variable_exponent", "double_phase", "vdp",
+                 "glued", "rebuilt"]
+
+
+@pytest.mark.parametrize("name", _SAMPLE_NAMES)
+def test_phi_and_conjugate_vanish_at_zero(name, families):
+    """phi(x, 0) and phi*(x, 0) are exactly +0.0 at every point, so a
+    modular may skip the cells where f = 0."""
+    phi = _sample_family(name, families)
+    rng = np.random.default_rng(3)
+    lo, hi = phi.domain.sampling_box(8.0)
+    X = np.column_stack([rng.uniform(l, h, 200) for l, h in zip(lo, hi)])
+    for values in (phi.eval_many(X, np.zeros(len(X))),
+                   conjugate_function(phi).eval_many(X, np.zeros(len(X)))):
+        assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+
+@pytest.mark.parametrize("name", _SAMPLE_NAMES)
 def test_vectorized_eval_matches_curves(name, families):
     # batch and per-point evaluation share one kernel, so they agree
     # exactly, also at every breakpoint where two pieces meet
