@@ -4,7 +4,9 @@ Every checker samples a finite (x, t) lattice, extracts the extremal
 constant by direct supremum, a dyadic ladder or the package's one level
 search (``phi_core._last_t_where``), and returns a
 :class:`ConditionReport` carrying the constants, the sample spec and the
-worst witness, so failures are reproducible.  "Almost every x" is
+worst witness, so failures are reproducible.  Every sampled inequality
+lhs <= rhs is judged by one rule, :func:`_holds`, and its witness is the
+sample of largest excess, :func:`_worst`.  "Almost every x" is
 approximated by the sample set; the catalog families have no exceptional
 sets.  Each checker builds phi's (and psi's) power table of its sample
 points once and reads every level of its dyadic ladder or level search off
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,18 +44,47 @@ DEFAULT_MAX_CONSTANT = 1e3
 #: beta that a level search returns.
 CHECK_TOL = 1e-9
 
+#: The fixed part of the sampling lattice: t points per decade, x points
+#: per axis, and the half-width of the x window on an unbounded domain.
+POINTS_PER_DECADE = 64
+X_PER_AXIS = 9
+X_RADIUS = 16.0
+
+#: Balls that the (A1') checker samples.
+N_BALLS = 40
+
+
+def _holds(*pairs) -> bool:
+    """The one comparison rule of every sampled inequality: lhs <= rhs +
+    CHECK_TOL (1 + |rhs|) at every sample of every (lhs, rhs) pair.  The
+    same infinity on both sides passes: the right-hand side is then +inf
+    too."""
+    with np.errstate(over="ignore"):  # a slack past the largest float is inf
+        return all(bool(np.all(lhs <= rhs + CHECK_TOL * (1.0 + np.abs(rhs))))
+                   for lhs, rhs in pairs)
+
+
+def _worst(*pairs) -> tuple[tuple, float]:
+    """The sample of largest lhs - rhs over the (lhs, rhs) pairs of
+    same-shaped arrays, and that excess; nan, the same infinity on both
+    sides, is no excess.  Ties go to the first sample."""
+    with np.errstate(invalid="ignore"):  # fmax skips a nan where it can
+        excess = np.fmax.reduce([lhs - rhs for lhs, rhs in pairs])
+    excess = np.where(np.isnan(excess), -INF, excess)
+    ix = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    return ix, float(excess[ix])
+
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sampling lattice: log-spaced t grid plus an x lattice over the
-    domain (or a window of radius ``x_radius`` for unbounded domains)."""
+    """Sampling lattice: a log-spaced t grid on [t_min, t_max] with
+    ``POINTS_PER_DECADE`` points per decade, plus an x lattice of
+    ``X_PER_AXIS`` points per axis over the domain (or over a window of
+    half-width ``X_RADIUS`` for unbounded domains); ``seed`` drives the
+    (A1') ball sampling."""
 
     t_min: float = 1e-4
     t_max: float = 1e4
-    points_per_decade: int = 64
-    refinement_rounds: int = 1
-    x_per_axis: int = 9
-    x_radius: float = 16.0
     seed: int = 0
 
     def t_grid(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
@@ -62,18 +93,20 @@ class SampleSpec:
         lo, hi = min(lo, hi), max(lo, hi)
         if lo == hi:
             return np.array([lo])
-        n = max(int(self.points_per_decade * math.log10(hi / lo)) + 1, 8)
+        n = max(int(POINTS_PER_DECADE * math.log10(hi / lo)) + 1, 8)
         return np.geomspace(lo, hi, n)
 
     def describe(self) -> dict:
-        return asdict(self)
+        return {"t_min": self.t_min, "t_max": self.t_max,
+                "points_per_decade": POINTS_PER_DECADE,
+                "refinement_rounds": 1, "x_per_axis": X_PER_AXIS,
+                "x_radius": X_RADIUS, "seed": self.seed}
 
 
-def default_x_samples(domain: Domain, spec: SampleSpec | None = None) -> np.ndarray:
+def default_x_samples(domain: Domain) -> np.ndarray:
     """Deterministic lattice of sample points, shape (N, dim)."""
-    spec = spec or SampleSpec()
-    lower, upper = domain.sampling_box(spec.x_radius)
-    axes = [np.linspace(lo, hi, spec.x_per_axis) for lo, hi in zip(lower, upper)]
+    lower, upper = domain.sampling_box(X_RADIUS)
+    axes = [np.linspace(lo, hi, X_PER_AXIS) for lo, hi in zip(lower, upper)]
     if domain.dim == 1:
         return axes[0].reshape(-1, 1)
     gx, gy = np.meshgrid(*axes, indexing="ij")
@@ -241,7 +274,7 @@ def _check_almost_monotone(phi, p, A, T, spec, increasing):
     lo, hi = float(T[0]), float(T[1])
     if not lo < hi:
         raise ValueError("T must be a nonempty interval")
-    X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain, spec)
+    X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain)
     grid = spec.t_grid(lo if lo > 0 else None, hi)
 
     # analytic divergence at the open ends of T, from the first sample
@@ -255,9 +288,8 @@ def _check_almost_monotone(phi, p, A, T, spec, increasing):
     flags = [name for name, on in (("diverges_at_zero", at_zero[hit]),
                                    ("diverges_at_infinity", at_inf[hit])) if np.any(on)]
 
-    a_star, witness = _sampled_sup(table, X, grid, p, increasing)
-    for _ in range(spec.refinement_rounds):
-        a_star, witness = _refine_witness(phi, grid, p, increasing, a_star, witness)
+    a_star, witness = _refine_witness(
+        phi, grid, p, increasing, *_sampled_sup(table, X, grid, p, increasing))
     if flags:  # the first flagged sample alone reproduces the verdict
         witness = _sampled_sup(table.rows(hit), X[hit], grid, p, increasing)[1]
 
@@ -335,7 +367,7 @@ def check_a0(phi: PhiFunction,
     at all sampled x, to 1e-9 relative by the one level search; the
     condition fails, with beta 0, where even 2^-40 does not work."""
     spec = spec or SampleSpec()
-    X = default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain)
     table = phi.table(X)
 
     def ok(beta: float) -> bool:
@@ -368,10 +400,10 @@ def _largest_beta(ok: Callable[[float], bool]) -> float:
 # Local comparability across small balls (the (A1')-type condition)
 
 
-def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
-             n_balls: int = 40) -> ConditionReport:
+def check_a1(phi: PhiFunction,
+             spec: SampleSpec | None = None) -> ConditionReport:
     """Largest beta in [2^-40, 1] with phi(x, beta*t) <= phi(y, t) over
-    ``n_balls`` sampled balls B with |B| <= 1, up to six point pairs x, y
+    ``N_BALLS`` sampled balls B with |B| <= 1, up to six point pairs x, y
     in each B, and ten levels per pair with phi(y, t) in [1, 1/|B|], to
     1e-9 relative by the one level search (beta 0 where even 2^-40 does
     not work); it holds when beta > 1e-6.
@@ -381,14 +413,14 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
     spec = spec or SampleSpec()
     rng = np.random.default_rng(spec.seed)
     dim = phi.domain.dim
-    lower, upper = phi.domain.sampling_box(spec.x_radius)
+    lower, upper = phi.domain.sampling_box(X_RADIUS)
     lower = np.asarray(lower)
     upper = np.asarray(upper)
     omega = UNIT_BALL_VOLUME[dim]
     r_max = (1.0 / omega) ** (1.0 / dim)
 
     xs, ys, vols = [], [], []
-    for _ in range(n_balls):
+    for _ in range(N_BALLS):
         center = lower + rng.random(dim) * (upper - lower)
         radius = float(np.exp(rng.uniform(np.log(0.02), np.log(r_max))))
         vol = omega * radius ** dim
@@ -422,14 +454,10 @@ def check_a1(phi: PhiFunction, spec: SampleSpec | None = None,
             flags=("vacuous",))
     at_x = phi.evaluator(X)
 
-    def ok(beta: float) -> bool:
-        lhs = at_x(beta * Tv)
-        return bool(np.all(lhs <= R * (1.0 + CHECK_TOL) + CHECK_TOL))
-
-    beta = _largest_beta(ok)
+    beta = _largest_beta(lambda beta: _holds((at_x(beta * Tv), R)))
     holds = beta > 1e-6
     lhs = at_x(beta * Tv) if beta > 0 else np.zeros_like(R)
-    k = int(np.argmax(lhs - R))
+    (k,), _ = _worst((lhs, R))
     return ConditionReport(
         condition="A1prime", holds=holds, constants={"beta": beta},
         sample_spec={**spec.describe(), "n_samples": len(X)},
@@ -446,45 +474,34 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
              beta: float, s: float = 1.0,
              spec: SampleSpec | None = None) -> ConditionReport:
     """Verify phi(x, beta*t) <= phi_inf(t) + h(x) on {phi_inf(t) <= s} and
-    phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s}, each sample
-    to within 1e-9 times one plus its right-hand side."""
+    phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s} by the one
+    rule: at each sample, up to 1e-9 times one plus its right-hand side.
+    The witness is the sample of largest excess, first direction first."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must be in (0, 1]")
     if s <= 0:
         raise ValueError("s must be positive")
     spec = spec or SampleSpec()
-    X = default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain)
     grid = spec.t_grid()
-    hv = h.many(X)
-    inf_t = phi_inf.value(grid)
-    inf_bt = phi_inf.value(beta * grid)
+    hv = h.many(X)[:, None]
+    inf_t = phi_inf.value(grid)[None, :]
     table = phi.table(X)
     phiv = table.value(grid[None, :])
-    phib = table.value(beta * grid[None, :])
-
+    # each direction's (lhs, rhs), the lhs -inf off its level set
+    pairs = ((np.where(inf_t <= s + CHECK_TOL,
+                       table.value(beta * grid[None, :]), -INF), inf_t + hv),
+             (np.where(phiv <= s + CHECK_TOL,
+                       phi_inf.value(beta * grid)[None, :], -INF), phiv + hv))
     worst = {"margin": -INF}
-    holds = True
-    # direction 1: phi(x, beta t) <= phi_inf(t) + h(x) where phi_inf(t) <= s
-    mask1 = inf_t <= s + CHECK_TOL
-    rhs1 = inf_t[None, :] + hv[:, None]
-    # direction 2: phi_inf(beta t) <= phi(x, t) + h(x) where phi(x, t) <= s
-    mask2 = phiv <= s + CHECK_TOL
-    rhs2 = phiv + hv[:, None]
-    with np.errstate(invalid="ignore"):  # inf - inf only where masked out
-        m1 = np.where(mask1[None, :], phib - rhs1, -INF)
-        m2 = np.where(mask2, inf_bt[None, :] - rhs2, -INF)
-    for m, rhs, direction in ((m1, rhs1, "phi_vs_asymptote"),
-                              (m2, rhs2, "asymptote_vs_phi")):
-        # every sample against the size of its own right-hand side
-        if np.any(m > CHECK_TOL * (1.0 + np.abs(rhs))):
-            holds = False
-        ix, it = np.unravel_index(int(np.argmax(m)), m.shape)
-        margin = float(m[ix, it])
+    for direction, pair in zip(("phi_vs_asymptote", "asymptote_vs_phi"),
+                               pairs):
+        (ix, it), margin = _worst(pair)
         if margin > worst["margin"]:
             worst = {"margin": margin, "direction": direction,
                      "x": [float(v) for v in X[ix]], "t": float(grid[it])}
     return ConditionReport(
-        condition="A2", holds=holds,
+        condition="A2", holds=_holds(*pairs),
         constants={"beta": beta, "s": s,
                    "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         sample_spec={**spec.describe(), "n_x": len(X)},
@@ -497,30 +514,28 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
 
 def check_equivalence(phi, psi, L: float,
                       spec: SampleSpec | None = None) -> ConditionReport:
-    """Verify psi(x, t/L) <= phi(x, t) <= psi(x, L t) at all samples, and
-    search the least passing L on the ladder 2^(k/4), k = 0 .. 160."""
+    """Verify psi(x, t/L) <= phi(x, t) <= psi(x, L t) at all samples by the
+    one rule, and find the least L that passes on the ladder 2^(k/4), k = 0
+    .. 160 (inf for none).  The witness is the sample of largest excess
+    over both inequalities at the given L."""
     phi = _as_phi(phi)
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
-    X = default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain)
     grid = spec.t_grid()[None, :]
     phiv = phi.table(X).value(grid)
     psi_table = psi.table(X)
 
-    def passes(Lv: float):
-        lo_ = psi_table.value(grid / Lv)
-        hi_ = psi_table.value(grid * Lv)
-        bad = np.maximum(lo_ - phiv, phiv - hi_)
-        ix, it = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        margin = float(bad[ix, it])
-        ok = margin <= CHECK_TOL * (1.0 + abs(phiv[ix, it]))
-        return ok, margin, (ix, it)
+    def pairs(Lv: float):
+        return ((psi_table.value(grid / Lv), phiv),
+                (phiv, psi_table.value(grid * Lv)))
 
-    ok, margin, (ix, it) = passes(L)
+    at_L = pairs(L)
+    (ix, it), margin = _worst(*at_L)
     least = next((Lk for Lk in (2.0 ** (k / 4.0) for k in range(161))
-                  if passes(Lk)[0]), INF)
+                  if _holds(*pairs(Lk))), INF)
     return ConditionReport(
-        condition="Equiv", holds=ok,
+        condition="Equiv", holds=_holds(*at_L),
         constants={"L": L, "least_L": least},
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
@@ -530,26 +545,20 @@ def check_equivalence(phi, psi, L: float,
 def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
                            spec: SampleSpec | None = None) -> ConditionReport:
     """Verify psi(x, t) <= phi(x, L t) + h(x) and phi(x, t) <= psi(x, L t)
-    + h(x) at all samples."""
+    + h(x) at all samples by the one rule.  The witness is the sample of
+    largest excess over both inequalities."""
     phi = _as_phi(phi)
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
-    X = default_x_samples(phi.domain, spec)
+    X = default_x_samples(phi.domain)
     grid = spec.t_grid()[None, :]
     hv = h.many(X)[:, None]
     phi_table, psi_table = phi.table(X), psi.table(X)
-    phiv = phi_table.value(grid)
-    d1 = psi_table.value(grid) - (phi_table.value(grid * L) + hv)
-    d2 = phiv - (psi_table.value(grid * L) + hv)
-    bad = np.maximum(d1, d2)
-    bad = np.where(np.isnan(bad), -INF, bad)  # inf - inf pairs compare equal
-    ix, it = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    margin = float(bad[ix, it])
-    ref = float(phiv[ix, it])
-    holds = margin <= CHECK_TOL * (1.0 + (ref if math.isfinite(ref)
-                                          else 1.0))
+    pairs = ((psi_table.value(grid), phi_table.value(grid * L) + hv),
+             (phi_table.value(grid), psi_table.value(grid * L) + hv))
+    (ix, it), margin = _worst(*pairs)
     return ConditionReport(
-        condition="WeakEquiv", holds=holds,
+        condition="WeakEquiv", holds=_holds(*pairs),
         constants={"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),

@@ -22,7 +22,7 @@ from .phi_core import PhiFunction, from_curve, make_family, power_curve, \
     region_from_dict
 from .conditions import SampleSpec, WeightFunction, check_a0, check_a1, \
     check_a2, check_adec, check_ainc, check_equivalence, \
-    check_weak_equivalence, default_x_samples, weight_from_dict
+    check_weak_equivalence, default_x_samples, weight_from_dict, _holds
 from .norms import GridFunction, ball_norm_check, duality_lower_bound
 from .maximal import _maximal_family, _modular_growth, _norm_ratios, \
     operator_norm_estimate
@@ -156,14 +156,12 @@ def _run_ex3_5(resolution: float, seed: int) -> dict:
          check_weak_equivalence(phi, t2, L=1.0, h=h)),
     )]
     # the sandwich t^2 <= phi <= t^2 + h(x), checked on the default lattice
-    spec = SampleSpec()
-    X = default_x_samples(phi.domain, spec)
-    grid = spec.t_grid()
+    # by the checkers' rule
+    X = default_x_samples(phi.domain)
+    grid = SampleSpec().t_grid()
     vals = phi.eval_grid(X, grid)
     lo = grid[None, :] ** 2
-    hi = lo + h.many(X)[:, None]
-    sandwich = bool(np.all(vals >= lo - 1e-12)
-                    and np.all(vals <= hi * (1 + 1e-12) + 1e-12))
+    sandwich = _holds((lo, vals), (vals, lo + h.many(X)[:, None]))
     claims.append(_claim("t^2 <= phi <= t^2 + h at all samples", sandwich,
                          {"n_x": len(X)}))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_5",

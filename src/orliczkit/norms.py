@@ -216,12 +216,11 @@ def _modular_at(phi, fs: list):
 
     phi is bound once, to the cell centers in its domain where some
     member is positive: elsewhere every member is 0 and phi(x, 0) = 0, so
-    those cells add exact zeros.  A member whose level is the one of the
-    previous call keeps its modular (a level search leaves the rows it is
-    done with at one level); the others are evaluated together, scattered
-    into zero rows over all cells in the domain, and each row is summed
-    alone (a C-contiguous row, numpy's pairwise summation), so member i's
-    modular is bit for bit the one it has alone on the full grid."""
+    those cells add exact zeros.  Every member is evaluated at every call,
+    scattered into zero rows over all cells in the domain, and each row is
+    summed alone (a C-contiguous row, numpy's pairwise summation), so
+    member i's modular is bit for bit the one it has alone on the full
+    grid."""
     pts = fs[0].points()
     mask = _domain_mask(phi, pts)
     values = np.stack([f.values.ravel()[mask] for f in fs])
@@ -231,15 +230,12 @@ def _modular_at(phi, fs: list):
     levels = values[:, support]
     evaluate = phi.evaluator(pts[mask][support]) if positive.any() else None
     volume = fs[0].cell_volume
-    last_u, last = np.full(len(fs), np.nan), np.zeros(len(fs))
 
     def at(u: np.ndarray) -> np.ndarray:
-        rows = np.flatnonzero(u != last_u)
-        out = np.zeros((len(rows), values.shape[1]))
-        if evaluate is not None and len(rows):
-            lv = levels if len(rows) == len(u) else levels[rows]
+        out = np.zeros(values.shape)
+        if evaluate is not None:
             # the evaluator takes (cells, members): a transposed view
-            out[:, support] = evaluate((lv * u[rows, None]).T).T
+            out[:, support] = evaluate((levels * u[:, None]).T).T
         with np.errstate(over="ignore"):  # an overflowing modular is inf
             sums = np.sum(out, axis=1)
             scaled = sums * volume
@@ -247,9 +243,7 @@ def _modular_at(phi, fs: list):
         # is inf (an inf cell, or finite cells overflowing) can hold one
         hit = np.isinf(sums)
         hit[hit] = np.any(np.isinf(out[hit]), axis=1)
-        last[rows] = np.where(hit, INF, scaled)
-        last_u[rows] = u[rows]
-        return last.copy()
+        return np.where(hit, INF, scaled)
 
     return at
 

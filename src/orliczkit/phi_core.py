@@ -169,16 +169,18 @@ class PowerTable:
         return num(self.tail), pieces
 
     def _piece(self, k: int, T: np.ndarray) -> np.ndarray:
-        """Piece k of every row at levels T (N, M), tail ignored."""
+        """Piece k of every row at levels T (N, M), tail ignored; a value
+        past the largest float is +inf, without a warning."""
         out = None
-        for c, e, s in self._plan[1][k][1]:
-            u = T if isinstance(s, float) and s == 0.0 else np.maximum(T - s, 0.0)
-            g = _pow(u, e)
-            zero = e == 0.0
-            if zero if isinstance(zero, bool) else zero.any():
-                g = np.where(zero, T >= s, g)
-            g = g if isinstance(c, float) and c == 1.0 else c * g
-            out = g if out is None else out + g
+        with np.errstate(over="ignore"):
+            for c, e, s in self._plan[1][k][1]:
+                u = T if isinstance(s, float) and s == 0.0 else np.maximum(T - s, 0.0)
+                g = _pow(u, e)
+                zero = e == 0.0
+                if zero if isinstance(zero, bool) else zero.any():
+                    g = np.where(zero, T >= s, g)
+                g = g if isinstance(c, float) and c == 1.0 else c * g
+                out = g if out is None else out + g
         return np.zeros(T.shape) if out is None else out
 
     def _untailed(self, T: np.ndarray, left: bool = False) -> np.ndarray:
@@ -559,7 +561,7 @@ class Domain:
             return np.full(len(X), self.unbounded)
         return np.all((np.asarray(self.lower) <= X) & (X <= np.asarray(self.upper)), axis=1)
 
-    def sampling_box(self, radius: float = 16.0) -> tuple[tuple, tuple]:
+    def sampling_box(self, radius: float) -> tuple[tuple, tuple]:
         if self.unbounded:
             return tuple([-radius] * self.dim), tuple([radius] * self.dim)
         return self.lower, self.upper

@@ -40,8 +40,10 @@ INF = math.inf
 #: factor of itself, at every scale.
 T1_TOL = 1e-8
 
-#: Relative tolerance between successive shells before a tail asymptote is
-#: declared convergent.
+#: Radii of the inner and the outer shell of the tail estimate, and the
+#: relative tolerance between them before a tail asymptote is declared
+#: convergent.
+SHELL_RADII = (1e3, 1e4)
 SHELL_TOL = 1e-3
 
 
@@ -277,48 +279,36 @@ def _shell_points(domain: Domain, radius: float) -> np.ndarray:
     return pts[domain.contains_many(pts)]
 
 
-def tail_asymptotes(phi: PhiFunction,
-                    radius_sequence=(1e2, 1e3, 1e4)) -> AsymptoteEstimate:
+def tail_asymptotes(phi: PhiFunction) -> AsymptoteEstimate:
     """Estimate limsup/liminf of phi(x, t) over |x| -> inf.
 
     Evaluates phi on the default sample spec's t grid on circles of 64
-    points plus the four axis points (or point pairs in 1D) of increasing
-    radius, takes the per-t max/min envelope on the outermost shell, and
-    flags the result inconclusive when the two outermost shells disagree
-    by more than ``SHELL_TOL`` relatively.
+    points plus the four axis points (or point pairs in 1D) of the two
+    ``SHELL_RADII``, takes the per-t max/min envelope on the outer shell,
+    and flags the result inconclusive when the two shells disagree by more
+    than ``SHELL_TOL`` relatively.
     """
     t_grid = SampleSpec().t_grid()
-    radii = sorted(float(r) for r in radius_sequence)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii to judge convergence")
 
     if phi.x_independent:
         curve = phi.curve_at(tuple(np.zeros(phi.domain.dim)))
         return AsymptoteEstimate(curve, curve, True)
 
-    envelopes = {}
-    shell_vals = {}
-    for r in radii:
+    shells = []
+    for r in SHELL_RADII:
         pts = _shell_points(phi.domain, r)
         if len(pts) == 0:
             raise ConstructionError(f"no shell points of radius {r} lie in "
                                     "the domain")
-        vals = phi.eval_grid(pts, t_grid)
-        envelopes[r] = (vals.max(axis=0), vals.min(axis=0))
-        shell_vals[r] = (pts, vals)
-
-    flags = []
-    up2, lo2 = envelopes[radii[-2]]
-    up1, lo1 = envelopes[radii[-1]]
-    scale = np.maximum(np.abs(up1), 1e-300)
+        shells.append((pts, phi.eval_grid(pts, t_grid)))
+    (_, inner), (pts, vals) = shells
+    up1, lo1 = vals.max(axis=0), vals.min(axis=0)
     converged = bool(
-        np.all(np.abs(up1 - up2) <= SHELL_TOL * scale)
-        and np.all(np.abs(lo1 - lo2)
+        np.all(np.abs(up1 - inner.max(axis=0))
+               <= SHELL_TOL * np.maximum(np.abs(up1), 1e-300))
+        and np.all(np.abs(lo1 - inner.min(axis=0))
                    <= SHELL_TOL * np.maximum(np.abs(lo1), 1e-300)))
-    if not converged:
-        flags.append("inconclusive")
-
-    pts, vals = shell_vals[radii[-1]]
+    flags = [] if converged else ["inconclusive"]
 
     def witness(env, select):
         hits = np.isclose(vals, env[None, :], rtol=1e-9, atol=1e-300)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orliczkit import (
+    PhiCurve,
     PhiFunction,
+    PowerTerm,
     SampleSpec,
     WeightFunction,
     cap_curve,
@@ -17,6 +19,7 @@ from orliczkit import (
     check_ainc,
     check_equivalence,
     check_weak_equivalence,
+    default_x_samples,
     doubling_scale,
     enlarge_ainc_constant,
     exponent_from_doubling,
@@ -27,7 +30,7 @@ from orliczkit import (
     reports_table,
     weight_from_dict,
 )
-from orliczkit.conditions import _sampled_sup
+from orliczkit.conditions import CHECK_TOL, _sampled_sup
 
 INF = math.inf
 
@@ -187,7 +190,9 @@ def test_a1_x_independent_is_exact():
 
 
 def test_a1_vacuous_run_does_not_hold():
-    rep = check_a1(from_curve(power_curve(2.0), dim=1), n_balls=0)
+    # t^2 capped at 1/2 stays below 1 and then jumps to inf: no level has
+    # phi(y, t) in [1, 1/|B|], so no pair is kept
+    rep = check_a1(from_curve(cap_curve(power_curve(2.0), 0.5), dim=1))
     assert not rep.holds and rep.flags == ("vacuous",)
     assert rep.sample_spec["n_samples"] == 0
 
@@ -259,6 +264,98 @@ def test_weak_equivalence(families):
     # without the additive term the same pair fails at L = 1
     assert not check_weak_equivalence(families["example_3_2"], t2, 1.0,
                                       WeightFunction.zero()).holds
+
+
+def test_equivalence_judges_every_sample_against_itself():
+    # psi = t^2 + 1e-6 t^0.5 is 2 phi at t = 1e-4, far outside any
+    # tolerance there, while its largest excess (at t = 1e4) is small next
+    # to phi: each sample must be held to its own right-hand side
+    phi = power_curve(2.0)
+    psi = PhiCurve((0.0,), ((PowerTerm(1.0, 2.0), PowerTerm(1e-6, 0.5)),))
+    rep = check_equivalence(phi, psi, 1.0)
+    assert not rep.holds and rep.constants["least_L"] == 2.0
+    assert not check_weak_equivalence(phi, psi, 1.0,
+                                      WeightFunction.zero()).holds
+
+
+def test_equivalence_with_infinite_tails():
+    # past the cap both sides are +inf: the same infinity compares equal
+    capped = cap_curve(power_curve(2.0), 10.0)
+    rep = check_equivalence(capped, capped, 1.0)
+    assert rep.holds and rep.constants["least_L"] == 1.0
+    assert rep.worst_witness["margin"] == 0.0
+    assert check_weak_equivalence(capped, capped, 1.0,
+                                  WeightFunction.zero()).holds
+
+
+# ---------------------------------------------------------------------------
+# Every sampled inequality, rechecked sample by sample
+
+
+_LADDER = [2.0 ** (k / 4.0) for k in range(161)]
+
+
+@st.composite
+def _curves(draw):
+    terms = [PowerTerm(draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])),
+                       draw(st.floats(1.0, 3.0)))]
+    eps = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    if eps:
+        terms.append(PowerTerm(eps, draw(st.floats(0.25, 4.0))))
+    curve = PhiCurve((0.0,), (tuple(terms),))
+    cap = draw(st.sampled_from([None, 1.0, 10.0]))
+    return curve if cap is None else cap_curve(curve, cap)
+
+
+def _violations(pairs, masks=None):
+    """The samples, one at a time, where lhs <= rhs + tol (1 + |rhs|)
+    fails; a masked-out sample is not compared."""
+    masks = masks or [np.ones(np.shape(lhs), bool) for lhs, _ in pairs]
+    return [(a, b) for (lhs, rhs), mask in zip(pairs, masks)
+            for a, b, m in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist(),
+                               np.ravel(mask).tolist())
+            if m and not a <= b + CHECK_TOL * (1.0 + abs(b))]
+
+
+@given(phi=_curves(), psi=_curves(),
+       L=st.sampled_from([1.0, 2.0 ** 0.25, 2.0, 8.0]),
+       beta=st.sampled_from([1.0, 0.5]), s=st.sampled_from([1.0, 100.0]),
+       h=st.sampled_from([WeightFunction.zero(),
+                          WeightFunction.recip_power(2.0, 1)]))
+def test_sampled_inequalities_recheck_sample_by_sample(phi, psi, L, beta, s, h):
+    X = default_x_samples(from_curve(phi).domain)
+    t = SampleSpec().t_grid()[None, :]
+    hv = h.many(X)[:, None]
+    ones = np.ones((len(X), 1))
+
+    def at(curve, tt):
+        return ones * curve.value(tt)
+
+    rep = check_a2(from_curve(phi), psi, h, beta=beta, s=s)
+    bad = _violations([(at(phi, beta * t), at(psi, t) + hv),
+                       (at(psi, beta * t), at(phi, t) + hv)],
+                      [at(psi, t) <= s + CHECK_TOL, at(phi, t) <= s + CHECK_TOL])
+    assert rep.holds == (not bad)
+
+    rep = check_weak_equivalence(phi, psi, L, h)
+    bad = _violations([(at(psi, t), at(phi, L * t) + hv),
+                       (at(phi, t), at(psi, L * t) + hv)])
+    assert rep.holds == (not bad)
+
+    def equivalence_violations(Lv):
+        return _violations([(at(psi, t / Lv), at(phi, t)),
+                            (at(phi, t), at(psi, Lv * t))])
+
+    rep = check_equivalence(phi, psi, L)
+    assert rep.holds == (not equivalence_violations(L))
+    least = rep.constants["least_L"]
+    if least == INF:
+        assert equivalence_violations(_LADDER[-1])
+    else:
+        # the checks pass for every L past the least: psi is non-decreasing
+        k = _LADDER.index(least)
+        assert not equivalence_violations(least)
+        assert k == 0 or equivalence_violations(_LADDER[k - 1])
 
 
 # ---------------------------------------------------------------------------

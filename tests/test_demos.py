@@ -1,5 +1,4 @@
-"""The demos that take conjugates, and the maximal-operator demo, run
-clean as scripts."""
+"""Every demo runs clean as a script."""
 
 import os
 import subprocess
@@ -11,8 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_phi_functions.py", "04_norms.py",
-                                    "05_maximal.py"])
+@pytest.mark.parametrize("script", [
+    "01_phi_functions.py", "02_conditions.py", "03_transforms.py",
+    "04_norms.py", "05_maximal.py", "06_catalog_and_pipelines.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -210,6 +210,22 @@ def test_cli_norm(phi_file, capsys):
     assert report["luxemburg_norm"] == pytest.approx(1.0, rel=1e-2)
 
 
+def test_cli_norm_of_overflowing_values_is_quiet(tmp_path):
+    # (1e154)^3 is past the largest float: the modular is inf, and the
+    # norm search goes on without a warning on stderr
+    path = tmp_path / "big.csv"
+    GridFunction(((-1.0, 1.0),), np.full(16, 1e154)).to_csv(path)
+    src = os.path.dirname(os.path.dirname(orliczkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "orliczkit.cli", "norm", "--phi",
+         json.dumps({"kind": "orlicz", "params": {"p": 3}}), "--csv",
+         str(path), "--truncation-radius", "1", "--resolution", "8"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+
+
 def test_cli_maximal_writes_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ORLICZKIT_OUT", str(tmp_path))
     code = main(["maximal", "--dim", "1",

@@ -8,11 +8,13 @@ from orliczkit import (
     AsymptotePair,
     ConstructionError,
     PhiFunction,
+    SampleSpec,
     WeightFunction,
     cap_curve,
     check_a0,
     check_ainc,
     check_weak_equivalence,
+    default_x_samples,
     from_curve,
     glue_small_values,
     make_family,
@@ -171,6 +173,26 @@ def test_rebuild_serialization_roundtrip(rebuilt):
         assert rt.eval(x, t) == psi.eval(x, t)
 
 
+@pytest.mark.parametrize("kind", ["glued_small_values", "ainc_rebuild"])
+def test_transformed_document_replays(families, kind):
+    # the Example 3.2 strip glued, or rebuilt at its own threshold t1
+    phi = families["example_3_2"]
+    G = region_from_dict({"region": "inv_square_strip"})
+    if kind == "glued_small_values":
+        psi = glue_small_values(phi, G, 2.0)
+    else:
+        pair = AsymptotePair(power_curve(2.0), WeightFunction.indicator(G),
+                             beta=1.0)
+        psi = rebuild_with_ainc(phi, pair,
+                                small_value_threshold(phi, pair.phi_inf))
+    assert psi.kind == kind
+    replayed = PhiFunction.from_json(psi.to_json())
+    assert replayed.to_json() == psi.to_json()
+    X, t = default_x_samples(psi.domain), SampleSpec().t_grid()
+    assert (replayed.eval_grid(X, t).tobytes()
+            == psi.eval_grid(X, t).tobytes())
+
+
 def test_asymptote_pair_validation():
     h = WeightFunction.recip_power(4.0, 2)
     with pytest.raises(ConstructionError):
@@ -210,8 +232,3 @@ def test_tails_split_envelopes(families):
     assert est.converged
     assert est.upper.value(0.5) == 0.5
     assert est.lower.value(0.5) == 0.25
-
-
-def test_tails_need_two_radii(families):
-    with pytest.raises(ValueError):
-        tail_asymptotes(families["example_3_4"], radius_sequence=(10.0,))
