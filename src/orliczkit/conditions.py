@@ -5,8 +5,9 @@ constant by direct supremum, a dyadic ladder or the package's one level
 search (``phi_core._last_t_where``), and returns a
 :class:`ConditionReport` carrying the constants, the sample spec and the
 worst witness, so failures are reproducible.  Every sampled inequality
-lhs <= rhs is judged by one rule, :func:`_holds`, and its witness is the
-sample of largest excess, :func:`_worst`.  "Almost every x" is
+lhs <= rhs is judged by one rule, :func:`_holds`, and its witness,
+:func:`_worst`, is the sample of largest excess (over the rule's slack,
+when some sample breaks it).  "Almost every x" is
 approximated by the sample set; the catalog families have no exceptional
 sets.  Each checker builds phi's (and psi's) power table of its sample
 points once and reads every level of its dyadic ladder or level search off
@@ -15,6 +16,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,15 +66,24 @@ def _holds(*pairs) -> bool:
                    for lhs, rhs in pairs)
 
 
-def _worst(*pairs) -> tuple[tuple, float]:
-    """The sample of largest lhs - rhs over the (lhs, rhs) pairs of
-    same-shaped arrays, and that excess; nan, the same infinity on both
-    sides, is no excess.  Ties go to the first sample."""
-    with np.errstate(invalid="ignore"):  # fmax skips a nan where it can
-        excess = np.fmax.reduce([lhs - rhs for lhs, rhs in pairs])
-    excess = np.where(np.isnan(excess), -INF, excess)
-    ix = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    return ix, float(excess[ix])
+def _worst(*pairs, broken: bool) -> tuple[tuple, float, float]:
+    """The witness over the (lhs, rhs) pairs of same-shaped arrays, its
+    largest lhs - rhs, and its rank.  For a ``broken`` check (some sample
+    breaks :func:`_holds`) the rank is the largest excess over the rule's
+    slack, lhs - rhs - CHECK_TOL (1 + |rhs|), so that the witness
+    reproduces the failure; otherwise it is the largest lhs - rhs.  The
+    witness is the sample of largest rank, the first on ties; nan, the
+    same infinity on both sides, is no excess."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        # fmax skips a nan where it can
+        excess = functools.reduce(np.fmax, [lhs - rhs for lhs, rhs in pairs])
+        rank = functools.reduce(np.fmax, [
+            lhs - (rhs + CHECK_TOL * (1.0 + np.abs(rhs)))
+            for lhs, rhs in pairs]) if broken else excess
+    rank = np.where(np.isnan(rank), -INF, rank)
+    ix = np.unravel_index(int(np.argmax(rank)), rank.shape)
+    margin = float(excess[ix])
+    return ix, -INF if math.isnan(margin) else margin, float(rank[ix])
 
 
 @dataclass(frozen=True)
@@ -457,7 +468,8 @@ def check_a1(phi: PhiFunction,
     beta = _largest_beta(lambda beta: _holds((at_x(beta * Tv), R)))
     holds = beta > 1e-6
     lhs = at_x(beta * Tv) if beta > 0 else np.zeros_like(R)
-    (k,), _ = _worst((lhs, R))
+    # at the beta found the pair holds
+    (k,), _, _ = _worst((lhs, R), broken=False)
     return ConditionReport(
         condition="A1prime", holds=holds, constants={"beta": beta},
         sample_spec={**spec.describe(), "n_samples": len(X)},
@@ -476,7 +488,8 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     """Verify phi(x, beta*t) <= phi_inf(t) + h(x) on {phi_inf(t) <= s} and
     phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s} by the one
     rule: at each sample, up to 1e-9 times one plus its right-hand side.
-    The witness is the sample of largest excess, first direction first."""
+    The witness is the sample of largest excess (over the slack, when one
+    fails), first direction first."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must be in (0, 1]")
     if s <= 0:
@@ -493,15 +506,17 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
                        table.value(beta * grid[None, :]), -INF), inf_t + hv),
              (np.where(phiv <= s + CHECK_TOL,
                        phi_inf.value(beta * grid)[None, :], -INF), phiv + hv))
-    worst = {"margin": -INF}
+    holds = _holds(*pairs)
+    worst, best = {"margin": -INF}, -INF
     for direction, pair in zip(("phi_vs_asymptote", "asymptote_vs_phi"),
                                pairs):
-        (ix, it), margin = _worst(pair)
-        if margin > worst["margin"]:
+        (ix, it), margin, rank = _worst(pair, broken=not holds)
+        if rank > best:
+            best = rank
             worst = {"margin": margin, "direction": direction,
                      "x": [float(v) for v in X[ix]], "t": float(grid[it])}
     return ConditionReport(
-        condition="A2", holds=_holds(*pairs),
+        condition="A2", holds=holds,
         constants={"beta": beta, "s": s,
                    "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         sample_spec={**spec.describe(), "n_x": len(X)},
@@ -517,7 +532,8 @@ def check_equivalence(phi, psi, L: float,
     """Verify psi(x, t/L) <= phi(x, t) <= psi(x, L t) at all samples by the
     one rule, and find the least L that passes on the ladder 2^(k/4), k = 0
     .. 160 (inf for none).  The witness is the sample of largest excess
-    over both inequalities at the given L."""
+    over both inequalities at the given L (over the slack, when one
+    fails)."""
     phi = _as_phi(phi)
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
@@ -531,11 +547,12 @@ def check_equivalence(phi, psi, L: float,
                 (phiv, psi_table.value(grid * Lv)))
 
     at_L = pairs(L)
-    (ix, it), margin = _worst(*at_L)
+    holds = _holds(*at_L)
+    (ix, it), margin, _ = _worst(*at_L, broken=not holds)
     least = next((Lk for Lk in (2.0 ** (k / 4.0) for k in range(161))
                   if _holds(*pairs(Lk))), INF)
     return ConditionReport(
-        condition="Equiv", holds=_holds(*at_L),
+        condition="Equiv", holds=holds,
         constants={"L": L, "least_L": least},
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
@@ -546,7 +563,8 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
                            spec: SampleSpec | None = None) -> ConditionReport:
     """Verify psi(x, t) <= phi(x, L t) + h(x) and phi(x, t) <= psi(x, L t)
     + h(x) at all samples by the one rule.  The witness is the sample of
-    largest excess over both inequalities."""
+    largest excess over both inequalities (over the slack, when one
+    fails)."""
     phi = _as_phi(phi)
     psi = _as_phi(psi)
     spec = spec or SampleSpec()
@@ -556,9 +574,10 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
     phi_table, psi_table = phi.table(X), psi.table(X)
     pairs = ((psi_table.value(grid), phi_table.value(grid * L) + hv),
              (phi_table.value(grid), psi_table.value(grid * L) + hv))
-    (ix, it), margin = _worst(*pairs)
+    holds = _holds(*pairs)
+    (ix, it), margin, _ = _worst(*pairs, broken=not holds)
     return ConditionReport(
-        condition="WeakEquiv", holds=_holds(*pairs),
+        condition="WeakEquiv", holds=holds,
         constants={"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),

@@ -42,6 +42,20 @@ y first, so a shift along y moves one contiguous block: the tables store
 y by residue mod the stride, and the output is built as that many
 polyphase parts, interleaved once at the end.
 
+The output is a running max, and max is idempotent, so an average no
+larger than a member's least output so far, its floor, moves no bit
+wherever it lands.  Three exact shortcuts follow.  The outputs start at
+0, below every average (sums are clipped at 0, and the caller maxes the
+result with |f| >= 0).  On a 2D grid, a radius's dilation reads only the
+box of lattice centers whose averages exceed their member's floor, and
+builds its doubling levels and window maxima only over the x range the
+box's windows reach; a radius with no such center is not dilated.  And
+before a chunk's ball sums, a radius is dropped when, for every member,
+the total over the fewest cells any of its balls holds (a corner
+center's), with a relative slack for rounding, is at most the floor.
+Chunks of a 2D grid hold few runs so that this floor is fresh.  On one
+row (1D) a radius costs less than these tests, which are left off.
+
 The members of a family that share a grid and a config run through the
 kernel together, stacked on a first axis, up to ``_BATCH_CELLS`` cells a
 call; every step is elementwise per member, so each result is bit for
@@ -135,13 +149,21 @@ def _bands(d_lo: int, d_hi: int) -> list:
     return [(-d_hi, d_hi)] if d_lo == 0 else [(d_lo, d_hi), (-d_hi, -d_lo)]
 
 
-def _ball_counts(runs: list, shape: tuple, s: int) -> np.ndarray:
+def _ball_counts(runs: list, shape: tuple, s: int,
+                 corners: bool = False) -> np.ndarray:
     """Number of ball cells inside the grid at every lattice center: per
     run, the clamped x-count times the count of its rows in the grid (of
-    |dy| <= d_hi less those of |dy| < d_lo)."""
+    |dy| <= d_hi less those of |dy| < d_lo).
+
+    With ``corners``, only at the four corner centers, which hold the
+    fewest: along x the count is concave (each run's clamped x-count is),
+    and along y it rises and then falls (a window of the grid's rows over
+    weights that never grow with |dy|)."""
     nx, ny = shape
     w, d_lo, d_hi = (np.array(c)[:, None] for c in zip(*runs))
     i, k = np.arange(0, nx, s), np.arange(0, ny, s)
+    if corners:
+        i, k = i[[0, -1]], k[[0, -1]]
 
     def inside(lo, hi, c, n):
         # how many of c + lo .. c + hi - 1 (a range holding c) lie in [0, n)
@@ -246,24 +268,36 @@ def _row_spans(lengths: list, ncols: int, d_lo: int, d_hi: int) -> list:
 
 
 def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
-            src: np.ndarray, runs: list) -> None:
-    """Max of lattice values over the footprint ``runs``, into the
-    polyphase outputs: ``outs[r][q]`` holds the grid column q s + r.
+            src: np.ndarray, runs: list, avg: np.ndarray,
+            box: tuple) -> None:
+    """Max of the lattice averages ``avg`` over the footprint ``runs``,
+    into the polyphase outputs: ``outs[r][q]`` holds the grid column q s +
+    r.  Only the lattice columns b0 <= b < b1 and rows a0 <= a <= a1 of
+    ``box = (b0, b1, a0, a1)`` are read; the rest must not exceed any
+    output.
 
     For every lattice column and member (the first two axes), the last nx
-    entries of ``tab`` hold the lattice rows 0, s, 2s, ... of the grid,
+    entries of ``tab`` take the lattice rows 0, s, 2s, ... of the grid,
     -inf off the lattice rows and in the entries before them.  It becomes
-    a doubling table, each level written into the other array (numpy would
-    copy an input that overlaps its output): at level k, entry i holds the
-    max of entries i .. i + 2**k - 1 (-inf past the end), so the x-window
-    [i - w, i + w] of a run is the max of two level-floor(log2(2w + 1))
-    entries, taken into ``src``.  Runs are visited narrowest first, so only
-    one level is alive.  Each run maxes its window maxima into the outputs
-    along its rows."""
+    a doubling table over the x range that the box's windows reach, each
+    level written into the other array (numpy would copy an input that
+    overlaps its output): at level k, entry i holds the max of entries i ..
+    i + 2**k - 1 (-inf past the range), so the x-window [i - w, i + w] of a
+    run is the max of two level-floor(log2(2w + 1)) entries, taken into
+    ``src`` for the rows i within w of the box.  Runs are visited
+    narrowest first, so only one level is alive.  Each run maxes its
+    window maxima into the outputs along its rows."""
     ncols, members, nx = src.shape
-    pad = tab.shape[2] - nx
+    s, pad = len(outs), tab.shape[2] - nx
     lengths = [len(out) for out in outs]
-    first, end = pad - runs[0][0], pad + nx  # the widest run reads furthest
+    b0, b1, a0, a1 = box
+    tab, spare, src = tab[b0:b1], spare[b0:b1], src[b0:b1]
+    widest = runs[0][0]
+    # the widest run's windows read furthest
+    first = pad + max(0, a0 * s - widest) - widest
+    end = pad + min(nx, a1 * s + 2 * widest + 1)
+    tab[..., first: end] = -INF
+    tab[..., pad + a0 * s: pad + a1 * s + 1: s] = avg[b0:b1, :, a0: a1 + 1]
     level = 0
     for w, d_lo, d_hi in reversed(runs):
         k = (2 * w + 1).bit_length() - 1
@@ -274,12 +308,15 @@ def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
             spare[..., end - h: end] = tab[..., end - h: end]
             tab, spare = spare, tab
             level += 1
+        x0, x1 = max(0, a0 * s - w), min(nx, a1 * s + w + 1)
         right = pad + w + 1 - (1 << k)
-        np.maximum(tab[..., pad - w: pad - w + nx],
-                   tab[..., right: right + nx], out=src)
+        np.maximum(tab[..., pad - w + x0: pad - w + x1],
+                   tab[..., right + x0: right + x1], out=src[..., x0:x1])
         for r, q, m0, m1 in _row_spans(lengths, ncols, d_lo, d_hi):
-            dst = outs[r][m0 + q: m1 + q]
-            np.maximum(dst, src[m0:m1], out=dst)
+            m0, m1 = max(m0, b0), min(m1, b1)
+            if m1 > m0:
+                dst = outs[r][m0 + q: m1 + q, :, x0:x1]
+                np.maximum(dst, src[m0 - b0: m1 - b0, :, x0:x1], out=dst)
 
 
 def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
@@ -305,7 +342,13 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
     polyphase parts, y first: part r holds the grid columns r, r + s, ...
     Every array here keeps y first, so that a shift along y moves whole
     contiguous blocks; all of them are freed before the parts are
-    interleaved."""
+    interleaved.
+
+    The outputs start at 0, below no ball average.  On a 2D grid, work
+    that cannot raise a member's output above its least value so far,
+    ``floor``, is skipped (module docstring): footprints whose averages
+    are all at most the floor before their ball sums, and the lattice
+    centers outside the box of those above it before their dilation."""
     members, nx, ny = g.shape
     s = cfg.center_stride
     lattice = (-(-nx // s), -(-ny // s))
@@ -313,23 +356,46 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
         # max is idempotent: a radius repeating the last cropped ball adds
         # nothing
         _runs(r, cell_sizes, (nx, ny)) for r in cfg.radius_set)]
+    # on one row a footprint costs less than the tests that would skip it
+    prune = ny > 1
+    # no ball average of a member exceeds its total over the fewest cells
+    # any ball holds, up to the rounding that _BOUND_SLACK covers
+    total = g.reshape(members, -1).sum(axis=1) * (1.0 + _BOUND_SLACK)
+    pending = [(runs, total / _ball_counts(runs, (nx, ny), s,
+                                           corners=True).min())
+               for runs in footprints] if prune else [
+                   (runs, None) for runs in footprints]
     sat = _table(_split(g), s)
     depth = sat.shape[1]  # the members, twice over if lo is kept
     blocks = _blocks(ny + 1, s)
     strip = np.empty((ny + 1, depth, lattice[0]))
-    outs = [np.full((len(range(r, ny, s)), members, nx), -INF)
-            for r in range(s)]
+    outs = [np.zeros((len(range(r, ny, s)), members, nx)) for r in range(s)]
+
+    def floor():
+        return np.min([out.min(axis=(0, 2)) for out in outs if len(out)],
+                      axis=0)
+
     # the doubling table, with room left of the grid for the widest window
     pad = max(runs[0][0] for runs in footprints)
     tab = np.empty((lattice[1], members, pad + nx))
     spare = np.empty_like(tab)
     src = np.empty((lattice[1], members, nx))
+    whole = (0, lattice[1], 0, lattice[0] - 1)
     # footprints in chunks whose ball sums fit the batch budget
     chunk = max(1, _BATCH_CELLS // (depth * math.prod(lattice)))
     sums = np.empty((min(chunk, len(footprints)), lattice[1], depth,
                      lattice[0]))
-    for i in range(0, len(footprints), chunk):
-        chunk_runs = footprints[i: i + chunk]
+    while pending:
+        size = chunk
+        if prune:
+            least = floor()
+            pending = [(runs, top) for runs, top in pending
+                       if np.any(top > least)]
+            # a chunk of few runs leaves the floor fresh for the next
+            size = max(1, sum(n <= _CHUNK_RUNS for n in itertools.accumulate(
+                len(runs) for runs, _ in pending[:chunk])))
+        chunk_runs = [runs for runs, _ in pending[:size]]
+        pending = pending[size:]
         nums = sums[:len(chunk_runs)]
         nums.fill(0.0)
         uses = {}
@@ -350,11 +416,18 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
             # lo's sums round, so a sum of zeros may come out below 0
             num += nums[:, :, members:]
             np.maximum(num, 0.0, out=num)
-        for runs, n in zip(chunk_runs, num):
-            tab[..., pad - runs[0][0]:] = -INF
-            counts = _ball_counts(runs, (nx, ny), s).T[:, None]
-            np.divide(n, counts, out=tab[..., pad:: s])
-            _dilate(outs, tab, spare, src, runs)
+        for runs, avg in zip(chunk_runs, num):
+            np.divide(avg, _ball_counts(runs, (nx, ny), s).T[:, None],
+                      out=avg)
+            box = whole
+            if prune:
+                above = np.any(avg > floor()[:, None], axis=1)
+                cols = np.flatnonzero(np.any(above, axis=1))
+                if not len(cols):
+                    continue
+                rows = np.flatnonzero(np.any(above, axis=0))
+                box = (cols[0], cols[-1] + 1, rows[0], rows[-1])
+            _dilate(outs, tab, spare, src, runs, avg, box)
     return outs
 
 
@@ -365,6 +438,19 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
 #: ball family on a 128² grid, which runs as one batch (a 256² grid runs
 #: four members at a time).
 _BATCH_CELLS = 2 ** 18
+
+#: Most runs whose ball sums one chunk of a 2D grid's footprints takes
+#: before their dilations raise the floor that drops dead footprints.
+#: Fewer would rebuild more x-strips; on one ``ex3_4`` + ``ex3_2`` pass at
+#: 4 cells per unit, 256 drops 18 of the 39 footprints that reach no
+#: dilation before their sums, against 4 with chunks capped by cells
+#: alone, and takes about 10% off the kernel's time.
+_CHUNK_RUNS = 256
+
+#: Relative slack of the bound on a footprint's ball averages.  The bound
+#: and the averages round at a few dozen ulps in all (pairwise sums, the
+#: low part's prefix sums, one division), far below 2**-30.
+_BOUND_SLACK = 2.0 ** -30
 
 
 def _maximal_family(family, cfg: MaximalConfig | None = None) -> list:

@@ -303,11 +303,16 @@ def tail_asymptotes(phi: PhiFunction) -> AsymptoteEstimate:
         shells.append((pts, phi.eval_grid(pts, t_grid)))
     (_, inner), (pts, vals) = shells
     up1, lo1 = vals.max(axis=0), vals.min(axis=0)
-    converged = bool(
-        np.all(np.abs(up1 - inner.max(axis=0))
-               <= SHELL_TOL * np.maximum(np.abs(up1), 1e-300))
-        and np.all(np.abs(lo1 - inner.min(axis=0))
-                   <= SHELL_TOL * np.maximum(np.abs(lo1), 1e-300)))
+
+    def agree(outer, inner_env):
+        # equal envelopes agree, the same +inf included
+        with np.errstate(invalid="ignore"):
+            gap = np.where(outer == inner_env, 0.0, np.abs(outer - inner_env))
+        return bool(np.all(gap <= SHELL_TOL * np.maximum(np.abs(outer),
+                                                         1e-300)))
+
+    converged = (agree(up1, inner.max(axis=0))
+                 and agree(lo1, inner.min(axis=0)))
     flags = [] if converged else ["inconclusive"]
 
     def witness(env, select):

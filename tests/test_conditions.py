@@ -30,7 +30,7 @@ from orliczkit import (
     reports_table,
     weight_from_dict,
 )
-from orliczkit.conditions import CHECK_TOL, _sampled_sup
+from orliczkit.conditions import CHECK_TOL, _holds, _sampled_sup
 
 INF = math.inf
 
@@ -276,6 +276,21 @@ def test_equivalence_judges_every_sample_against_itself():
     assert not rep.holds and rep.constants["least_L"] == 2.0
     assert not check_weak_equivalence(phi, psi, 1.0,
                                       WeightFunction.zero()).holds
+
+
+def test_failing_equivalence_reports_a_failing_witness():
+    """The witness of a failed check reproduces the failure: it is the
+    sample of largest excess over the rule's slack, not of largest lhs -
+    rhs (for this pair that sample, t = 1e4, passes)."""
+    phi = power_curve(2.0)
+    psi = PhiCurve((0.0,), ((PowerTerm(1.0, 2.0), PowerTerm(1e-6, 0.5)),))
+    for rep in (check_equivalence(phi, psi, 1.0),
+                check_weak_equivalence(phi, psi, 1.0,
+                                       WeightFunction.zero())):
+        t = np.array([rep.worst_witness["t"]])
+        pv, qv = phi.value(t), psi.value(t)
+        assert not rep.holds and not _holds((qv, pv), (pv, qv))
+        assert rep.worst_witness["margin"] == float(np.max(qv - pv))
 
 
 def test_equivalence_with_infinite_tails():

@@ -20,6 +20,7 @@ from orliczkit import (
     power_curve,
     run_pipeline,
 )
+from orliczkit.norms import EPS_LUX
 
 # the package binds the name ``maximal`` to the function, so reach the
 # module (its kernels) through the import system
@@ -147,6 +148,72 @@ def test_operator_norm_skips_zero_functions():
 
 
 # ---------------------------------------------------------------------------
+# the sharp 1D constant: every discrete ball is an interval holding the
+# cell, so the discrete Mf is at most the uncentred operator on the line,
+# whose norm on L^p is C_p, and for t^p the Luxemburg norm of a grid
+# function is its L^p norm (found to EPS_LUX from above)
+
+
+def _sharp_1d_constant(p):
+    """The positive root of (p - 1) x^p - p x^(p - 1) - 1 (Grafakos &
+    Montgomery-Smith, 1997), by bisection: the left side is -2 at x = 1
+    and increases for x > 1."""
+    def side(x):
+        return (p - 1.0) * x ** p - p * x ** (p - 1.0) - 1.0
+
+    lo, hi = 1.0, 2.0
+    while side(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if side(mid) <= 0.0 else (lo, mid)
+    return hi
+
+
+def test_sharp_1d_constant_closed_forms():
+    assert _sharp_1d_constant(1.5) == pytest.approx(4.0, rel=1e-14)
+    assert _sharp_1d_constant(2.0) == pytest.approx(1.0 + math.sqrt(2.0),
+                                                    rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.floats(1.0, 4.0, exclude_min=True), n=st.integers(2, 300),
+       stride=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_1d_ratios_stay_below_the_sharp_constant(p, n, stride, seed):
+    """Heavy-tailed, sparse and singular members on random 1D grids, at
+    every stride: no norm ratio exceeds C_p (1 + EPS_LUX)."""
+    rng = np.random.default_rng(seed)
+    box = ((-rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)),)
+    x = (np.arange(n) + 0.5) / n
+    a = rng.uniform(0.5, 0.999)
+    family = [GridFunction(box, v) for v in (
+        rng.lognormal(0.0, 3.0, n),
+        rng.lognormal(0.0, 1.0, n) * (rng.random(n) < 0.1),
+        np.abs(x - rng.random()) ** (-a / p))]
+    cfg = MaximalConfig(default_config(family[0]).radius_set, stride)
+    phi = from_curve(power_curve(p), dim=1)
+    ratios = _mx._norm_ratios(phi, family,
+                              _mx._maximal_family(family, cfg))["ratios"]
+    assert max(ratios) <= _sharp_1d_constant(p) * (1.0 + EPS_LUX)
+
+
+@pytest.mark.parametrize("p,floor", [(1.5, 0.65), (2.0, 0.76), (3.0, 0.84)])
+def test_1d_ratio_nears_the_sharp_constant(p, floor):
+    """f = x^(-a/p) on (0, 1), 0 on (-1, 0], on 4096 cells nearly attains
+    C_p as a -> 1: the largest ratio over a = 0.9, 0.99, 0.999 reads
+    0.664, 0.771 and 0.846 of C_p at p = 1.5, 2 and 3, so the bound above
+    is not met by under-estimating everything."""
+    box = ((-1.0, 1.0),)
+    x = GridFunction(box, np.zeros(4096)).points()[:, 0]
+    family = [GridFunction(box, np.where(x > 0.0, np.abs(x) ** (-a / p),
+                                         0.0))
+              for a in (0.9, 0.99, 0.999)]
+    rep = operator_norm_estimate(from_curve(power_curve(p), dim=1), family)
+    c_p = _sharp_1d_constant(p)
+    assert floor * c_p <= rep["max_ratio"] <= c_p * (1.0 + EPS_LUX)
+
+
+# ---------------------------------------------------------------------------
 # the kernel against a brute-force enumeration of lattice centers and balls
 
 _ORACLE_GRIDS_1D = [((13,), ((0.0, 2.0),)), ((20,), ((-1.0, 1.5),))]
@@ -263,6 +330,94 @@ def test_repeated_footprints_are_skipped(monkeypatch):
     each = [_mx._staircase_maximal(v, f.cell_sizes, MaximalConfig((r,)))
             for r in cfg.radius_set]
     np.testing.assert_array_equal(got, np.max(each, axis=0))
+
+
+@st.composite
+def _pruning_families(draw):
+    """A box and a stack of members on it: all zero, random, small
+    integers, a 1e12 spike on a faint background, and supports in
+    opposite corners, so that one batch mixes members whose averages
+    live in different places."""
+    dim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(2, 40 if dim == 1 else 12))
+                  for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    kinds = draw(st.lists(st.sampled_from(
+        ["zero", "random", "integer", "spike", "low", "high"]),
+        min_size=1, max_size=4))
+    members = []
+    for kind in kinds:
+        v = np.zeros(shape)
+        if kind == "random":
+            v = rng.random(shape)
+        elif kind == "integer":
+            v = rng.integers(0, 5, shape).astype(float)
+        elif kind == "spike":
+            v = rng.integers(0, 2, shape) * 1e-3
+            v[tuple(rng.integers(0, n) for n in shape)] = 1e12
+        elif kind in ("low", "high"):
+            corner = tuple(slice(0, max(1, n // 4)) if kind == "low" else
+                           slice(n - max(1, n // 4), n) for n in shape)
+            v[corner] = rng.integers(1, 9, v[corner].shape)
+        members.append(v)
+    box = tuple((0.0, n / 4.0) for n in shape)
+    return box, np.array(members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=_pruning_families(), stride=st.integers(1, 3),
+       one_per_chunk=st.booleans())
+def test_skipped_work_leaves_the_max_unchanged(family, stride,
+                                               one_per_chunk):
+    """Footprints dropped before their ball sums and lattice centers left
+    out of a dilation cannot move a bit: over a family the kernel equals
+    the max over single-radius runs, with footprints batched as usual or
+    one ball sum at a time (so that each is tested against the freshest
+    output); on integer input it equals the brute-force oracle."""
+    box, vs = family
+    f = GridFunction(box, vs[0])
+    cfg = MaximalConfig(default_config(f).radius_set, stride)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_per_chunk:
+            mp.setattr(_mx, "_BATCH_CELLS", 1)
+        got = _mx._staircase_maximal(vs, f.cell_sizes, cfg)
+    each = [_mx._staircase_maximal(vs, f.cell_sizes, MaximalConfig((r,),
+                                                                   stride))
+            for r in cfg.radius_set]
+    assert got.tobytes() == np.max(each, axis=0).tobytes()
+    ints = [GridFunction(box, v) for v in np.floor(4.0 * vs)]
+    radii = tuple(_oracle_radii(ints[0]))
+    for f, Mf in zip(ints, _mx._maximal_family(
+            ints, MaximalConfig(radii, stride))):
+        np.testing.assert_array_equal(Mf.values,
+                                      _brute_force(f, radii, stride))
+
+
+def test_dead_footprints_are_skipped(monkeypatch):
+    """On the 256² grid of ``ex3_4`` at 4 cells per unit (the indicator
+    of the unit disc in a box of half-width 64), 7 of the 32 footprints
+    cannot raise any cell of Mf: 5 are dropped before their ball sums,
+    so only 27 sums reach the division by their cell counts, and 2 more
+    after them, so 25 reach the dilation."""
+    calls = []
+    dilate, counts = _mx._dilate, _mx._ball_counts
+
+    def counted(*args, corners=False):
+        if not corners:
+            calls.append("sums")
+        return counts(*args, corners=corners)
+
+    monkeypatch.setattr(_mx, "_dilate",
+                        lambda *args: calls.append("dilate") or dilate(*args))
+    monkeypatch.setattr(_mx, "_ball_counts", counted)
+    f = GridFunction.indicator_ball([0.0, 0.0], 1.0, ((-64.0, 64.0),) * 2,
+                                    256)
+    cfg = default_config(f)
+    footprints = {tuple(_mx._runs(r, f.cell_sizes, (256, 256)))
+                  for r in cfg.radius_set}
+    _mx._staircase_maximal(f.values, f.cell_sizes, cfg)
+    assert (len(footprints), calls.count("sums"),
+            calls.count("dilate")) == (32, 27, 25)
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,14 @@ def test_tails_split_envelopes(families):
     assert est.converged
     assert est.upper.value(0.5) == 0.5
     assert est.lower.value(0.5) == 0.25
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tails_with_equal_infinite_envelopes_converge():
+    """Past the cap both shells read +inf: equal envelopes agree, with no
+    inf - inf in the comparison (an error under this warning filter)."""
+    strip = region_from_dict({"region": "inv_square_strip"})
+    capped = from_curve(cap_curve(power_curve(2.0), 3.0), dim=2)
+    est = tail_asymptotes(glue_small_values(capped, strip, 2.0))
+    assert est.converged and "inconclusive" not in est.flags
+    assert est.upper.value(4.0) == INF
