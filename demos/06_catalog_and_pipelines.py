@@ -9,8 +9,9 @@ The same functionality is exposed on the command line:
 
     orliczkit example dp_cor49
     orliczkit pipeline spec.json
-    orliczkit check a0 --phi '{"kind": "example_3_4", "params": {}}'
-    orliczkit norm --phi '...' --function '{"shape": "ball", ...}'
+    orliczkit check --condition a0 --phi '{"kind": "example_3_4"}'
+    orliczkit norm --phi '...' --function '{"ball": {"center": [...],
+                                                     "radius": r}}'
     orliczkit maximal --csv f.csv
 
 Exit codes: 0 all claims match, 1 some claim mismatched, 2 bad usage or

@@ -4,8 +4,10 @@ Subcommands: ``check`` (condition checkers), ``transform`` (constructive
 modifications), ``norm`` (modular and Luxemburg norm), ``maximal``
 (discretized maximal operator), ``example`` (named reproduction bundles),
 ``pipeline`` (declarative experiment specs).  Every run prints one JSON
-report and writes it under the output directory (``--out`` or the
-``ORLICZKIT_OUT`` environment variable).
+report and writes it under the output directory (``--out``, else
+``$ORLICZKIT_OUT`` read at the call).  A subcommand takes ``--seed``,
+``--resolution`` and ``--truncation-radius`` only if it reads them, from
+one parser built per process.
 
 Flags are parsed by ``gallery``'s spec parser.  Exit codes: 0 verdict
 or expectation met, 1 mismatch, 3 internal error, 2 usage or spec error,
@@ -16,11 +18,12 @@ pointer (``--radii``, ``--function/ball``, ``/pair``).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from pathlib import Path
 
 from . import transforms
 from .phi_core import PhiCurve, region_from_dict
@@ -61,36 +64,40 @@ def _given(**kw) -> dict:
     return {k: v for k, v in kw.items() if v is not None}
 
 
-@contextmanager
-def _writing_out():
-    """A file that cannot be written under --out is bad input there."""
+def _write(args, name: str, write):
+    """``write(path)`` for ``name`` in the output directory (--out, else
+    $ORLICZKIT_OUT read now), made first; None when neither names one."""
+    out = os.environ.get(OUT_ENV) if args.out is None else args.out
+    if not out:
+        return None
+    path = os.path.join(out, name)
     try:
-        yield
+        os.makedirs(out, exist_ok=True)
+        write(path)
     except OSError as exc:
         raise SpecError("--out", f"cannot write: {exc}") from exc
+    return path
 
 
 def _emit(report: dict, args, name: str) -> None:
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
     print(text)
-    if args.out:
-        with _writing_out():
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
-                fh.write(text + "\n")
+    _write(args, f"{name}.json",
+           lambda path: Path(path).write_text(text + "\n"))
 
 
-def _grid_function(args, phi) -> GridFunction:
-    """The grid function of --function, --csv or --binary; the first two
-    lay it on phi's dimension (--dim without phi), and a binary grid must
-    have it when phi is given."""
+def _phi_and_grid(args) -> tuple:
+    """--phi and the grid function of --function, --csv or --binary; the
+    first two lay it on phi's dimension (--dim without phi), and a binary
+    grid must have it when phi is given."""
+    phi = _phi(args.phi)
     dim = phi.domain.dim if phi else args.dim
     R = args.truncation_radius
     box = tuple((-R, R) for _ in range(dim))
     n = max(int(args.resolution * 2 * R), 8)
     if args.function:
-        return _grid_from_spec(_json_flag(args.function, "--function"), box,
-                               n, "--function")
+        return phi, _grid_from_spec(_json_flag(args.function, "--function"),
+                                    box, n, "--function")
     flag, path = ("--csv", args.csv) if args.csv else ("--binary", args.binary)
     if not path:
         raise SpecError("--function", "provide --function, --csv, or --binary")
@@ -102,7 +109,7 @@ def _grid_function(args, phi) -> GridFunction:
     if phi is not None and f.dim != dim:
         raise SpecError(flag, f"grid function has {f.dim} axes, phi's "
                               f"domain has {dim}")
-    return f
+    return phi, f
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +168,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    phi = _phi(args.phi)
-    f = _grid_function(args, phi)
+    phi, f = _phi_and_grid(args)
     report = {"modular": modular(phi, f),
               "luxemburg_norm": luxemburg_norm(phi, f),
               "cells": list(f.resolution),
@@ -172,8 +178,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
-    phi = _phi(args.phi)
-    f = _grid_function(args, phi)
+    phi, f = _phi_and_grid(args)
     cfg = default_config(f)
     if args.radii is not None:
         with _at("--radii"):
@@ -188,23 +193,18 @@ def _cmd_maximal(args) -> int:
               "max_value": float(Mf.values.max())}
     if phi is not None:
         report["norm_f"], report["norm_Mf"] = _luxemburg_norms(phi, [f, Mf])
-    if args.out:
-        with _writing_out():
-            os.makedirs(args.out, exist_ok=True)
-            Mf.to_csv(os.path.join(args.out, "maximal.csv"))
-            Mf.to_binary(os.path.join(args.out, "maximal.bin"))
-        report["outputs"] = [os.path.join(args.out, "maximal.csv"),
-                             os.path.join(args.out, "maximal.bin")]
+    outputs = [_write(args, "maximal.csv", Mf.to_csv),
+               _write(args, "maximal.bin", Mf.to_binary)]
+    if outputs[0]:
+        report["outputs"] = outputs
     _emit(report, args, "maximal")
     return 0
 
 
 def _seed_flag(args) -> dict:
     """The --seed flag, if given, checked as the bundle runners check it."""
-    if args.seed is not None:
-        with _at("--seed"):
-            _seed(args.seed)
-    return _given(seed=args.seed)
+    with _at("--seed"):
+        return {} if args.seed is None else {"seed": _seed(args.seed)}
 
 
 def _cmd_example(args) -> int:
@@ -226,41 +226,38 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="orliczkit",
         description="Numerical toolkit for generalized Orlicz growth "
                     "functions")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--resolution", type=positive, default=8.0,
-                        help="grid cells per unit length")
-    common.add_argument("--truncation-radius", type=positive, default=16.0,
-                        help="half side of the truncated box")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", default=os.environ.get(OUT_ENV),
-                        help=f"output directory (default ${OUT_ENV})")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help=f"output directory (default ${OUT_ENV})")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int)
+    bundle = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    bundle.add_argument("--resolution", type=positive, default=8.0,
+                        help="int(resolution * R) cells per axis on (-R, R)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[seeded],
                        help="run a condition checker")
     p.add_argument("--phi", required=True,
                    help="phi document, make or pipeline spec (JSON or @file)")
     p.add_argument("--condition", required=True,
                    choices=["ainc", "adec", "a0", "a1", "a2",
                             "equivalence", "weak-equivalence"])
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--L", type=float)
+    for flag in ("--p", "--q", "--L", "--t-min", "--t-max"):
+        p.add_argument(flag, type=float)
     p.add_argument("--pair", help="asymptote pair (JSON or @file)")
     p.add_argument("--other", help="second phi spec")
     p.add_argument("--h", help="weight spec (JSON)")
     p.add_argument("--t-range", nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--t-min", type=float)
-    p.add_argument("--t-max", type=float)
     p.add_argument("--expect", choices=["holds", "fails"], default="holds")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("transform", parents=[common],
+    p = sub.add_parser("transform", parents=[out],
                        help="apply a constructive transform")
     p.add_argument("--op", required=True,
                    choices=["glue_small_values", "small_value_threshold",
@@ -275,17 +272,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, default=1.0)
     p.set_defaults(func=_cmd_transform)
 
-    grid = argparse.ArgumentParser(add_help=False)
+    grid = argparse.ArgumentParser(add_help=False, parents=[out])
+    grid.add_argument("--resolution", type=positive, default=8.0,
+                      help="grid cells per unit length (at least 8 per axis)")
+    grid.add_argument("--truncation-radius", type=positive, default=16.0,
+                      help="half side R of the box (-R, R)^dim")
     grid.add_argument("--function", help='{"ball": {"center": [0, 0], '
                                          '"radius": 1}} or {"const": c}')
     grid.add_argument("--csv", help="read values from a CSV grid dump")
     grid.add_argument("--binary", help="read a binary grid dump")
-    p = sub.add_parser("norm", parents=[common, grid],
+    p = sub.add_parser("norm", parents=[grid],
                        help="modular and Luxemburg norm of a grid function")
     p.add_argument("--phi", required=True)
     p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("maximal", parents=[common, grid],
+    p = sub.add_parser("maximal", parents=[grid],
                        help="discretized maximal operator")
     p.add_argument("--phi")
     p.add_argument("--dim", type=int, default=2, choices=[1, 2])
@@ -293,12 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int)
     p.set_defaults(func=_cmd_maximal)
 
-    p = sub.add_parser("example", parents=[common],
+    p = sub.add_parser("example", parents=[bundle],
                        help="reproduce a named example bundle")
     p.add_argument("name", choices=list(EXAMPLE_NAMES))
     p.set_defaults(func=_cmd_example)
 
-    p = sub.add_parser("pipeline", parents=[common],
+    p = sub.add_parser("pipeline", parents=[bundle],
                        help="run a declarative experiment spec")
     p.add_argument("spec", help="path to a spec JSON file (or inline JSON)")
     p.set_defaults(func=_cmd_pipeline)
@@ -308,10 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,9 @@ EXAMPLE_NAMES = ("ex3_2", "ex3_4", "ex3_5", "ex4_6", "dp_cor49")
 
 BUNDLE_SCHEMA = "orliczkit-bundle/1"
 
+#: The sampling of the small-t aInc claims: down to t = 1e-70 on (0, 1].
+_DEEP = SampleSpec(t_min=1e-70, t_max=1.0)
+
 
 class SpecError(ValueError):
     """A pipeline spec violation, carrying a JSON pointer to the field."""
@@ -56,7 +59,7 @@ def _ball_family(truncation: float, resolution: float):
     centers = [(0.0, 0.0), (2.0, 0.0), (4.0, 1.0), (-3.0, 2.0), (1.0, -2.0)]
     radii = [0.5, 1.0]
     box = ((-truncation, truncation),) * 2
-    n = int(resolution * 2 * truncation) // 2
+    n = int(resolution * truncation)
     return [GridFunction.indicator_ball(c, r, box, n)
             for c in centers for r in radii]
 
@@ -74,18 +77,15 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
     # on the region, small values grow only linearly: no aInc_p for p > 1
     gx = np.linspace(1.0, 10.0, 12)
     A = np.column_stack([gx, np.zeros_like(gx)])
-    deep = SampleSpec(t_min=1e-70, t_max=1.0)
     for p in (1.1, 1.5, 2.0):
-        rep = check_ainc(phi, p, A=A, T=(0.0, 1.0), spec=deep)
+        rep = check_ainc(phi, p, A=A, T=(0.0, 1.0), spec=_DEEP)
         big = rep.constants["sampled_sup"] > 1e6
         claims.append(_claim(f"aInc_{p} fails on region x (0,1] with "
                              "ratio > 1e6", (not rep.holds) and big, rep))
     # bounded maximal operator: norm ratios stable across truncations
-    ratios = {}
-    for R in (8.0, 16.0, 32.0):
-        rep = operator_norm_estimate(phi, _ball_family(R, resolution))
-        ratios[R] = rep["ratios"]
-    arr = np.array([ratios[R] for R in sorted(ratios)])
+    ratios = {R: operator_norm_estimate(phi, _ball_family(R, resolution))
+              ["ratios"] for R in (8.0, 16.0, 32.0)}
+    arr = np.array(list(ratios.values()))
     spread = float(np.max((arr.max(axis=0) - arr.min(axis=0))
                           / arr.min(axis=0)))
     claims.append(_claim("operator-norm ratios stable within 20% "
@@ -94,6 +94,18 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
                           "max_spread": spread}))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_2",
                     "phi": phi.to_dict(), "claims": claims})
+
+
+def _divergence(phi, radii: list, resolution: float, center, radius):
+    """For R in ``radii``, the ball's indicator on (-R, R)^dim with
+    int(resolution * R) cells per axis, its maximal function (computed
+    once), and phi's modular growth and norm ratio reports over them."""
+    fam = [GridFunction.indicator_ball(
+        center, radius, ((-R, R),) * phi.domain.dim, int(resolution * R))
+        for R in radii]
+    maxes = _maximal_family(fam)
+    return (fam, maxes, _modular_growth(phi, maxes, radii),
+            _norm_ratios(phi, fam, maxes, radii))
 
 
 def _run_ex3_4(resolution: float, seed: int) -> dict:
@@ -108,18 +120,13 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
     rep = check_ainc(phi, 2.0, T=(1.0, math.inf))
     ok2 = rep.holds and rep.constants["sampled_sup"] <= 2.0 + 1e-9
     claims.append(_claim("aInc_2 on [1, inf) with constant <= 2", ok2, rep))
-    rep = check_ainc(phi, 1.5, T=(0.0, 1.0),
-                     spec=SampleSpec(t_min=1e-70, t_max=1.0))
+    rep = check_ainc(phi, 1.5, T=(0.0, 1.0), spec=_DEEP)
     claims.append(_claim("aInc_1.5 fails on (0, 1]", rep.holds, rep,
                          expected=False))
     # divergence: modular of M(chi_ball) grows like log R, ratios grow
     radii = [8.0, 16.0, 32.0, 64.0]
-    fam = [GridFunction.indicator_ball(
-        [0.0, 0.0], 1.0, ((-R, R), (-R, R)), int(resolution * R))
-        for R in radii]
-    maxes = _maximal_family(fam)
-    growth = _modular_growth(phi, maxes, radii)
-    norm_rep = _norm_ratios(phi, fam, maxes, radii)
+    fam, maxes, growth, norm_rep = _divergence(phi, radii, resolution,
+                                               [0.0, 0.0], 1.0)
     log_fit = (growth.get("r_squared", 0.0) >= 0.98
                and growth.get("slope_vs_log_radius", 0.0) > 0)
     claims.append(_claim("modular of Mf grows like log R (R^2 >= 0.98)",
@@ -208,15 +215,13 @@ def _run_dp_cor49(resolution: float, seed: int) -> dict:
                            check_a2(phi, power_curve(p), h0, beta=beta))):
             claims.append(_claim(name, rep.holds, rep))
         small = check_ainc(power_curve(p), 1.0 + 0.25 * (p - 1.0) if p > 1
-                           else 1.05, T=(0.0, 1.0),
-                           spec=SampleSpec(t_min=1e-70, t_max=1.0))
+                           else 1.05, T=(0.0, 1.0), spec=_DEEP)
         claims.append(_claim(f"p={p}: asymptote t^{p} almost-increases "
                              "at small t for some exponent > 1 "
                              "(necessary for a bounded maximal operator)",
                              small.holds, small, expected=p > 1.0))
-    bundle = {"schema": BUNDLE_SCHEMA, "name": "dp_cor49",
-              "phi": instances, "claims": claims}
-    return _finish(bundle)
+    return _finish({"schema": BUNDLE_SCHEMA, "name": "dp_cor49",
+                    "phi": instances, "claims": claims})
 
 
 _RUNNERS = {
@@ -229,9 +234,9 @@ _RUNNERS = {
 
 
 def run_example(name: str, resolution: float = 8.0, seed: int = 0) -> dict:
-    """Run a named example bundle; ``resolution`` is cells per unit length
-    for the grid experiments.  An unknown name, or a seed that is not a
-    non-negative integer, raises :class:`SpecError`."""
+    """Run a named example bundle; its grids lay ``int(resolution * R)``
+    cells per axis on ``(-R, R)``.  An unknown name, or a seed that is not
+    a non-negative integer, raises :class:`SpecError`."""
     if name not in _RUNNERS:
         raise SpecError("/name", f"unknown example {name!r}; "
                                  f"choose from {sorted(_RUNNERS)}")
@@ -421,8 +426,7 @@ def _grid_from_spec(d: dict, box, resolution: int,
         return GridFunction.indicator_ball(center, radius, box, resolution)
 
 
-def _run_experiment(phi, exp: dict, pointer: str, resolution: float,
-                    seed: int) -> dict:
+def _run_experiment(phi, exp: dict, pointer: str, resolution: float) -> dict:
     field = partial(_field, exp, pointer)
     kind = field("experiment")
     dim = phi.domain.dim
@@ -431,15 +435,11 @@ def _run_experiment(phi, exp: dict, pointer: str, resolution: float,
             radii = field("radii", lambda rs: [float(_positive(r))
                                                for r in _list(rs)],
                           [8.0, 16.0, 32.0])
-            center = field("center", default=[0.0] * dim)
-            r = field("ball_radius", _positive, 1.0)
-            fam = [GridFunction.indicator_ball(
-                center, r, tuple((-R, R) for _ in range(dim)),
-                int(resolution * R)) for R in radii]
-            maxes = _maximal_family(fam)
-            return {"experiment": kind,
-                    "modular_growth": _modular_growth(phi, maxes, radii),
-                    "operator_norm": _norm_ratios(phi, fam, maxes, radii)}
+            *_, growth, norm_rep = _divergence(
+                phi, radii, resolution, field("center", default=[0.0] * dim),
+                field("ball_radius", _positive, 1.0))
+            return {"experiment": kind, "modular_growth": growth,
+                    "operator_norm": norm_rep}
         if kind == "operator-norm":
             fam = _ball_family(field("truncation_radius", _positive, 16.0),
                                resolution)
@@ -485,6 +485,6 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
             _claim(label, rep.holds, rep, expected=expected))
     for i, exp in enumerate(_field(spec, "", "experiments", _list, [])):
         bundle["experiments"].append(
-            _run_experiment(phi, exp, f"/experiments/{i}", resolution, seed))
+            _run_experiment(phi, exp, f"/experiments/{i}", resolution))
     bundle["verdict"] = all(c["matches"] for c in bundle["checks"])
     return bundle

@@ -442,7 +442,7 @@ _BATCH_CELLS = 2 ** 18
 #: Most runs whose ball sums one chunk of a 2D grid's footprints takes
 #: before their dilations raise the floor that drops dead footprints.
 #: Fewer would rebuild more x-strips; on one ``ex3_4`` + ``ex3_2`` pass at
-#: 4 cells per unit, 256 drops 18 of the 39 footprints that reach no
+#: resolution 4, 256 drops 18 of the 39 footprints that reach no
 #: dilation before their sums, against 4 with chunks capped by cells
 #: alone, and takes about 10% off the kernel's time.
 _CHUNK_RUNS = 256

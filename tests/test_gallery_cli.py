@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import importlib
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -518,6 +520,71 @@ def test_unwritable_out_is_exit_2(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: --out: cannot write")
 
+
+
+# ---------------------------------------------------------------------------
+# Shared flags: each subcommand takes only those it reads, from one parser
+
+_SHARED = ("--out", "--seed", "--resolution", "--truncation-radius")
+#: Each subcommand's required arguments, and the shared flags it reads.
+_SUBCOMMANDS = {
+    "check": (["--phi", _PHI, "--condition", "a0"], {"--out", "--seed"}),
+    "transform": (["--op", "tail_asymptotes"], {"--out"}),
+    "norm": (["--phi", _PHI],
+             {"--out", "--resolution", "--truncation-radius"}),
+    "maximal": ([], {"--out", "--resolution", "--truncation-radius"}),
+    "example": (["ex3_5"], {"--out", "--seed", "--resolution"}),
+    "pipeline": (["spec.json"], {"--out", "--seed", "--resolution"}),
+}
+_UNREAD = [(command, flag) for command, (_, reads) in _SUBCOMMANDS.items()
+           for flag in _SHARED if flag not in reads]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD,
+                         ids=[f"{c} {f}" for c, f in _UNREAD])
+def test_unread_shared_flag_is_a_usage_error(command, flag, capsys):
+    assert main([command, *_SUBCOMMANDS[command][0], flag, "3"]) == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_help_lists_the_shared_flags_read(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert listed & set(_SHARED) == _SUBCOMMANDS[command][1]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["check", "--phi", _PHI, "--condition", "a0"]
+    assert main(argv) == 0  # builds the parser unless a call before did
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_out_env_is_read_at_each_call(tmp_path, monkeypatch, capsys):
+    """ORLICZKIT_OUT set after import and changed between calls: each
+    call writes where the variable points then, and --out overrides it."""
+    argv = ["maximal", "--dim", "1", "--function", _BALL_1D,
+            "--truncation-radius", "2", "--radii", "1"]
+    files = ["maximal.bin", "maximal.csv", "maximal.json"]
+    for name in ("a", "b"):
+        monkeypatch.setenv("ORLICZKIT_OUT", str(tmp_path / name))
+        assert main(argv) == 0
+        assert sorted(os.listdir(tmp_path / name)) == files
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 0
+    assert sorted(os.listdir(tmp_path / "c")) == files
+    assert sorted(os.listdir(tmp_path / "b")) == files
+    capsys.readouterr()
 
 _FUZZ_PHI = {"kind": "orlicz", "params": {"p": 2.0, "dim": 2}}
 _FUZZ_SPEC = {

@@ -394,7 +394,7 @@ def test_skipped_work_leaves_the_max_unchanged(family, stride,
 
 
 def test_dead_footprints_are_skipped(monkeypatch):
-    """On the 256² grid of ``ex3_4`` at 4 cells per unit (the indicator
+    """On the 256² grid of ``ex3_4`` at resolution 4 (the indicator
     of the unit disc in a box of half-width 64), 7 of the 32 footprints
     cannot raise any cell of Mf: 5 are dropped before their ball sums,
     so only 27 sums reach the division by their cell counts, and 2 more
