@@ -31,7 +31,8 @@ from .conditions import _jsonable
 from .norms import GridFunction, _luxemburg_norms, luxemburg_norm, modular
 from .maximal import MaximalConfig, default_config, maximal
 from .gallery import EXAMPLE_NAMES, SpecError, _at, _build_phi, \
-    _grid_from_spec, _positive, _run_check, _seed, run_example, run_pipeline
+    _check_call, _grid_from_spec, _positive, _Reader, _seed, run_example, \
+    run_pipeline
 
 OUT_ENV = "ORLICZKIT_OUT"
 
@@ -80,10 +81,11 @@ def _write(args, name: str, write):
 
 
 def _emit(report: dict, args, name: str) -> None:
+    """Write the report under the output directory, then print it."""
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
-    print(text)
     _write(args, f"{name}.json",
            lambda path: Path(path).write_text(text + "\n"))
+    print(text)
 
 
 def _phi_and_grid(args) -> tuple:
@@ -116,7 +118,8 @@ def _phi_and_grid(args) -> tuple:
 
 
 def _cmd_check(args) -> int:
-    """The flags are one check spec of a pipeline (docs/file_formats.md)."""
+    """The flags are one check spec of a pipeline (docs/file_formats.md),
+    so a flag the condition does not read fails at its field."""
     chk = _given(condition=args.condition.replace("-", "_"), p=args.p,
                  q=args.q, L=args.L, pair=_json_flag(args.pair, "--pair"),
                  other=_json_flag(args.other, "--other"),
@@ -126,7 +129,8 @@ def _cmd_check(args) -> int:
         with _at("/T"):  # "inf" stands for the JSON spec's null
             chk["T"] = [None if v == "inf" else float(v)
                         for v in args.t_range]
-    rep = _run_check(_phi(args.phi), chk, "")
+    phi, field = _phi(args.phi), _Reader(chk, "")
+    rep = field.run(_check_call(phi, field))
     _emit(rep.to_dict(), args, f"check-{args.condition}")
     return 0 if rep.holds == (args.expect == "holds") else 1
 

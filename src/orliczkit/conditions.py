@@ -91,12 +91,11 @@ class SampleSpec:
     """Sampling lattice: a log-spaced t grid on [t_min, t_max] with
     ``POINTS_PER_DECADE`` points per decade, plus an x lattice of
     ``X_PER_AXIS`` points per axis over the domain (or over a window of
-    half-width ``X_RADIUS`` for unbounded domains); ``seed`` drives the
-    (A1') ball sampling."""
+    half-width ``X_RADIUS`` for unbounded domains).  ``describe()``
+    reports seed 0: only :func:`check_a1` draws, and it reports its own."""
 
     t_min: float = 1e-4
     t_max: float = 1e4
-    seed: int = 0
 
     def t_grid(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
         lo = self.t_min if lo is None or lo <= 0 else max(lo, 1e-300)
@@ -111,7 +110,7 @@ class SampleSpec:
         return {"t_min": self.t_min, "t_max": self.t_max,
                 "points_per_decade": POINTS_PER_DECADE,
                 "refinement_rounds": 1, "x_per_axis": X_PER_AXIS,
-                "x_radius": X_RADIUS, "seed": self.seed}
+                "x_radius": X_RADIUS, "seed": 0}
 
 
 def default_x_samples(domain: Domain) -> np.ndarray:
@@ -225,9 +224,9 @@ def reports_table(reports: Sequence[ConditionReport]) -> str:
 
 
 def _jsonable(obj):
-    """JSON-ready copy: infinities become "inf", numpy values plain ones."""
+    """JSON-ready copy: infinities as "inf"/"-inf", numpy values plain ones."""
     if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else obj
+        return str(obj) if math.isinf(obj) else obj
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -242,9 +241,7 @@ def _jsonable(obj):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return "inf" if math.isinf(v) else f"{v:.6g}"
-    return str(v)
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def _as_phi(phi) -> PhiFunction:
@@ -286,6 +283,9 @@ def _check_almost_monotone(phi, p, A, T, spec, increasing):
     if not lo < hi:
         raise ValueError("T must be a nonempty interval")
     X = np.atleast_2d(A) if A is not None else default_x_samples(phi.domain)
+    if X.ndim != 2 or X.shape[1] != phi.domain.dim:
+        raise ValueError(f"A must hold points of dimension {phi.domain.dim}, "
+                         f"got an array of shape {X.shape}")
     grid = spec.t_grid(lo if lo > 0 else None, hi)
 
     # analytic divergence at the open ends of T, from the first sample
@@ -372,28 +372,27 @@ def _refine_witness(phi, grid, p, increasing, a_star, witness):
 # Normalization at level 1 (the (A0)-type condition)
 
 
-def check_a0(phi: PhiFunction,
-             spec: SampleSpec | None = None) -> ConditionReport:
+def check_a0(phi: PhiFunction) -> ConditionReport:
     """Largest beta in [2^-40, 1] with phi(x, beta) <= 1 <= phi(x, 1/beta)
     at all sampled x, to 1e-9 relative by the one level search; the
-    condition fails, with beta 0, where even 2^-40 does not work."""
-    spec = spec or SampleSpec()
+    condition fails, with beta 0, where even 2^-40 does not work, and its
+    witness is the first sample x where 2^-40 does not."""
     X = default_x_samples(phi.domain)
     table = phi.table(X)
 
-    def ok(beta: float) -> bool:
+    def ok(beta: float) -> np.ndarray:
         lowv = table.value(np.array([[beta]]))[:, 0]
         highv = table.value(np.array([[1.0 / beta]]))[:, 0]
-        return bool(np.all(lowv <= 1.0 + CHECK_TOL)
-                    and np.all(highv >= 1.0 - CHECK_TOL))
+        return (lowv <= 1.0 + CHECK_TOL) & (highv >= 1.0 - CHECK_TOL)
 
-    beta = _largest_beta(ok)
+    beta = _largest_beta(lambda b: bool(np.all(ok(b))))
     holds = beta > 0.0
     return ConditionReport(
         condition="A0", holds=holds,
         constants={"beta": beta},
-        sample_spec={**spec.describe(), "n_x": len(X)},
-        worst_witness=None if holds else {"x": [float(v) for v in X[0]]})
+        sample_spec={**SampleSpec().describe(), "n_x": len(X)},
+        worst_witness=None if holds else
+        {"x": [float(v) for v in X[np.argmin(ok(2.0 ** -40))]]})
 
 
 def _largest_beta(ok: Callable[[float], bool]) -> float:
@@ -411,18 +410,17 @@ def _largest_beta(ok: Callable[[float], bool]) -> float:
 # Local comparability across small balls (the (A1')-type condition)
 
 
-def check_a1(phi: PhiFunction,
-             spec: SampleSpec | None = None) -> ConditionReport:
+def check_a1(phi: PhiFunction, seed: int = 0) -> ConditionReport:
     """Largest beta in [2^-40, 1] with phi(x, beta*t) <= phi(y, t) over
     ``N_BALLS`` sampled balls B with |B| <= 1, up to six point pairs x, y
     in each B, and ten levels per pair with phi(y, t) in [1, 1/|B|], to
     1e-9 relative by the one level search (beta 0 where even 2^-40 does
-    not work); it holds when beta > 1e-6.
+    not work); it holds when beta > 1e-6.  ``seed`` draws the balls.
 
     A run that keeps no pair is flagged ``vacuous`` and does not hold:
     no sampled evidence supports the condition."""
-    spec = spec or SampleSpec()
-    rng = np.random.default_rng(spec.seed)
+    sample_spec = {**SampleSpec().describe(), "seed": seed}
+    rng = np.random.default_rng(seed)
     dim = phi.domain.dim
     lower, upper = phi.domain.sampling_box(X_RADIUS)
     lower = np.asarray(lower)
@@ -461,7 +459,7 @@ def check_a1(phi: PhiFunction,
     if not len(X):
         return ConditionReport(
             condition="A1prime", holds=False, constants={"beta": 1.0},
-            sample_spec={**spec.describe(), "n_samples": 0},
+            sample_spec={**sample_spec, "n_samples": 0},
             flags=("vacuous",))
     at_x = phi.evaluator(X)
 
@@ -472,7 +470,7 @@ def check_a1(phi: PhiFunction,
     (k,), _, _ = _worst((lhs, R), broken=False)
     return ConditionReport(
         condition="A1prime", holds=holds, constants={"beta": beta},
-        sample_spec={**spec.describe(), "n_samples": len(X)},
+        sample_spec={**sample_spec, "n_samples": len(X)},
         worst_witness={"x": [float(v) for v in X[k]],
                        "y": [float(v) for v in ys[k]],
                        "t": float(Tv[k]), "phi_y_t": float(R[k])})
@@ -489,7 +487,8 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s} by the one
     rule: at each sample, up to 1e-9 times one plus its right-hand side.
     The witness is the sample of largest excess (over the slack, when one
-    fails), first direction first."""
+    fails), first direction first.  A run with no sample in either level
+    set is flagged ``vacuous``, with no witness, and does not hold."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must be in (0, 1]")
     if s <= 0:
@@ -501,13 +500,15 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
     inf_t = phi_inf.value(grid)[None, :]
     table = phi.table(X)
     phiv = table.value(grid[None, :])
+    in_inf, in_phi = inf_t <= s + CHECK_TOL, phiv <= s + CHECK_TOL
     # each direction's (lhs, rhs), the lhs -inf off its level set
-    pairs = ((np.where(inf_t <= s + CHECK_TOL,
-                       table.value(beta * grid[None, :]), -INF), inf_t + hv),
-             (np.where(phiv <= s + CHECK_TOL,
-                       phi_inf.value(beta * grid)[None, :], -INF), phiv + hv))
-    holds = _holds(*pairs)
-    worst, best = {"margin": -INF}, -INF
+    pairs = ((np.where(in_inf, table.value(beta * grid[None, :]), -INF),
+              inf_t + hv),
+             (np.where(in_phi, phi_inf.value(beta * grid)[None, :], -INF),
+              phiv + hv))
+    vacuous = not (in_inf.any() or in_phi.any())
+    holds = not vacuous and _holds(*pairs)
+    worst, best = None, -INF  # a vacuous run has no rank above -inf
     for direction, pair in zip(("phi_vs_asymptote", "asymptote_vs_phi"),
                                pairs):
         (ix, it), margin, rank = _worst(pair, broken=not holds)
@@ -520,7 +521,7 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
         constants={"beta": beta, "s": s,
                    "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         sample_spec={**spec.describe(), "n_x": len(X)},
-        worst_witness=worst)
+        worst_witness=worst, flags=("vacuous",) if vacuous else ())
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
     h = WeightFunction.indicator(G)
     claims = [_claim(name, rep.holds, rep) for name, rep in (
         ("A0 with beta = 1", check_a0(phi)),
-        ("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
+        ("A1' with beta = 1", check_a1(phi, seed)),
         ("A2 against t^2 with h = chi_G, beta = 1",
          check_a2(phi, power_curve(2.0), h, beta=1.0)),
     )]
@@ -113,7 +113,7 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
     h0 = WeightFunction.zero()
     claims = [_claim(name, rep.holds, rep) for name, rep in (
         ("A0", check_a0(phi)),
-        ("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
+        ("A1' with beta = 1", check_a1(phi, seed)),
         ("A2 against t with h = 0, beta = 1/2",
          check_a2(phi, power_curve(1.0), h0, beta=0.5)),
     )]
@@ -156,7 +156,7 @@ def _run_ex3_5(resolution: float, seed: int) -> dict:
     t2 = from_curve(power_curve(2.0), dim=2)
     claims = [_claim(name, rep.holds, rep) for name, rep in (
         ("A0 with beta = 1", check_a0(phi)),
-        ("A1' with beta = 1", check_a1(phi, SampleSpec(seed=seed))),
+        ("A1' with beta = 1", check_a1(phi, seed)),
         ("A2 against t^2 with h = (|x|+1)^-4, beta = 1",
          check_a2(phi, power_curve(2.0), h, beta=1.0)),
         ("weakly equivalent to t^2 with h, L = 1",
@@ -270,17 +270,43 @@ def _at(pointer: str):
         raise SpecError(pointer, msg) from exc
 
 
-def _field(d, pointer: str, key: str, parse=None, default=...):
+def _field(d: dict, pointer: str, key: str, parse=None, default=...):
     """``parse(d[key])``, failing at the field's pointer; a missing field
     is ``default``, or an error when there is none."""
-    if not isinstance(d, dict):
-        raise SpecError(pointer, "expected an object")
     if key not in d:
         if default is ...:
             raise SpecError(f"{pointer}/{key}", "missing required field")
         return default
     with _at(f"{pointer}/{key}"):
         return parse(d[key]) if parse else d[key]
+
+
+class _Reader:
+    """The spec object ``d`` at ``pointer``, whose fields are read through
+    :func:`_field` by calling the reader; any key no call read is an error
+    at its own pointer before the object runs."""
+
+    def __init__(self, d, pointer: str):
+        if not isinstance(d, dict):
+            raise SpecError(pointer, "expected an object")
+        self.d, self.pointer, self.read = d, pointer, []
+
+    def __call__(self, key: str, parse=None, default=...):
+        self.read.append(key)
+        return _field(self.d, self.pointer, key, parse, default)
+
+    def done(self) -> None:
+        for key in self.d:
+            if key not in self.read:
+                raise SpecError(f"{self.pointer}/{key}",
+                                "unexpected field; this object reads only "
+                                + ", ".join(self.read))
+
+    def run(self, call):
+        """``call()`` once every key was read, failing at this object."""
+        self.done()
+        with _at(self.pointer):
+            return call()
 
 
 def _list(v) -> list:
@@ -341,6 +367,15 @@ def _t_range(T) -> tuple:
     return lo, hi
 
 
+def _points(A, dim: int) -> np.ndarray:
+    """A non-empty list of points with ``dim`` coordinates each."""
+    X = np.asarray(_list(A), float)
+    if X.ndim != 2 or not len(X) or X.shape[1] != dim:
+        raise ValueError(f"expected a non-empty list of points with {dim} "
+                         f"coordinates each, got {A!r}")
+    return X
+
+
 def _build_phi(spec, pointer: str):
     """Build a PhiFunction from a phi document, a make spec or a transform
     pipeline, returning (phi, transform_records)."""
@@ -348,116 +383,129 @@ def _build_phi(spec, pointer: str):
         _field(spec, pointer, "kind")
         with _at(pointer):
             return PhiFunction.from_dict(spec), []
+    field = _Reader(spec, pointer)
+    steps = field("pipeline", _list)
+    field.done()
     phi, records = None, []
-    for i, step in enumerate(_field(spec, pointer, "pipeline", _list)):
-        ptr = f"{pointer}/pipeline/{i}"
-        if isinstance(step, dict) and "make" in step:
-            phi, _ = _build_phi(step["make"], f"{ptr}/make")
+    for i, step in enumerate(steps):
+        field = _Reader(step, f"{pointer}/pipeline/{i}")
+        if "make" in step:
+            phi, _ = field.run(partial(_build_phi, field("make"),
+                                       f"{field.pointer}/make"))
             continue
-        op = _field(step, ptr, "transform")
+        op = field("transform")
         if phi is None:
-            raise SpecError(ptr, "transform before any make step")
-        with _at(ptr):
-            if op == "glue_small_values":
-                phi = transforms.glue_small_values(
-                    phi, _field(step, ptr, "region", region_from_dict),
-                    _field(step, ptr, "p"))
-                records.append({"step": op})
-            elif op == "rebuild_with_ainc":
-                pair = _field(step, ptr, "pair",
-                              transforms.AsymptotePair.from_dict)
-                t1 = step.get("t1", "auto")
-                if t1 == "auto":
-                    t1 = transforms.small_value_threshold(phi, pair.phi_inf)
-                records.append({"step": op, "t1": t1})
-                phi = transforms.rebuild_with_ainc(phi, pair, t1)
-            elif op == "tail_asymptotes":
-                records.append({"step": op,
-                                **transforms.tail_asymptotes(phi).to_dict()})
-            else:
-                raise SpecError(f"{ptr}/transform",
-                                f"unknown transform {op!r}")
+            raise SpecError(field.pointer, "transform before any make step")
+        if op == "glue_small_values":
+            phi = field.run(partial(
+                transforms.glue_small_values, phi,
+                field("region", region_from_dict), field("p")))
+            records.append({"step": op})
+        elif op == "rebuild_with_ainc":
+            pair = field("pair", transforms.AsymptotePair.from_dict)
+            t1 = field("t1", default="auto")
+            if t1 == "auto":
+                t1 = field.run(partial(transforms.small_value_threshold,
+                                       phi, pair.phi_inf))
+            records.append({"step": op, "t1": t1})
+            phi = field.run(partial(transforms.rebuild_with_ainc, phi, pair,
+                                    t1))
+        elif op == "tail_asymptotes":
+            records.append({"step": op, **field.run(partial(
+                transforms.tail_asymptotes, phi)).to_dict()})
+        else:
+            raise SpecError(f"{field.pointer}/transform",
+                            f"unknown transform {op!r}")
     if phi is None:
         raise SpecError(f"{pointer}/pipeline", "pipeline produced no function")
     return phi, records
 
 
-def _run_check(phi, chk: dict, pointer: str):
-    """Run one check spec (a pipeline's ``checks`` entry, or the CLI
-    ``check`` flags) on ``phi``; sampling defaults are SampleSpec's."""
-    field = partial(_field, chk, pointer)
+def _check_call(phi, field: _Reader):
+    """The run of one check spec (a pipeline's ``checks`` entry, or the
+    CLI ``check`` flags) on ``phi``, its fields read; sampling defaults are
+    SampleSpec's."""
     cond = field("condition")
-    spec = SampleSpec(**{key: field(key, parse) for key, parse in (
-        ("t_min", _positive), ("t_max", _positive), ("seed", _seed))
-        if key in chk})
-    with _at(pointer):
-        if cond in ("ainc", "adec"):
-            check = check_ainc if cond == "ainc" else check_adec
-            return check(phi, field("p" if cond == "ainc" else "q", _finite),
-                         A=field("A", lambda A: np.asarray(A, float), None),
-                         T=field("T", _t_range, (0.0, math.inf)), spec=spec)
-        if cond in ("a0", "a1"):
-            return (check_a0 if cond == "a0" else check_a1)(phi, spec)
-        if cond == "a2":
-            pair = field("pair", transforms.AsymptotePair.from_dict)
-            return check_a2(phi, pair.phi_inf, pair.h, pair.beta, pair.s,
-                            spec)
-        if cond in ("equivalence", "weak_equivalence"):
-            other, _ = _build_phi(field("other"), f"{pointer}/other")
-            L = field("L", lambda v: float(_positive(v)), 1.0)
-            if cond == "equivalence":
-                return check_equivalence(phi, other, L, spec)
-            return check_weak_equivalence(
-                phi, other, L, field("h", weight_from_dict,
-                                     WeightFunction.zero()), spec)
-    raise SpecError(f"{pointer}/condition", f"unknown condition {cond!r}")
+
+    def spec():
+        return SampleSpec(field("t_min", _positive, SampleSpec.t_min),
+                          field("t_max", _positive, SampleSpec.t_max))
+
+    if cond in ("ainc", "adec"):
+        check = check_ainc if cond == "ainc" else check_adec
+        return partial(check, phi, field("p" if cond == "ainc" else "q",
+                                         _finite),
+                       A=field("A", lambda A: _points(A, phi.domain.dim),
+                               None),
+                       T=field("T", _t_range, (0.0, math.inf)), spec=spec())
+    if cond == "a0":
+        return partial(check_a0, phi)
+    if cond == "a1":
+        return partial(check_a1, phi, field("seed", _seed, 0))
+    if cond == "a2":
+        pair = field("pair", transforms.AsymptotePair.from_dict)
+        return partial(check_a2, phi, pair.phi_inf, pair.h, pair.beta,
+                       pair.s, spec())
+    if cond in ("equivalence", "weak_equivalence"):
+        other, _ = _build_phi(field("other"), f"{field.pointer}/other")
+        L = field("L", lambda v: float(_positive(v)), 1.0)
+        if cond == "equivalence":
+            return partial(check_equivalence, phi, other, L, spec())
+        return partial(check_weak_equivalence, phi, other, L,
+                       field("h", weight_from_dict, WeightFunction.zero()),
+                       spec())
+    raise SpecError(f"{field.pointer}/condition",
+                    f"unknown condition {cond!r}")
 
 
-def _grid_from_spec(d: dict, box, resolution: int,
-                    pointer: str) -> GridFunction:
+def _grid_from_spec(d, box, resolution: int, pointer: str) -> GridFunction:
     """``{"const": c}``, or else ``{"ball": {"center": .., "radius": ..}}``."""
-    if isinstance(d, dict) and "const" in d:
-        c = _field(d, pointer, "const", float)
-        with _at(pointer):
-            return GridFunction(box, c * np.ones((resolution,) * len(box)))
-    ball, ptr = _field(d, pointer, "ball"), f"{pointer}/ball"
-    center, radius = (_field(ball, ptr, k) for k in ("center", "radius"))
-    with _at(ptr):
-        return GridFunction.indicator_ball(center, radius, box, resolution)
+    field = _Reader(d, pointer)
+    if "const" in d:
+        c = field("const", float)
+        return field.run(lambda: GridFunction(
+            box, c * np.ones((resolution,) * len(box))))
+    ball = _Reader(field("ball"), f"{pointer}/ball")
+    center, radius = ball("center"), ball("radius")
+    field.done()
+    return ball.run(partial(GridFunction.indicator_ball, center, radius, box,
+                            resolution))
 
 
-def _run_experiment(phi, exp: dict, pointer: str, resolution: float) -> dict:
-    field = partial(_field, exp, pointer)
+def _experiment_call(phi, field: _Reader, resolution: float):
+    """The run of one experiment spec on ``phi``, its fields read."""
     kind = field("experiment")
     dim = phi.domain.dim
-    with _at(pointer):
-        if kind == "maximal-divergence":
-            radii = field("radii", lambda rs: [float(_positive(r))
-                                               for r in _list(rs)],
-                          [8.0, 16.0, 32.0])
-            *_, growth, norm_rep = _divergence(
-                phi, radii, resolution, field("center", default=[0.0] * dim),
+    if kind == "maximal-divergence":
+        args = (field("radii", lambda rs: [float(_positive(r))
+                                           for r in _list(rs)],
+                      [8.0, 16.0, 32.0]),
+                resolution, field("center", default=[0.0] * dim),
                 field("ball_radius", _positive, 1.0))
+
+        def divergence():
+            *_, growth, norm_rep = _divergence(phi, *args)
             return {"experiment": kind, "modular_growth": growth,
                     "operator_norm": norm_rep}
-        if kind == "operator-norm":
-            fam = _ball_family(field("truncation_radius", _positive, 16.0),
-                               resolution)
-            return {"experiment": kind,
-                    "report": operator_norm_estimate(phi, fam)}
-        if kind == "ball-norm":
-            return {"experiment": kind,
-                    "report": ball_norm_check(
-                        phi, field("center"), field("radius", _positive),
-                        resolution=field("cells", _positive, 256))}
-        if kind == "duality":
-            R = field("truncation_radius", _positive, 1.0)
-            box = tuple((-R, R) for _ in range(dim))
-            f, g = (_grid_from_spec(field(k), box, int(resolution * R),
-                                    f"{pointer}/{k}") for k in "fg")
-            return {"experiment": kind,
-                    "report": duality_lower_bound(phi, f, g)}
-    raise SpecError(f"{pointer}/experiment", f"unknown experiment {kind!r}")
+        return divergence
+    if kind == "operator-norm":
+        R = field("truncation_radius", _positive, 16.0)
+        return lambda: {"experiment": kind, "report": operator_norm_estimate(
+            phi, _ball_family(R, resolution))}
+    if kind == "ball-norm":
+        center, radius = field("center"), field("radius", _positive)
+        cells = field("cells", _positive, 256)
+        return lambda: {"experiment": kind, "report": ball_norm_check(
+            phi, center, radius, resolution=cells)}
+    if kind == "duality":
+        R = field("truncation_radius", _positive, 1.0)
+        box = tuple((-R, R) for _ in range(dim))
+        f, g = (_grid_from_spec(field(k), box, int(resolution * R),
+                                f"{field.pointer}/{k}") for k in "fg")
+        return lambda: {"experiment": kind,
+                        "report": duality_lower_bound(phi, f, g)}
+    raise SpecError(f"{field.pointer}/experiment",
+                    f"unknown experiment {kind!r}")
 
 
 def run_pipeline(spec: dict, resolution: float = 8.0,
@@ -467,24 +515,28 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
     ``spec`` follows the experiment-spec schema; violations raise
     :class:`SpecError` with a JSON pointer to the offending field.
     """
-    if not isinstance(spec, dict):
-        raise SpecError("", "spec must be a JSON object")
     with _at("/seed"):
         _seed(seed)
-    name = _field(spec, "", "name", _name, "pipeline")
-    phi, transform_records = _build_phi(_field(spec, "", "phi"), "/phi")
+    field = _Reader(spec, "")
+    name = field("name", _name, "pipeline")
+    phi_spec = field("phi")
+    checks = field("checks", _list, [])
+    experiments = field("experiments", _list, [])
+    field.done()
+    phi, transform_records = _build_phi(phi_spec, "/phi")
     bundle = {"schema": BUNDLE_SCHEMA, "name": name, "phi": phi.to_dict(),
               "transforms": transform_records, "checks": [],
               "experiments": [], "seed": seed}
-    for i, chk in enumerate(_field(spec, "", "checks", _list, [])):
-        ptr = f"/checks/{i}"
-        expected = _field(chk, ptr, "expect", _boolean, True)
-        label = _field(chk, ptr, "label", _string, chk.get("condition"))
-        rep = _run_check(phi, chk, ptr)
+    for i, chk in enumerate(checks):
+        field = _Reader(chk, f"/checks/{i}")
+        expected = field("expect", _boolean, True)
+        label = field("label", _string, chk.get("condition"))
+        rep = field.run(_check_call(phi, field))
         bundle["checks"].append(
             _claim(label, rep.holds, rep, expected=expected))
-    for i, exp in enumerate(_field(spec, "", "experiments", _list, [])):
+    for i, exp in enumerate(experiments):
+        field = _Reader(exp, f"/experiments/{i}")
         bundle["experiments"].append(
-            _run_experiment(phi, exp, f"/experiments/{i}", resolution))
+            field.run(_experiment_call(phi, field, resolution)))
     bundle["verdict"] = all(c["matches"] for c in bundle["checks"])
     return bundle

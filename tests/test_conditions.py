@@ -173,6 +173,22 @@ def test_a0_families(families):
     assert 0.5 <= beta34 <= (math.sqrt(5.0) - 1.0) / 2.0 + 1e-6
 
 
+def test_a0_failing_witness_reproduces_the_failure():
+    # phi(x, t) = (|x|^5 + 1e-3) t: at x = 0, phi(0, 2^40) is about 1.1e-3,
+    # so beta = 2^-40 fails there, while at the first sample x = -16 it
+    # works (phi(-16, 2^40) is about 1.2e18)
+    phi = make_family("variable_exponent", {
+        "p": {"field": "const", "value": 1.0},
+        "a": {"field": "abs_power", "coef": 1.0, "offset": 1e-3,
+              "power": 5.0}})
+    rep = check_a0(phi)
+    assert not rep.holds and rep.constants["beta"] == 0.0
+    x = tuple(rep.worst_witness["x"])
+    assert x == (0.0,)
+    assert not (phi.eval(x, 2.0 ** -40) <= 1.0 + CHECK_TOL
+                and phi.eval(x, 2.0 ** 40) >= 1.0 - CHECK_TOL)
+
+
 def test_a0_needs_shrinking_beta():
     # phi(t) = t^2/4 reaches 1 only at t = 2, so beta = 1/2
     phi = from_curve(power_curve(2.0, coef=0.25))
@@ -195,6 +211,26 @@ def test_a1_vacuous_run_does_not_hold():
     rep = check_a1(from_curve(cap_curve(power_curve(2.0), 0.5), dim=1))
     assert not rep.holds and rep.flags == ("vacuous",)
     assert rep.sample_spec["n_samples"] == 0
+
+
+def test_a1_takes_only_its_seed():
+    """check_a1(phi, 3) is the report that check_a1(phi,
+    SampleSpec(seed=3)) gave when SampleSpec carried the seed; the other
+    checkers, which draw nothing, report seed 0."""
+    phi = make_family("variable_exponent", {"p": {
+        "field": "pw_linear", "points": [[0.0, 1.5], [2.0, 2.5]]}})
+    assert check_a1(phi, 3).to_json() == (
+        '{"condition": "A1prime", "constants": {"beta": 0.9674269100651145}, '
+        '"flags": [], "holds": true, "sample_spec": {"n_samples": 2400, '
+        '"points_per_decade": 64, "refinement_rounds": 1, "seed": 3, '
+        '"t_max": 10000.0, "t_min": 0.0001, "x_per_axis": 9, '
+        '"x_radius": 16.0}, "worst_witness": {"phi_y_t": 8.465050169715257, '
+        '"t": 3.591004472718098, "x": [0.43036624371835325], '
+        '"y": [0.3415089857267217]}}')
+    assert check_a1(phi).sample_spec["seed"] == 0
+    assert check_a0(phi).sample_spec == {**SampleSpec().describe(), "n_x": 9}
+    assert check_ainc(phi, 1.5, spec=SampleSpec(1e-3, 1e3)).sample_spec[
+        "seed"] == 0
 
 
 def test_a1_families(families):
@@ -373,6 +409,17 @@ def test_sampled_inequalities_recheck_sample_by_sample(phi, psi, L, beta, s, h):
         assert k == 0 or equivalence_violations(_LADDER[k - 1])
 
 
+def test_a2_with_empty_level_sets_is_vacuous():
+    # t^2 <= 1e-12 needs t <= 1e-6, below the lattice's t >= 1e-4: neither
+    # direction has a sample, so no evidence supports the condition
+    rep = check_a2(from_curve(power_curve(2.0)), power_curve(2.0),
+                   WeightFunction.zero(), beta=1.0, s=1e-12)
+    assert not rep.holds and rep.flags == ("vacuous",)
+    assert rep.worst_witness is None
+    assert check_a2(from_curve(power_curve(2.0)), power_curve(2.0),
+                    WeightFunction.zero(), beta=1.0, s=1e-6).flags == ()
+
+
 # ---------------------------------------------------------------------------
 # Each checker builds phi's table of its sample set once
 
@@ -467,3 +514,15 @@ def test_report_json_deterministic():
 def test_infinite_constant_serializes_as_string():
     rep = check_ainc(power_curve(2.0), 3.0)
     assert json.loads(rep.to_json())["constants"]["a"] == "inf"
+
+
+def test_negative_infinity_keeps_its_sign():
+    # t^2 capped at 10 is inf on all of [20, inf): no ratio is finite, so
+    # the sampled supremum is -inf
+    capped = PhiCurve.from_dict({**power_curve(2.0).to_dict(),
+                                 "infinite_tail": 10.0})
+    rep = check_ainc(capped, 2.0, T=(20.0, INF))
+    assert rep.constants["a"] == rep.constants["sampled_sup"] == -INF
+    constants = json.loads(rep.to_json())["constants"]
+    assert constants["a"] == constants["sampled_sup"] == "-inf"
+    assert "-inf" in rep.table_row()

@@ -166,11 +166,54 @@ def test_pipeline_expected_failure_flips_verdict():
         "checks": [{"condition": "ainc", "p": 2, "T": T}]}, "/checks/0/T")
       for T in ([-1, 2], [2, 1], [1, 1], [0, "inf"], [None, 1], [0, True],
                 [0, math.inf], "ab")),
+    # a key that the object's parser does not read, once silently dropped
+    *(({"phi": {"kind": "orlicz", "params": {"p": 2}},
+        "checks": [{"condition": cond, **fields}]}, f"/checks/0/{key}")
+      for cond, fields, key in (
+          ("a0", {"t_min": 0.5}, "t_min"), ("a1", {"t_max": 2}, "t_max"),
+          ("ainc", {"p": 2, "seed": 3}, "seed"),
+          ("adec", {"q": 2, "p": 2}, "p"),
+          ("ainc", {"p": 2, "tmin": 1}, "tmin"))),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "check": [{"condition": "a0"}]}, "/check"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "operator-norm", "truncation": 4}]},
+     "/experiments/0/truncation"),
+    ({"phi": {"pipeline": [{"make": {"kind": "example_3_4", "params": {}}},
+                           {"transform": "tail_asymptotes", "foo": 1}]}},
+     "/phi/pipeline/1/foo"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2, "dim": 2}},
+      "experiments": [{"experiment": "duality",
+                       "f": {"const": 1, "ball": {"center": [0, 0],
+                                                  "radius": 0.5}},
+                       "g": {"const": 1}}]}, "/experiments/0/f/ball"),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     with pytest.raises(SpecError) as err:
         run_pipeline(spec)
-    assert err.value.pointer.startswith(pointer)
+    assert err.value.pointer == pointer or \
+        err.value.pointer.startswith(pointer + "/")
+
+
+_VARIABLE_1D = {"kind": "variable_exponent",
+                "params": {"p": {"field": "const", "value": 1.6}}}
+
+
+@pytest.mark.parametrize("A", [[0.0, 0.2], [[0.0, 0.2, 0.3]], [], [[]]])
+def test_points_must_have_phi_dimension(A):
+    """A is a non-empty list of points in phi's dimension: a flat pair
+    once ran as one 2-coordinate point of a 1D function, and held."""
+    spec = {"phi": _VARIABLE_1D,
+            "checks": [{"condition": "ainc", "p": 1.6, "A": A}]}
+    with pytest.raises(SpecError) as err:
+        run_pipeline(spec)
+    assert err.value.pointer == "/checks/0/A"
+    phi = orliczkit.make_family("variable_exponent", _VARIABLE_1D["params"])
+    for check in (orliczkit.check_ainc, orliczkit.check_adec):
+        with pytest.raises(ValueError, match="dimension 1"):
+            check(phi, 1.6, A=np.array([[0.0, 0.2]]))
+    spec["checks"][0]["A"] = [[0.0], [0.2]]
+    assert run_pipeline(spec)["verdict"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +547,14 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
         "condition": "weak_equivalence", "other": json.loads(_PHI),
         "h": {"weight": "recip_power", "k": 4, "dim": 1, "c": 1e-300}}]),
         "/checks/0/h", id="pipeline-weight-c-overflows"),
+    # the check flags are one check spec: a flag the condition does not
+    # read fails at its field
+    pytest.param(_check("--condition", "a0", "--p", "7", "--t-min", "0.5",
+                        "--seed", "4"), "/p", id="check-a0-p"),
+    pytest.param(_check("--condition", "ainc", "--p", "2", "--seed", "3"),
+                 "/seed", id="check-ainc-seed"),
+    pytest.param(_check("--condition", "a0", "--t-range", "0.5", "2"), "/T",
+                 id="check-a0-t-range"),
 ])
 def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
     assert main(argv) == 2
@@ -513,12 +564,18 @@ def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
 @pytest.mark.parametrize("argv", [
     _pipeline(),
     ["maximal", "--dim", "1", "--function", _BALL_1D, "--radii", "1"],
-], ids=["pipeline", "maximal"])
+    _check("--condition", "a0"),
+    ["transform", "--op", "tail_asymptotes", "--phi", _PHI],
+    ["norm", "--phi", _PHI, "--function", _BALL_1D],
+    ["example", "ex4_6", "--resolution", "1"],
+], ids=["pipeline", "maximal", "check", "transform", "norm", "example"])
 def test_unwritable_out_is_exit_2(argv, tmp_path, capsys):
-    """An --out path under a regular file cannot be made a directory."""
+    """An --out path under a regular file cannot be made a directory; the
+    report is written before it is printed, so nothing reaches stdout."""
     (tmp_path / "file").write_text("")
     assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: --out: cannot write")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --out: cannot write") and out == ""
 
 
 
