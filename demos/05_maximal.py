@@ -33,7 +33,7 @@ print("default 1D ladder:", len(cfg.radius_set), "radii from",
       round(cfg.radius_set[0], 4), "to", round(cfg.radius_set[-1], 2))
 
 # Operator-norm probe: ||Mf|| / ||f|| over a family of test functions.
-phi2 = from_curve(power_curve(2.0))
+phi2 = from_curve(power_curve(2.0), dim=2)
 R = 16.0
 fam = [GridFunction.indicator_ball((c, 0.0), r, ((-R, R), (-R, R)), 128)
        for c in (0.0, 4.0) for r in (0.5, 1.0)]

@@ -9,7 +9,8 @@ report and writes it under the output directory (``--out``, else
 ``--resolution`` and ``--truncation-radius`` only if it reads them, from
 one parser built per process.
 
-Flags are parsed by ``gallery``'s spec parser.  Exit codes: 0 verdict
+The flags of ``check`` and of ``transform`` are one check or transform
+step of a pipeline spec, read by the same reader.  Exit codes: 0 verdict
 or expectation met, 1 mismatch, 3 internal error, 2 usage or spec error,
 printed as ``error: <pointer>: <message>`` with the bad flag or field as
 pointer (``--radii``, ``--function/ball``, ``/pair``).
@@ -18,21 +19,21 @@ pointer (``--radii``, ``--function/ball``, ``/pair``).
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import os
 import sys
+from functools import cache, partial
 from pathlib import Path
 
 from . import transforms
-from .phi_core import PhiCurve, region_from_dict
+from .phi_core import PhiCurve, SpecError, _at, _finite, _positive, \
+    _Reader, _seed
 from .conditions import _jsonable
 from .norms import GridFunction, _luxemburg_norms, luxemburg_norm, modular
 from .maximal import MaximalConfig, default_config, maximal
-from .gallery import EXAMPLE_NAMES, SpecError, _at, _build_phi, \
-    _check_call, _grid_from_spec, _positive, _Reader, _seed, run_example, \
-    run_pipeline
+from .gallery import EXAMPLE_NAMES, _check_call, _grid_from_spec, \
+    _phi_spec, run_example, run_pipeline
 
 OUT_ENV = "ORLICZKIT_OUT"
 
@@ -53,7 +54,7 @@ def _json_flag(arg, flag: str, parse=None):
 
 def _phi(arg):
     """The phi document, make spec or pipeline spec given to --phi."""
-    return _json_flag(arg, "--phi", lambda d: _build_phi(d, "--phi")[0])
+    return _json_flag(arg, "--phi", _phi_spec)
 
 
 def positive(text: str) -> float:  # argparse names it in its messages
@@ -88,23 +89,31 @@ def _emit(report: dict, args, name: str) -> None:
     print(text)
 
 
-def _phi_and_grid(args) -> tuple:
-    """--phi and the grid function of --function, --csv or --binary; the
-    first two lay it on phi's dimension (--dim without phi), and a binary
-    grid must have it when phi is given."""
+def _phi_and_grid(args, dim=None) -> tuple:
+    """--phi and the grid function of the one of --function, --csv and
+    --binary given; the first two lay it on phi's dimension, or on ``dim``
+    (--dim, default 2), which phi's must equal, and a binary grid must
+    have it when phi is given."""
     phi = _phi(args.phi)
-    dim = phi.domain.dim if phi else args.dim
+    if phi is not None and dim not in (None, phi.domain.dim):
+        raise SpecError("--dim", f"expected {phi.domain.dim} (--phi's "
+                                 f"dimension), got {dim}")
+    dim = phi.domain.dim if phi else dim or 2
+    sources = [s for s in ("function", "csv", "binary")
+               if getattr(args, s) is not None]
+    if len(sources) != 1:
+        raise SpecError(f"--{sources[1]}" if sources else "--function",
+                        "give one of --function, --csv and --binary")
     R = args.truncation_radius
     box = tuple((-R, R) for _ in range(dim))
     n = max(int(args.resolution * 2 * R), 8)
-    if args.function:
-        return phi, _grid_from_spec(_json_flag(args.function, "--function"),
-                                    box, n, "--function")
-    flag, path = ("--csv", args.csv) if args.csv else ("--binary", args.binary)
-    if not path:
-        raise SpecError("--function", "provide --function, --csv, or --binary")
+    if args.function is not None:
+        return phi, _json_flag(args.function, "--function",
+                               partial(_grid_from_spec, box=box, resolution=n))
+    flag, path = ("--csv", args.csv) if args.csv is not None \
+        else ("--binary", args.binary)
     try:
-        f = GridFunction.from_csv(path, box, n) if args.csv \
+        f = GridFunction.from_csv(path, box, n) if args.csv is not None \
             else GridFunction.from_binary(path)
     except (OSError, ValueError) as exc:
         raise SpecError(flag, f"cannot read grid function: {exc}") from exc
@@ -129,44 +138,44 @@ def _cmd_check(args) -> int:
         with _at("/T"):  # "inf" stands for the JSON spec's null
             chk["T"] = [None if v == "inf" else float(v)
                         for v in args.t_range]
-    phi, field = _phi(args.phi), _Reader(chk, "")
-    rep = field.run(_check_call(phi, field))
+    phi, r = _phi(args.phi), _Reader(chk)
+    rep = r.run(_check_call(phi, r))
     _emit(rep.to_dict(), args, f"check-{args.condition}")
     return 0 if rep.holds == (args.expect == "holds") else 1
 
 
-#: The flags without a default that each transform reads.
-_NEEDS = {"glue_small_values": "phi region", "cap_curve": "phi_inf",
-          "small_value_threshold": "phi phi_inf", "tail_asymptotes": "phi",
-          "repair_asymptote": "phi_inf t1", "rebuild_with_ainc": "phi pair"}
-
-
 def _cmd_transform(args) -> int:
+    """The flags are one transform step (docs/file_formats.md): the
+    phi -> phi ops run as a pipeline's steps on --phi, and a flag the op
+    does not read fails at its field."""
     op = args.op
-    for need in _NEEDS[op].split():
-        if getattr(args, need) is None:
-            raise SpecError("--" + need.replace("_", "-"),
-                            f"required by --op {op}")
-    phi = _phi(args.phi)
-    curve = _json_flag(args.phi_inf, "--phi-inf", PhiCurve.from_dict)
-    region = _json_flag(args.region, "--region", region_from_dict)
-    pair = _json_flag(args.pair, "--pair", transforms.AsymptotePair.from_dict)
-    with _at("--op"):
-        if op == "glue_small_values":
-            out = transforms.glue_small_values(phi, region, args.p).to_dict()
+    step = _given(phi=_json_flag(args.phi, "--phi"),
+                  phi_inf=_json_flag(args.phi_inf, "--phi-inf"),
+                  region=_json_flag(args.region, "--region"),
+                  pair=_json_flag(args.pair, "--pair"), p=args.p, t1=args.t1,
+                  beta0=args.beta0)
+    with _Reader(step) as r:
+        if op in ("glue_small_values", "rebuild_with_ainc", "tail_asymptotes"):
+            psi, record = transforms._step(op, r("phi", _phi_spec), r)
+            if op == "glue_small_values":
+                out = psi.to_dict()
+            elif op == "rebuild_with_ainc":
+                out = {"t1": record["t1"], "result": psi.to_dict()}
+            else:
+                out = {k: v for k, v in record.items() if k != "step"}
         elif op == "small_value_threshold":
-            out = {"t1": transforms.small_value_threshold(phi, curve)}
+            out = {"t1": r.run(partial(
+                transforms.small_value_threshold,
+                r("phi", _phi_spec),
+                r("phi_inf", PhiCurve.from_dict)))}
         elif op == "cap_curve":
-            out = transforms.cap_curve(curve, args.beta0).to_dict()
-        elif op == "repair_asymptote":
-            out = transforms.repair_asymptote(curve, args.t1, args.p).to_dict()
-        elif op == "rebuild_with_ainc":
-            t1 = args.t1 if args.t1 is not None else \
-                transforms.small_value_threshold(phi, pair.phi_inf)
-            out = {"t1": t1, "result":
-                   transforms.rebuild_with_ainc(phi, pair, t1).to_dict()}
-        else:  # tail_asymptotes
-            out = transforms.tail_asymptotes(phi).to_dict()
+            out = r.run(partial(transforms.cap_curve,
+                                r("phi_inf", PhiCurve.from_dict),
+                                r("beta0", _positive, 1.0))).to_dict()
+        else:  # repair_asymptote
+            out = r.run(partial(transforms.repair_asymptote,
+                                r("phi_inf", PhiCurve.from_dict),
+                                r("t1", _positive), r("p", _finite))).to_dict()
     _emit(out, args, f"transform-{op}")
     return 0
 
@@ -182,7 +191,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
-    phi, f = _phi_and_grid(args)
+    phi, f = _phi_and_grid(args, args.dim)
     cfg = default_config(f)
     if args.radii is not None:
         with _at("--radii"):
@@ -230,7 +239,7 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="orliczkit",
@@ -271,9 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-inf", help="curve spec (JSON or @file)")
     p.add_argument("--region")
     p.add_argument("--pair")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--beta0", type=float, default=1.0)
+    for flag in ("--p", "--t1", "--beta0"):
+        p.add_argument(flag, type=float)
     p.set_defaults(func=_cmd_transform)
 
     grid = argparse.ArgumentParser(add_help=False, parents=[out])
@@ -293,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximal", parents=[grid],
                        help="discretized maximal operator")
     p.add_argument("--phi")
-    p.add_argument("--dim", type=int, default=2, choices=[1, 2])
+    p.add_argument("--dim", type=int, choices=[1, 2],
+                   help="grid dimension without --phi (default 2)")
     p.add_argument("--radii", help="comma-separated radius ladder")
     p.add_argument("--stride", type=int)
     p.set_defaults(func=_cmd_maximal)

@@ -30,9 +30,17 @@ from .phi_core import (
     PhiCurve,
     PhiFunction,
     Region,
+    SpecError,
+    _Reader,
+    _agree,
+    _dim,
+    _finite,
     _last_t_where,
     _norms,
+    _positive,
+    _string,
     from_curve,
+    region_from_dict,
 )
 
 INF = math.inf
@@ -178,16 +186,22 @@ class WeightFunction:
 
 
 def weight_from_dict(d: dict) -> WeightFunction:
-    """Rebuild a catalog weight from its ``to_dict`` form."""
-    name = d["weight"]
-    if name == "zero":
-        return WeightFunction.zero()
-    if name == "indicator":
-        from .phi_core import region_from_dict
-        return WeightFunction.indicator(region_from_dict(d["of"]))
-    if name == "recip_power":
-        return WeightFunction.recip_power(d["k"], d["dim"], d.get("c", 1.0))
-    raise ValueError(f"unknown weight {name!r}")
+    """Rebuild a catalog weight from its ``to_dict`` form; the norms it
+    lists must be the weight's closed forms."""
+    with _Reader(d) as r:
+        name = r("weight", _string)
+        if name == "zero":
+            h = WeightFunction.zero()
+        elif name == "indicator":
+            h = WeightFunction.indicator(r("of", region_from_dict))
+        elif name == "recip_power":
+            h = WeightFunction.recip_power(r("k", _finite), r("dim", _dim),
+                                           r("c", _positive, 1.0))
+        else:
+            raise SpecError("/weight", f"unknown weight {name!r}")
+        r("l1_norm", _agree(h.l1_norm, "its closed form"), None)
+        r("linf_norm", _agree(h.linf_norm, "its closed form"), None)
+        return h
 
 
 @dataclass
@@ -244,9 +258,10 @@ def _fmt(v):
     return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
-def _as_phi(phi) -> PhiFunction:
+def _as_phi(phi, dim: int = 1) -> PhiFunction:
+    """phi, or a bare curve lifted to an x-independent family on R^dim."""
     if isinstance(phi, PhiCurve):
-        return from_curve(phi)
+        return from_curve(phi, dim)
     return phi
 
 
@@ -536,7 +551,7 @@ def check_equivalence(phi, psi, L: float,
     over both inequalities at the given L (over the slack, when one
     fails)."""
     phi = _as_phi(phi)
-    psi = _as_phi(psi)
+    psi = _as_phi(psi, phi.domain.dim)
     spec = spec or SampleSpec()
     X = default_x_samples(phi.domain)
     grid = spec.t_grid()[None, :]
@@ -567,7 +582,7 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
     largest excess over both inequalities (over the slack, when one
     fails)."""
     phi = _as_phi(phi)
-    psi = _as_phi(psi)
+    psi = _as_phi(psi, phi.domain.dim)
     spec = spec or SampleSpec()
     X = default_x_samples(phi.domain)
     grid = spec.t_grid()[None, :]

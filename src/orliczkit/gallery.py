@@ -11,15 +11,14 @@ every observed outcome matches the claimed one.  Claims include expected
 from __future__ import annotations
 
 import math
-import sys
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
 from . import transforms
-from .phi_core import PhiFunction, from_curve, make_family, power_curve, \
-    region_from_dict
+from .phi_core import PhiFunction, SpecError, _at, _boolean, _finite, \
+    _items, _list, _name, _point, _points, _positive, _Reader, _seed, \
+    _string, _t_range, from_curve, make_family, power_curve, region_from_dict
 from .conditions import SampleSpec, WeightFunction, check_a0, check_a1, \
     check_a2, check_adec, check_ainc, check_equivalence, \
     check_weak_equivalence, default_x_samples, weight_from_dict, _holds
@@ -33,14 +32,6 @@ BUNDLE_SCHEMA = "orliczkit-bundle/1"
 
 #: The sampling of the small-t aInc claims: down to t = 1e-70 on (0, 1].
 _DEEP = SampleSpec(t_min=1e-70, t_max=1.0)
-
-
-class SpecError(ValueError):
-    """A pipeline spec violation, carrying a JSON pointer to the field."""
-
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
 
 
 def _claim(name: str, observed: bool, report, expected: bool = True) -> dict:
@@ -256,232 +247,92 @@ def run_example(name: str, resolution: float = 8.0, seed: int = 0) -> dict:
 # Declarative pipelines
 
 
-@contextmanager
-def _at(pointer: str):
-    """Lookup, type and value errors (ConstructionError and DomainError
-    too) in the block are bad input at ``pointer``; a deeper SpecError
-    keeps its finer pointer, and anything else is an internal error."""
-    try:
-        yield
-    except SpecError:
-        raise
-    except (LookupError, TypeError, ValueError) as exc:
-        msg = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise SpecError(pointer, msg) from exc
-
-
-def _field(d: dict, pointer: str, key: str, parse=None, default=...):
-    """``parse(d[key])``, failing at the field's pointer; a missing field
-    is ``default``, or an error when there is none."""
-    if key not in d:
-        if default is ...:
-            raise SpecError(f"{pointer}/{key}", "missing required field")
-        return default
-    with _at(f"{pointer}/{key}"):
-        return parse(d[key]) if parse else d[key]
-
-
-class _Reader:
-    """The spec object ``d`` at ``pointer``, whose fields are read through
-    :func:`_field` by calling the reader; any key no call read is an error
-    at its own pointer before the object runs."""
-
-    def __init__(self, d, pointer: str):
-        if not isinstance(d, dict):
-            raise SpecError(pointer, "expected an object")
-        self.d, self.pointer, self.read = d, pointer, []
-
-    def __call__(self, key: str, parse=None, default=...):
-        self.read.append(key)
-        return _field(self.d, self.pointer, key, parse, default)
-
-    def done(self) -> None:
-        for key in self.d:
-            if key not in self.read:
-                raise SpecError(f"{self.pointer}/{key}",
-                                "unexpected field; this object reads only "
-                                + ", ".join(self.read))
-
-    def run(self, call):
-        """``call()`` once every key was read, failing at this object."""
-        self.done()
-        with _at(self.pointer):
-            return call()
-
-
-def _list(v) -> list:
-    if not isinstance(v, list):
-        raise TypeError(f"expected a list, got {v!r}")
-    return v
-
-
-def _finite(v):
-    """A finite JSON number, as given: reports echo it."""
-    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return v
-
-
-def _positive(v):
-    """A finite JSON number > 0, as given: reports echo it."""
-    if type(v) not in (int, float) or not 0 < v < math.inf:
-        raise ValueError(f"expected a positive finite number, got {v!r}")
-    return v
-
-
-def _boolean(v):
-    """A JSON boolean."""
-    if type(v) is not bool:
-        raise ValueError(f"expected true or false, got {v!r}")
-    return v
-
-
-def _string(v):
-    """A JSON string."""
-    if not isinstance(v, str):
-        raise ValueError(f"expected a string, got {v!r}")
-    return v
-
-
-def _seed(v):
-    """A JSON integer >= 0, as numpy's generators take."""
-    if type(v) is not int or v < 0:
-        raise ValueError(f"expected a non-negative integer, got {v!r}")
-    return v
-
-
-def _name(v):
-    """A bundle name, which names a report file: no path separators."""
-    if not isinstance(v, str) or any(c in v for c in "/\\\0"):
-        raise ValueError(f"expected a string without '/', '\\' or NUL, "
-                         f"got {v!r}")
-    return v
-
-
-def _t_range(T) -> tuple:
-    """``[lo, hi]`` with finite 0 <= lo < hi, hi null for inf."""
-    lo, hi = _list(T)
-    lo, hi = _finite(lo), math.inf if hi is None else _finite(hi)
-    if not 0 <= lo < hi:
-        raise ValueError(f"expected 0 <= lo < hi, got {T!r}")
-    return lo, hi
-
-
-def _points(A, dim: int) -> np.ndarray:
-    """A non-empty list of points with ``dim`` coordinates each."""
-    X = np.asarray(_list(A), float)
-    if X.ndim != 2 or not len(X) or X.shape[1] != dim:
-        raise ValueError(f"expected a non-empty list of points with {dim} "
-                         f"coordinates each, got {A!r}")
-    return X
-
-
-def _build_phi(spec, pointer: str):
+def _build_phi(spec):
     """Build a PhiFunction from a phi document, a make spec or a transform
     pipeline, returning (phi, transform_records)."""
-    if isinstance(spec, dict) and "pipeline" not in spec:
-        _field(spec, pointer, "kind")
-        with _at(pointer):
-            return PhiFunction.from_dict(spec), []
-    field = _Reader(spec, pointer)
-    steps = field("pipeline", _list)
-    field.done()
+    if not (isinstance(spec, dict) and "pipeline" in spec):
+        return PhiFunction.from_dict(spec), []
+    with _Reader(spec) as r:
+        steps = r("pipeline", _list)
     phi, records = None, []
     for i, step in enumerate(steps):
-        field = _Reader(step, f"{pointer}/pipeline/{i}")
-        if "make" in step:
-            phi, _ = field.run(partial(_build_phi, field("make"),
-                                       f"{field.pointer}/make"))
-            continue
-        op = field("transform")
-        if phi is None:
-            raise SpecError(field.pointer, "transform before any make step")
-        if op == "glue_small_values":
-            phi = field.run(partial(
-                transforms.glue_small_values, phi,
-                field("region", region_from_dict), field("p")))
-            records.append({"step": op})
-        elif op == "rebuild_with_ainc":
-            pair = field("pair", transforms.AsymptotePair.from_dict)
-            t1 = field("t1", default="auto")
-            if t1 == "auto":
-                t1 = field.run(partial(transforms.small_value_threshold,
-                                       phi, pair.phi_inf))
-            records.append({"step": op, "t1": t1})
-            phi = field.run(partial(transforms.rebuild_with_ainc, phi, pair,
-                                    t1))
-        elif op == "tail_asymptotes":
-            records.append({"step": op, **field.run(partial(
-                transforms.tail_asymptotes, phi)).to_dict()})
-        else:
-            raise SpecError(f"{field.pointer}/transform",
-                            f"unknown transform {op!r}")
+        with _at(f"/pipeline/{i}"), _Reader(step) as r:
+            made = r("make", _phi_spec, None)
+            if made is not None:
+                phi = made
+                continue
+            op = r("transform")
+            if phi is None:
+                raise SpecError("", "transform before any make step")
+            phi, record = transforms._step(op, phi, r)
+            records.append(record)
     if phi is None:
-        raise SpecError(f"{pointer}/pipeline", "pipeline produced no function")
+        raise SpecError("/pipeline", "pipeline produced no function")
     return phi, records
 
 
-def _check_call(phi, field: _Reader):
+def _phi_spec(spec) -> PhiFunction:
+    """The function of a phi spec, without the transform records."""
+    return _build_phi(spec)[0]
+
+
+def _check_call(phi, r: _Reader):
     """The run of one check spec (a pipeline's ``checks`` entry, or the
     CLI ``check`` flags) on ``phi``, its fields read; sampling defaults are
     SampleSpec's."""
-    cond = field("condition")
+    cond = r("condition")
 
     def spec():
-        return SampleSpec(field("t_min", _positive, SampleSpec.t_min),
-                          field("t_max", _positive, SampleSpec.t_max))
+        return SampleSpec(r("t_min", _positive, SampleSpec.t_min),
+                          r("t_max", _positive, SampleSpec.t_max))
 
     if cond in ("ainc", "adec"):
         check = check_ainc if cond == "ainc" else check_adec
-        return partial(check, phi, field("p" if cond == "ainc" else "q",
-                                         _finite),
-                       A=field("A", lambda A: _points(A, phi.domain.dim),
-                               None),
-                       T=field("T", _t_range, (0.0, math.inf)), spec=spec())
+        return partial(check, phi, r("p" if cond == "ainc" else "q", _finite),
+                       A=r("A", _points(phi.domain.dim), None),
+                       T=r("T", _t_range, (0.0, math.inf)), spec=spec())
     if cond == "a0":
         return partial(check_a0, phi)
     if cond == "a1":
-        return partial(check_a1, phi, field("seed", _seed, 0))
+        return partial(check_a1, phi, r("seed", _seed, 0))
     if cond == "a2":
-        pair = field("pair", transforms.AsymptotePair.from_dict)
+        pair = r("pair", transforms.AsymptotePair.from_dict)
         return partial(check_a2, phi, pair.phi_inf, pair.h, pair.beta,
                        pair.s, spec())
     if cond in ("equivalence", "weak_equivalence"):
-        other, _ = _build_phi(field("other"), f"{field.pointer}/other")
-        L = field("L", lambda v: float(_positive(v)), 1.0)
+        other = r("other", _phi_spec)
+        L = r("L", lambda v: float(_positive(v)), 1.0)
         if cond == "equivalence":
             return partial(check_equivalence, phi, other, L, spec())
         return partial(check_weak_equivalence, phi, other, L,
-                       field("h", weight_from_dict, WeightFunction.zero()),
+                       r("h", weight_from_dict, WeightFunction.zero()),
                        spec())
-    raise SpecError(f"{field.pointer}/condition",
-                    f"unknown condition {cond!r}")
+    raise SpecError("/condition", f"unknown condition {cond!r}")
 
 
-def _grid_from_spec(d, box, resolution: int, pointer: str) -> GridFunction:
-    """``{"const": c}``, or else ``{"ball": {"center": .., "radius": ..}}``."""
-    field = _Reader(d, pointer)
-    if "const" in d:
-        c = field("const", float)
-        return field.run(lambda: GridFunction(
-            box, c * np.ones((resolution,) * len(box))))
-    ball = _Reader(field("ball"), f"{pointer}/ball")
-    center, radius = ball("center"), ball("radius")
-    field.done()
-    return ball.run(partial(GridFunction.indicator_ball, center, radius, box,
-                            resolution))
+def _grid_from_spec(d, box, resolution: int) -> GridFunction:
+    """``{"const": c}``, or else ``{"ball": {"center": .., "radius": ..}}``,
+    on ``box`` with ``resolution`` cells per axis."""
+    def ball(b):
+        with _Reader(b) as r:
+            radius, center = r("radius", _positive), r("center", _point(len(box)))
+            return GridFunction.indicator_ball(center, radius, box, resolution)
+
+    with _Reader(d) as r:
+        c = r("const", _finite, None)
+        if c is None:
+            return r("ball", ball)
+        return GridFunction(box, float(c) * np.ones((resolution,) * len(box)))
 
 
-def _experiment_call(phi, field: _Reader, resolution: float):
+def _experiment_call(phi, r: _Reader, resolution: float):
     """The run of one experiment spec on ``phi``, its fields read."""
-    kind = field("experiment")
+    kind = r("experiment")
     dim = phi.domain.dim
     if kind == "maximal-divergence":
-        args = (field("radii", lambda rs: [float(_positive(r))
-                                           for r in _list(rs)],
-                      [8.0, 16.0, 32.0]),
-                resolution, field("center", default=[0.0] * dim),
-                field("ball_radius", _positive, 1.0))
+        args = ([float(R) for R in r("radii", _items(_positive), [8.0, 16.0, 32.0])],
+                resolution, r("center", _point(dim), [0.0] * dim),
+                r("ball_radius", _positive, 1.0))
 
         def divergence():
             *_, growth, norm_rep = _divergence(phi, *args)
@@ -489,23 +340,22 @@ def _experiment_call(phi, field: _Reader, resolution: float):
                     "operator_norm": norm_rep}
         return divergence
     if kind == "operator-norm":
-        R = field("truncation_radius", _positive, 16.0)
+        R = r("truncation_radius", _positive, 16.0)
         return lambda: {"experiment": kind, "report": operator_norm_estimate(
             phi, _ball_family(R, resolution))}
     if kind == "ball-norm":
-        center, radius = field("center"), field("radius", _positive)
-        cells = field("cells", _positive, 256)
+        center, radius = r("center", _point(dim)), r("radius", _positive)
+        cells = r("cells", _positive, 256)
         return lambda: {"experiment": kind, "report": ball_norm_check(
             phi, center, radius, resolution=cells)}
     if kind == "duality":
-        R = field("truncation_radius", _positive, 1.0)
+        R = r("truncation_radius", _positive, 1.0)
         box = tuple((-R, R) for _ in range(dim))
-        f, g = (_grid_from_spec(field(k), box, int(resolution * R),
-                                f"{field.pointer}/{k}") for k in "fg")
+        f, g = (r(k, partial(_grid_from_spec, box=box,
+                             resolution=int(resolution * R))) for k in "fg")
         return lambda: {"experiment": kind,
                         "report": duality_lower_bound(phi, f, g)}
-    raise SpecError(f"{field.pointer}/experiment",
-                    f"unknown experiment {kind!r}")
+    raise SpecError("/experiment", f"unknown experiment {kind!r}")
 
 
 def run_pipeline(spec: dict, resolution: float = 8.0,
@@ -517,26 +367,25 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
     """
     with _at("/seed"):
         _seed(seed)
-    field = _Reader(spec, "")
-    name = field("name", _name, "pipeline")
-    phi_spec = field("phi")
-    checks = field("checks", _list, [])
-    experiments = field("experiments", _list, [])
-    field.done()
-    phi, transform_records = _build_phi(phi_spec, "/phi")
+    with _Reader(spec) as r:
+        name = r("name", _name, "pipeline")
+        phi, transform_records = r("phi", _build_phi)
+        checks = r("checks", _list, [])
+        experiments = r("experiments", _list, [])
     bundle = {"schema": BUNDLE_SCHEMA, "name": name, "phi": phi.to_dict(),
               "transforms": transform_records, "checks": [],
               "experiments": [], "seed": seed}
     for i, chk in enumerate(checks):
-        field = _Reader(chk, f"/checks/{i}")
-        expected = field("expect", _boolean, True)
-        label = field("label", _string, chk.get("condition"))
-        rep = field.run(_check_call(phi, field))
-        bundle["checks"].append(
-            _claim(label, rep.holds, rep, expected=expected))
+        with _at(f"/checks/{i}"), _Reader(chk) as r:
+            expected = r("expect", _boolean, True)
+            label = r("label", _string, None)
+            rep = r.run(_check_call(phi, r))
+            bundle["checks"].append(_claim(
+                r("condition") if label is None else label, rep.holds, rep,
+                expected=expected))
     for i, exp in enumerate(experiments):
-        field = _Reader(exp, f"/experiments/{i}")
-        bundle["experiments"].append(
-            field.run(_experiment_call(phi, field, resolution)))
+        with _at(f"/experiments/{i}"), _Reader(exp) as r:
+            bundle["experiments"].append(
+                r.run(_experiment_call(phi, r, resolution)))
     bundle["verdict"] = all(c["matches"] for c in bundle["checks"])
     return bundle

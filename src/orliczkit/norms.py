@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_core import EPS_INV_BISECT, UNIT_BALL_VOLUME, PhiFunction, \
-    _as_point, _last_t_where, _norms
+from .phi_core import EPS_INV_BISECT, DomainError, PhiFunction, \
+    _as_point, _ball_volume, _last_t_where, _norms
 
 INF = math.inf
 
@@ -203,8 +203,12 @@ class GridFunction:
 
 
 def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:
-    """The cells whose centers lie inside phi's domain, a box taken open."""
+    """The cells whose centers lie inside phi's domain, a box taken open;
+    a grid of another dimension raises DomainError."""
     dom = phi.domain
+    if pts.shape[1] != dom.dim:
+        raise DomainError(f"a grid with {pts.shape[1]} axes lies outside "
+                          f"phi's {dom.dim}-dimensional domain")
     if dom.unbounded:
         return np.ones(len(pts), dtype=bool)
     return np.all((pts > np.asarray(dom.lower)) & (pts < np.asarray(dom.upper)), axis=1)
@@ -288,7 +292,7 @@ def ball_norm_check(phi: PhiFunction, center, radius: float,
     empirical ratio range."""
     center = np.atleast_1d(np.asarray(center, float))
     dim = len(center)
-    vol = UNIT_BALL_VOLUME[dim] * radius ** dim
+    vol = _ball_volume(dim, radius)
     if vol > 1.0 + 1e-12:
         raise ValueError("ball must have measure at most 1")
     box = tuple((c - 1.5 * radius, c + 1.5 * radius) for c in center)

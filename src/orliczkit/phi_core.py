@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -29,6 +31,8 @@ INF = math.inf
 # at every scale.  Closed forms are exact up to rounding.
 EPS_INV_BISECT = 1e-12
 
+_SCHEMA = "orliczkit-phi/1"
+
 
 class ConstructionError(ValueError):
     """Raised when requested parameters violate curve invariants."""
@@ -36,6 +40,190 @@ class ConstructionError(ValueError):
 
 class DomainError(ValueError):
     """Raised when a spatial point lies outside the function's domain."""
+
+
+# ---------------------------------------------------------------------------
+# Reading input objects: every JSON object the package takes is read by a
+# _Reader, so a key that no parser reads is an error at its own pointer
+
+
+class SpecError(ValueError):
+    """Bad input, carrying a JSON pointer to the offending field.  A reader
+    raises it relative to the object it reads, and each enclosing
+    :func:`_at` prefixes its own segment (``--phi`` + ``/params/p``)."""
+
+    def __init__(self, pointer: str, message: str):
+        super().__init__(pointer, message)
+        self.pointer, self.message = pointer, message
+
+    def __str__(self) -> str:
+        return f"{self.pointer}: {self.message}"
+
+
+@contextmanager
+def _at(segment: str):
+    """Lookup, type and value errors (ConstructionError and DomainError
+    too) in the block are bad input at ``segment``; a SpecError from a
+    deeper reader gets the segment prefixed, and anything else is an
+    internal error."""
+    try:
+        yield
+    except SpecError as exc:
+        exc.pointer = segment + exc.pointer
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SpecError(segment, str(exc)) from exc
+
+
+class _Reader:
+    """The input object ``d``, whose keys are read by calling the reader:
+    ``r(key, parse, default)`` is ``parse(d[key])`` failing at ``/key``,
+    and a missing key is ``default``, or an error when there is none.  Used
+    as a context manager, it makes any key that no call read an error at
+    its own pointer when the block ends without one."""
+
+    def __init__(self, d):
+        if not isinstance(d, dict):
+            raise SpecError("", "expected an object")
+        self.d, self.read = d, {}
+
+    def __call__(self, key: str, parse=None, default=...):
+        self.read[key] = True
+        if key not in self.d:
+            if default is ...:
+                raise SpecError(f"/{key}", "missing required field")
+            return default
+        with _at(f"/{key}"):
+            return parse(self.d[key]) if parse else self.d[key]
+
+    def done(self) -> None:
+        for key in self.d:
+            if key not in self.read:  # escaped as a JSON pointer segment
+                raise SpecError("/" + str(key).replace("~", "~0").replace("/", "~1"),
+                                "unexpected field; this object reads only "
+                                + (", ".join(self.read) or "none"))
+
+    def run(self, call):
+        """``call()`` once every key was read, failing at this object."""
+        self.done()
+        with _at(""):
+            return call()
+
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        if kind is None:
+            self.done()
+
+
+def _list(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
+
+
+def _items(parse):
+    """A parser of lists that reads each item through ``parse``, failing
+    at the item's index."""
+    def read(v) -> list:
+        out = []
+        for i, item in enumerate(_list(v)):
+            with _at(f"/{i}"):
+                out.append(parse(item))
+        return out
+    return read
+
+
+def _finite(v):
+    """A finite JSON number, as given: reports echo it."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
+
+
+def _positive(v):
+    """A finite JSON number > 0, as given: reports echo it."""
+    if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
+        raise ValueError(f"expected a positive finite number, got {v!r}")
+    return v
+
+
+def _boolean(v):
+    """A JSON boolean."""
+    if type(v) is not bool:
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _string(v):
+    """A JSON string."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+def _seed(v):
+    """A JSON integer >= 0, as numpy's generators take."""
+    if type(v) is not int or v < 0:
+        raise ValueError(f"expected a non-negative integer, got {v!r}")
+    return v
+
+
+def _dim(v):
+    """A spatial dimension: the JSON integer 1 or 2."""
+    if type(v) is not int or v not in (1, 2):
+        raise ValueError(f"expected the dimension 1 or 2, got {v!r}")
+    return v
+
+
+def _name(v):
+    """A bundle name, which names a report file: no path separators."""
+    if not isinstance(v, str) or any(c in v for c in "/\\\0"):
+        raise ValueError(f"expected a string without '/', '\\' or NUL, "
+                         f"got {v!r}")
+    return v
+
+
+def _agree(value, what: str):
+    """A parser of a field that restates ``value`` (``what`` says whose):
+    it must equal it."""
+    def read(v):
+        if type(v) is bool or v != value:
+            raise ValueError(f"expected {value!r} ({what}), got {v!r}")
+        return v
+    return read
+
+
+def _point(*dims: int):
+    """A parser of points: lists of n finite JSON numbers, n in ``dims``."""
+    def read(v) -> list:
+        x = _items(_finite)(v)
+        if len(x) not in dims:
+            raise ValueError(f"expected {' or '.join(map(str, dims))} "
+                             f"coordinates, got {v!r}")
+        return x
+    return read
+
+
+def _points(dim: int):
+    """A parser of non-empty lists of points with ``dim`` coordinates,
+    read as an (N, dim) array."""
+    def read(v) -> np.ndarray:
+        X = _items(_point(dim))(v)
+        if not X:
+            raise ValueError("expected a non-empty list of points")
+        return np.array(X, float)
+    return read
+
+
+def _t_range(T) -> tuple:
+    """``[lo, hi]`` with finite 0 <= lo < hi, hi null for inf."""
+    lo, hi = _list(T)
+    lo, hi = _finite(lo), math.inf if hi is None else _finite(hi)
+    if not 0 <= lo < hi:
+        raise ValueError(f"expected 0 <= lo < hi, got {T!r}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -502,20 +690,24 @@ class PhiCurve:
 
     @staticmethod
     def from_dict(d: dict) -> "PhiCurve":
-        if not isinstance(d, dict):
-            raise TypeError(f"expected a curve object, got {d!r}")
-        tail = d.get("infinite_tail")
-        if tail == "inf":
-            tail = None
-        return PhiCurve(
-            breakpoints=tuple(d["breakpoints"]),
-            pieces=tuple(
-                tuple(PowerTerm(tm["coef"], tm["exponent"], tm.get("shift", 0.0))
-                      for tm in piece)
-                for piece in d["pieces"]
-            ),
-            infinite_tail=tail,
-        )
+        with _Reader(d) as r:
+            return PhiCurve(
+                tuple(r("breakpoints", _items(_finite))),
+                tuple(map(tuple, r("pieces", _items(_items(_term))))),
+                r("infinite_tail", _tail, None))
+
+
+def _tail(v):
+    """An infinite tail: a positive level, or null or "inf" for none."""
+    return None if v in (None, "inf") else _positive(v)
+
+
+def _term(d: dict) -> PowerTerm:
+    """A power term ``{"coef": c, "exponent": e, "shift": s}``, shift 0 by
+    default."""
+    with _Reader(d) as r:
+        return PowerTerm(r("coef", _finite), r("exponent", _finite),
+                         r("shift", _finite, 0.0))
 
 
 def power_curve(p: float, coef: float = 1.0) -> PhiCurve:
@@ -556,9 +748,9 @@ class Domain:
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         """Membership of the rows of X (N, width) in the closed box, or in
-        R^n, which takes rows of any width; a box takes none of another."""
-        if self.unbounded or X.shape[1] != self.dim:
-            return np.full(len(X), self.unbounded)
+        R^n; a row of another width than n lies outside."""
+        if X.shape[1] != self.dim or self.unbounded:
+            return np.full(len(X), X.shape[1] == self.dim)
         return np.all((np.asarray(self.lower) <= X) & (X <= np.asarray(self.upper)), axis=1)
 
     def sampling_box(self, radius: float) -> tuple[tuple, tuple]:
@@ -573,10 +765,12 @@ class Domain:
 
     @staticmethod
     def from_dict(d: dict) -> "Domain":
-        dim = d["dim"]  # first, so that a non-object is a TypeError
-        if d.get("all"):
-            return Domain(dim)
-        return Domain(dim, tuple(d["lower"]), tuple(d["upper"]))
+        with _Reader(d) as r:
+            dim = r("dim", _dim)
+            if r("all", _boolean, False):
+                return Domain(dim)
+            return Domain(dim, tuple(r("lower", _point(dim))),
+                          tuple(r("upper", _point(dim))))
 
 
 def _as_point(x, dim: int) -> tuple:
@@ -591,6 +785,15 @@ def _as_point(x, dim: int) -> tuple:
 
 #: Lebesgue measure of the unit ball in dimensions 1 and 2.
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
+
+
+def _ball_volume(dim: int, radius: float) -> float:
+    """The measure of a ball of ``radius`` in R^dim; inf past the largest
+    float."""
+    try:
+        return UNIT_BALL_VOLUME[dim] * radius ** dim
+    except OverflowError:
+        return INF
 
 
 @dataclass(frozen=True)
@@ -619,36 +822,37 @@ class Region:
 
 
 def region_from_dict(d: dict) -> Region:
-    name = d["region"]
-    if name == "empty":
-        dim = int(d.get("dim", 2))
-        return Region("empty", dim, lambda X: np.zeros(X.shape[:-1], bool),
-                      measure=0.0, params={"dim": dim})
-    if name == "inv_square_strip":
-        # {(x, y) : x >= 1, |y| <= 1/x^2}; measure 2
-        def ind(X):
-            return (X[..., 0] >= 1.0) & (np.abs(X[..., 1]) <= 1.0 / np.maximum(X[..., 0], 1.0) ** 2)
-        return Region("inv_square_strip", 2, ind, measure=2.0)
-    if name == "ball":
-        center = np.asarray(d["center"], dtype=float)
-        radius = float(d["radius"])
-        dim = len(center)
+    with _Reader(d) as r:
+        name = r("region", _string)
+        if name == "empty":
+            dim = r("dim", _dim, 2)
+            return Region("empty", dim, lambda X: np.zeros(X.shape[:-1], bool),
+                          measure=0.0, params={"dim": dim})
+        if name == "inv_square_strip":
+            # {(x, y) : x >= 1, |y| <= 1/x^2}; measure 2
+            def ind(X):
+                x, y = X[..., 0], X[..., 1]
+                return (x >= 1.0) & (np.abs(y) <= 1.0 / np.maximum(x, 1.0) ** 2)
+            return Region("inv_square_strip", 2, ind, measure=2.0)
+        if name == "ball":
+            center = np.asarray(r("center", _point(1, 2)), dtype=float)
+            radius = float(r("radius", _positive))
+            dim = len(center)
 
-        def ind(X):
-            D = X - center
-            return _norms(D).reshape(D.shape[:-1]) <= radius
-        meas = UNIT_BALL_VOLUME[dim] * radius ** dim
-        return Region("ball", dim, ind, measure=meas,
-                      params={"center": list(center), "radius": radius})
-    if name == "halfplane":
-        normal = np.asarray(d["normal"], dtype=float)
-        offset = float(d.get("offset", 0.0))
+            def ind(X):
+                D = X - center
+                return _norms(D).reshape(D.shape[:-1]) <= radius
+            return Region("ball", dim, ind, measure=_ball_volume(dim, radius),
+                          params={"center": list(center), "radius": radius})
+        if name == "halfplane":
+            normal = np.asarray(r("normal", _point(1, 2)), dtype=float)
+            offset = float(r("offset", _finite, 0.0))
 
-        def ind(X):
-            return X @ normal >= offset
-        return Region("halfplane", len(normal), ind,
-                      params={"normal": list(normal), "offset": offset})
-    raise ConstructionError(f"unknown region {name!r}")
+            def ind(X):
+                return X @ normal >= offset
+            return Region("halfplane", len(normal), ind,
+                          params={"normal": list(normal), "offset": offset})
+        raise SpecError("/region", f"unknown region {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -661,27 +865,32 @@ def field_from_dict(d: dict) -> Callable:
     The field evaluates on an array of points with shape (..., dim) or on a
     single point; it returns an array of the leading shape.
     """
-    kind = d["field"]
-    if kind == "const":
-        v = float(d["value"])
-        return lambda X: np.full(_lead_shape(X), v)
-    if kind == "abs_power":
-        c = float(d.get("coef", 1.0))
-        k = float(d["power"])
-        a = float(d.get("offset", 0.0))
-        return lambda X: c * (_norms(X) + a) ** k
-    if kind == "poly_abs":
-        coeffs = [float(c) for c in d["coeffs"]]
-        return lambda X: sum(c * _norms(X) ** i for i, c in enumerate(coeffs))
-    if kind == "pw_linear":
-        pts = sorted((float(u), float(v)) for u, v in d["points"])
-        us = np.array([u for u, _ in pts])
-        vs = np.array([v for _, v in pts])
-        return lambda X: np.interp(_norms(X), us, vs)
-    if kind == "indicator":
-        region = region_from_dict(d["of"])
-        return lambda X: region.contains_many(X).astype(float).reshape(_lead_shape(X))
-    raise ConstructionError(f"unknown field {kind!r}")
+    with _Reader(d) as r:
+        kind = r("field", _string)
+        if kind == "const":
+            return _constant(float(r("value", _finite)))
+        if kind == "abs_power":
+            c = float(r("coef", _finite, 1.0))
+            k = float(r("power", _finite))
+            a = float(r("offset", _finite, 0.0))
+            return lambda X: c * (_norms(X) + a) ** k
+        if kind == "poly_abs":
+            coeffs = [float(c) for c in r("coeffs", _items(_finite))]
+            return lambda X: sum(c * _norms(X) ** i for i, c in enumerate(coeffs))
+        if kind == "pw_linear":
+            pts = sorted((float(u), float(v)) for u, v in r("points", _items(_point(2))))
+            us = np.array([u for u, _ in pts])
+            vs = np.array([v for _, v in pts])
+            return lambda X: np.interp(_norms(X), us, vs)
+        if kind == "indicator":
+            region = r("of", region_from_dict)
+            return lambda X: region.contains_many(X).astype(float).reshape(_lead_shape(X))
+        raise SpecError("/field", f"unknown field {kind!r}")
+
+
+def _constant(v: float) -> Callable:
+    """The field of constant value v."""
+    return lambda X: np.full(_lead_shape(X), v)
 
 
 def _norms(X) -> np.ndarray:
@@ -783,7 +992,7 @@ class PhiFunction:
     # -- serialization
 
     def to_dict(self) -> dict:
-        return {"schema": "orliczkit-phi/1", "kind": self.kind,
+        return {"schema": _SCHEMA, "kind": self.kind,
                 "params": self.params, "domain": self.domain.to_dict()}
 
     def to_json(self, **kw) -> str:
@@ -791,20 +1000,23 @@ class PhiFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "PhiFunction":
+        """The function of a phi document or a make spec, every key of
+        which is read (docs/file_formats.md)."""
         from . import transforms  # deferred: transforms builds on this module
-        kind = d["kind"]
-        domain = Domain.from_dict(d["domain"]) if "domain" in d else None
-        if kind in _FAMILIES:
-            return make_family(kind, d.get("params", {}), domain=domain)
-        if kind == "glued_small_values":
-            base = PhiFunction.from_dict(d["params"]["base"])
-            region = region_from_dict(d["params"]["region"])
-            return transforms.glue_small_values(base, region, d["params"]["p"])
-        if kind == "ainc_rebuild":
-            base = PhiFunction.from_dict(d["params"]["base"])
-            pair = transforms.AsymptotePair.from_dict(d["params"]["pair"])
-            return transforms.rebuild_with_ainc(base, pair, d["params"]["t1"])
-        raise ConstructionError(f"unknown kind {kind!r}")
+        with _Reader(d) as r:
+            r("schema", _agree(_SCHEMA, "the schema"), None)
+            kind = r("kind", _string)
+            domain = r("domain", Domain.from_dict, None)
+            if kind in _FAMILIES:
+                phi = r("params", lambda params: make_family(kind, params, domain), None)
+                return make_family(kind, None, domain) if phi is None else phi
+            if kind not in transforms._DERIVED:
+                raise SpecError("/kind", f"unknown kind {kind!r}")
+            phi = r("params", lambda params: transforms._derived(kind, params))
+            if domain not in (None, phi.domain):
+                raise SpecError("/domain", "expected the base function's domain "
+                                f"{phi.domain.to_dict()}")
+            return phi
 
     @staticmethod
     def from_json(s: str) -> "PhiFunction":
@@ -827,13 +1039,20 @@ def from_curve(curve: PhiCurve, dim: int = 1,
 # Catalog families: each states phi(x, t) once, as its batched form
 
 
-def _make_orlicz(params, domain):
-    if "curve" in params:
-        curve = PhiCurve.from_dict(params["curve"])
-    else:
-        curve = power_curve(float(params["p"]), float(params.get("coef", 1.0)))
-    dom = domain or Domain(int(params.get("dim", 1)))
-    return PhiFunction("orlicz", params, dom, _fixed(curve), x_independent=True)
+def _family_domain(r: _Reader, domain: Domain | None, dim: int = 1) -> Domain:
+    """``domain``, else all of R^dim for the params' ``dim`` (default
+    ``dim``); a ``dim`` beside a domain must agree with it."""
+    given = r("dim", _dim if domain is None
+              else _agree(domain.dim, "the domain's dimension"), dim)
+    return domain or Domain(given)
+
+
+def _make_orlicz(r, domain):
+    curve = r("curve", PhiCurve.from_dict, None)
+    if curve is None:
+        curve = power_curve(float(r("p", _finite)), float(r("coef", _finite, 1.0)))
+    return PhiFunction("orlicz", r.d, _family_domain(r, domain), _fixed(curve),
+                       x_independent=True)
 
 
 def _optional(on, coef, exponent):
@@ -841,10 +1060,9 @@ def _optional(on, coef, exponent):
     return np.where(on, coef, 0.0), exponent, np.where(on, 0.0, INF)
 
 
-def _make_variable_exponent(params, domain):
-    pf = field_from_dict(params["p"])
-    af = field_from_dict(params.get("a", {"field": "const", "value": 1.0}))
-    dom = domain or Domain(int(params.get("dim", 1)))
+def _make_variable_exponent(r, domain):
+    pf = r("p", field_from_dict)
+    af = r("a", field_from_dict, _constant(1.0))
 
     def form(X):
         p, a = pf(X), af(X)
@@ -852,16 +1070,15 @@ def _make_variable_exponent(params, domain):
             raise ConstructionError("variable exponent needs p >= 1, a > 0")
         return PowerTable.build(len(X), [0.0], [[(a, p, 0.0)]])
 
-    return PhiFunction("variable_exponent", params, dom, form)
+    return PhiFunction("variable_exponent", r.d, _family_domain(r, domain), form)
 
 
-def _make_double_phase(params, domain):
-    p = float(params["p"])
-    q = float(params["q"])
+def _make_double_phase(r, domain):
+    p = float(r("p", _finite))
+    q = float(r("q", _finite))
     if p < 1 or q < p:
         raise ConstructionError("double phase needs 1 <= p <= q")
-    af = field_from_dict(params.get("a", {"field": "const", "value": 0.0}))
-    dom = domain or Domain(int(params.get("dim", 1)))
+    af = r("a", field_from_dict, _constant(0.0))
 
     def form(X):
         a = af(X)
@@ -869,14 +1086,13 @@ def _make_double_phase(params, domain):
             raise ConstructionError("weight a must be nonnegative")
         return PowerTable.build(len(X), [0.0], [[(1.0, p, 0.0), _optional(a > 0, a, q)]])
 
-    return PhiFunction("double_phase", params, dom, form)
+    return PhiFunction("double_phase", r.d, _family_domain(r, domain), form)
 
 
-def _make_vdp(params, domain):
-    pf = field_from_dict(params["p"])
-    qf = field_from_dict(params["q"])
-    af = field_from_dict(params.get("a", {"field": "const", "value": 0.0}))
-    dom = domain or Domain(int(params.get("dim", 1)))
+def _make_vdp(r, domain):
+    pf = r("p", field_from_dict)
+    qf = r("q", field_from_dict)
+    af = r("a", field_from_dict, _constant(0.0))
 
     def form(X):
         p, q, a = pf(X), qf(X), af(X)
@@ -884,13 +1100,13 @@ def _make_vdp(params, domain):
             raise ConstructionError("needs 1 <= p(x) <= q(x), a >= 0")
         return PowerTable.build(len(X), [0.0], [[(1.0, p, 0.0), _optional(a > 0, a, q)]])
 
-    return PhiFunction("vdp", params, dom, form)
+    return PhiFunction("vdp", r.d, _family_domain(r, domain), form)
 
 
 # Built-in gallery instances used by the example bundles and the test suite.
 
 
-def _make_example_3_2(params, domain):
+def _make_example_3_2(r, domain):
     region = region_from_dict({"region": "inv_square_strip"})
 
     def form(X):
@@ -900,47 +1116,44 @@ def _make_example_3_2(params, domain):
         return PowerTable.build(len(X), [0.0, seam],
                                 [[(1.0, 1.0, 0.0)], [(1.0, 2.0, 0.0)]])
 
-    return PhiFunction("example_3_2", params, domain or Domain(2), form)
+    return PhiFunction("example_3_2", r.d, domain or Domain(2), form)
 
 
-def _make_example_3_4(params, domain):
-    dim = int(params.get("dim", 2))
-
+def _make_example_3_4(r, domain):
     def form(X):
         seam = 1.0 / (_norms(X) + 2.0)
         return PowerTable.build(len(X), [0.0, seam],
                                 [[(1.0, 1.0, 0.0)],
                                  [(1.0, 2.0, 0.0), (1.0, 1.0, 0.0)]])
 
-    return PhiFunction("example_3_4", params, domain or Domain(dim), form)
+    return PhiFunction("example_3_4", r.d, _family_domain(r, domain, 2), form)
 
 
-def _make_example_3_5(params, domain):
-    dim = int(params.get("dim", 2))
+def _make_example_3_5(r, domain):
+    dom = _family_domain(r, domain, 2)
 
     def form(X):
-        w = (_norms(X) + 1.0) ** dim
+        w = (_norms(X) + 1.0) ** dom.dim
         return PowerTable.build(len(X), [0.0, 1.0 / w],
                                 [[(1.0 / w, 1.0, 0.0)], [(1.0, 2.0, 0.0)]])
 
-    return PhiFunction("example_3_5", params, domain or Domain(dim), form)
+    return PhiFunction("example_3_5", r.d, dom, form)
 
 
-def _make_example_4_6(params, domain):
+def _make_example_4_6(r, domain):
     # t^{p(x)} on (-2, 2) with p piecewise linear: 2 on [-1, 1], 1 at the ends
 
     def form(X):
         p = np.maximum(np.minimum(2.0, 3.0 - _norms(X)), 1.0)
         return PowerTable.build(len(X), [0.0], [[(1.0, p, 0.0)]])
 
-    return PhiFunction("example_4_6", params, domain or Domain(1, (-2.0,), (2.0,)), form)
+    return PhiFunction("example_4_6", r.d, domain or Domain(1, (-2.0,), (2.0,)), form)
 
 
 _FAMILIES = {
     "orlicz": _make_orlicz,
-    "curve": lambda params, domain: from_curve(
-        PhiCurve.from_dict(params["curve"]),
-        domain=domain, dim=(domain.dim if domain else int(params.get("dim", 1)))),
+    "curve": lambda r, domain: from_curve(r("curve", PhiCurve.from_dict),
+                                          domain=_family_domain(r, domain)),
     "variable_exponent": _make_variable_exponent,
     "double_phase": _make_double_phase,
     "vdp": _make_vdp,
@@ -952,9 +1165,9 @@ _FAMILIES = {
 
 
 def make_family(kind: str, params: dict | None = None, domain: Domain | None = None) -> PhiFunction:
-    """Construct a catalog family; raises ConstructionError for bad input."""
+    """Construct a catalog family; raises ConstructionError for bad
+    parameters and SpecError for malformed or unread ones."""
     if kind not in _FAMILIES:
         raise ConstructionError(f"unknown family kind {kind!r}")
-    if not isinstance(params or {}, dict):
-        raise ConstructionError(f"params must be an object, got {params!r}")
-    return _FAMILIES[kind](params or {}, domain)
+    with _Reader({} if params is None else params) as r:
+        return _FAMILIES[kind](r, domain)

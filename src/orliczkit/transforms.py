@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,12 @@ from .phi_core import (
     PowerTable,
     PowerTerm,
     Region,
+    SpecError,
+    _Reader,
+    _finite,
     _last_t_where,
+    _positive,
+    region_from_dict,
 )
 from .conditions import (
     SampleSpec,
@@ -72,9 +78,10 @@ class AsymptotePair:
 
     @staticmethod
     def from_dict(d: dict) -> "AsymptotePair":
-        return AsymptotePair(PhiCurve.from_dict(d["phi_inf"]),
-                             weight_from_dict(d["h"]),
-                             d["beta"], d.get("s", 1.0))
+        with _Reader(d) as r:
+            return AsymptotePair(r("phi_inf", PhiCurve.from_dict),
+                                 r("h", weight_from_dict), r("beta", _finite),
+                                 r("s", _finite, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +333,38 @@ def tail_asymptotes(phi: PhiFunction) -> AsymptoteEstimate:
     upper = witness(up1, "upper")
     lower = witness(lo1, "lower")
     return AsymptoteEstimate(upper, lower, converged, tuple(flags))
+
+
+# ---------------------------------------------------------------------------
+# Transform steps: a pipeline's, the CLI ``transform`` flags', and the params
+# of the phi documents that the phi -> phi transforms write
+
+
+def _step(op: str, phi: PhiFunction, r: _Reader) -> tuple:
+    """Transform ``op`` of phi, its other fields read through ``r``:
+    ``(result, record)``, the function the step leaves and what it
+    reports."""
+    if op == "glue_small_values":
+        region, p = r("region", region_from_dict), r("p", _finite)
+        return r.run(partial(glue_small_values, phi, region, p)), {"step": op}
+    if op == "rebuild_with_ainc":
+        pair = r("pair", AsymptotePair.from_dict)
+        t1 = r("t1", lambda v: v if v == "auto" else _positive(v), "auto")
+        if t1 == "auto":
+            t1 = r.run(partial(small_value_threshold, phi, pair.phi_inf))
+        return r.run(partial(rebuild_with_ainc, phi, pair, t1)), {"step": op, "t1": t1}
+    if op == "tail_asymptotes":
+        return phi, {"step": op, **r.run(partial(tail_asymptotes, phi)).to_dict()}
+    raise SpecError("/transform", f"unknown transform {op!r}")
+
+
+#: The transform step of each kind of phi document that a step writes.
+_DERIVED = {"glued_small_values": "glue_small_values",
+            "ainc_rebuild": "rebuild_with_ainc"}
+
+
+def _derived(kind: str, params: dict) -> PhiFunction:
+    """The function of a derived phi document from its params: the
+    ``base`` document and the fields of its transform step."""
+    with _Reader(params) as r:
+        return _step(_DERIVED[kind], r("base", PhiFunction.from_dict), r)[0]

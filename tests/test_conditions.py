@@ -300,6 +300,12 @@ def test_weak_equivalence(families):
     # without the additive term the same pair fails at L = 1
     assert not check_weak_equivalence(families["example_3_2"], t2, 1.0,
                                       WeightFunction.zero()).holds
+    # a bare curve is lifted to the function's dimension, whose 2D samples
+    # lie outside a 1D domain
+    for check, args in ((check_equivalence, (1.0,)),
+                        (check_weak_equivalence, (1.0, h))):
+        assert check(t2, power_curve(2.0), *args).to_dict() == \
+            check(t2, t2, *args).to_dict()
 
 
 def test_equivalence_judges_every_sample_against_itself():

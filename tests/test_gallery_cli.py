@@ -187,6 +187,34 @@ def test_pipeline_expected_failure_flips_verdict():
                        "f": {"const": 1, "ball": {"center": [0, 0],
                                                   "radius": 0.5}},
                        "g": {"const": 1}}]}, "/experiments/0/f/ball"),
+    # values inside lists: a null coordinate of A once ran as NaN and "1"
+    # as 1.0, a 1-coordinate center of a 2D function as (3, 3), and a t1
+    # of "soon" failed inside the step
+    *(({"phi": {"kind": "variable_exponent",
+                "params": {"p": {"field": "const", "value": 1.6}}},
+        "checks": [{"condition": "ainc", "p": 1.6, "A": A}]}, pointer)
+      for A, pointer in (([[None], ["1"]], "/checks/0/A/0/0"),
+                         ([[0.5], ["1"]], "/checks/0/A/1/0"))),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2, "dim": 2}},
+      "experiments": [{"experiment": "maximal-divergence", "radii": [2],
+                       "center": [3.0]}]}, "/experiments/0/center"),
+    *(({"phi": {"pipeline": [
+        {"make": {"kind": "example_3_5", "params": {}}},
+        {"transform": "rebuild_with_ainc", "t1": t1,
+         "pair": {"phi_inf": power_curve(2.0).to_dict(),
+                  "h": {"weight": "zero"}, "beta": 1.0}}]}},
+       "/phi/pipeline/1/t1") for t1 in ("soon", 0, -1, None, True)),
+    # an unread key is one escaped pointer segment
+    ({"phi": {"kind": "orlicz", "params": {"p": 2, "a/b~": 1}}},
+     "/phi/params/a~1b~0"),
+    # past the largest float: once an internal OverflowError (exit 3)
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "checks": [{"condition": "equivalence", "L": 10 ** 400,
+                  "other": {"kind": "orlicz", "params": {"p": 2}}}]},
+     "/checks/0/L"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2, "dim": 2}},
+      "experiments": [{"experiment": "ball-norm", "center": [0, 0],
+                       "radius": 1e200}]}, "/experiments/0"),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     with pytest.raises(SpecError) as err:
@@ -207,7 +235,8 @@ def test_points_must_have_phi_dimension(A):
             "checks": [{"condition": "ainc", "p": 1.6, "A": A}]}
     with pytest.raises(SpecError) as err:
         run_pipeline(spec)
-    assert err.value.pointer == "/checks/0/A"
+    # each list fails at its first point, which is not a 1D point
+    assert err.value.pointer == ("/checks/0/A/0" if A else "/checks/0/A")
     phi = orliczkit.make_family("variable_exponent", _VARIABLE_1D["params"])
     for check in (orliczkit.check_ainc, orliczkit.check_adec):
         with pytest.raises(ValueError, match="dimension 1"):
@@ -472,6 +501,7 @@ _PHI = json.dumps({"kind": "orlicz", "params": {"p": 2}})
 _BALL_1D = '{"ball": {"center": [0], "radius": 1}}'
 _BAD_PAIR = {"phi_inf": power_curve(2.0).to_dict(), "h": {"weight": "zero"},
              "beta": 2}
+_CURVE = json.dumps(power_curve(2.0).to_dict())
 
 
 def _check(*flags):
@@ -489,7 +519,7 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
 
 @pytest.mark.parametrize("argv,pointer", [
     pytest.param(_check("--condition", "a2", "--pair", '{"beta": 1}'),
-                 "/pair", id="check-pair-missing-field"),
+                 "/pair/phi_inf", id="check-pair-missing-field"),
     pytest.param(_check("--condition", "a2", "--pair", json.dumps(_BAD_PAIR)),
                  "/pair", id="check-pair-beta-2"),
     pytest.param(_pipeline(checks=[{"condition": "a2", "pair": _BAD_PAIR}]),
@@ -497,12 +527,12 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
     pytest.param(["check", "--phi", "[1, 2]", "--condition", "a0"], "--phi",
                  id="check-phi-list"),
     pytest.param(_check("--condition", "weak-equivalence", "--other", _PHI,
-                        "--h", '{"weight": "nope"}'), "/h",
+                        "--h", '{"weight": "nope"}'), "/h/weight",
                  id="check-unknown-weight"),
     pytest.param(_pipeline(checks=[{"condition": "weak_equivalence",
                                     "other": json.loads(_PHI),
                                     "h": {"weight": "nope"}}]),
-                 "/checks/0/h", id="pipeline-unknown-weight"),
+                 "/checks/0/h/weight", id="pipeline-unknown-weight"),
     pytest.param(_check("--condition", "ainc", "--p", "2",
                         "--t-range", "0", "abc"), "/T", id="check-t-range"),
     pytest.param(_check("--condition", "ainc", "--p", "2",
@@ -512,14 +542,15 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                         "--L", "0"), "/L", id="check-L-0"),
     pytest.param(["transform", "--op", "glue_small_values",
                   "--phi", json.dumps(_GLUE_BASE),
-                  "--region", '{"region": "nope"}'], "--region",
+                  "--region", '{"region": "nope"}'], "/region/region",
                  id="transform-unknown-region"),
     pytest.param(_pipeline({"pipeline": [
         {"make": _GLUE_BASE},
         {"transform": "glue_small_values", "region": {"region": "nope"},
-         "p": 2}]}), "/phi/pipeline/1/region", id="pipeline-unknown-region"),
+         "p": 2}]}), "/phi/pipeline/1/region/region",
+        id="pipeline-unknown-region"),
     pytest.param(["transform", "--op", "cap_curve",
-                  "--phi-inf", '{"breakpoints": [0]}'], "--phi-inf",
+                  "--phi-inf", '{"breakpoints": [0]}'], "/phi_inf/pieces",
                  id="transform-curve-missing-pieces"),
     pytest.param(["norm", "--phi", _PHI,
                   "--function", '{"ball": {"center": [0, 0]}}'],
@@ -537,7 +568,7 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  "/experiments/0", id="pipeline-ball-norm-too-big"),
     pytest.param(_pipeline(experiments=[{"experiment": "maximal-divergence",
                                          "radii": [-1]}]),
-                 "/experiments/0/radii", id="pipeline-negative-radii"),
+                 "/experiments/0/radii/0", id="pipeline-negative-radii"),
     pytest.param(["example", "ex3_5", "--seed", "-1"], "--seed",
                  id="example-negative-seed"),
     pytest.param(_pipeline() + ["--seed", "-1"], "--seed",
@@ -555,6 +586,36 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  "/seed", id="check-ainc-seed"),
     pytest.param(_check("--condition", "a0", "--t-range", "0.5", "2"), "/T",
                  id="check-a0-t-range"),
+    # the transform flags are one step: a flag the op does not read fails
+    # at its field, and p is required wherever it is read
+    pytest.param(["transform", "--op", "tail_asymptotes", "--phi", _PHI,
+                  "--p", "7", "--t1", "3", "--beta0", "9"], "/p",
+                 id="transform-tail-p"),
+    pytest.param(["transform", "--op", "cap_curve", "--phi-inf", _CURVE,
+                  "--phi", _PHI, "--p", "7"], "/phi", id="transform-cap-phi"),
+    pytest.param(["transform", "--op", "glue_small_values",
+                  "--phi", json.dumps(_GLUE_BASE),
+                  "--region", '{"region": "inv_square_strip"}'], "/p",
+                 id="transform-glue-without-p"),
+    pytest.param(["transform", "--op", "repair_asymptote", "--phi-inf", _CURVE,
+                  "--t1", "1"], "/p", id="transform-repair-without-p"),
+    pytest.param(["transform", "--op", "repair_asymptote", "--phi-inf", _CURVE,
+                  "--t1", "nan", "--p", "2"], "/t1", id="transform-t1-nan"),
+    pytest.param(["transform", "--op", "small_value_threshold",
+                  "--phi-inf", _CURVE], "/phi",
+                 id="transform-threshold-without-phi"),
+    pytest.param(["transform", "--op", "rebuild_with_ainc", "--phi", _PHI,
+                  "--pair", json.dumps({**_BAD_PAIR, "beta": 1}),
+                  "--beta0", "2"], "/beta0", id="transform-rebuild-beta0"),
+    # one grid source, and --dim is --phi's dimension
+    pytest.param(["norm", "--phi", _PHI, "--function", '{"const": 1}',
+                  "--binary", "/nonexistent"], "--binary",
+                 id="norm-function-and-binary"),
+    pytest.param(["maximal", "--binary", "/nonexistent", "--csv", "x.csv"],
+                 "--binary", id="maximal-csv-and-binary"),
+    pytest.param(["norm", "--phi", _PHI], "--function", id="norm-no-grid"),
+    pytest.param(["maximal", "--phi", _PHI, "--dim", "2",
+                  "--function", _BALL_1D], "--dim", id="maximal-dim-not-phi's"),
 ])
 def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
     assert main(argv) == 2
@@ -693,3 +754,33 @@ def test_pipeline_spec_fuzz_never_exits_3(path, value):
         code = main(["pipeline", json.dumps(spec), "--resolution", "1"])
     assert code in (0, 1, 2)
     assert code != 2 or err.getvalue().startswith("error: /")
+
+
+def _objects(node, prefix=()):
+    """Key paths to ``node``, if an object, and to every object in it."""
+    if isinstance(node, dict):
+        yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _objects(value, prefix + (key,))
+
+
+_OBJECTS = list(_objects(_FUZZ_SPEC))
+
+
+@pytest.mark.parametrize("path", _OBJECTS,
+                         ids=["/".join(map(str, p)) or "spec" for p in _OBJECTS])
+def test_pipeline_spec_unknown_key_at_any_depth(path, capsys):
+    """One unknown key inserted into any object of a small valid spec (phi
+    and its params, a pair, its curve and the curve's terms, weights,
+    checks, experiments): exit 2 at that key's pointer, never a run that
+    drops it."""
+    spec = json.loads(json.dumps(_FUZZ_SPEC))  # no object shared by two keys
+    node = spec
+    for key in path:
+        node = node[key]
+    node["typo"] = 1
+    assert main(["pipeline", json.dumps(spec), "--resolution", "1"]) == 2
+    pointer = "".join(f"/{key}" for key in path)
+    assert capsys.readouterr().err.startswith(f"error: {pointer}/typo: ")

@@ -10,6 +10,7 @@ from orliczkit import (
     ConstructionError,
     Domain,
     DomainError,
+    GridFunction,
     PhiCurve,
     PhiFunction,
     PowerTerm,
@@ -18,6 +19,7 @@ from orliczkit import (
     from_curve,
     glue_small_values,
     make_family,
+    modular,
     power_curve,
     rebuild_with_ainc,
     region_from_dict,
@@ -164,10 +166,21 @@ def test_domain_error_outside(families):
         with pytest.raises(DomainError):
             call()
     assert phi.eval_many(np.array([[2.0]]), np.array([2.0]))[0] == 2.0  # closed box
-    # an unbounded domain takes rows of any width
-    square = from_curve(power_curve(2.0), dim=1)
-    np.testing.assert_array_equal(
-        square.eval_many(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0])), [1.0, 4.0, 9.0])
+
+
+def test_points_of_another_width_lie_outside():
+    """A row of another width than the domain's dimension lies outside it,
+    bounded or not: a 1D function once evaluated a 3-coordinate point by
+    its norm (3.03) and measured a 2D grid (3.25)."""
+    phi = make_family("variable_exponent", {"p": {"field": "const", "value": 1.6}})
+    with pytest.raises(DomainError):
+        phi.eval_many(np.array([[0.0, 0.2, 0.3]]), np.array([2.0]))
+    with pytest.raises(DomainError):
+        modular(phi, GridFunction(((-1.0, 1.0),) * 2, np.full((4, 4), 1.5)))
+    for dom in (Domain(1), Domain(2), Domain(1, (-2.0,), (2.0,))):
+        X = np.zeros((2, 3 - dom.dim))
+        assert not dom.contains_many(X).any()
+        assert dom.contains_many(np.zeros((2, dom.dim))).all()
 
 
 # ---------------------------------------------------------------------------
