@@ -16,15 +16,15 @@ from functools import partial
 import numpy as np
 
 from . import transforms
-from .phi_core import PhiFunction, SpecError, _at, _boolean, _finite, \
-    _items, _list, _name, _point, _points, _positive, _Reader, _seed, \
-    _string, _t_range, from_curve, make_family, power_curve, region_from_dict
+from .phi_core import PhiFunction, SpecError, _at, _boolean, _cells, \
+    _finite, _increasing, _list, _name, _point, _points, _positive, \
+    _Reader, _seed, _string, _t_range, from_curve, make_family, \
+    power_curve, region_from_dict
 from .conditions import SampleSpec, WeightFunction, check_a0, check_a1, \
     check_a2, check_adec, check_ainc, check_equivalence, \
     check_weak_equivalence, default_x_samples, weight_from_dict, _holds
 from .norms import GridFunction, ball_norm_check, duality_lower_bound
-from .maximal import _maximal_family, _modular_growth, _norm_ratios, \
-    operator_norm_estimate
+from .maximal import _maximal_family, _modular_growth, _norm_ratios
 
 EXAMPLE_NAMES = ("ex3_2", "ex3_4", "ex3_5", "ex4_6", "dp_cor49")
 
@@ -46,13 +46,19 @@ def _finish(bundle: dict) -> dict:
     return bundle
 
 
-def _ball_family(truncation: float, resolution: float):
-    centers = [(0.0, 0.0), (2.0, 0.0), (4.0, 1.0), (-3.0, 2.0), (1.0, -2.0)]
-    radii = [0.5, 1.0]
-    box = ((-truncation, truncation),) * 2
-    n = int(resolution * truncation)
-    return [GridFunction.indicator_ball(c, r, box, n)
-            for c in centers for r in radii]
+#: The (center, radius) balls of the operator-norm family
+_BALLS = [(c, r) for c in ((0.0, 0.0), (2.0, 0.0), (4.0, 1.0), (-3.0, 2.0),
+                           (1.0, -2.0)) for r in (0.5, 1.0)]
+
+
+def _ball_maxima(dim: int, radii: list, resolution: float, balls: list):
+    """For each R in ``radii`` and (center, radius) in ``balls``, the ball's
+    indicator on (-R, R)^dim, int(resolution * R) cells per axis, centered
+    at the first ``dim`` coordinates; and their maximal functions."""
+    fam = [GridFunction.indicator_ball(c[:dim], r, ((-R, R),) * dim,
+                                       int(resolution * R))
+           for R in radii for c, r in balls]
+    return fam, _maximal_family(fam)
 
 
 def _run_ex3_2(resolution: float, seed: int) -> dict:
@@ -73,12 +79,11 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
         big = rep.constants["sampled_sup"] > 1e6
         claims.append(_claim(f"aInc_{p} fails on region x (0,1] with "
                              "ratio > 1e6", (not rep.holds) and big, rep))
-    # bounded maximal operator: norm ratios stable across truncations
-    ratios = {R: operator_norm_estimate(phi, _ball_family(R, resolution))
+    # bounded M: norm ratios stable across truncations, one family at a time
+    ratios = {R: _norm_ratios(phi, *_ball_maxima(2, [R], resolution, _BALLS))
               ["ratios"] for R in (8.0, 16.0, 32.0)}
     arr = np.array(list(ratios.values()))
-    spread = float(np.max((arr.max(axis=0) - arr.min(axis=0))
-                          / arr.min(axis=0)))
+    spread = float(np.max(np.ptp(arr, axis=0) / arr.min(axis=0)))
     claims.append(_claim("operator-norm ratios stable within 20% "
                          "across truncation radii", spread <= 0.2,
                          {"ratios": {str(k): v for k, v in ratios.items()},
@@ -87,26 +92,13 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
                     "phi": phi.to_dict(), "claims": claims})
 
 
-def _divergence(phi, radii: list, resolution: float, center, radius):
-    """For R in ``radii``, the ball's indicator on (-R, R)^dim with
-    int(resolution * R) cells per axis, its maximal function (computed
-    once), and phi's modular growth and norm ratio reports over them."""
-    fam = [GridFunction.indicator_ball(
-        center, radius, ((-R, R),) * phi.domain.dim, int(resolution * R))
-        for R in radii]
-    maxes = _maximal_family(fam)
-    return (fam, maxes, _modular_growth(phi, maxes, radii),
-            _norm_ratios(phi, fam, maxes, radii))
-
-
 def _run_ex3_4(resolution: float, seed: int) -> dict:
     phi = make_family("example_3_4", {}, None)
-    h0 = WeightFunction.zero()
     claims = [_claim(name, rep.holds, rep) for name, rep in (
         ("A0", check_a0(phi)),
         ("A1' with beta = 1", check_a1(phi, seed)),
         ("A2 against t with h = 0, beta = 1/2",
-         check_a2(phi, power_curve(1.0), h0, beta=0.5)),
+         check_a2(phi, power_curve(1.0), WeightFunction.zero(), beta=0.5)),
     )]
     rep = check_ainc(phi, 2.0, T=(1.0, math.inf))
     ok2 = rep.holds and rep.constants["sampled_sup"] <= 2.0 + 1e-9
@@ -116,27 +108,25 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
                          expected=False))
     # divergence: modular of M(chi_ball) grows like log R, ratios grow
     radii = [8.0, 16.0, 32.0, 64.0]
-    fam, maxes, growth, norm_rep = _divergence(phi, radii, resolution,
-                                               [0.0, 0.0], 1.0)
+    fam, maxes = _ball_maxima(2, radii, resolution, [((0.0, 0.0), 1.0)])
+    growth = _modular_growth(phi, maxes, radii)
+    ratios = _norm_ratios(phi, fam, maxes, radii)
     log_fit = (growth.get("r_squared", 0.0) >= 0.98
                and growth.get("slope_vs_log_radius", 0.0) > 0)
     claims.append(_claim("modular of Mf grows like log R (R^2 >= 0.98)",
                          log_fit, growth))
-    claims.append(_claim("norm ratios grow with truncation "
-                         "(unbounded evidence)",
-                         norm_rep["unbounded_evidence"], dict(norm_rep)))
+    claims.append(_claim("norm ratios grow with truncation (unbounded "
+                         "evidence)", ratios["unbounded_evidence"], ratios))
     # pointwise asymptotics of M(chi_ball)
     R = 32.0
-    f, Mf = fam[radii.index(R)], maxes[radii.index(R)]
-    pts = f.points()
-    rad = np.linalg.norm(pts, axis=1)
+    Mf = maxes[radii.index(R)]
+    rad = np.linalg.norm(Mf.points(), axis=1)
     sel = (rad >= 2.0) & (rad <= R / 2.0)
     prod = Mf.values.ravel()[sel] * (rad[sel] + 1.0) ** 2
     in_box = bool(prod.min() >= 1.0 / 8.0 and prod.max() <= 8.0)
-    claims.append(_claim("Mf(x) (|x|+1)^2 within [1/8, 8] on "
-                         "2 <= |x| <= R/2", in_box,
-                         {"min": float(prod.min()),
-                          "max": float(prod.max()), "R": R}))
+    claims.append(_claim("Mf(x) (|x|+1)^2 within [1/8, 8] on 2 <= |x| <= R/2",
+                         in_box, {"min": float(prod.min()),
+                                  "max": float(prod.max()), "R": R}))
     return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_4",
                     "phi": phi.to_dict(), "claims": claims})
 
@@ -329,29 +319,36 @@ def _experiment_call(phi, r: _Reader, resolution: float):
     """The run of one experiment spec on ``phi``, its fields read."""
     kind = r("experiment")
     dim = phi.domain.dim
+
+    def truncation(v) -> float:  # a radius R of int(resolution * R) cells
+        if int(resolution * _positive(v)) < 1:
+            raise ValueError(f"expected a radius of at least one cell, "
+                             f"int({resolution:g} * R) >= 1, got {v!r}")
+        return float(v)
+
     if kind == "maximal-divergence":
-        args = ([float(R) for R in r("radii", _items(_positive), [8.0, 16.0, 32.0])],
-                resolution, r("center", _point(dim), [0.0] * dim),
+        radii = r("radii", _increasing(truncation), [8.0, 16.0, 32.0])
+        ball = (r("center", _point(dim), [0.0] * dim),
                 r("ball_radius", _positive, 1.0))
 
         def divergence():
-            *_, growth, norm_rep = _divergence(phi, *args)
-            return {"experiment": kind, "modular_growth": growth,
-                    "operator_norm": norm_rep}
+            fam, maxes = _ball_maxima(dim, radii, resolution, [ball])
+            return {"experiment": kind,
+                    "modular_growth": _modular_growth(phi, maxes, radii),
+                    "operator_norm": _norm_ratios(phi, fam, maxes, radii)}
         return divergence
     if kind == "operator-norm":
-        R = r("truncation_radius", _positive, 16.0)
-        return lambda: {"experiment": kind, "report": operator_norm_estimate(
-            phi, _ball_family(R, resolution))}
+        R = r("truncation_radius", truncation, 16.0)
+        return lambda: {"experiment": kind, "report": _norm_ratios(
+            phi, *_ball_maxima(dim, [R], resolution, _BALLS))}
     if kind == "ball-norm":
         center, radius = r("center", _point(dim)), r("radius", _positive)
-        cells = r("cells", _positive, 256)
+        cells = r("cells", _cells, 256)
         return lambda: {"experiment": kind, "report": ball_norm_check(
             phi, center, radius, resolution=cells)}
     if kind == "duality":
-        R = r("truncation_radius", _positive, 1.0)
-        box = tuple((-R, R) for _ in range(dim))
-        f, g = (r(k, partial(_grid_from_spec, box=box,
+        R = r("truncation_radius", truncation, 1.0)
+        f, g = (r(k, partial(_grid_from_spec, box=((-R, R),) * dim,
                              resolution=int(resolution * R))) for k in "fg")
         return lambda: {"experiment": kind,
                         "report": duality_lower_bound(phi, f, g)}

@@ -517,12 +517,20 @@ def _norm_ratios(phi, family, maxes, radii=None) -> dict:
         # refined discretization gives even for bounded operators
         growing = all(b > 1.05 * a for a, b in zip(ratios, ratios[1:]))
         report["truncation_radii"] = rs
-        if len(ratios) >= 4 and doublings >= 3 and growing:
-            report["unbounded_evidence"] = True
+        report["unbounded_evidence"] = doublings >= 3 and growing
         if len(ratios) >= 2:
-            slope = np.polyfit(np.log(rs), ratios, 1)[0]
-            report["growth_slope_vs_log_radius"] = float(slope)
+            report["growth_slope_vs_log_radius"] = _log_fit(rs, ratios)[0]
     return report
+
+
+def _log_fit(radii, ys):
+    """Least-squares line of ``ys`` against log R: slope, intercept, r^2."""
+    logr = np.log(np.asarray(radii, float))
+    slope, intercept = np.polyfit(logr, ys, 1)
+    ss_res = float(np.sum((np.asarray(ys) - (slope * logr + intercept)) ** 2))
+    ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
+    return (float(slope), float(intercept),
+            1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
 
 
 def modular_growth(phi, family, radii=None) -> dict:
@@ -537,12 +545,6 @@ def _modular_growth(phi, maxes, radii=None) -> dict:
     mods = [modular(phi, Mf) for Mf in maxes]
     report = {"modulars": mods}
     if radii is not None and len(mods) >= 2 and all(map(math.isfinite, mods)):
-        logr = np.log(np.asarray(radii, float))
-        slope, intercept = np.polyfit(logr, mods, 1)
-        fit = slope * logr + intercept
-        ss_res = float(np.sum((np.asarray(mods) - fit) ** 2))
-        ss_tot = float(np.sum((np.asarray(mods) - np.mean(mods)) ** 2))
-        report["slope_vs_log_radius"] = float(slope)
-        report["intercept"] = float(intercept)
-        report["r_squared"] = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        report.update(zip(("slope_vs_log_radius", "intercept", "r_squared"),
+                          _log_fit(radii, mods)))
     return report

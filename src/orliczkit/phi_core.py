@@ -135,6 +135,17 @@ def _items(parse):
     return read
 
 
+def _increasing(parse):
+    """A parser of lists read through ``_items(parse)`` whose items
+    strictly increase."""
+    def read(v) -> list:
+        x = _items(parse)(v)
+        if any(b <= a for a, b in zip(x, x[1:])):
+            raise ValueError(f"expected strictly increasing items, got {v!r}")
+        return x
+    return read
+
+
 def _finite(v):
     """A finite JSON number, as given: reports echo it."""
     if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
@@ -167,6 +178,13 @@ def _seed(v):
     """A JSON integer >= 0, as numpy's generators take."""
     if type(v) is not int or v < 0:
         raise ValueError(f"expected a non-negative integer, got {v!r}")
+    return v
+
+
+def _cells(v):
+    """A JSON integer >= 1: a number of grid cells."""
+    if type(v) is not int or v < 1:
+        raise ValueError(f"expected a positive integer, got {v!r}")
     return v
 
 

@@ -215,6 +215,28 @@ def test_pipeline_expected_failure_flips_verdict():
     ({"phi": {"kind": "orlicz", "params": {"p": 2, "dim": 2}},
       "experiments": [{"experiment": "ball-norm", "center": [0, 0],
                        "radius": 1e200}]}, "/experiments/0"),
+    # once numpy's "'float' object cannot be interpreted as an integer"
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "ball-norm", "center": [0],
+                       "radius": 0.25, "cells": 2.5}]},
+     "/experiments/0/cells"),
+    # a truncation radius with no cell at resolution 8 once failed in the
+    # kernel (at /experiments/0) or blamed duality's f
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "operator-norm",
+                       "truncation_radius": 0.01}]},
+     "/experiments/0/truncation_radius"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "maximal-divergence",
+                       "radii": [0.1, 8]}]}, "/experiments/0/radii"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "duality", "truncation_radius": 0.01,
+                       "f": {"const": 1}, "g": {"const": 1}}]},
+     "/experiments/0/truncation_radius"),
+    # equal radii once ran a singular log-R fit and reported its slopes
+    ({"phi": {"kind": "orlicz", "params": {"p": 2}},
+      "experiments": [{"experiment": "maximal-divergence",
+                       "radii": [8, 8]}]}, "/experiments/0/radii"),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     with pytest.raises(SpecError) as err:

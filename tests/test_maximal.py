@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -18,8 +19,10 @@ from orliczkit import (
     modular_growth,
     operator_norm_estimate,
     power_curve,
+    run_example,
     run_pipeline,
 )
+from orliczkit.cli import main
 from orliczkit.norms import EPS_LUX
 
 # the package binds the name ``maximal`` to the function, so reach the
@@ -211,6 +214,33 @@ def test_1d_ratio_nears_the_sharp_constant(p, floor):
     rep = operator_norm_estimate(from_curve(power_curve(p), dim=1), family)
     c_p = _sharp_1d_constant(p)
     assert floor * c_p <= rep["max_ratio"] <= c_p * (1.0 + EPS_LUX)
+
+
+def _operator_norm_1d(p, R):
+    spec = {"phi": {"kind": "orlicz", "params": {"p": p}},
+            "experiments": [{"experiment": "operator-norm",
+                             "truncation_radius": R}]}
+    return run_pipeline(spec)["experiments"][0]["report"]
+
+
+def test_operator_norm_runs_in_phis_dimension(capsys):
+    """The experiment's ten balls lie in phi's dimension: on a 1D phi at
+    their centers' first coordinates, every one measured."""
+    spec = {"phi": {"kind": "orlicz", "params": {"p": 2}},
+            "experiments": [{"experiment": "operator-norm"}]}
+    assert main(["pipeline", json.dumps(spec)]) == 0
+    rep = json.loads(capsys.readouterr().out)["experiments"][0]["report"]
+    assert rep["indices"] == list(range(10))
+    # t^2 at resolution 8: under C_2 = 1 + sqrt(2) at every truncation
+    assert [round(_operator_norm_1d(2, R)["max_ratio"], 3)
+            for R in (8, 16, 32)] == [1.559, 1.608, 1.642]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_1d_operator_norm_stays_below_the_sharp_constant(p):
+    for R in (8, 16):
+        rep = _operator_norm_1d(p, R)
+        assert rep["max_ratio"] <= _sharp_1d_constant(p) * (1.0 + EPS_LUX)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +487,16 @@ def test_divergence_experiment_runs_the_kernel_once_per_grid(kernel_calls):
     assert kernel_calls == [1, 1, 1]
     assert len(exp["modular_growth"]["modulars"]) == 3
     assert exp["operator_norm"]["indices"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name,sizes", [("ex3_2", [10, 10, 10]),
+                                        ("ex3_4", [1, 1, 1, 1])])
+def test_bundles_run_one_kernel_call_per_family_grid(kernel_calls, name,
+                                                     sizes):
+    """At resolution 4, ex3_2's three ten-ball families each fit one
+    call, and ex3_4 runs one call on each of its four grids."""
+    run_example(name, resolution=4)
+    assert kernel_calls == sizes
 
 
 # ---------------------------------------------------------------------------

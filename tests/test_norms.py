@@ -22,8 +22,8 @@ from orliczkit import (
     pairing,
     power_curve,
 )
-from orliczkit.gallery import _ball_family
-from orliczkit.maximal import _maximal_family, _norm_ratios
+from orliczkit.gallery import _BALLS, _ball_maxima
+from orliczkit.maximal import _norm_ratios
 from orliczkit.norms import EPS_LUX, LAMBDA_CAP, _domain_mask, _luxemburg_norms, \
     _modular_at
 from orliczkit.phi_core import _last_t_where
@@ -161,8 +161,7 @@ def test_norm_ratios_bind_phi_twice_per_grid(table_builds):
     norms and one for those of their maximal functions, not 20, and the
     ratios are bit for bit those of one norm at a time."""
     phi = make_family("example_3_2", {}, None)
-    fam = _ball_family(6.0, 4.0)
-    maxes = _maximal_family(fam)
+    fam, maxes = _ball_maxima(2, [6.0], 4.0, _BALLS)
     table_builds.clear()
     rep = _norm_ratios(phi, fam, maxes)
     assert len(table_builds) == 2
