@@ -33,9 +33,11 @@ from .phi_core import (
     SpecError,
     _Reader,
     _agree,
+    _ball_volume,
     _dim,
     _finite,
     _last_t_where,
+    _lattice,
     _norms,
     _positive,
     _string,
@@ -124,11 +126,7 @@ class SampleSpec:
 def default_x_samples(domain: Domain) -> np.ndarray:
     """Deterministic lattice of sample points, shape (N, dim)."""
     lower, upper = domain.sampling_box(X_RADIUS)
-    axes = [np.linspace(lo, hi, X_PER_AXIS) for lo, hi in zip(lower, upper)]
-    if domain.dim == 1:
-        return axes[0].reshape(-1, 1)
-    gx, gy = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    return _lattice([np.linspace(lo, hi, X_PER_AXIS) for lo, hi in zip(lower, upper)])
 
 
 @dataclass(frozen=True)
@@ -447,7 +445,7 @@ def check_a1(phi: PhiFunction, seed: int = 0) -> ConditionReport:
     for _ in range(N_BALLS):
         center = lower + rng.random(dim) * (upper - lower)
         radius = float(np.exp(rng.uniform(np.log(0.02), np.log(r_max))))
-        vol = omega * radius ** dim
+        vol = _ball_volume(dim, radius)
         pts = []
         tries = 0
         while len(pts) < 12 and tries < 200:  # six pairs
@@ -562,17 +560,10 @@ def check_equivalence(phi, psi, L: float,
         return ((psi_table.value(grid / Lv), phiv),
                 (phiv, psi_table.value(grid * Lv)))
 
-    at_L = pairs(L)
-    holds = _holds(*at_L)
-    (ix, it), margin, _ = _worst(*at_L, broken=not holds)
     least = next((Lk for Lk in (2.0 ** (k / 4.0) for k in range(161))
                   if _holds(*pairs(Lk))), INF)
-    return ConditionReport(
-        condition="Equiv", holds=holds,
-        constants={"L": L, "least_L": least},
-        sample_spec={**spec.describe(), "n_x": len(X)},
-        worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
-                       "margin": margin})
+    return _equivalence_report("Equiv", pairs(L), {"L": L, "least_L": least},
+                               X, grid, spec)
 
 
 def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
@@ -590,11 +581,19 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
     phi_table, psi_table = phi.table(X), psi.table(X)
     pairs = ((psi_table.value(grid), phi_table.value(grid * L) + hv),
              (phi_table.value(grid), psi_table.value(grid * L) + hv))
+    return _equivalence_report(
+        "WeakEquiv", pairs, {"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
+        X, grid, spec)
+
+
+def _equivalence_report(condition: str, pairs, constants: dict, X, grid,
+                        spec: SampleSpec) -> ConditionReport:
+    """The verdict on the (lhs, rhs) pairs over the samples X x grid by the
+    one rule, and its witness."""
     holds = _holds(*pairs)
     (ix, it), margin, _ = _worst(*pairs, broken=not holds)
     return ConditionReport(
-        condition="WeakEquiv", holds=holds,
-        constants={"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
+        condition=condition, holds=holds, constants=constants,
         sample_spec={**spec.describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
                        "margin": margin})

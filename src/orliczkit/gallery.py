@@ -41,9 +41,17 @@ def _claim(name: str, observed: bool, report, expected: bool = True) -> dict:
             "matches": observed == expected, "report": rep}
 
 
-def _finish(bundle: dict) -> dict:
-    bundle["verdict"] = all(c["matches"] for c in bundle["claims"])
-    return bundle
+def _bounded(name: str, report, bound: float, holds: bool = True) -> dict:
+    """The claim that ``report`` holds with sampled sup <= ``bound`` or,
+    for ``holds`` false, fails with sampled sup > ``bound``."""
+    sup = report.constants["sampled_sup"]
+    return _claim(name, report.holds and sup <= bound if holds
+                  else (not report.holds) and sup > bound, report)
+
+
+def _verdict(claims: list) -> bool:
+    """True only when every observed outcome matches the claimed one."""
+    return all(c["matches"] for c in claims)
 
 
 #: The (center, radius) balls of the operator-norm family
@@ -61,7 +69,7 @@ def _ball_maxima(dim: int, radii: list, resolution: float, balls: list):
     return fam, _maximal_family(fam)
 
 
-def _run_ex3_2(resolution: float, seed: int) -> dict:
+def _run_ex3_2(resolution: float, seed: int) -> tuple:
     phi = make_family("example_3_2", {}, None)
     G = region_from_dict({"region": "inv_square_strip"})
     h = WeightFunction.indicator(G)
@@ -74,11 +82,9 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
     # on the region, small values grow only linearly: no aInc_p for p > 1
     gx = np.linspace(1.0, 10.0, 12)
     A = np.column_stack([gx, np.zeros_like(gx)])
-    for p in (1.1, 1.5, 2.0):
-        rep = check_ainc(phi, p, A=A, T=(0.0, 1.0), spec=_DEEP)
-        big = rep.constants["sampled_sup"] > 1e6
-        claims.append(_claim(f"aInc_{p} fails on region x (0,1] with "
-                             "ratio > 1e6", (not rep.holds) and big, rep))
+    claims += [_bounded(f"aInc_{p} fails on region x (0,1] with ratio > 1e6",
+                        check_ainc(phi, p, A=A, T=(0.0, 1.0), spec=_DEEP), 1e6,
+                        holds=False) for p in (1.1, 1.5, 2.0)]
     # bounded M: norm ratios stable across truncations, one family at a time
     ratios = {R: _norm_ratios(phi, *_ball_maxima(2, [R], resolution, _BALLS))
               ["ratios"] for R in (8.0, 16.0, 32.0)}
@@ -88,11 +94,10 @@ def _run_ex3_2(resolution: float, seed: int) -> dict:
                          "across truncation radii", spread <= 0.2,
                          {"ratios": {str(k): v for k, v in ratios.items()},
                           "max_spread": spread}))
-    return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_2",
-                    "phi": phi.to_dict(), "claims": claims})
+    return phi.to_dict(), claims
 
 
-def _run_ex3_4(resolution: float, seed: int) -> dict:
+def _run_ex3_4(resolution: float, seed: int) -> tuple:
     phi = make_family("example_3_4", {}, None)
     claims = [_claim(name, rep.holds, rep) for name, rep in (
         ("A0", check_a0(phi)),
@@ -100,9 +105,8 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
         ("A2 against t with h = 0, beta = 1/2",
          check_a2(phi, power_curve(1.0), WeightFunction.zero(), beta=0.5)),
     )]
-    rep = check_ainc(phi, 2.0, T=(1.0, math.inf))
-    ok2 = rep.holds and rep.constants["sampled_sup"] <= 2.0 + 1e-9
-    claims.append(_claim("aInc_2 on [1, inf) with constant <= 2", ok2, rep))
+    claims.append(_bounded("aInc_2 on [1, inf) with constant <= 2",
+                           check_ainc(phi, 2.0, T=(1.0, math.inf)), 2.0 + 1e-9))
     rep = check_ainc(phi, 1.5, T=(0.0, 1.0), spec=_DEEP)
     claims.append(_claim("aInc_1.5 fails on (0, 1]", rep.holds, rep,
                          expected=False))
@@ -127,11 +131,10 @@ def _run_ex3_4(resolution: float, seed: int) -> dict:
     claims.append(_claim("Mf(x) (|x|+1)^2 within [1/8, 8] on 2 <= |x| <= R/2",
                          in_box, {"min": float(prod.min()),
                                   "max": float(prod.max()), "R": R}))
-    return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_4",
-                    "phi": phi.to_dict(), "claims": claims})
+    return phi.to_dict(), claims
 
 
-def _run_ex3_5(resolution: float, seed: int) -> dict:
+def _run_ex3_5(resolution: float, seed: int) -> tuple:
     phi = make_family("example_3_5", {}, None)
     h = WeightFunction.recip_power(4.0, 2)
     t2 = from_curve(power_curve(2.0), dim=2)
@@ -152,33 +155,28 @@ def _run_ex3_5(resolution: float, seed: int) -> dict:
     sandwich = _holds((lo, vals), (vals, lo + h.many(X)[:, None]))
     claims.append(_claim("t^2 <= phi <= t^2 + h at all samples", sandwich,
                          {"n_x": len(X)}))
-    return _finish({"schema": BUNDLE_SCHEMA, "name": "ex3_5",
-                    "phi": phi.to_dict(), "claims": claims})
+    return phi.to_dict(), claims
 
 
-def _run_ex4_6(resolution: float, seed: int) -> dict:
+def _run_ex4_6(resolution: float, seed: int) -> tuple:
     phi = make_family("example_4_6", {}, None)
     rep = check_a0(phi)
     claims = [_claim("A0", rep.holds, rep)]
     for eps in (0.25, 0.5):
         A = np.linspace(-2.0 + eps + 1e-9, 2.0 - eps - 1e-9, 41).reshape(-1, 1)
-        rep = check_ainc(phi, 1.0 + eps, A=A)
-        ok = rep.holds and rep.constants["sampled_sup"] <= 10.0
-        claims.append(_claim(f"aInc_{1 + eps} on the eps = {eps} "
-                             "interior with constant <= 10", ok, rep))
+        claims.append(_bounded(f"aInc_{1 + eps} on the eps = {eps} interior "
+                               "with constant <= 10",
+                               check_ainc(phi, 1.0 + eps, A=A), 10.0))
     A_edge = np.concatenate([np.linspace(-1.999999, -1.9, 30),
                              np.linspace(1.9, 1.999999, 30)]).reshape(-1, 1)
     deep = SampleSpec(t_min=1e-80)
-    for p in (1.05, 1.1):
-        rep = check_ainc(phi, p, A=A_edge, spec=deep)
-        big = rep.constants["sampled_sup"] > 1e3
-        claims.append(_claim(f"aInc_{p} fails on the whole interval "
-                             "with ratio > 1e3", (not rep.holds) and big, rep))
-    return _finish({"schema": BUNDLE_SCHEMA, "name": "ex4_6",
-                    "phi": phi.to_dict(), "claims": claims})
+    claims += [_bounded(f"aInc_{p} fails on the whole interval with ratio > 1e3",
+                        check_ainc(phi, p, A=A_edge, spec=deep), 1e3,
+                        holds=False) for p in (1.05, 1.1)]
+    return phi.to_dict(), claims
 
 
-def _run_dp_cor49(resolution: float, seed: int) -> dict:
+def _run_dp_cor49(resolution: float, seed: int) -> tuple:
     """Double phase t^p + a(x) t^q: boundedness of the maximal operator
     forces p > 1.  The p = 1 instance fails almost-increase at small t for
     its asymptote t^p; any p > 1 instance passes."""
@@ -201,10 +199,10 @@ def _run_dp_cor49(resolution: float, seed: int) -> dict:
                              "at small t for some exponent > 1 "
                              "(necessary for a bounded maximal operator)",
                              small.holds, small, expected=p > 1.0))
-    return _finish({"schema": BUNDLE_SCHEMA, "name": "dp_cor49",
-                    "phi": instances, "claims": claims})
+    return instances, claims
 
 
+#: Each runner returns its bundle's phi document and claims.
 _RUNNERS = {
     "ex3_2": _run_ex3_2,
     "ex3_4": _run_ex3_4,
@@ -224,13 +222,15 @@ def run_example(name: str, resolution: float = 8.0, seed: int = 0) -> dict:
     with _at("/seed"):
         _seed(seed)
     try:
-        return _RUNNERS[name](resolution, seed)
+        phi, claims = _RUNNERS[name](resolution, seed)
     except SpecError:
         raise
     except Exception as exc:  # noqa: BLE001 - bundles must not crash
         return {"schema": BUNDLE_SCHEMA, "name": name, "claims": [],
                 "verdict": False,
                 "errored": {"stage": name, "error": f"{type(exc).__name__}: {exc}"}}
+    return {"schema": BUNDLE_SCHEMA, "name": name, "phi": phi,
+            "claims": claims, "verdict": _verdict(claims)}
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,12 @@ def _experiment_call(phi, r: _Reader, resolution: float):
                              f"int({resolution:g} * R) >= 1, got {v!r}")
         return float(v)
 
+    def truncations(key: str, parse, default):  # a default is read as given
+        with _at(f"/{key}"):
+            return parse(r(key, None, default))
+
     if kind == "maximal-divergence":
-        radii = r("radii", _increasing(truncation), [8.0, 16.0, 32.0])
+        radii = truncations("radii", _increasing(truncation), [8, 16, 32])
         ball = (r("center", _point(dim), [0.0] * dim),
                 r("ball_radius", _positive, 1.0))
 
@@ -338,7 +342,7 @@ def _experiment_call(phi, r: _Reader, resolution: float):
                     "operator_norm": _norm_ratios(phi, fam, maxes, radii)}
         return divergence
     if kind == "operator-norm":
-        R = r("truncation_radius", truncation, 16.0)
+        R = truncations("truncation_radius", truncation, 16)
         return lambda: {"experiment": kind, "report": _norm_ratios(
             phi, *_ball_maxima(dim, [R], resolution, _BALLS))}
     if kind == "ball-norm":
@@ -347,7 +351,7 @@ def _experiment_call(phi, r: _Reader, resolution: float):
         return lambda: {"experiment": kind, "report": ball_norm_check(
             phi, center, radius, resolution=cells)}
     if kind == "duality":
-        R = r("truncation_radius", truncation, 1.0)
+        R = truncations("truncation_radius", truncation, 1)
         f, g = (r(k, partial(_grid_from_spec, box=((-R, R),) * dim,
                              resolution=int(resolution * R))) for k in "fg")
         return lambda: {"experiment": kind,
@@ -384,5 +388,5 @@ def run_pipeline(spec: dict, resolution: float = 8.0,
         with _at(f"/experiments/{i}"), _Reader(exp) as r:
             bundle["experiments"].append(
                 r.run(_experiment_call(phi, r, resolution)))
-    bundle["verdict"] = all(c["matches"] for c in bundle["checks"])
+    bundle["verdict"] = _verdict(bundle["checks"])
     return bundle

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi_core import EPS_INV_BISECT, DomainError, PhiFunction, \
-    _as_point, _ball_volume, _last_t_where, _norms
+    _as_point, _ball_volume, _last_t_where, _lattice, _norms
 
 INF = math.inf
 
@@ -86,11 +86,7 @@ class GridFunction:
 
     def points(self) -> np.ndarray:
         """All cell centers, shape (N, dim), row-major order."""
-        axes = self.axis_centers()
-        if self.dim == 1:
-            return axes[0].reshape(-1, 1)
-        gx, gy = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return _lattice(self.axis_centers())
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.box, c * self.values)

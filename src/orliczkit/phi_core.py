@@ -117,10 +117,35 @@ class _Reader:
             self.done()
 
 
-def _list(v) -> list:
-    if not isinstance(v, list):
-        raise TypeError(f"expected a list, got {v!r}")
-    return v
+def _value(what: str, test):
+    """A parser of JSON values passing ``test``, returned as given (reports
+    echo them); any other value is "expected <what>"."""
+    def read(v):
+        if not test(v):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return read
+
+
+_list = _value("a list", lambda v: isinstance(v, list))
+_finite = _value("a finite number", lambda v: type(v) in (int, float)
+                 and abs(v) <= sys.float_info.max)
+_positive = _value("a positive finite number", lambda v: type(v) in (int, float)
+                   and 0 < v <= sys.float_info.max)
+_boolean = _value("true or false", lambda v: type(v) is bool)
+_string = _value("a string", lambda v: isinstance(v, str))
+_seed = _value("a non-negative integer", lambda v: type(v) is int and v >= 0)  # numpy's seeds
+_cells = _value("a positive integer", lambda v: type(v) is int and v >= 1)  # grid cells
+_dim = _value("the dimension 1 or 2", lambda v: type(v) is int and v in (1, 2))
+#: A bundle name, which names a report file: no path separators
+_name = _value("a string without '/', '\\' or NUL",
+               lambda v: isinstance(v, str) and not any(c in v for c in "/\\\0"))
+
+
+def _agree(value, what: str):
+    """A parser of a field that restates ``value`` (``what`` says whose):
+    it must equal it."""
+    return _value(f"{value!r} ({what})", lambda v: type(v) is not bool and v == value)
 
 
 def _items(parse):
@@ -143,73 +168,6 @@ def _increasing(parse):
         if any(b <= a for a, b in zip(x, x[1:])):
             raise ValueError(f"expected strictly increasing items, got {v!r}")
         return x
-    return read
-
-
-def _finite(v):
-    """A finite JSON number, as given: reports echo it."""
-    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return v
-
-
-def _positive(v):
-    """A finite JSON number > 0, as given: reports echo it."""
-    if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
-        raise ValueError(f"expected a positive finite number, got {v!r}")
-    return v
-
-
-def _boolean(v):
-    """A JSON boolean."""
-    if type(v) is not bool:
-        raise ValueError(f"expected true or false, got {v!r}")
-    return v
-
-
-def _string(v):
-    """A JSON string."""
-    if not isinstance(v, str):
-        raise ValueError(f"expected a string, got {v!r}")
-    return v
-
-
-def _seed(v):
-    """A JSON integer >= 0, as numpy's generators take."""
-    if type(v) is not int or v < 0:
-        raise ValueError(f"expected a non-negative integer, got {v!r}")
-    return v
-
-
-def _cells(v):
-    """A JSON integer >= 1: a number of grid cells."""
-    if type(v) is not int or v < 1:
-        raise ValueError(f"expected a positive integer, got {v!r}")
-    return v
-
-
-def _dim(v):
-    """A spatial dimension: the JSON integer 1 or 2."""
-    if type(v) is not int or v not in (1, 2):
-        raise ValueError(f"expected the dimension 1 or 2, got {v!r}")
-    return v
-
-
-def _name(v):
-    """A bundle name, which names a report file: no path separators."""
-    if not isinstance(v, str) or any(c in v for c in "/\\\0"):
-        raise ValueError(f"expected a string without '/', '\\' or NUL, "
-                         f"got {v!r}")
-    return v
-
-
-def _agree(value, what: str):
-    """A parser of a field that restates ``value`` (``what`` says whose):
-    it must equal it."""
-    def read(v):
-        if type(v) is bool or v != value:
-            raise ValueError(f"expected {value!r} ({what}), got {v!r}")
-        return v
     return read
 
 
@@ -789,6 +747,14 @@ class Domain:
                 return Domain(dim)
             return Domain(dim, tuple(r("lower", _point(dim))),
                           tuple(r("upper", _point(dim))))
+
+
+def _lattice(axes) -> np.ndarray:
+    """The product of per-axis coordinates as (N, dim) points, row-major."""
+    out = np.empty([len(a) for a in axes] + [len(axes)])
+    for i, a in enumerate(axes):  # coordinate i varies along axis i only
+        out[..., i] = np.reshape(a, [-1 if j == i else 1 for j in range(len(axes))])
+    return out.reshape(-1, len(axes))
 
 
 def _as_point(x, dim: int) -> tuple:

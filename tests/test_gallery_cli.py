@@ -237,10 +237,20 @@ def test_pipeline_expected_failure_flips_verdict():
     ({"phi": {"kind": "orlicz", "params": {"p": 2}},
       "experiments": [{"experiment": "maximal-divergence",
                        "radii": [8, 8]}]}, "/experiments/0/radii"),
+    # (spec, resolution): a default truncation radius with no cell at
+    # resolution 0.05 once failed in the kernel or blamed duality's f
+    *((({"phi": {"kind": "orlicz", "params": {"p": 2}},
+         "experiments": [{"experiment": kind, **fields}]}, 0.05), pointer)
+      for kind, fields, pointer in (
+          ("operator-norm", {}, "/experiments/0/truncation_radius"),
+          ("maximal-divergence", {}, "/experiments/0/radii/0"),
+          ("duality", {"f": {"const": 1}, "g": {"const": 1}},
+           "/experiments/0/truncation_radius"))),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
+    spec, resolution = spec if isinstance(spec, tuple) else (spec, 8.0)
     with pytest.raises(SpecError) as err:
-        run_pipeline(spec)
+        run_pipeline(spec, resolution)
     assert err.value.pointer == pointer or \
         err.value.pointer.startswith(pointer + "/")
 
@@ -638,10 +648,51 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
     pytest.param(["norm", "--phi", _PHI], "--function", id="norm-no-grid"),
     pytest.param(["maximal", "--phi", _PHI, "--dim", "2",
                   "--function", _BALL_1D], "--dim", id="maximal-dim-not-phi's"),
+    # a default truncation radius is read as if given
+    *(pytest.param(_pipeline(experiments=[{"experiment": kind, **fields}])
+                   + ["--resolution", "0.05"], pointer,
+                   id=f"pipeline-{kind}-default-radius")
+      for kind, fields, pointer in (
+          ("operator-norm", {}, "/experiments/0/truncation_radius"),
+          ("maximal-divergence", {}, "/experiments/0/radii/0"),
+          ("duality", {"f": {"const": 1}, "g": {"const": 1}},
+           "/experiments/0/truncation_radius"))),
 ])
 def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
+_P2 = {"kind": "orlicz", "params": {"p": 2}}
+
+
+@pytest.mark.parametrize("spec,line", [
+    ({"phi": {"kind": "orlicz", "params": {"p": "2"}}},
+     "/phi/params/p: expected a finite number, got '2'"),
+    ({"phi": {"kind": "orlicz", "params": {"p": 2, "dim": 3}}},
+     "/phi/params/dim: expected the dimension 1 or 2, got 3"),
+    ({"phi": _P2, "name": "a/b"},
+     "/name: expected a string without '/', '\\' or NUL, got 'a/b'"),
+    ({"phi": {"schema": "x", "kind": "orlicz"}},
+     "/phi/schema: expected 'orliczkit-phi/1' (the schema), got 'x'"),
+    ({"phi": _P2, "checks": [{"condition": "a1", "seed": -1}]},
+     "/checks/0/seed: expected a non-negative integer, got -1"),
+    ({"phi": _P2, "checks": [{"condition": "a0", "expect": 1}]},
+     "/checks/0/expect: expected true or false, got 1"),
+    ({"phi": _P2, "checks": [{"condition": "a0", "label": 3}]},
+     "/checks/0/label: expected a string, got 3"),
+    ({"phi": _P2, "checks": 3}, "/checks: expected a list, got 3"),
+    ({"phi": _P2, "experiments": [{"experiment": "ball-norm", "center": [0],
+                                   "radius": -1}]},
+     "/experiments/0/radius: expected a positive finite number, got -1"),
+    ({"phi": _P2, "experiments": [{"experiment": "ball-norm", "center": [0],
+                                   "radius": 1, "cells": 0}]},
+     "/experiments/0/cells: expected a positive integer, got 0"),
+], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
+def test_value_check_messages(spec, line, capsys):
+    """The whole stderr line of each kind of value check."""
+    assert main(["pipeline", json.dumps(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("argv", [
