@@ -369,7 +369,7 @@ def duality_lower_bound(phi: PhiFunction, f: GridFunction,
     norm."""
     conj = conjugate_function(phi)
     g_norm = luxemburg_norm(conj, g)
-    if g_norm > 1.0 + 1e-6:
+    if g_norm > 1.0 + EPS_LUX:
         raise ValueError(f"conjugate norm of g is {g_norm} > 1; rescale g")
     pair = pairing(f, g)
     f_norm = luxemburg_norm(phi, f)

@@ -466,13 +466,19 @@ class PowerTable:
         """Per row, ``sup_{s >= 0} (s*T[i] - value_i(s))``; T is a scalar or
         an (N,) array.
 
-        0 at t = 0, and +inf where a last piece without a tail grows at
-        most linearly with slope below t.  Elsewhere the largest of these
-        candidates: both one-sided values at every breakpoint and at the
-        tail, the stationary point of every single-term piece with exponent
-        > 1 clipped to its piece, and a 256-point log sweep up to a bracket
-        past which ``s*t - value(s)`` does not grow, refined 6 times on 33
-        points."""
+        0 at t = 0; +inf at t = +inf, and where a last piece without a tail
+        grows at most linearly with slope below t.  Elsewhere the largest of
+        these candidates: both one-sided values at every breakpoint and at
+        the tail, the stationary point of every single-term piece with
+        exponent > 1 clipped to its piece, and a 256-point log sweep up to a
+        bracket past which ``s*t - value(s)`` does not grow, refined 6 times
+        on 33 points.  A candidate where ``s*t`` passes the largest float
+        and ``value(s)`` does not gives +inf.
+
+        Each distinct (row, level) is computed once: rows are grouped by the
+        bits of their table row and level, and each group's first row
+        stands for it.  This is exact, since no row's supremum depends on
+        the other rows in the batch."""
         n = len(self.tail)
         T = np.broadcast_to(np.asarray(T, dtype=float), (n,))
         if np.any(T < 0):
@@ -482,23 +488,32 @@ class PowerTable:
         c, e = self.coef[r, last], self.expo[r, last]
         slope = np.sum(np.where((c > 0) & (e == 1.0), c, 0.0), axis=1)
         e1 = self.end_exponents()[1]  # nan on tailed rows
-        diverges = (e1 < 1.0) | ((e1 == 1.0) & (T > slope))
+        diverges = (e1 < 1.0) | ((e1 == 1.0) & (T > slope)) | (T == INF)
         out = np.where(T == 0.0, 0.0, np.where(diverges, INF, np.nan))
         i = np.flatnonzero(np.isnan(out))
         if len(i):
-            out[i] = self.rows(i)._conjugate_sup(T[i], e1[i] == 1.0)
+            key = np.concatenate([a[i].reshape(len(i), -1) for a in
+                                  (self.bps, self.coef, self.expo, self.shift, self.tail, T)], 1)
+            _, first, back = np.unique(key.view(f"V{key.itemsize * key.shape[1]}")[:, 0],
+                                       return_index=True, return_inverse=True)
+            j = i[first]
+            out[i] = self.rows(j)._conjugate_sup(T[j], e1[j] == 1.0)[back]
         return out
 
     def _conjugate_sup(self, T: np.ndarray, linear: np.ndarray) -> np.ndarray:
         """The candidates of :meth:`conjugate` on rows where it is finite
-        and t > 0, all rows in step; ``linear`` marks the rows whose last
-        piece has no tail and grows linearly."""
+        and 0 < t < inf, all rows in step; ``linear`` marks the rows whose
+        last piece has no tail and grows linearly."""
+        def gain(S, value):  # at levels S (N, M); both terms past the largest float is no candidate
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = S * T[:, None] - value
+            return np.where(np.isnan(g), -INF, g)
+
         r, best = np.arange(len(T)), np.zeros(len(T))
         seams = np.concatenate([self.bps[:, 1:], self.tail[:, None]], 1)
         seams = np.where(np.isfinite(seams), seams, 0.0)
         for left in (True, False):
-            gain = seams * T[:, None] - self._value(seams, left)
-            best = np.maximum(best, np.max(gain, axis=1))
+            best = np.maximum(best, np.max(gain(seams, self._value(seams, left)), axis=1))
         hi = np.minimum(self._next_bps(), self.tail[:, None])
         live = self.coef > 0
         for k in range(self.bps.shape[1]):
@@ -508,27 +523,28 @@ class PowerTable:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 s = s + (T / (c * e)) ** (1.0 / (e - 1.0))
             ok &= s < INF
-            s = np.where(ok, np.minimum(np.maximum(s, self.bps[:, k]), hi[:, k]), 0.0)
-            gain = s * T - self._piece(k, s[:, None])[:, 0]
-            best = np.maximum(best, np.where(ok, gain, 0.0))
+            s = np.where(ok, np.minimum(np.maximum(s, self.bps[:, k]), hi[:, k]), 0.0)[:, None]
+            best = np.maximum(best, np.where(ok, gain(s, self._piece(k, s))[:, 0], 0.0))
         # the sweep ends at the tail.  On a linear last piece (slope >= t
         # here) the gain stops growing once every term has started, so it
         # ends at the last breakpoint or shift; otherwise at the first
-        # s = 2^k with value(s) >= 2ts, where the gain is at most -ts.
+        # s = 2^k with value(s) >= 2ts, where the gain is at most -ts, or
+        # at the last power of two below the largest float.
         starts = np.concatenate([self.bps, self.shift.reshape(len(T), -1)], 1)
         last = np.max(np.where(np.isfinite(starts), starts, 0.0), axis=1)
         grow = np.isinf(self.tail) & ~linear
         top = np.where(linear, np.maximum(last, 1.0), np.where(grow, 1.0, self.tail))
-        for _ in range(200):
-            grow &= self._value(top[:, None])[:, 0] < 2.0 * T * top
-            if not np.any(grow):
-                break
-            top = np.where(grow, 2.0 * top, top)
+        with np.errstate(over="ignore"):
+            while True:
+                grow &= (self._value(top[:, None])[:, 0] < 2.0 * T * top) & (2.0 * top < INF)
+                if not np.any(grow):
+                    break
+                top = np.where(grow, 2.0 * top, top)
         grid = np.geomspace(np.maximum(1e-12, 1e-6 * top), top, 256, axis=1)
         for _ in range(7):
-            gain = grid * T[:, None] - self._value(grid)
-            k = np.argmax(gain, axis=1)
-            best = np.maximum(best, gain[r, k])
+            g = gain(grid, self._value(grid))
+            k = np.argmax(g, axis=1)
+            best = np.maximum(best, g[r, k])
             end = grid.shape[1] - 1
             grid = np.linspace(grid[r, np.maximum(k - 1, 0)],
                                grid[r, np.minimum(k + 1, end)], 33, axis=1)

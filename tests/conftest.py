@@ -15,3 +15,18 @@ def families():
         for name in ("example_3_2", "example_3_4", "example_3_5",
                      "example_4_6")
     }
+
+
+@pytest.fixture
+def conjugate_rows(monkeypatch):
+    """The number of rows handed to each PowerTable._conjugate_sup call."""
+    from orliczkit.phi_core import PowerTable
+    calls = []
+    sup = PowerTable._conjugate_sup
+
+    def counted(self, T, linear):
+        calls.append(len(T))
+        return sup(self, T, linear)
+
+    monkeypatch.setattr(PowerTable, "_conjugate_sup", counted)
+    return calls

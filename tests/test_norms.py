@@ -345,6 +345,43 @@ def test_conjugate_function_square():
             assert conj.eval((0.0,), s) == pytest.approx(exact, rel=1e-8)
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """The root of an increasing f on [lo, hi], to the last bit."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    return lo
+
+
+def test_conjugate_at_extreme_levels():
+    # phi = t^2 + 0.7 t^2.6: phi*(t) = st - phi(s) at the s where
+    # 2s + 1.82 s^1.6 = t, which lies past s = 2^200 from t = 1e100 on
+    p, q, a = 2.0, 2.6, 0.7
+    conj = conjugate_function(make_family(
+        "double_phase", {"p": p, "q": q, "a": {"field": "const", "value": a}}))
+
+    def exact(t):
+        x = _bisect(lambda x: p * math.exp((p - 1) * x) + a * q * math.exp((q - 1) * x) - t,
+                    0.0, 300.0)
+        s = math.exp(x)
+        return s * t - s ** p - a * s ** q
+
+    for t in (1e100, 1e120):
+        assert conj.eval((0.0,), t) == pytest.approx(exact(t), rel=1e-8, abs=0.0)
+    tau = 1e200
+    t = math.exp(_bisect(lambda y: math.log(exact(math.exp(y)) / tau), 200.0, 400.0))
+    assert conj.inverse((0.0,), tau) == pytest.approx(t, rel=1e-8, abs=0.0)
+
+
+def test_duality_hands_one_conjugate_row_per_call(conjugate_rows):
+    # phi does not depend on x and g is a ball indicator, so every cell of
+    # g's support has the same (row, level): one supremum per evaluation
+    f = GridFunction(((-1.0, 1.0),), np.ones(64))
+    g = GridFunction.indicator_ball([0.1], 0.4, ((-1.0, 1.0),), 64)
+    assert duality_lower_bound(square(1), f, g)["holds"]
+    assert conjugate_rows and set(conjugate_rows) == {1}
+
+
 def test_duality_lower_bound():
     phi = square(1)
     f = GridFunction(((0.0, 1.0),), np.ones(64))

@@ -137,6 +137,40 @@ def test_conjugate_capped_linear():
     assert c.conjugate(0.5) == 0.0
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_conjugate_power_extreme_levels(p):
+    # the sweep's bracket grows past 2^200 (t^2 at 1e100 peaks at s = 5e99)
+    # and a supremum past the largest float is +inf, never nan
+    c = power_curve(p)
+    for t in (1e50, 1e100, 1e200, 1e300, INF):
+        with np.errstate(over="ignore"):
+            exact = (p - 1.0) * (np.float64(t) / p) ** (p / (p - 1.0))
+        conj = c.conjugate(t)
+        assert conj == exact == INF or abs(conj - exact) <= 1e-8 * exact, (t, conj, exact)
+
+
+def test_conjugate_computes_each_distinct_row_once(conjugate_rows):
+    # rows and levels repeat, some one ulp apart: each distinct (row bits,
+    # level) reaches the supremum once, and every row gets its own curve's
+    # conjugate bit for bit
+    from orliczkit.phi_core import PowerTable
+
+    p2, b05, t07 = (float(np.nextafter(v, INF)) for v in (2.0, 0.5, 0.7))
+    kinds = np.array([(2.0, 1.0, 1.0, 3.0, INF), (p2, 1.0, 1.0, 3.0, INF),
+                      (1.5, 0.5, 2.0, 2.5, INF), (1.5, b05, 2.0, 2.5, INF),
+                      (1.5, 0.5, 2.0, 2.5, 4.0), (1.0, 1.0, 0.5, 1.0, INF)])
+    rng = np.random.default_rng(3)
+    rows = kinds[rng.integers(0, len(kinds), 80)]
+    T = rng.choice([0.0, 0.7, t07, 3.0, INF], 80)
+    p, b, c, q, tail = rows.T
+    table = PowerTable.build(80, [0.0, b], [[(1.0, p, 0.0)], [(1.0, p, 0.0), (c, q, b)]], tail)
+    conj = table.conjugate(T)
+    assert conjugate_rows == [len({(r.tobytes(), t) for r, t, v in zip(rows, T, conj)
+                                   if t > 0 and v < INF})]
+    np.testing.assert_array_equal(conj, [table.curve(i).conjugate(t) for i, t in enumerate(T)])
+    assert np.all(conj[T == INF] == INF) and np.all(conj[T == 0.0] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Domain / Region
 
