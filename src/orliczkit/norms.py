@@ -36,6 +36,12 @@ EPS_LUX = 1e-6
 #: space.
 LAMBDA_CAP = 1e12
 
+#: The norm search's seeding stops once a row's bracket is this narrow,
+#: relative to its lower end, far below EPS_LUX so that the search's own
+#: levels almost never fall inside it; or after this many secant steps.
+_SEED_TOL = 1e-12
+_SEED_ROUNDS = 8
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -248,19 +254,79 @@ def _modular_at(phi, fs: list):
     return at
 
 
+def _seeded_fits(at, n: int):
+    """``u -> at(u) <= 1`` for n rows, seeded so that the norm search
+    evaluates the modular only at levels the seeding left open.
+
+    Every evaluation records, per row, lo = the largest u known to fit
+    and hi = the least u known to fail.  The seeding evaluates u = 1,
+    then 2 where that fits and 1/2 where not (the search's first levels),
+    then takes secant steps on log m against log u toward log m = 0, of
+    the Illinois kind (Dowell & Jarratt, BIT 11, 1971) once a row is
+    bracketed: each step stays strictly inside (lo, hi), at the geometric
+    midpoint where the secant leaves it, and at least _SEED_TOL / 2 from
+    either end, until hi - lo <= _SEED_TOL * lo or _SEED_ROUNDS steps.  A
+    row whose modular is 0, inf or nan drops out.  The modular grows with u,
+    so a level <= lo fits and one >= hi fails: the predicate answers
+    without evaluating when every row's level is one of these, and the
+    search asks the same levels and gets the same answers as unseeded."""
+    lo, hi = np.zeros(n), np.full(n, INF)
+
+    def look(u):
+        m = at(u)
+        ok = m <= 1.0
+        lo[ok] = np.maximum(lo[ok], u[ok])
+        hi[~ok] = np.minimum(hi[~ok], u[~ok])
+        return m
+
+    def fits(u):
+        if np.all((u <= lo) | (u >= hi)):
+            return u <= lo
+        return look(u) <= 1.0
+
+    def log_look(u):
+        with np.errstate(divide="ignore"):
+            return np.log(look(u))
+
+    x0, l0 = np.zeros(n), log_look(np.ones(n))
+    u = np.where(l0 <= 0, 2.0, 0.5)
+    x1, l1 = np.log(u), log_look(u)
+    live = np.ones(n, dtype=bool)
+    for _ in range(_SEED_ROUNDS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = np.exp(x1 - l1 * (x1 - x0) / (l1 - l0))
+            # a step that rounds onto an end is clipped inside below
+            inside = (lo < u * (1 + _SEED_TOL)) & (u < hi * (1 + _SEED_TOL))
+            u = np.where(inside, u, np.sqrt(lo) * np.sqrt(hi))
+        live &= np.isfinite(l0) & np.isfinite(l1) & (hi - lo > _SEED_TOL * lo) \
+            & (inside | ((lo > 0) & (hi < INF)))
+        if not np.any(live):
+            break
+        u = np.where(live, np.clip(u, lo * (1 + _SEED_TOL / 2), hi / (1 + _SEED_TOL / 2)), 1.0)
+        l = log_look(u)
+        # Illinois: a step on the latest point's side of a bracket keeps
+        # the other end and halves its log modular
+        kept = live & ((l <= 0) == (l1 <= 0)) & ((l0 <= 0) != (l1 <= 0))
+        moved = live & ~kept
+        x0, l0 = np.where(moved, x1, x0), np.where(moved, l1, np.where(kept, 0.5 * l0, l0))
+        x1, l1 = np.where(live, np.log(u), x1), np.where(live, l, l1)
+    return fits
+
+
 def _luxemburg_norms(phi, fs: list) -> list:
     """:func:`luxemburg_norm` of each of fs: one binding of phi per grid
     and one level search for all of that grid's members, each row
-    bracketed as if searched alone."""
+    bracketed as if searched alone.  The search is seeded
+    (:func:`_seeded_fits`), which changes how often it evaluates the
+    modular and none of its brackets."""
     groups = {}  # by grid; a function without a positive value has norm 0
     for i, f in enumerate(fs):
         if np.any(f.values > 0):
             groups.setdefault((f.box, f.resolution), []).append(i)
     out = [0.0] * len(fs)
     for idx in groups.values():
-        at = _modular_at(phi, [fs[i] for i in idx])
-        u = _last_t_where(lambda u: at(u) <= 1.0, len(idx), EPS_LUX,
-                          floor=1.0 / LAMBDA_CAP)[0]
+        fits = _seeded_fits(_modular_at(phi, [fs[i] for i in idx]), len(idx))
+        u = _last_t_where(fits, len(idx), EPS_LUX, floor=1.0 / LAMBDA_CAP)[0]
         for i, ui in zip(idx, u):
             out[i] = INF if ui == 0.0 else float(1.0 / ui)
     return out
@@ -276,8 +342,12 @@ def luxemburg_norm(phi, f: GridFunction) -> float:
     """inf{lam > 0 : modular(f / lam) <= 1}, approximated from above to
     EPS_LUX relative: the one level search finds the largest u = 1/lam
     with modular(u f) <= 1 and the norm is 1/lo of its final bracket.
-    Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the function
-    is outside the space at this truncation)."""
+    The search is seeded by secant steps on log modular against log u,
+    which bracket the answer far tighter than EPS_LUX in a few modulars;
+    the search then evaluates only at levels the seeding left open, so
+    it asks the same levels, gets the same answers and returns the same
+    norm as unseeded.  Returns ``math.inf`` when no lam up to LAMBDA_CAP
+    works (the function is outside the space at this truncation)."""
     return _luxemburg_norms(phi, [f])[0]
 
 

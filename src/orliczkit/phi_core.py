@@ -470,10 +470,12 @@ class PowerTable:
         grows at most linearly with slope below t.  Elsewhere the largest of
         these candidates: both one-sided values at every breakpoint and at
         the tail, the stationary point of every single-term piece with
-        exponent > 1 clipped to its piece, and a 256-point log sweep up to a
-        bracket past which ``s*t - value(s)`` does not grow, refined 6 times
-        on 33 points.  A candidate where ``s*t`` passes the largest float
-        and ``value(s)`` does not gives +inf.
+        exponent > 1 clipped to its piece, and a 256-point log sweep of the
+        six decades below a bracket past which ``s*t - value(s)`` does not
+        grow, refined 6 times on 33 points, and swept again down to 1e-12
+        where it peaks at its lowest point and a piece with several terms
+        starts below it.  A candidate where ``s*t``
+        passes the largest float and ``value(s)`` does not gives +inf.
 
         Each distinct (row, level) is computed once: rows are grouped by the
         bits of their table row and level, and each group's first row
@@ -504,10 +506,27 @@ class PowerTable:
         """The candidates of :meth:`conjugate` on rows where it is finite
         and 0 < t < inf, all rows in step; ``linear`` marks the rows whose
         last piece has no tail and grows linearly."""
-        def gain(S, value):  # at levels S (N, M); both terms past the largest float is no candidate
+        def gain(S, value, T=T):  # at levels S (N, M); both terms past the largest float is no candidate
             with np.errstate(over="ignore", invalid="ignore"):
                 g = S * T[:, None] - value
             return np.where(np.isnan(g), -INF, g)
+
+        def sweep(table, T, lo, hi):
+            """Per row, the best gain of a 256-point log sweep of [lo, hi]
+            refined 6 times on 33 points, and whether the first sweep
+            peaked at its lowest point."""
+            r, out = np.arange(len(T)), np.full(len(T), -INF)
+            grid = np.geomspace(lo, hi, 256, axis=1)
+            for step in range(7):
+                g = gain(grid, table._value(grid), T)
+                k = np.argmax(g, axis=1)
+                out = np.maximum(out, g[r, k])
+                if step == 0:
+                    first = k == 0
+                end = grid.shape[1] - 1
+                grid = np.linspace(grid[r, np.maximum(k - 1, 0)],
+                                   grid[r, np.minimum(k + 1, end)], 33, axis=1)
+            return out, first
 
         r, best = np.arange(len(T)), np.zeros(len(T))
         seams = np.concatenate([self.bps[:, 1:], self.tail[:, None]], 1)
@@ -540,15 +559,17 @@ class PowerTable:
                 if not np.any(grow):
                     break
                 top = np.where(grow, 2.0 * top, top)
-        grid = np.geomspace(np.maximum(1e-12, 1e-6 * top), top, 256, axis=1)
-        for _ in range(7):
-            g = gain(grid, self._value(grid))
-            k = np.argmax(g, axis=1)
-            best = np.maximum(best, g[r, k])
-            end = grid.shape[1] - 1
-            grid = np.linspace(grid[r, np.maximum(k - 1, 0)],
-                               grid[r, np.minimum(k + 1, end)], 33, axis=1)
-        return best
+        low = np.maximum(1e-12, 1e-6 * top)
+        swept, first = sweep(self, T, low, top)
+        # a single-term piece has its supremum among the candidates above,
+        # a multi-term one only in the sweep: a row with a multi-term piece
+        # below the sweep, whose sweep peaked at its lowest point, is swept
+        # again down to 1e-12
+        multi = (np.sum(live, axis=2) > 1) & (self.bps < np.minimum(hi, low[:, None]))
+        i = np.flatnonzero(first & np.any(multi, axis=1) & (low > 1e-12))
+        if len(i):
+            swept[i] = np.maximum(swept[i], sweep(self.rows(i), T[i], 1e-12, low[i])[0])
+        return np.maximum(best, swept)
 
     def curve(self, i: int) -> "PhiCurve":
         """Row i as a PhiCurve, without its empty pieces and unused slots."""

@@ -1,14 +1,18 @@
+import functools
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import orliczkit.norms as norms_module
 from orliczkit import (
+    AsymptotePair,
     Domain,
     GridFunction,
     PhiFunction,
+    WeightFunction,
     annulus_test_function,
     ball_norm_check,
     cap_curve,
@@ -16,11 +20,15 @@ from orliczkit import (
     conjugate_function,
     duality_lower_bound,
     from_curve,
+    glue_small_values,
     luxemburg_norm,
     make_family,
     modular,
     pairing,
     power_curve,
+    rebuild_with_ainc,
+    region_from_dict,
+    small_value_threshold,
 )
 from orliczkit.gallery import _BALLS, _ball_maxima
 from orliczkit.maximal import _norm_ratios
@@ -249,6 +257,102 @@ def test_batched_norms_match_one_member_reference(name, dim, data):
     np.testing.assert_array_equal(_bits(norms), _bits([_reference_norm(phi, f) for f in fam]))
     np.testing.assert_array_equal(_bits(mods), _bits([_reference_modular_at(phi, f)(1.0)
                                                       for f in fam]))
+
+
+# The seeded norm search against the plain one, _last_t_where on the
+# predicate at(u) <= 1 over the same binding of phi.
+
+
+@functools.cache
+def _seeded_phi(name, dim):
+    if name == "glued":
+        return glue_small_values(make_family("example_3_2", {}, None),
+                                 region_from_dict({"region": "inv_square_strip"}), 1.5)
+    if name == "rebuilt":
+        phi = make_family("example_3_5", {"dim": dim}, None)
+        pair = AsymptotePair(power_curve(2.0), WeightFunction.recip_power(4.0, dim), beta=1.0)
+        return rebuild_with_ainc(phi, pair, small_value_threshold(phi, pair.phi_inf))
+    if name == "variable_exponent":
+        return make_family("variable_exponent", {"dim": dim, "p": {
+            "field": "pw_linear", "points": [[0.0, 2.0], [4.0, 1.2]]}})
+    return _BATCH_PHIS[name](dim)
+
+
+def _plain_norms(phi, fs):
+    idx = [i for i, f in enumerate(fs) if np.any(f.values > 0)]
+    out = [0.0] * len(fs)
+    if idx:
+        at = _modular_at(phi, [fs[i] for i in idx])
+        u = _last_t_where(lambda u: at(u) <= 1.0, len(idx), EPS_LUX,
+                          floor=1.0 / LAMBDA_CAP)[0]
+        for i, ui in zip(idx, u):
+            out[i] = INF if ui == 0.0 else float(1.0 / ui)
+    return out
+
+
+@st.composite
+def _scaled_family(draw, dim):
+    """A family on one grid: all-zero, dense and sparse members, and
+    members at the scale 1e-300 or 1e14.  The search doubles about a
+    thousand times for a 1e-300 member, so families are small."""
+    n = draw(st.integers(3, 6 if dim == 2 else 24))
+    box = ((-3.0, 3.0),) * dim
+    fam = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "dense", "sparse", "tiny", "huge"]),
+                              min_size=1, max_size=2)):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        v = rng.random((n,) * dim) * {"zero": 0.0, "tiny": 1e-300, "huge": 1e14}.get(
+            kind, draw(st.sampled_from([0.01, 1.0, 50.0])))
+        if kind == "sparse":
+            v = np.where(rng.random(v.shape) < 0.1, v, 0.0)
+        fam.append(GridFunction(box, v))
+    return fam
+
+
+@pytest.mark.parametrize("name,dim", [
+    (name, dim) for name in ("square", "example_3_4", "rebuilt", "capped",
+                             "variable_exponent", "conjugate") for dim in (1, 2)]
+    + [("glued", 2)])
+def test_seeded_norm_search_is_the_plain_search(name, dim):
+    """Seeding changes how often the modular is evaluated, never a
+    bracket: every norm is bit for bit the plain search's.  A conjugate
+    modular costs milliseconds, so it gets fewer drawn examples; every
+    case also runs one family with a member at each extreme scale."""
+    phi = _seeded_phi(name, dim)
+    box, ramp = ((-3.0, 3.0),) * dim, np.linspace(0.0, 1.0, 4 ** dim).reshape((4,) * dim)
+
+    @settings(max_examples=3 if name == "conjugate" else 8)
+    @example([GridFunction(box, c * ramp) for c in (1e-300, 1e14)])
+    @given(fam=_scaled_family(dim))
+    def check(fam):
+        np.testing.assert_array_equal(_bits(_luxemburg_norms(phi, fam)),
+                                      _bits(_plain_norms(phi, fam)))
+
+    check()
+
+
+def test_seeded_norm_search_evaluates_few_modulars(monkeypatch):
+    """Under t^2, log m is linear in log u: the first secant step lands on
+    the norm and one more closes the seeding's bracket, after which the
+    search asks no level left open.  The plain search evaluates 23
+    modulars."""
+    calls = []
+    bind = norms_module._modular_at
+
+    def counted(phi, fs):
+        at = bind(phi, fs)
+
+        def counting(u):
+            calls.append(u)
+            return at(u)
+
+        return counting
+
+    monkeypatch.setattr(norms_module, "_modular_at", counted)
+    f = GridFunction.indicator_ball([0.0], 0.3, ((-1.0, 1.0),), 64)
+    norm = luxemburg_norm(square(), f)
+    assert norm == pytest.approx(math.sqrt(np.sum(f.values) * f.cell_volume), rel=2e-6)
+    assert len(calls) <= 8
 
 
 # ---------------------------------------------------------------------------

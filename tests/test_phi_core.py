@@ -137,6 +137,16 @@ def test_conjugate_capped_linear():
     assert c.conjugate(0.5) == 0.0
 
 
+def test_conjugate_finds_a_maximiser_below_the_sweep():
+    # t^1.05 as two half terms has no stationary candidate, and its
+    # maximiser (t / 1.05)^20 (14.4 at t = 1.2) lies below the six decades
+    # the first sweep covers: that sweep peaks at its lowest point and is
+    # redone down to 1e-12
+    split = PhiCurve((0.0,), ((PowerTerm(0.5, 1.05), PowerTerm(0.5, 1.05)),))
+    for t in (1.2, 1.5, 2.0):
+        assert split.conjugate(t) == pytest.approx(power_curve(1.05).conjugate(t), rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_conjugate_power_extreme_levels(p):
     # the sweep's bracket grows past 2^200 (t^2 at 1e100 peaks at s = 5e99)
