@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_core import EPS_INV_BISECT, DomainError, PhiFunction, \
+from .phi_core import EPS_INV_BISECT, DomainError, PhiFunction, _T_RANGE, \
     _as_point, _ball_volume, _last_t_where, _lattice, _norms
 
 INF = math.inf
@@ -38,9 +38,10 @@ LAMBDA_CAP = 1e12
 
 #: The norm search's seeding stops once a row's bracket is this narrow,
 #: relative to its lower end, far below EPS_LUX so that the search's own
-#: levels almost never fall inside it; or after this many secant steps.
+#: levels almost never fall inside it; or after this many steps, enough
+#: for steps that double log u from 2 to pass 1e300.
 _SEED_TOL = 1e-12
-_SEED_ROUNDS = 8
+_SEED_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -259,51 +260,53 @@ def _seeded_fits(at, n: int):
     evaluates the modular only at levels the seeding left open.
 
     Every evaluation records, per row, lo = the largest u known to fit
-    and hi = the least u known to fail.  The seeding evaluates u = 1,
-    then 2 where that fits and 1/2 where not (the search's first levels),
-    then takes secant steps on log m against log u toward log m = 0, of
-    the Illinois kind (Dowell & Jarratt, BIT 11, 1971) once a row is
-    bracketed: each step stays strictly inside (lo, hi), at the geometric
-    midpoint where the secant leaves it, and at least _SEED_TOL / 2 from
-    either end, until hi - lo <= _SEED_TOL * lo or _SEED_ROUNDS steps.  A
-    row whose modular is 0, inf or nan drops out.  The modular grows with u,
-    so a level <= lo fits and one >= hi fails: the predicate answers
-    without evaluating when every row's level is one of these, and the
-    search asks the same levels and gets the same answers as unseeded."""
+    and hi = the least u known to fail.  The seeding evaluates u = 1 and
+    then takes one step per round in every row: a secant step on log m
+    against log u toward log m = 0, of the Illinois kind (Dowell &
+    Jarratt, BIT 11, 1971), where both kept log modulars are finite and
+    the step lands inside (lo, hi); else the geometric midpoint where the
+    bracket is closed; else a step past its open end that doubles |log u|
+    of its other end, to lo**2 but at least 2 or to hi**2 but at most 1/2
+    (from u = 1, the search's first level, 2 or 1/2).
+    Each step stays at least _SEED_TOL / 2 inside the bracket and inside
+    the search's range [1 / LAMBDA_CAP, _T_RANGE].  A row stops once hi -
+    lo <= _SEED_TOL * lo, once its bracket leaves that range, or after
+    _SEED_ROUNDS steps.  The modular grows with u, so a level <= lo fits
+    and one >= hi fails: the predicate answers without evaluating when
+    every row's level is one of these, and the search asks the same
+    levels and gets the same answers as unseeded."""
     lo, hi = np.zeros(n), np.full(n, INF)
 
-    def look(u):
-        m = at(u)
-        ok = m <= 1.0
+    def look(u):  # log m, with lo and hi recorded
+        with np.errstate(divide="ignore"):
+            l = np.log(at(u))
+        ok = l <= 0.0
         lo[ok] = np.maximum(lo[ok], u[ok])
         hi[~ok] = np.minimum(hi[~ok], u[~ok])
-        return m
+        return l
 
     def fits(u):
         if np.all((u <= lo) | (u >= hi)):
             return u <= lo
-        return look(u) <= 1.0
+        return look(u) <= 0.0
 
-    def log_look(u):
-        with np.errstate(divide="ignore"):
-            return np.log(look(u))
-
-    x0, l0 = np.zeros(n), log_look(np.ones(n))
-    u = np.where(l0 <= 0, 2.0, 0.5)
-    x1, l1 = np.log(u), log_look(u)
-    live = np.ones(n, dtype=bool)
+    x0 = x1 = np.zeros(n)
+    l0 = l1 = look(np.ones(n))
     for _ in range(_SEED_ROUNDS):
+        live = (hi - lo > _SEED_TOL * lo) & (lo < _T_RANGE) & (hi > 1.0 / LAMBDA_CAP)
+        if not np.any(live):
+            break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = np.exp(x1 - l1 * (x1 - x0) / (l1 - l0))
             # a step that rounds onto an end is clipped inside below
-            inside = (lo < u * (1 + _SEED_TOL)) & (u < hi * (1 + _SEED_TOL))
-            u = np.where(inside, u, np.sqrt(lo) * np.sqrt(hi))
-        live &= np.isfinite(l0) & np.isfinite(l1) & (hi - lo > _SEED_TOL * lo) \
-            & (inside | ((lo > 0) & (hi < INF)))
-        if not np.any(live):
-            break
-        u = np.where(live, np.clip(u, lo * (1 + _SEED_TOL / 2), hi / (1 + _SEED_TOL / 2)), 1.0)
-        l = log_look(u)
+            secant = np.isfinite(l0) & np.isfinite(l1) \
+                & (lo < u * (1 + _SEED_TOL)) & (u < hi * (1 + _SEED_TOL))
+            u = np.where(secant, u, np.where(
+                lo == 0.0, np.minimum(hi * hi, 0.5),  # past an open end
+                np.where(hi == INF, np.maximum(lo * lo, 2.0), np.sqrt(lo) * np.sqrt(hi))))
+        u = np.minimum(np.maximum(u, lo * (1 + _SEED_TOL / 2)), hi / (1 + _SEED_TOL / 2))
+        u = np.where(live, np.minimum(np.maximum(u, 1.0 / LAMBDA_CAP), _T_RANGE), 1.0)
+        l = look(u)
         # Illinois: a step on the latest point's side of a bracket keeps
         # the other end and halves its log modular
         kept = live & ((l <= 0) == (l1 <= 0)) & ((l0 <= 0) != (l1 <= 0))
@@ -342,12 +345,14 @@ def luxemburg_norm(phi, f: GridFunction) -> float:
     """inf{lam > 0 : modular(f / lam) <= 1}, approximated from above to
     EPS_LUX relative: the one level search finds the largest u = 1/lam
     with modular(u f) <= 1 and the norm is 1/lo of its final bracket.
-    The search is seeded by secant steps on log modular against log u,
-    which bracket the answer far tighter than EPS_LUX in a few modulars;
-    the search then evaluates only at levels the seeding left open, so
-    it asks the same levels, gets the same answers and returns the same
-    norm as unseeded.  Returns ``math.inf`` when no lam up to LAMBDA_CAP
-    works (the function is outside the space at this truncation)."""
+    The search is seeded (:func:`_seeded_fits`), by secant, midpoint or
+    doubling steps on log modular against log u, which bracket the
+    answer far tighter than EPS_LUX in a few modulars; the search then
+    evaluates only at levels the seeding left open, so it asks the same
+    levels, gets the same answers and returns the same norm as unseeded.
+    Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the function
+    is outside the space at this truncation), and 0.0 for a norm below
+    1e-300, where the search's range ends."""
     return _luxemburg_norms(phi, [f])[0]
 
 
@@ -398,14 +403,16 @@ class ConjugateFunction:
     def evaluator(self, X: np.ndarray):
         """``T -> eval_many(X, T)`` with phi's table of X built once; T may
         add trailing axes, as for :meth:`PhiFunction.evaluator`.  The
-        conjugate takes one level per row, so each trailing column is
-        evaluated in turn on the one table."""
+        conjugate takes one level per row, so row i of the table is
+        repeated once per level of point i and all levels go to one
+        :meth:`PowerTable.conjugate` call, which computes each distinct
+        (row, level) once."""
         table = self.phi.table(X)
 
         def value(T):
             T = np.asarray(T, dtype=float)
-            cols = T.reshape(len(table.tail), -1).T
-            return np.stack([table.conjugate(c) for c in cols], 1).reshape(T.shape)
+            rows = np.repeat(np.arange(len(table.tail)), T.size // len(table.tail))
+            return table.rows(rows).conjugate(T.ravel()).reshape(T.shape)
 
         return value
 

@@ -31,6 +31,10 @@ INF = math.inf
 # at every scale.  Closed forms are exact up to rounding.
 EPS_INV_BISECT = 1e-12
 
+# The range of the level search: a sup above _T_RANGE reads inf and one
+# below 1 / _T_RANGE reads 0.
+_T_RANGE = 1e300
+
 _SCHEMA = "orliczkit-phi/1"
 
 
@@ -600,9 +604,9 @@ def _last_t_where(fits: Callable[[np.ndarray], np.ndarray], n: int,
     then bisects.  It asks fits at no level below ``floor`` (in [0, 1)),
     the cut-off below which the answer counts as 0.  Rows where
     fits(floor) fails get ``(0, floor)``; rows whose sup lies below
-    1e-300 get ``(0, hi)``; rows where fits still holds past 1e300 get
-    ``(inf, inf)``.  fits is always given all n rows; rows the search is
-    not asking about get the level 1."""
+    1 / _T_RANGE get ``(0, hi)``; rows where fits still holds past
+    _T_RANGE get ``(inf, inf)``.  fits is always given all n rows; rows
+    the search is not asking about get the level 1."""
     def holds(t, rows):
         return rows & fits(np.where(rows, t, 1.0)) if rows.any() else rows
 
@@ -612,10 +616,10 @@ def _last_t_where(fits: Callable[[np.ndarray], np.ndarray], n: int,
     while np.any(grow):
         grow = holds(hi, grow)
         lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
-        far |= grow & (hi > 1e300)
+        far |= grow & (hi > _T_RANGE)
         grow &= ~far
     while np.any(shrink):
-        shrink &= 0.5 * hi > max(floor, 1e-300)
+        shrink &= 0.5 * hi > max(floor, 1 / _T_RANGE)
         ok = holds(0.5 * hi, shrink)
         lo, hi = np.where(ok, 0.5 * hi, lo), np.where(shrink & ~ok, 0.5 * hi, hi)
         shrink &= ~ok

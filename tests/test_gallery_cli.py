@@ -19,8 +19,10 @@ from hypothesis import given, settings
 
 import orliczkit
 from orliczkit import GridFunction, PhiCurve, SpecError, WeightFunction, \
-    power_curve, run_example, run_pipeline
+    glue_small_values, make_family, power_curve, region_from_dict, run_example, \
+    run_pipeline, small_value_threshold
 from orliczkit.cli import main
+from orliczkit.conditions import _jsonable
 
 _cli = importlib.import_module("orliczkit.cli")
 
@@ -383,6 +385,30 @@ def test_cli_transform(capsys):
     rebuilt = PhiCurve.from_dict(out)
     assert rebuilt.value(2.0) == 2.0
 
+    def transform(*argv):
+        assert main(["transform", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def plain(obj):  # as the CLI prints it
+        return json.loads(json.dumps(_jsonable(obj)))
+
+    # the phi -> phi ops equal the library function and the pipeline step
+    base, region = {"kind": "example_3_2", "params": {}}, {"region": "inv_square_strip"}
+    assert transform("--op", "glue_small_values", "--phi", json.dumps(base),
+                     "--region", json.dumps(region), "--p", "1.5") == plain(
+        glue_small_values(make_family("example_3_2", {}, None),
+                          region_from_dict(region), 1.5).to_dict())
+    spec = rebuild_spec()
+    make, step = spec["phi"]["pipeline"]
+    bundle = run_pipeline({"name": "rebuild", "phi": spec["phi"]})
+    assert transform("--op", "rebuild_with_ainc", "--phi", json.dumps(make["make"]),
+                     "--pair", json.dumps(step["pair"])) == plain(
+        {"t1": bundle["transforms"][0]["t1"], "result": bundle["phi"]})
+    assert transform("--op", "small_value_threshold", "--phi", json.dumps(make["make"]),
+                     "--phi-inf", json.dumps(step["pair"]["phi_inf"])) == plain(
+        {"t1": small_value_threshold(make_family("example_3_5", {}, None),
+                                     PhiCurve.from_dict(step["pair"]["phi_inf"]))})
+
 
 def test_cli_usage_error_missing_args(phi_file):
     assert main(["check", "--phi", f"@{phi_file}", "--condition", "ainc"]) == 2
@@ -572,6 +598,9 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  id="check-negative-t-range"),
     pytest.param(_check("--condition", "equivalence", "--other", _PHI,
                         "--L", "0"), "/L", id="check-L-0"),
+    pytest.param(["check", "--phi", json.dumps({"kind": "variable_exponent", "params": {
+        "p": {"field": "poly_abs", "coeffs": [2, "x"]}}}), "--condition", "ainc",
+        "--p", "2"], "--phi/params/p/coeffs/1", id="check-poly-abs-coeff"),
     pytest.param(["transform", "--op", "glue_small_values",
                   "--phi", json.dumps(_GLUE_BASE),
                   "--region", '{"region": "nope"}'], "/region/region",

@@ -331,11 +331,9 @@ def test_seeded_norm_search_is_the_plain_search(name, dim):
     check()
 
 
-def test_seeded_norm_search_evaluates_few_modulars(monkeypatch):
-    """Under t^2, log m is linear in log u: the first secant step lands on
-    the norm and one more closes the seeding's bracket, after which the
-    search asks no level left open.  The plain search evaluates 23
-    modulars."""
+@pytest.fixture
+def modular_calls(monkeypatch):
+    """The levels of every evaluation of a ``_modular_at`` closure."""
     calls = []
     bind = norms_module._modular_at
 
@@ -349,10 +347,40 @@ def test_seeded_norm_search_evaluates_few_modulars(monkeypatch):
         return counting
 
     monkeypatch.setattr(norms_module, "_modular_at", counted)
+    return calls
+
+
+def test_seeded_norm_search_evaluates_few_modulars(modular_calls):
+    """Under t^2, log m is linear in log u: the first secant step lands on
+    the norm and one more closes the seeding's bracket, after which the
+    search asks no level left open.  The plain search evaluates 23
+    modulars."""
     f = GridFunction.indicator_ball([0.0], 0.3, ((-1.0, 1.0),), 64)
     norm = luxemburg_norm(square(), f)
     assert norm == pytest.approx(math.sqrt(np.sum(f.values) * f.cell_volume), rel=2e-6)
-    assert len(calls) <= 8
+    assert len(modular_calls) <= 8
+
+
+_RAMP = np.linspace(0.1, 1.0, 8)
+
+
+@pytest.mark.parametrize("name,c,most", [
+    (name, c, 20) for name in ("square", "conjugate") for c in (1e-300, 1e-200, 1e300)]
+    + [("capped", c, 40) for c in (1e-200, 1e-150, 1e14)])
+def test_seeded_norm_search_at_extreme_scales(modular_calls, name, c, most):
+    """A member whose modular underflows to 0 or overflows to inf at u = 1,
+    or lies past a capped phi's tail, is seeded like any other: its steps
+    double log u to a bracket instead of the search doubling u about a
+    thousand times."""
+    # ||c ramp|| is c |ramp|_2 under t^2, half that under (t^2)* = t^2 / 4,
+    # and c under t capped at 1 (the modular is below 1 up to the cap);
+    # a norm below 1e-300 reads 0 and one past LAMBDA_CAP inf
+    l2 = c * math.sqrt(np.mean(_RAMP ** 2))
+    norm = {"square": l2, "conjugate": 0.5 * l2, "capped": c}[name]
+    norm = 0.0 if norm < 1e-300 else INF if norm > LAMBDA_CAP else norm
+    f = GridFunction(((0.0, 1.0),), c * _RAMP)
+    assert luxemburg_norm(_BATCH_PHIS[name](1), f) == pytest.approx(norm, rel=2e-6, abs=0.0)
+    assert len(modular_calls) <= most
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +503,15 @@ def test_conjugate_at_extreme_levels():
     tau = 1e200
     t = math.exp(_bisect(lambda y: math.log(exact(math.exp(y)) / tau), 200.0, 400.0))
     assert conj.inverse((0.0,), tau) == pytest.approx(t, rel=1e-8, abs=0.0)
+
+
+def test_conjugate_modular_is_one_call_for_every_member(conjugate_rows):
+    # members at distinct levels share phi's table: one supremum call
+    f = GridFunction(((-1.0, 1.0),), np.linspace(0.1, 1.0, 8))
+    at = _modular_at(conjugate_function(square(1)), [f, f.scaled(2.0), f.scaled(3.0)])
+    np.testing.assert_allclose(at(np.ones(3)), np.array([1.0, 4.0, 9.0])
+                               * np.sum(f.values ** 2) * f.cell_volume / 4, rtol=1e-9)
+    assert len(conjugate_rows) == 1
 
 
 def test_duality_hands_one_conjugate_row_per_call(conjugate_rows):

@@ -14,6 +14,7 @@ from orliczkit import (
     PhiCurve,
     PhiFunction,
     PowerTerm,
+    SpecError,
     WeightFunction,
     conjugate_function,
     from_curve,
@@ -235,6 +236,15 @@ def test_variable_exponent_formula():
     phi = make_family("variable_exponent",
                       {"p": {"field": "const", "value": 3.0}}, None)
     assert abs(phi.eval((0.0,), 2.0) - 8.0) < 1e-12
+    # p(x) = 1 + |x|^2 / 4
+    phi = make_family("variable_exponent",
+                      {"p": {"field": "poly_abs", "coeffs": [1, 0, 0.25]}}, None)
+    for x, t in ((0.0, 3.0), (1.0, 2.0), (-2.0, 3.0), (3.0, 0.5)):
+        assert phi.eval((x,), t) == pytest.approx(t ** (1 + x * x / 4), rel=1e-12)
+    with pytest.raises(SpecError) as err:
+        make_family("variable_exponent",
+                    {"p": {"field": "poly_abs", "coeffs": [2, "x"]}}, None)
+    assert err.value.pointer == "/p/coeffs/1"
 
 
 def test_double_phase_formula():
