@@ -2,8 +2,11 @@
 
 Mf(x) is the supremum of averages of |f| over balls containing x, here
 discretized over a geometric ladder of radii and strided centers.  The
-discretization only under-approximates, so evidence of unboundedness is
-robust while boundedness claims stay heuristic.
+discretization only under-approximates, so boundedness claims stay
+heuristic.  So does the evidence of unboundedness: it is flagged when,
+across at least three doublings of the truncation radius, every norm
+ratio is more than 1.05 times the one before, a rule that bounded
+operators near p = 1 meet too.
 """
 
 import numpy as np

@@ -30,7 +30,7 @@ from . import transforms
 from .phi_core import PhiCurve, SpecError, _at, _finite, _positive, \
     _Reader, _seed
 from .conditions import _jsonable
-from .norms import GridFunction, _luxemburg_norms, luxemburg_norm, modular
+from .norms import GridFunction, _luxemburg_norms
 from .maximal import MaximalConfig, default_config, maximal
 from .gallery import EXAMPLE_NAMES, _check_call, _grid_from_spec, \
     _phi_spec, run_example, run_pipeline
@@ -182,8 +182,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_norm(args) -> int:
     phi, f = _phi_and_grid(args)
-    report = {"modular": modular(phi, f),
-              "luxemburg_norm": luxemburg_norm(phi, f),
+    (norm,), (mod,) = _luxemburg_norms(phi, [f])
+    report = {"modular": mod, "luxemburg_norm": norm,
               "cells": list(f.resolution),
               "box": [list(side) for side in f.box]}
     _emit(report, args, "norm")
@@ -205,7 +205,7 @@ def _cmd_maximal(args) -> int:
               "center_stride": cfg.center_stride,
               "max_value": float(Mf.values.max())}
     if phi is not None:
-        report["norm_f"], report["norm_Mf"] = _luxemburg_norms(phi, [f, Mf])
+        report["norm_f"], report["norm_Mf"] = _luxemburg_norms(phi, [f, Mf])[0]
     outputs = [_write(args, "maximal.csv", Mf.to_csv),
                _write(args, "maximal.bin", Mf.to_binary)]
     if outputs[0]:

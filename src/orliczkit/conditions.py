@@ -335,7 +335,9 @@ def _sampled_sup(table, X, grid, p, increasing):
     """Largest sampled ratio(t)/ratio(s) and its witness, over the rows of
     ``table``, phi's table at the points X; ties go to the first row and
     then the first t."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # t^p past the largest float is inf and below the least is 0: the
+    # ratio is then 0 or inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = table.value(grid[None, :]) / grid[None, :] ** p  # (N_x, N_t)
     if not increasing:
         # L-almost decreasing: r(s) <= L r(t) for t < s
@@ -557,8 +559,9 @@ def check_equivalence(phi, psi, L: float,
     psi_table = psi.table(X)
 
     def pairs(Lv: float):
-        return ((psi_table.value(grid / Lv), phiv),
-                (phiv, psi_table.value(grid * Lv)))
+        with np.errstate(over="ignore"):  # a level past the largest float is inf
+            return ((psi_table.value(grid / Lv), phiv),
+                    (phiv, psi_table.value(grid * Lv)))
 
     least = next((Lk for Lk in (2.0 ** (k / 4.0) for k in range(161))
                   if _holds(*pairs(Lk))), INF)
@@ -579,8 +582,9 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
     grid = spec.t_grid()[None, :]
     hv = h.many(X)[:, None]
     phi_table, psi_table = phi.table(X), psi.table(X)
-    pairs = ((psi_table.value(grid), phi_table.value(grid * L) + hv),
-             (phi_table.value(grid), psi_table.value(grid * L) + hv))
+    with np.errstate(over="ignore"):  # a level past the largest float is inf
+        pairs = ((psi_table.value(grid), phi_table.value(grid * L) + hv),
+                 (phi_table.value(grid), psi_table.value(grid * L) + hv))
     return _equivalence_report(
         "WeakEquiv", pairs, {"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
         X, grid, spec)

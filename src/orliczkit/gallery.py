@@ -24,7 +24,7 @@ from .conditions import SampleSpec, WeightFunction, check_a0, check_a1, \
     check_a2, check_adec, check_ainc, check_equivalence, \
     check_weak_equivalence, default_x_samples, weight_from_dict, _holds
 from .norms import GridFunction, ball_norm_check, duality_lower_bound
-from .maximal import _maximal_family, _modular_growth, _norm_ratios
+from .maximal import _maximal_family, _norm_ratios
 
 EXAMPLE_NAMES = ("ex3_2", "ex3_4", "ex3_5", "ex4_6", "dp_cor49")
 
@@ -87,7 +87,7 @@ def _run_ex3_2(resolution: float, seed: int) -> tuple:
                         holds=False) for p in (1.1, 1.5, 2.0)]
     # bounded M: norm ratios stable across truncations, one family at a time
     ratios = {R: _norm_ratios(phi, *_ball_maxima(2, [R], resolution, _BALLS))
-              ["ratios"] for R in (8.0, 16.0, 32.0)}
+              [0]["ratios"] for R in (8.0, 16.0, 32.0)}
     arr = np.array(list(ratios.values()))
     spread = float(np.max(np.ptp(arr, axis=0) / arr.min(axis=0)))
     claims.append(_claim("operator-norm ratios stable within 20% "
@@ -113,8 +113,7 @@ def _run_ex3_4(resolution: float, seed: int) -> tuple:
     # divergence: modular of M(chi_ball) grows like log R, ratios grow
     radii = [8.0, 16.0, 32.0, 64.0]
     fam, maxes = _ball_maxima(2, radii, resolution, [((0.0, 0.0), 1.0)])
-    growth = _modular_growth(phi, maxes, radii)
-    ratios = _norm_ratios(phi, fam, maxes, radii)
+    ratios, growth = _norm_ratios(phi, fam, maxes, radii)
     log_fit = (growth.get("r_squared", 0.0) >= 0.98
                and growth.get("slope_vs_log_radius", 0.0) > 0)
     claims.append(_claim("modular of Mf grows like log R (R^2 >= 0.98)",
@@ -336,15 +335,15 @@ def _experiment_call(phi, r: _Reader, resolution: float):
                 r("ball_radius", _positive, 1.0))
 
         def divergence():
-            fam, maxes = _ball_maxima(dim, radii, resolution, [ball])
-            return {"experiment": kind,
-                    "modular_growth": _modular_growth(phi, maxes, radii),
-                    "operator_norm": _norm_ratios(phi, fam, maxes, radii)}
+            ratios, growth = _norm_ratios(
+                phi, *_ball_maxima(dim, radii, resolution, [ball]), radii)
+            return {"experiment": kind, "modular_growth": growth,
+                    "operator_norm": ratios}
         return divergence
     if kind == "operator-norm":
         R = truncations("truncation_radius", truncation, 16)
         return lambda: {"experiment": kind, "report": _norm_ratios(
-            phi, *_ball_maxima(dim, [R], resolution, _BALLS))}
+            phi, *_ball_maxima(dim, [R], resolution, _BALLS))[0]}
     if kind == "ball-norm":
         center, radius = r("center", _point(dim)), r("radius", _positive)
         cells = r("cells", _cells, 256)

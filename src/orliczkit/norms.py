@@ -257,7 +257,8 @@ def _modular_at(phi, fs: list):
 
 def _seeded_fits(at, n: int):
     """``u -> at(u) <= 1`` for n rows, seeded so that the norm search
-    evaluates the modular only at levels the seeding left open.
+    evaluates the modular only at levels the seeding left open, and the
+    modulars at u = 1, the seeding's first evaluation.
 
     Every evaluation records, per row, lo = the largest u known to fit
     and hi = the least u known to fail.  The seeding evaluates u = 1 and
@@ -277,9 +278,9 @@ def _seeded_fits(at, n: int):
     levels and gets the same answers as unseeded."""
     lo, hi = np.zeros(n), np.full(n, INF)
 
-    def look(u):  # log m, with lo and hi recorded
+    def look(u, m):  # log m, with lo and hi recorded
         with np.errstate(divide="ignore"):
-            l = np.log(at(u))
+            l = np.log(m)
         ok = l <= 0.0
         lo[ok] = np.maximum(lo[ok], u[ok])
         hi[~ok] = np.minimum(hi[~ok], u[~ok])
@@ -288,10 +289,11 @@ def _seeded_fits(at, n: int):
     def fits(u):
         if np.all((u <= lo) | (u >= hi)):
             return u <= lo
-        return look(u) <= 0.0
+        return look(u, at(u)) <= 0.0
 
+    first = at(np.ones(n))
     x0 = x1 = np.zeros(n)
-    l0 = l1 = look(np.ones(n))
+    l0 = l1 = look(np.ones(n), first)
     for _ in range(_SEED_ROUNDS):
         live = (hi - lo > _SEED_TOL * lo) & (lo < _T_RANGE) & (hi > 1.0 / LAMBDA_CAP)
         if not np.any(live):
@@ -306,33 +308,34 @@ def _seeded_fits(at, n: int):
                 np.where(hi == INF, np.maximum(lo * lo, 2.0), np.sqrt(lo) * np.sqrt(hi))))
         u = np.minimum(np.maximum(u, lo * (1 + _SEED_TOL / 2)), hi / (1 + _SEED_TOL / 2))
         u = np.where(live, np.minimum(np.maximum(u, 1.0 / LAMBDA_CAP), _T_RANGE), 1.0)
-        l = look(u)
+        l = look(u, at(u))
         # Illinois: a step on the latest point's side of a bracket keeps
         # the other end and halves its log modular
         kept = live & ((l <= 0) == (l1 <= 0)) & ((l0 <= 0) != (l1 <= 0))
         moved = live & ~kept
         x0, l0 = np.where(moved, x1, x0), np.where(moved, l1, np.where(kept, 0.5 * l0, l0))
         x1, l1 = np.where(live, np.log(u), x1), np.where(live, l, l1)
-    return fits
+    return fits, first
 
 
-def _luxemburg_norms(phi, fs: list) -> list:
-    """:func:`luxemburg_norm` of each of fs: one binding of phi per grid
-    and one level search for all of that grid's members, each row
-    bracketed as if searched alone.  The search is seeded
-    (:func:`_seeded_fits`), which changes how often it evaluates the
-    modular and none of its brackets."""
+def _luxemburg_norms(phi, fs: list) -> tuple:
+    """:func:`luxemburg_norm` and :func:`modular` of each of fs, as two
+    lists: one binding of phi per grid and one level search for all of
+    that grid's members, each row bracketed as if searched alone.  The
+    search is seeded (:func:`_seeded_fits`), which changes how often it
+    evaluates the modular and none of its brackets; its first evaluation,
+    at u = 1, is each member's modular, bit for bit."""
     groups = {}  # by grid; a function without a positive value has norm 0
     for i, f in enumerate(fs):
         if np.any(f.values > 0):
             groups.setdefault((f.box, f.resolution), []).append(i)
-    out = [0.0] * len(fs)
+    norms, mods = [0.0] * len(fs), [0.0] * len(fs)
     for idx in groups.values():
-        fits = _seeded_fits(_modular_at(phi, [fs[i] for i in idx]), len(idx))
+        fits, first = _seeded_fits(_modular_at(phi, [fs[i] for i in idx]), len(idx))
         u = _last_t_where(fits, len(idx), EPS_LUX, floor=1.0 / LAMBDA_CAP)[0]
-        for i, ui in zip(idx, u):
-            out[i] = INF if ui == 0.0 else float(1.0 / ui)
-    return out
+        for i, ui, m in zip(idx, u, first):
+            norms[i], mods[i] = INF if ui == 0.0 else float(1.0 / ui), float(m)
+    return norms, mods
 
 
 def modular(phi, f: GridFunction) -> float:
@@ -353,14 +356,14 @@ def luxemburg_norm(phi, f: GridFunction) -> float:
     Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the function
     is outside the space at this truncation), and 0.0 for a norm below
     1e-300, where the search's range ends."""
-    return _luxemburg_norms(phi, [f])[0]
+    return _luxemburg_norms(phi, [f])[0][0]
 
 
 def ball_norm_check(phi: PhiFunction, center, radius: float,
                     resolution: int = 256) -> dict:
     """Compare the norm of a ball indicator against 1/phi^{-1}(y, 1/|B|)
-    at y the center and half a radius off it along each axis; reports the
-    empirical ratio range."""
+    at y the center and half a radius off it along each axis, all read
+    off one table of phi; reports the empirical ratio range."""
     center = np.atleast_1d(np.asarray(center, float))
     dim = len(center)
     vol = _ball_volume(dim, radius)
@@ -371,7 +374,7 @@ def ball_norm_check(phi: PhiFunction, center, radius: float,
     norm = luxemburg_norm(phi, chi)
     y_samples = center + 0.5 * radius * np.vstack(
         [np.zeros(dim), np.kron(np.eye(dim), [[-1.0], [1.0]])])
-    estimates = [1.0 / phi.inverse(tuple(y), 1.0 / vol) for y in y_samples]
+    estimates = (1.0 / phi.table(y_samples).inverse(1.0 / vol)).tolist()
     ratios = [norm / e for e in estimates]
     return {
         "norm": norm,

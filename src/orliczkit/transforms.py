@@ -293,7 +293,8 @@ def tail_asymptotes(phi: PhiFunction) -> AsymptoteEstimate:
     points plus the four axis points (or point pairs in 1D) of the two
     ``SHELL_RADII``, takes the per-t max/min envelope on the outer shell,
     and flags the result inconclusive when the two shells disagree by more
-    than ``SHELL_TOL`` relatively.
+    than ``SHELL_TOL`` relatively.  Each shell's values and the witness
+    curves are read off one table of phi at its points.
     """
     t_grid = SampleSpec().t_grid()
 
@@ -301,14 +302,14 @@ def tail_asymptotes(phi: PhiFunction) -> AsymptoteEstimate:
         curve = phi.curve_at(tuple(np.zeros(phi.domain.dim)))
         return AsymptoteEstimate(curve, curve, True)
 
-    shells = []
+    tables = []
     for r in SHELL_RADII:
         pts = _shell_points(phi.domain, r)
         if len(pts) == 0:
             raise ConstructionError(f"no shell points of radius {r} lie in "
                                     "the domain")
-        shells.append((pts, phi.eval_grid(pts, t_grid)))
-    (_, inner), (pts, vals) = shells
+        tables.append(phi.table(pts))
+    inner, vals = (table.value(t_grid[None, :]) for table in tables)
     up1, lo1 = vals.max(axis=0), vals.min(axis=0)
 
     def agree(outer, inner_env):
@@ -325,7 +326,7 @@ def tail_asymptotes(phi: PhiFunction) -> AsymptoteEstimate:
     def witness(env, select):
         hits = np.isclose(vals, env[None, :], rtol=1e-9, atol=1e-300)
         k = int(np.argmax(hits.sum(axis=1)))
-        curve = phi.curve_at(tuple(pts[k]))
+        curve = tables[-1].curve(k)
         if not np.allclose(curve.value(t_grid), env, rtol=1e-6):
             flags.append(f"{select}_envelope_not_single_curve")
         return curve

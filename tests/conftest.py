@@ -30,3 +30,18 @@ def conjugate_rows(monkeypatch):
 
     monkeypatch.setattr(PowerTable, "_conjugate_sup", counted)
     return calls
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The number of points of each PhiFunction.table call."""
+    from orliczkit import PhiFunction
+    calls = []
+    table = PhiFunction.table
+
+    def counted(self, X):
+        calls.append(len(X))
+        return table(self, X)
+
+    monkeypatch.setattr(PhiFunction, "table", counted)
+    return calls

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 
 import orliczkit
 from orliczkit import GridFunction, PhiCurve, SpecError, WeightFunction, \
-    glue_small_values, make_family, power_curve, region_from_dict, run_example, \
-    run_pipeline, small_value_threshold
+    from_curve, glue_small_values, make_family, modular, power_curve, \
+    region_from_dict, run_example, run_pipeline, small_value_threshold
 from orliczkit.cli import main
 from orliczkit.conditions import _jsonable
 
@@ -309,13 +309,36 @@ def test_cli_check_exit_codes(phi_file, capsys):
         [1.0, "inf"]
 
 
-def test_cli_norm(phi_file, capsys):
+@pytest.mark.parametrize("flags,holds", [
+    (["--condition", "ainc", "--p", "400"], False),
+    (["--condition", "ainc", "--p", "1e308"], False),
+    (["--condition", "adec", "--q", "1e308"], True),
+    (["--condition", "equivalence", "--L", "1e308", "--other", "PHI"], True),
+    (["--condition", "equivalence", "--L", "1e-308", "--other", "PHI"], False),
+    (["--condition", "weak-equivalence", "--L", "1e308", "--other", "PHI",
+      "--h", '{"weight": "zero"}'], True),
+])
+def test_cli_check_past_the_largest_float(phi_file, capsys, flags, holds):
+    """On t^2, t^p and the levels t L and t / L overflow to +inf or
+    underflow to 0 at these exponents and constants, as intended, with no
+    warning (an error under the suite's filter, which would exit 3)."""
+    flags = [f"@{phi_file}" if v == "PHI" else v for v in flags]
+    assert main(["check", "--phi", f"@{phi_file}", *flags]) == (0 if holds else 1)
+    assert json.loads(capsys.readouterr().out)["holds"] is holds
+
+
+def test_cli_norm(phi_file, capsys, table_builds):
+    """The modular and the norm come from one binding of phi: the norm
+    search starts from the modular, bit for bit."""
     code = main(["norm", "--phi", f"@{phi_file}",
                  "--function", '{"ball": {"center": [0], "radius": 0.5}}',
                  "--truncation-radius", "1", "--resolution", "64"])
     assert code == 0
+    assert len(table_builds) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["luxemburg_norm"] == pytest.approx(1.0, rel=1e-2)
+    f = GridFunction.indicator_ball([0.0], 0.5, ((-1.0, 1.0),), 128)
+    assert report["modular"] == modular(from_curve(power_curve(2.0)), f)
 
 
 def test_cli_norm_of_overflowing_values_is_quiet(tmp_path):

@@ -150,6 +150,34 @@ def test_operator_norm_skips_zero_functions():
     assert rep["indices"] == [1]
 
 
+_BOUNDED_NEAR_1 = "ROADMAP item 2: the 1.05 growth rule flags this bounded operator"
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(1.1, marks=pytest.mark.xfail(strict=True, reason=_BOUNDED_NEAR_1)),
+    pytest.param(1.2, marks=pytest.mark.xfail(strict=True, reason=_BOUNDED_NEAR_1)),
+    1.5])
+def test_bounded_powers_show_no_unbounded_evidence(p):
+    """M is bounded on L^p for every p > 1, yet t^1.1 (ratios 3.29 to
+    6.35) and t^1.2 (2.85 to 4.75) meet the 1.05 growth rule on
+    chi_(-1, 1) with R = 8 ... 128 at 8 cells per unit; t^1.5 (2.09 to
+    2.67) does not."""
+    radii = [8.0, 16.0, 32.0, 64.0, 128.0]
+    fam = [GridFunction.indicator_ball([0.0], 1.0, ((-R, R),), int(16 * R)) for R in radii]
+    rep = operator_norm_estimate(from_curve(power_curve(p), dim=1), fam, radii=radii)
+    assert not rep["unbounded_evidence"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_huge_radius_reaches_the_whole_grid(dim):
+    """r / h past the largest float is clipped at the grid's cell count,
+    without a warning: a radius of 1e308 reaches as far as one of 1e3."""
+    f = GridFunction(((-2.0, 2.0),) * dim,
+                     np.random.default_rng(5).random((16,) * dim))
+    huge, large = (maximal(f, MaximalConfig((0.5, r), dim)) for r in (1e308, 1e3))
+    np.testing.assert_array_equal(huge.values, large.values)
+
+
 # ---------------------------------------------------------------------------
 # the sharp 1D constant: every discrete ball is an interval holding the
 # cell, so the discrete Mf is at most the uncentred operator on the line,
@@ -196,7 +224,7 @@ def test_1d_ratios_stay_below_the_sharp_constant(p, n, stride, seed):
     cfg = MaximalConfig(default_config(family[0]).radius_set, stride)
     phi = from_curve(power_curve(p), dim=1)
     ratios = _mx._norm_ratios(phi, family,
-                              _mx._maximal_family(family, cfg))["ratios"]
+                              _mx._maximal_family(family, cfg))[0]["ratios"]
     assert max(ratios) <= _sharp_1d_constant(p) * (1.0 + EPS_LUX)
 
 
@@ -477,14 +505,18 @@ def test_repeated_calls_agree_in_separate_arrays(kernel_calls):
     assert not np.shares_memory(again.values, first.values)
 
 
-def test_divergence_experiment_runs_the_kernel_once_per_grid(kernel_calls):
+def test_divergence_experiment_runs_the_kernel_once_per_grid(kernel_calls,
+                                                             table_builds):
     """Both reports of the experiment read one maximal function per
-    truncation radius."""
+    truncation radius, and bind phi twice per grid: once for the member's
+    norm and once for its maximal function's norm, whose search starts
+    from the modular that the growth report takes."""
     spec = {"phi": {"kind": "example_3_4", "params": {}},
             "experiments": [{"experiment": "maximal-divergence",
                              "radii": [2, 4, 8]}]}
     exp = run_pipeline(spec, resolution=2.0)["experiments"][0]
     assert kernel_calls == [1, 1, 1]
+    assert len(table_builds) == 6
     assert len(exp["modular_growth"]["modulars"]) == 3
     assert exp["operator_norm"]["indices"] == [0, 1, 2]
 

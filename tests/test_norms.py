@@ -11,7 +11,6 @@ from orliczkit import (
     AsymptotePair,
     Domain,
     GridFunction,
-    PhiFunction,
     WeightFunction,
     annulus_test_function,
     ball_norm_check,
@@ -120,20 +119,6 @@ def test_modular_grid_refinement():
     assert abs(fine - coarse) < 0.01 * abs(fine)
 
 
-@pytest.fixture
-def table_builds(monkeypatch):
-    """Each PhiFunction.table call."""
-    calls = []
-    table = PhiFunction.table
-
-    def counted(self, X):
-        calls.append(len(X))
-        return table(self, X)
-
-    monkeypatch.setattr(PhiFunction, "table", counted)
-    return calls
-
-
 def test_modular_binds_phi_once_per_call(table_builds):
     """A whole bisection builds phi's table once, of the grid's cells in
     its domain where f > 0; every modular or norm call builds its own."""
@@ -167,16 +152,19 @@ def test_conjugate_modular_binds_once(table_builds):
 def test_norm_ratios_bind_phi_twice_per_grid(table_builds):
     """The ten members of a ball family share a grid: one table for their
     norms and one for those of their maximal functions, not 20, and the
-    ratios are bit for bit those of one norm at a time."""
+    ratios are bit for bit those of one norm at a time.  The modulars of
+    the maximal functions come from that second search, bit for bit."""
     phi = make_family("example_3_2", {}, None)
     fam, maxes = _ball_maxima(2, [6.0], 4.0, _BALLS)
     table_builds.clear()
-    rep = _norm_ratios(phi, fam, maxes)
+    rep, growth = _norm_ratios(phi, fam, maxes)
     assert len(table_builds) == 2
     assert table_builds[1] == fam[0].values.size  # Mf > 0 everywhere
     one = [luxemburg_norm(phi, Mf) / luxemburg_norm(phi, f)
            for f, Mf in zip(fam, maxes)]
     assert rep["indices"] == list(range(10)) and rep["ratios"] == one
+    np.testing.assert_array_equal(_bits(growth["modulars"]),
+                                  _bits([modular(phi, Mf) for Mf in maxes]))
     table_builds.clear()
     two = fam + [GridFunction.indicator_ball([0.0, 0.0], 1.0, ((-2.0, 2.0),) * 2, 8)]
     _luxemburg_norms(phi, two)
@@ -253,10 +241,12 @@ def _family(draw, dim):
 def test_batched_norms_match_one_member_reference(name, dim, data):
     phi = _BATCH_PHIS[name](dim)
     fam = data.draw(_family(dim))
-    norms, mods = _luxemburg_norms(phi, fam), _modular_at(phi, fam)(np.ones(len(fam)))
+    (norms, found), mods = _luxemburg_norms(phi, fam), _modular_at(phi, fam)(np.ones(len(fam)))
     np.testing.assert_array_equal(_bits(norms), _bits([_reference_norm(phi, f) for f in fam]))
-    np.testing.assert_array_equal(_bits(mods), _bits([_reference_modular_at(phi, f)(1.0)
-                                                      for f in fam]))
+    reference = _bits([_reference_modular_at(phi, f)(1.0) for f in fam])
+    np.testing.assert_array_equal(_bits(mods), reference)
+    # the modulars the norm search starts from, zero members included
+    np.testing.assert_array_equal(_bits(found), reference)
 
 
 # The seeded norm search against the plain one, _last_t_where on the
@@ -325,7 +315,7 @@ def test_seeded_norm_search_is_the_plain_search(name, dim):
     @example([GridFunction(box, c * ramp) for c in (1e-300, 1e14)])
     @given(fam=_scaled_family(dim))
     def check(fam):
-        np.testing.assert_array_equal(_bits(_luxemburg_norms(phi, fam)),
+        np.testing.assert_array_equal(_bits(_luxemburg_norms(phi, fam)[0]),
                                       _bits(_plain_norms(phi, fam)))
 
     check()
@@ -455,6 +445,19 @@ def test_ball_norm_measure_one_linear():
     rep = ball_norm_check(from_curve(power_curve(1.0)), [0.0], 0.5)
     assert rep["norm"] == pytest.approx(1.0, rel=5e-3)
     assert rep["estimates"][0] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_ball_norm_estimates_read_one_table(table_builds):
+    """The five points of a 2D ball check are inverted through one table,
+    bit for bit as one point at a time; example_3_4's pieces have two
+    terms, so its inverse searches."""
+    phi = make_family("example_3_4", {}, None)
+    rep = ball_norm_check(phi, [0.5, -0.25], 0.25, resolution=16)
+    assert table_builds[1:] == [5]  # the norm's binding, then the estimates
+    y = [(0.5, -0.25), (0.375, -0.25), (0.625, -0.25), (0.5, -0.375), (0.5, -0.125)]
+    np.testing.assert_array_equal(
+        _bits(rep["estimates"]), _bits([1.0 / phi.inverse(p, 1.0 / rep["ball_volume"])
+                                        for p in y]))
 
 
 def test_ball_norm_rejects_large_balls():

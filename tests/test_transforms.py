@@ -25,6 +25,7 @@ from orliczkit import (
     small_value_threshold,
     tail_asymptotes,
 )
+from orliczkit.transforms import SHELL_RADII, _shell_points
 
 INF = math.inf
 
@@ -232,6 +233,22 @@ def test_tails_split_envelopes(families):
     assert est.converged
     assert est.upper.value(0.5) == 0.5
     assert est.lower.value(0.5) == 0.25
+
+
+@pytest.mark.parametrize("name", ["example_3_2", "example_3_4", "example_3_5"])
+def test_tail_witnesses_are_the_curves_at_shell_points(families, table_builds, name):
+    """One table per shell: the witness curves are read off the outer
+    shell's table, equal to curve_at at the witness point, the point whose
+    curve meets the envelope at the most levels."""
+    phi = families[name]
+    est = tail_asymptotes(phi)
+    shells = [_shell_points(phi.domain, r) for r in SHELL_RADII]
+    assert table_builds == [len(pts) for pts in shells]
+    curves = [phi.curve_at(tuple(x)) for x in shells[-1]]
+    vals = np.array([c.value(SampleSpec().t_grid()) for c in curves])
+    for env, got in ((vals.max(axis=0), est.upper), (vals.min(axis=0), est.lower)):
+        k = np.argmax(np.isclose(vals, env, rtol=1e-9, atol=1e-300).sum(axis=1))
+        assert got == curves[k]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

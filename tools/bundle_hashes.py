@@ -13,10 +13,12 @@ Run from the root of a source checkout; the package is imported from its
 * every ``EXAMPLE_NAMES`` bundle at resolutions 4 and 8, seed 0
   (``example``).
 
-Then one line ``evals <workload> <seed> <count>`` per workload: the
-modular evaluations of one pass, counting every call of the closure that
-``norms._modular_at`` returns (``modular`` included).  Diff the output of
-two checkouts: a change that keeps every output keeps every hash.
+Then one line ``evals <workload> <seed> <count>`` per workload and one
+``evals example <name>/<resolution> <count>`` per example bundle: the
+modular evaluations of one pass or bundle, counting every call of the
+closure that ``norms._modular_at`` returns (``modular`` included).  Diff
+the output of two checkouts: a change that keeps every output keeps every
+hash.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ def main(argv=None) -> int:
     shutil.rmtree(work, ignore_errors=True)
     for name in orliczkit.EXAMPLE_NAMES:
         for res in RESOLUTIONS:
+            count[0] = 0
             out = orliczkit.run_example(name, resolution=res, seed=0)
             print(f"example {name}/{res:g} {_sha(_value_bytes(out))}")
+            evals.append(f"evals example {name}/{res:g} {count[0]}")
     print("\n".join(evals))
     return 0
 
