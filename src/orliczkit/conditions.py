@@ -113,7 +113,11 @@ class SampleSpec:
         lo, hi = min(lo, hi), max(lo, hi)
         if lo == hi:
             return np.array([lo])
-        n = max(int(POINTS_PER_DECADE * math.log10(hi / lo)) + 1, 8)
+        ratio = hi / lo
+        # past the largest float, the difference of logs counts the decades
+        decades = (math.log10(ratio) if ratio < INF
+                   else math.log10(hi) - math.log10(lo))
+        n = max(int(POINTS_PER_DECADE * decades) + 1, 8)
         return np.geomspace(lo, hi, n)
 
     def describe(self) -> dict:
@@ -345,8 +349,10 @@ def _sampled_sup(table, X, grid, p, increasing):
     if r.shape[0] == 0 or r.shape[1] < 2:
         return -INF, None
     # suffix minima over the "later" argument; column k + 1 then takes the
-    # ratio of column k to them
-    suff = np.minimum.accumulate(r[:, ::-1], axis=1)[:, ::-1]
+    # ratio of column k to them.  A sample whose t^p and phi both pass the
+    # largest float (or both fall to 0) has a nan ratio, which says nothing
+    # and is passed over
+    suff = np.fmin.accumulate(r[:, ::-1], axis=1)[:, ::-1]
     ratios = suff[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(r[:, :-1], ratios, out=ratios)
@@ -355,7 +361,10 @@ def _sampled_sup(table, X, grid, p, increasing):
     if np.isnan(row_max[ix]):
         return -INF, None
     k = int(np.nanargmax(ratios[ix]))
-    j = k + 1 + int(np.argmin(r[ix, k + 1:]))
+    later = r[ix, k + 1:]
+    # the first least later ratio (np.nanargmin would take a nan before an
+    # inf)
+    j = k + 1 + int(np.argmax(later == np.nanmin(later)))
     if increasing:
         t_w, s_w = grid[k], grid[j]
     else:

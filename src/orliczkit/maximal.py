@@ -10,10 +10,12 @@ three doublings of the truncation radius, every norm ratio is more than
 rule too (t^1.1 and t^1.2 on a 1D ball indicator).
 
 One kernel serves 1D and 2D grids (a 1D grid is one column whose ball is
-one row), with no FFT.  Per radius the ball is cropped to the grid, whose
-far rows and widths reach no further cell, and split into runs of rows
-of equal x half-width w.  A radius whose cropped ball equals the previous
-one's is skipped.
+one row), with no FFT.  Each call plans all of its radii at once, from
+one (radii x rows) array of x half-counts: each ball is cropped to the
+grid, whose far rows and widths reach no further cell, and split into
+runs of rows of equal x half-width w, and a radius whose cropped ball
+equals the previous one's is skipped.  Cell counts come from two small
+tables, one per axis, joined by one matrix product per footprint.
 
 Ball sums at the stride-lattice centers come from summed-area tables
 (Crow, SIGGRAPH 1984).  The input is first split exactly into hi + lo:
@@ -21,31 +23,41 @@ hi is rounded to a grain of 2**-50 to 2**-49 times the grid's sum, fine
 enough that every sum and difference of its prefix sums is exact, and
 lo, the rest (at most half a grain a cell), is all zero on integer or
 dyadic input and is then skipped.  Each part gets one table, x prefix
-sums and then y prefix sums.  A run's x-strip (the table at x + w + 1
-less the table at x - w) depends on w alone, so it is built once per
-distinct half-width and serves every footprint of a chunk whose
-accumulators fit ``_BATCH_CELLS`` cells; each band of rows then adds two
-y-corner reads of it.  So hi's ball sums are exact and lo's round
-relative to lo's own sums: each ball sum is accurate relative to that
-ball, not to the running prefix totals.  Measured against a
-brute-force oracle: within 1.6e-15 relative beside a cell 1e15 times the
-background (prefix-sum differences alone over-estimated there by 1.7e-2),
-within 6e-16 on random grids whose values span six decades, and bit for
-bit on integer input.  A sum of lo's rounded terms may dip below 0, so
-sums are clipped at 0.
+sums and then y prefix sums, with both axes stored by residue mod the
+stride.  A run's x-strip (the table at x + w + 1 less the table at x -
+w) depends on w alone, so it is built once per distinct half-width and
+serves every footprint of a chunk whose accumulators fit
+``_BATCH_CELLS`` cells; its two reads are unit-stride slices of residue
+blocks, and each band of rows then adds two y-corner reads of it.  So
+hi's ball sums are exact and lo's round relative to lo's own sums: each
+ball sum is accurate relative to that ball, not to the running prefix
+totals.  Measured against a brute-force oracle: within 1.6e-15 relative
+beside a cell 1e15 times the background (prefix-sum differences alone
+over-estimated there by 1.7e-2), within 6e-16 on random grids whose
+values span six decades, and bit for bit on integer input.  A sum of
+lo's rounded terms may dip below 0, so sums are clipped at 0.
 
-Dividing by the closed-form count of cells inside the grid gives each
-ball its true intersected measure; the max over admissible centers is a
-grayscale dilation by the same runs that reads only the lattice centers.
-Its x-windows come from one doubling table per radius (Urbach &
-Wilkinson, IEEE TIP 2008): level k holds the max over 2**k rows, and a
-window is the max of two entries of one level.  Each run then maxes its
-window maxima into the output along each of its rows.  Every array keeps
-y first, so a shift along y moves one contiguous block: the tables store
-y by residue mod the stride, and the output is built as that many
-polyphase parts, interleaved once at the end.  Plain y order (no residue
-blocks, no polyphase parts) took 15-22% more kernel time on the seven
-gallery families at resolution 4: slower in 25 and in 29 of 30 pairs.
+Dividing by the count of cells inside the grid gives each ball its true
+intersected measure; the max over admissible centers is a grayscale
+dilation by the same runs that reads only the lattice centers.  Its
+x-windows come from one doubling table per radius (Urbach & Wilkinson,
+IEEE TIP 2008): level k holds the max over 2**k rows, and a window is
+the max of two entries of one level.  The levels are built by 1D ops
+over the flattened rows, each padded with -inf so that no window that is
+read reaches a neighbour's values.  Each run then maxes its window
+maxima into the output along each of its rows, whole rows at a time.
+Every array keeps y first, so a shift along y moves one contiguous
+block: the tables store y by residue mod the stride, and the output is
+built as that many polyphase parts, interleaved once at the end.  Plain
+y order (no residue blocks, no polyphase parts) took 15-22% more kernel
+time on the seven gallery families at resolution 4: slower in 25 and in
+29 of 30 pairs.  Contiguous blocks pay because numpy runs a ufunc over a
+view it cannot coalesce 3-4 times slower per element: ``np.maximum``
+takes 41 us on a 128 x 255 slice of a 128 x 256 array and 12 us on the
+whole array (numpy 2.4, 2-core host).  Whole rows, flat levels, x stored
+by residue and planning each call once took 11-12% off the median
+``ex3_4`` / ``ex3_2`` bundle at resolution 4 and 14-17% off each at
+resolution 16, in paired runs (``BENCH_27.json``).
 
 The output is a running max, and max is idempotent, so an average no
 larger than a member's least output so far, its floor, moves no bit
@@ -53,8 +65,8 @@ wherever it lands.  Three exact shortcuts follow.  The outputs start at
 0, below every average (sums are clipped at 0, and the caller maxes the
 result with |f| >= 0).  On a 2D grid, a radius's dilation reads only the
 box of lattice centers whose averages exceed their member's floor, and
-builds its doubling levels and window maxima only over the x range the
-box's windows reach; a radius with no such center is not dilated.  And
+builds its doubling levels and window maxima only over the box's lattice
+columns; a radius with no such center is not dilated.  And
 before a chunk's ball sums, a radius is dropped when, for every member,
 the total over the fewest cells any of its balls holds (a corner
 center's), with a relative slack for rounding, is at most the floor.
@@ -136,54 +148,79 @@ def _half_count(r, h, n: int):
     return np.maximum(np.ceil(np.minimum(r, n * h) / h - 1e-9).astype(int) - 1, 0)
 
 
-def _runs(r: float, cell_sizes: tuple, shape: tuple) -> list:
-    """The cell-center ball |x - c| < r cropped to a grid of ``shape``, as
-    runs ``(w, d_lo, d_hi)``: the rows d_lo <= |dy| <= d_hi, all of x
-    half-count w.  Rows with |dy| >= ny, and half-counts beyond nx - 1,
-    reach no further cell from any center.  A 1D ball is the single row
-    of a one-column grid."""
-    nx, ny = shape
-    if len(cell_sizes) == 1:
-        return [(int(_half_count(r, cell_sizes[0], nx)), 0, 0)]
-    hx, hy = cell_sizes
-    dy = np.arange(int(_half_count(r, hy, ny)) + 1) * hy
-    # half-counts never grow with |dy|, so equal ones are contiguous
-    half = _half_count(np.sqrt(np.maximum(r * r - dy * dy, 0.0)), hx, nx)
-    start = np.flatnonzero(np.diff(half, prepend=-1))
-    end = np.append(start[1:], len(half)) - 1
-    return [(int(half[a]), int(a), int(b)) for a, b in zip(start, end)]
+class _Plan:
+    """The cell-center balls |x - c| < r of all radii, cropped to a grid of
+    ``shape`` and planned at once.
+
+    ``footprints`` holds one list of runs ``(w, d_lo, d_hi)`` per distinct
+    cropped ball, in radius order, a radius repeating the previous ball
+    dropped: the rows d_lo <= |dy| <= d_hi, all of x half-count w, widest
+    first.  Rows with |dy| >= ny, and half-counts beyond nx - 1, reach no
+    further cell from any center, so r is clipped at nx hx + ny hy before
+    it is squared.  A 1D ball is the single row of a one-column grid.
+
+    Cell counts come from two tables: the cells within w of each lattice
+    row, for the half-counts in use, and within d of each lattice column.
+    ``fewest`` is each footprint's count at the four corner centers, which
+    hold the fewest: along x the count is concave (each run's clamped
+    x-count is), and along y it rises and then falls (a window of the
+    grid's rows over weights that never grow with |dy|)."""
+
+    def __init__(self, radii, cell_sizes: tuple, shape: tuple, s: int):
+        nx, ny = shape
+        r = np.asarray(radii, float)[:, None]
+        if len(cell_sizes) == 1:
+            half = _half_count(r, cell_sizes[0], nx)
+        else:
+            hx, hy = cell_sizes
+            dy = np.arange(ny) * hy
+            r = np.minimum(r, nx * hx + ny * hy)
+            half = _half_count(np.sqrt(np.maximum(r * r - dy * dy, 0.0)),
+                               hx, nx)
+            half[np.arange(ny) > _half_count(r, hy, ny)] = -1
+        # max is idempotent: a radius repeating the last cropped ball adds
+        # nothing
+        half = half[np.append(True, np.any(half[1:] != half[:-1], axis=1))]
+        # half-counts never grow with |dy|, so equal ones are contiguous
+        edges = np.diff(np.pad(half, ((0, 0), (1, 1)),
+                               constant_values=-1)) != 0
+        k, d_lo = np.nonzero(edges[:, :-1] & (half >= 0))
+        d_hi = np.nonzero(edges[:, 1:] & (half >= 0))[1]
+        w = half[k, d_lo]
+        self.bounds = np.searchsorted(k, np.arange(len(half) + 1))
+        runs = list(zip(w.tolist(), d_lo.tolist(), d_hi.tolist()))
+        ends = self.bounds.tolist()
+        self.footprints = [runs[a:b] for a, b in zip(ends, ends[1:])]
+
+        def inside(c, d, n):
+            # how many of c - d .. c + d lie in [0, n), as floats: the counts
+            # and their products and sums are integers far below 2**53, so
+            # exact in float64
+            return (np.minimum(c + d + 1, n)
+                    - np.maximum(c - d, 0)).astype(float)
+
+        widths, self.widx = np.unique(w, return_inverse=True)
+        self.xtab = inside(np.arange(0, nx, s), widths[:, None], nx)
+        # row d + 1 holds d, and row 0 no rows
+        self.ytab = inside(np.arange(0, ny, s), np.arange(-1, ny)[:, None], ny)
+        self.ytab[0] = 0.0
+        self.d_lo, self.d_hi = d_lo, d_hi
+        y, x = self.ytab[:, [0, -1]], self.xtab[:, [0, -1]]
+        corners = ((y[d_hi + 1] - y[d_lo])[:, :, None]
+                   * x[self.widx][:, None, :])
+        self.fewest = np.add.reduceat(corners, ends[:-1]).min(axis=(1, 2))
+
+    def counts(self, i: int) -> np.ndarray:
+        """Cells of footprint i inside the grid at every lattice center,
+        lattice columns first."""
+        a, b = self.bounds[i], self.bounds[i + 1]
+        cy = self.ytab[self.d_hi[a:b] + 1] - self.ytab[self.d_lo[a:b]]
+        return cy.T @ self.xtab[self.widx[a:b]]
 
 
 def _bands(d_lo: int, d_hi: int) -> list:
     """The dy ranges [lo, hi] that make up the rows d_lo <= |dy| <= d_hi."""
     return [(-d_hi, d_hi)] if d_lo == 0 else [(d_lo, d_hi), (-d_hi, -d_lo)]
-
-
-def _ball_counts(runs: list, shape: tuple, s: int,
-                 corners: bool = False) -> np.ndarray:
-    """Number of ball cells inside the grid at every lattice center: per
-    run, the clamped x-count times the count of its rows in the grid (of
-    |dy| <= d_hi less those of |dy| < d_lo).
-
-    With ``corners``, only at the four corner centers, which hold the
-    fewest: along x the count is concave (each run's clamped x-count is),
-    and along y it rises and then falls (a window of the grid's rows over
-    weights that never grow with |dy|)."""
-    nx, ny = shape
-    w, d_lo, d_hi = (np.array(c)[:, None] for c in zip(*runs))
-    i, k = np.arange(0, nx, s), np.arange(0, ny, s)
-    if corners:
-        i, k = i[[0, -1]], k[[0, -1]]
-
-    def inside(lo, hi, c, n):
-        # how many of c + lo .. c + hi - 1 (a range holding c) lie in [0, n)
-        return np.minimum(c + hi, n) - np.maximum(c + lo, 0)
-
-    cx = inside(-w, w + 1, i, nx)
-    cy = (inside(-d_hi, d_hi + 1, k, ny)
-          - (d_lo > 0) * inside(1 - d_lo, d_lo, k, ny))
-    # integer-valued products and sums far below 2**53: exact in float64
-    return cx.T.astype(float) @ cy.astype(float)
 
 
 def _split(g: np.ndarray) -> np.ndarray:
@@ -216,33 +253,47 @@ def _blocks(n: int, s: int) -> list:
 
 def _table(part: np.ndarray, s: int) -> np.ndarray:
     """Summed-area table of the (members, nx, ny) grids ``part``, y first:
-    ``[j, m, i]`` is the sum of ``part[m, :i, :j]``, with j stored by
-    residue mod s.  The x and then the y prefix sums are taken in ``part``
-    itself."""
+    ``[j, m, i]`` is the sum of ``part[m, :i, :j]``, with j and i each
+    stored by residue mod s.  The x and then the y prefix sums are taken in
+    ``part`` itself."""
     members, nx, ny = part.shape
     np.cumsum(part, axis=1, out=part)
     np.cumsum(part, axis=2, out=part)
     sat = np.zeros((ny + 1, members, nx + 1))
-    for r, (start, length) in enumerate(_blocks(ny + 1, s)):
-        # j = 0 is zero, and j > 0 sums part's y prefix j - 1
-        skip = r == 0
-        sat[start + skip: start + length, :, 1:] = (
-            part[..., r - 1 + skip * s:: s].transpose(2, 0, 1))
+    for ry, (y0, ly) in enumerate(_blocks(ny + 1, s)):
+        for rx, (x0, lx) in enumerate(_blocks(nx + 1, s)):
+            # j = 0 (i = 0) is zero, and j > 0 sums part's y prefix j - 1
+            jy, ix = ry == 0, rx == 0
+            sat[y0 + jy: y0 + ly, :, x0 + ix: x0 + lx] = part[
+                :, rx - 1 + ix * s:: s, ry - 1 + jy * s:: s].transpose(2, 0, 1)
     return sat
 
 
-def _strip(out: np.ndarray, sat: np.ndarray, w: int, s: int) -> None:
+def _strip(out: np.ndarray, sat: np.ndarray, w: int, blocks: list) -> None:
     """The x-strip of half-width w into ``out``: ``out[..., a]`` is the
     table at x = a s + w + 1 less the table at x = a s - w, an x past
     either end of the grid reading the end, which makes it the y prefix
-    sums of the x-window [a s - w, a s + w] of lattice row a."""
-    nx, rows = sat.shape[2] - 1, out.shape[2]
-    n = min(rows, max(0, (nx - w - 1) // s + 1))
-    out[..., :n] = sat[..., w + 1:: s][..., :n]
-    out[..., n:] = sat[..., nx: nx + 1]
-    a = min(rows, -(-w // s))  # the rows before a less x = 0, all zero
-    np.subtract(out[..., a:], sat[..., a * s - w:: s][..., : rows - a],
-                out=out[..., a:])
+    sums of the x-window [a s - w, a s + w] of lattice row a.  x is stored
+    by residue (``blocks``), so each read is one slice of a residue's
+    block, and each range of rows is written by one op: the rows before a
+    less x = 0, all zero, and those from n on read the total, at x = nx,
+    which ends its block."""
+    s, rows = len(blocks), out.shape[2]
+    start, length = blocks[(w + 1) % s]
+    plus = sat[..., start + (w + 1) // s: start + length]
+    n = min(rows, plus.shape[2])
+    a = min(rows, -(-w // s))
+    start = blocks[-w % s][0]
+    minus = sat[..., start: start + rows - a]
+    start, length = blocks[(sat.shape[2] - 1) % s]
+    total = sat[..., start + length - 1: start + length]
+    lo, hi = min(a, n), max(a, n)
+    out[..., :lo] = plus[..., :lo]
+    if a < n:
+        np.subtract(plus[..., a:n], minus[..., :n - a], out=out[..., a:n])
+    else:
+        out[..., n:a] = total
+    np.subtract(total, minus[..., hi - a:], out=out[..., hi:])
 
 
 def _add_corner(acc: np.ndarray, strip: np.ndarray, c: int, op,
@@ -262,21 +313,6 @@ def _add_corner(acc: np.ndarray, strip: np.ndarray, c: int, op,
         op(acc[b1:], strip[start + length - 1], out=acc[b1:])
 
 
-def _row_spans(lengths: list, ncols: int, d_lo: int, d_hi: int) -> list:
-    """The rows d_lo <= |dy| <= d_hi as (residue, shift, m0, m1): lattice
-    column m lands on grid column m s + dy, which is column m + shift of
-    the polyphase output of residue dy % s (``lengths`` columns long), for
-    the m0 <= m < m1 that land inside the grid."""
-    s, spans = len(lengths), []
-    for lo, hi in _bands(d_lo, d_hi):
-        for dy in range(lo, hi + 1):
-            r, q = dy % s, dy // s
-            m0, m1 = max(0, -q), min(ncols, lengths[r] - q)
-            if m1 > m0:
-                spans.append((r, q, m0, m1))
-    return spans
-
-
 def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
             src: np.ndarray, runs: list, avg: np.ndarray,
             box: tuple) -> None:
@@ -286,47 +322,52 @@ def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
     ``box = (b0, b1, a0, a1)`` are read; the rest must not exceed any
     output.
 
-    For every lattice column and member (the first two axes), the last nx
-    entries of ``tab`` take the lattice rows 0, s, 2s, ... of the grid,
-    -inf off the lattice rows and in the entries before them.  It becomes
-    a doubling table over the x range that the box's windows reach, each
-    level written into the other array (numpy would copy an input that
-    overlaps its output): at level k, entry i holds the max of entries i ..
-    i + 2**k - 1 (-inf past the range), so the x-window [i - w, i + w] of a
+    ``tab`` and ``spare`` have one row more than there are lattice
+    columns.  For every lattice column b0 <= b < b1 and member (the first
+    two axes), the last nx entries of ``tab`` take the box's lattice
+    rows, -inf elsewhere and in the pad before them, and the row b1 after
+    them is -inf in both arrays.  Those rows, flattened, become a
+    doubling table, each level written into the other array (numpy would
+    copy an input that overlaps its output): at level k, entry i holds
+    the max of entries i .. i + 2**k - 1.  A row's windows spill at most
+    pad entries into the next row's pad, -inf at level 0, so each entry
+    read is its clipped window's max: the x-window [i - w, i + w] of a
     run is the max of two level-floor(log2(2w + 1)) entries, taken into
-    ``src`` for the rows i within w of the box.  Runs are visited
-    narrowest first, so only one level is alive.  Each run maxes its
-    window maxima into the outputs along its rows."""
-    ncols, members, nx = src.shape
+    ``src`` over whole rows.  Runs are visited narrowest first, so only
+    one level is alive.  Each run maxes its window maxima into the
+    outputs along its rows, whole rows at a time, -inf beyond the box's
+    reach: lattice column m lands on grid column m s + dy, which is
+    column m + dy // s of the polyphase output of residue dy % s, for the
+    m inside the box that land inside the grid."""
+    nx = src.shape[2]
     s, pad = len(outs), tab.shape[2] - nx
     lengths = [len(out) for out in outs]
     b0, b1, a0, a1 = box
-    tab, spare, src = tab[b0:b1], spare[b0:b1], src[b0:b1]
-    widest = runs[0][0]
-    # the widest run's windows read furthest
-    first = pad + max(0, a0 * s - widest) - widest
-    end = pad + min(nx, a1 * s + 2 * widest + 1)
-    tab[..., first: end] = -INF
-    tab[..., pad + a0 * s: pad + a1 * s + 1: s] = avg[b0:b1, :, a0: a1 + 1]
+    tab, spare = tab[b0: b1 + 1], spare[b0: b1 + 1]
+    tab.fill(-INF)
+    spare[-1] = -INF
+    tab[:-1, :, pad + a0 * s: pad + a1 * s + 1: s] = avg[b0:b1, :, a0: a1 + 1]
+    size = tab[:-1].size
     level = 0
     for w, d_lo, d_hi in reversed(runs):
         k = (2 * w + 1).bit_length() - 1
         while level < k:
             h = 1 << level
-            np.maximum(tab[..., first: end - h], tab[..., first + h: end],
-                       out=spare[..., first: end - h])
-            spare[..., end - h: end] = tab[..., end - h: end]
+            flat = tab.reshape(-1)
+            np.maximum(flat[:size], flat[h: size + h],
+                       out=spare.reshape(-1)[:size])
             tab, spare = spare, tab
             level += 1
-        x0, x1 = max(0, a0 * s - w), min(nx, a1 * s + w + 1)
         right = pad + w + 1 - (1 << k)
-        np.maximum(tab[..., pad - w + x0: pad - w + x1],
-                   tab[..., right + x0: right + x1], out=src[..., x0:x1])
-        for r, q, m0, m1 in _row_spans(lengths, ncols, d_lo, d_hi):
-            m0, m1 = max(m0, b0), min(m1, b1)
-            if m1 > m0:
-                dst = outs[r][m0 + q: m1 + q, :, x0:x1]
-                np.maximum(dst, src[m0 - b0: m1 - b0, :, x0:x1], out=dst)
+        np.maximum(tab[:-1, :, pad - w: pad - w + nx],
+                   tab[:-1, :, right: right + nx], out=src[b0:b1])
+        for lo, hi in _bands(d_lo, d_hi):
+            for dy in range(lo, hi + 1):
+                r, q = dy % s, dy // s
+                m0, m1 = max(b0, -q), min(b1, lengths[r] - q)
+                if m1 > m0:
+                    dst = outs[r][m0 + q: m1 + q]
+                    np.maximum(dst, src[m0: m1], out=dst)
 
 
 def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
@@ -334,16 +375,29 @@ def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
     """Maximal function of v >= 0 on a 1D or 2D grid (module docstring).
 
     v may also stack the grids of a family's members along a first axis;
-    every step is elementwise per member, so each comes out as if alone."""
+    every step is elementwise per member, so each comes out as if alone.
+
+    A member whose sum passes the largest float runs scaled by 2**-k, the
+    least k that makes its sum finite, and its result is scaled back by
+    2**k.  Scaling by a power of 2 is exact unless it takes a cell below
+    2**(k - 1022), into the subnormals; a member with a finite sum keeps
+    k = 0 and every bit."""
     dim = len(cell_sizes)
     # a 1D grid is one column
     g = v.reshape((-1,) + v.shape[v.ndim - dim:] + (1,) * (2 - dim))
+    k, scaled = np.zeros((len(g), 1, 1), int), g
+    with np.errstate(over="ignore"):
+        while (big := ~np.isfinite(
+                scaled.reshape(len(g), -1).sum(axis=1))).any():
+            k[big] += 1
+            scaled = np.ldexp(g, -k)
+    g = scaled
     s = cfg.center_stride
     outs = _polyphase_maximal(g, cell_sizes, cfg)
     out = np.empty_like(g)
     for r, part in enumerate(outs):
         out[..., r:: s] = part.transpose(1, 2, 0)
-    return out.reshape(v.shape)
+    return np.ldexp(out, k, out=out).reshape(v.shape)
 
 
 def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
@@ -362,22 +416,18 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
     members, nx, ny = g.shape
     s = cfg.center_stride
     lattice = (-(-nx // s), -(-ny // s))
-    footprints = [runs for runs, _ in itertools.groupby(
-        # max is idempotent: a radius repeating the last cropped ball adds
-        # nothing
-        _runs(r, cell_sizes, (nx, ny)) for r in cfg.radius_set)]
+    plan = _Plan(cfg.radius_set, cell_sizes, (nx, ny), s)
+    footprints = plan.footprints
+    nruns = np.diff(plan.bounds)
     # on one row a footprint costs less than the tests that would skip it
     prune = ny > 1
     # no ball average of a member exceeds its total over the fewest cells
     # any ball holds, up to the rounding that _BOUND_SLACK covers
     total = g.reshape(members, -1).sum(axis=1) * (1.0 + _BOUND_SLACK)
-    pending = [(runs, total / _ball_counts(runs, (nx, ny), s,
-                                           corners=True).min())
-               for runs in footprints] if prune else [
-                   (runs, None) for runs in footprints]
+    tops = total / plan.fewest[:, None]
     sat = _table(_split(g), s)
     depth = sat.shape[1]  # the members, twice over if lo is kept
-    blocks = _blocks(ny + 1, s)
+    blocks, xblocks = _blocks(ny + 1, s), _blocks(nx + 1, s)
     strip = np.empty((ny + 1, depth, lattice[0]))
     outs = [np.zeros((len(range(r, ny, s)), members, nx)) for r in range(s)]
 
@@ -386,8 +436,9 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
                       axis=0)
 
     # the doubling table, with room left of the grid for the widest window
+    # and one row more than the lattice columns
     pad = max(runs[0][0] for runs in footprints)
-    tab = np.empty((lattice[1], members, pad + nx))
+    tab = np.empty((lattice[1] + 1, members, pad + nx))
     spare = np.empty_like(tab)
     src = np.empty((lattice[1], members, nx))
     whole = (0, lattice[1], 0, lattice[0] - 1)
@@ -395,28 +446,26 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
     chunk = max(1, _BATCH_CELLS // (depth * math.prod(lattice)))
     sums = np.empty((min(chunk, len(footprints)), lattice[1], depth,
                      lattice[0]))
-    while pending:
+    pending = np.arange(len(footprints))
+    while len(pending):
         size = chunk
         if prune:
-            least = floor()
-            pending = [(runs, top) for runs, top in pending
-                       if np.any(top > least)]
+            pending = pending[np.any(tops[pending] > floor(), axis=1)]
             # a chunk of few runs leaves the floor fresh for the next
-            size = max(1, sum(n <= _CHUNK_RUNS for n in itertools.accumulate(
-                len(runs) for runs, _ in pending[:chunk])))
-        chunk_runs = [runs for runs, _ in pending[:size]]
-        pending = pending[size:]
-        nums = sums[:len(chunk_runs)]
+            size = max(1, np.count_nonzero(
+                np.cumsum(nruns[pending[:chunk]]) <= _CHUNK_RUNS))
+        ids, pending = pending[:size], pending[size:]
+        nums = sums[:len(ids)]
         nums.fill(0.0)
         uses = {}
-        for num, runs in zip(nums, chunk_runs):
-            for w, d_lo, d_hi in runs:
+        for num, i in zip(nums, ids):
+            for w, d_lo, d_hi in footprints[i]:
                 uses.setdefault(w, []).append((num, d_lo, d_hi))
         # one x-strip per half-width serves every footprint of the chunk;
         # widest first, so each footprint adds its runs in one order
         # whatever the chunking
         for w in sorted(uses, reverse=True):
-            _strip(strip, sat, w, s)
+            _strip(strip, sat, w, xblocks)
             for num, d_lo, d_hi in uses[w]:
                 for lo, hi in _bands(d_lo, d_hi):
                     _add_corner(num, strip, hi + 1, np.add, blocks)
@@ -426,9 +475,8 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
             # lo's sums round, so a sum of zeros may come out below 0
             num += nums[:, :, members:]
             np.maximum(num, 0.0, out=num)
-        for runs, avg in zip(chunk_runs, num):
-            np.divide(avg, _ball_counts(runs, (nx, ny), s).T[:, None],
-                      out=avg)
+        for i, avg in zip(ids, num):
+            np.divide(avg, plan.counts(i)[:, None], out=avg)
             box = whole
             if prune:
                 above = np.any(avg > floor()[:, None], axis=1)
@@ -437,7 +485,7 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
                     continue
                 rows = np.flatnonzero(np.any(above, axis=0))
                 box = (cols[0], cols[-1] + 1, rows[0], rows[-1])
-            _dilate(outs, tab, spare, src, runs, avg, box)
+            _dilate(outs, tab, spare, src, footprints[i], avg, box)
     return outs
 
 

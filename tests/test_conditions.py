@@ -130,19 +130,22 @@ class _Table:
 
 def _brute_sup(vals, grid, increasing):
     """The largest r(t)/r(s) over t < s (r(s)/r(t) if not increasing),
-    nan skipped, with ties to the first row, then the first t, then the
-    least r(s) at the first s."""
+    nan ratios and nan samples skipped, with ties to the first row, then
+    the first t, then the least r(s) at the first s."""
     best, witness = -INF, None
     n = len(grid)
     for ix, row in enumerate(vals):
         order = list(range(n)) if increasing else list(range(n))[::-1]
         for a in range(n - 1):
-            rest = [row[order[b]] for b in range(a + 1, n)]
+            rest = [order[b] for b in range(a + 1, n)
+                    if not np.isnan(row[order[b]])]
+            if not rest:
+                continue
+            b = min(rest, key=lambda c: row[c])
             with np.errstate(divide="ignore", invalid="ignore"):
-                q = row[order[a]] / np.min(rest)
+                q = row[order[a]] / row[b]
             if q > best:
                 best = float(q)
-                b = order[a + 1 + int(np.argmin(rest))]
                 t, s = (order[a], b) if increasing else (b, order[a])
                 witness = {"x": [float(ix)], "t": float(grid[t]),
                            "s": float(grid[s]), "ratio": best}
@@ -151,7 +154,9 @@ def _brute_sup(vals, grid, increasing):
 
 def test_sampled_sup_matches_brute_force():
     rng = np.random.default_rng(11)
-    cells = np.array([0.0, 0.5, 1.0, 2.0, INF])  # few values: many ties
+    # few values: many ties; nan is a sample whose phi and t^p both
+    # overflow (or both fall to 0)
+    cells = np.array([0.0, 0.5, 1.0, 2.0, INF, np.nan])
     for _ in range(300):
         n_x, n_t = rng.integers(1, 5), rng.integers(1, 7)
         vals = rng.choice(cells, size=(n_x, n_t))
@@ -160,6 +165,25 @@ def test_sampled_sup_matches_brute_force():
         for increasing in (True, False):
             got = _sampled_sup(_Table(vals), X, grid, 0.0, increasing)
             assert got == _brute_sup(vals, grid, increasing)
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-4, 1e4), (0.5, 2.0), (1.0, 1.0 + 1e-9),
+                                   (1e-150, 1e150), (1e-300, 1e8)])
+def test_t_grid_of_ordinary_ranges_is_unchanged(lo, hi):
+    """Where hi / lo is finite the grid keeps its point count, 64 a
+    decade and at least 8, bit for bit."""
+    n = max(int(64 * math.log10(hi / lo)) + 1, 8)
+    assert SampleSpec().t_grid(lo, hi).tobytes() == np.geomspace(lo, hi, n).tobytes()
+
+
+def test_ainc_over_a_range_past_the_largest_float():
+    """On [1e-300, 1e300], hi / lo is inf and the grid counts its 600
+    decades from the logs.  t^2 and phi = t^2 both overflow at the top and
+    both fall to 0 at the bottom, so those samples' ratios are nan and say
+    nothing; the rest give aInc_2 with constant 1."""
+    assert len(SampleSpec().t_grid(1e-300, 1e300)) == 64 * 600 + 1
+    rep = check_ainc(from_curve(power_curve(2.0)), 2.0, T=(1e-300, 1e300))
+    assert rep.holds and rep.constants["a"] == 1.0
 
 
 # ---------------------------------------------------------------------------

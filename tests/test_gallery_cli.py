@@ -370,6 +370,26 @@ def test_cli_maximal_writes_outputs(tmp_path, monkeypatch, capsys):
     assert report["max_value"] == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cli_maximal_of_a_grid_past_the_largest_float(tmp_path, capsys, dim):
+    """The grid's total passes the largest float, so the kernel runs it
+    scaled by a power of 2 and scales the result back: no warning (an
+    error under the suite's filter, which would exit 3), and Mf = 1e308 on
+    every cell."""
+    assert main(["maximal", "--dim", str(dim), "--function", '{"const": 1e308}',
+                 "--radii", "0.5,1", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_value"] == 1e308
+    Mf = GridFunction.from_binary(tmp_path / "maximal.bin")
+    assert Mf.dim == dim and np.all(Mf.values == 1e308)
+
+
+def test_cli_check_on_a_range_past_the_largest_float(phi_file, capsys):
+    # hi / lo = 1e600 is past the largest float
+    assert main(["check", "--phi", f"@{phi_file}", "--condition", "ainc",
+                 "--p", "2", "--t-range", "1e-300", "1e300"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
 def test_cli_internal_error_is_exit_3(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("kernel fault")

@@ -314,8 +314,8 @@ def _brute_force(f, radii, stride):
     g = values.reshape(values.shape[0], -1).shape  # a 1D grid is a column
     expected = values.copy()
     for r in radii:
-        count = _mx._ball_counts(_mx._runs(r, f.cell_sizes, g), g,
-                                 stride).reshape(lattice)
+        count = _mx._Plan((r,), f.cell_sizes, g, stride).counts(0).T.reshape(
+            lattice)
         for c, ball in _oracle_balls(f, r, stride):
             assert count[tuple(np.array(c) // stride)] == ball.sum()
             expected[ball] = np.maximum(expected[ball], values[ball].mean())
@@ -390,6 +390,66 @@ def test_repeated_footprints_are_skipped(monkeypatch):
     np.testing.assert_array_equal(got, np.max(each, axis=0))
 
 
+def _reference_runs(r, cell_sizes, shape):
+    """One radius's cropped ball, plainly: the x half-count of each row
+    |dy| whose cells lie within r, each the largest k < n with k h < r
+    (to 1e-9 of a cell), grouped into runs of equal half-count."""
+    nx, ny = shape
+
+    def half(t, h, n):
+        return max(math.ceil(min(t, n * h) / h - 1e-9) - 1, 0)
+
+    if len(cell_sizes) == 1:
+        widths = [half(r, cell_sizes[0], nx)]
+    else:
+        hx, hy = cell_sizes
+        widths = [half(math.sqrt(max(r * r - (d * hy) * (d * hy), 0.0)), hx, nx)
+                  for d in range(half(r, hy, ny) + 1)]
+    runs = []
+    for w, group in itertools.groupby(enumerate(widths), key=lambda item: item[1]):
+        rows = [d for d, _ in group]
+        runs.append((w, rows[0], rows[-1]))
+    return runs
+
+
+def _reference_counts(runs, shape, s):
+    """Cells of the ball inside the grid at every lattice center, lattice
+    columns first, by enumerating the cells."""
+    nx, ny = shape
+    reach = np.full(ny, -1)
+    for w, d_lo, d_hi in runs:
+        reach[d_lo: d_hi + 1] = w
+    i, j = np.indices(shape)
+    return np.array([[np.sum(np.abs(i - a) <= reach[np.abs(j - b)])
+                      for a in range(0, nx, s)] for b in range(0, ny, s)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(1, 40), st.just(1)),
+                       st.tuples(st.integers(1, 12), st.integers(1, 12))),
+       sizes=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+       stride=st.integers(1, 4),
+       radii=st.lists(st.one_of(st.floats(1e-3, 40.0), st.floats(1e3, 1e308)),
+                      min_size=1, max_size=12, unique=True).map(sorted))
+def test_plan_matches_per_radius_reference(shape, sizes, stride, radii):
+    """The plan of all radii at once keeps one footprint per run of
+    radii with equal cropped balls, each with the runs and cell counts of
+    a plain per-radius reference, and the fewest cells at any center.
+    Radii near the largest float neither overflow nor warn."""
+    cell_sizes = sizes[:1] if shape[1] == 1 else sizes
+    scale = min(cell_sizes)
+    radii = [r * scale if r <= 40.0 else r for r in radii]
+    radii = sorted(set(radii))
+    plan = _mx._Plan(radii, cell_sizes, shape, stride)
+    expected = [runs for runs, _ in itertools.groupby(
+        _reference_runs(r, cell_sizes, shape) for r in radii)]
+    assert plan.footprints == expected
+    for i, runs in enumerate(expected):
+        counts = _reference_counts(runs, shape, stride)
+        np.testing.assert_array_equal(plan.counts(i), counts)
+        assert plan.fewest[i] == counts.min()
+
+
 @st.composite
 def _pruning_families(draw):
     """A box and a stack of members on it: all zero, random, small
@@ -458,21 +518,16 @@ def test_dead_footprints_are_skipped(monkeypatch):
     so only 27 sums reach the division by their cell counts, and 2 more
     after them, so 25 reach the dilation."""
     calls = []
-    dilate, counts = _mx._dilate, _mx._ball_counts
-
-    def counted(*args, corners=False):
-        if not corners:
-            calls.append("sums")
-        return counts(*args, corners=corners)
-
+    dilate, counts = _mx._dilate, _mx._Plan.counts
     monkeypatch.setattr(_mx, "_dilate",
                         lambda *args: calls.append("dilate") or dilate(*args))
-    monkeypatch.setattr(_mx, "_ball_counts", counted)
+    monkeypatch.setattr(_mx._Plan, "counts",
+                        lambda *args: calls.append("sums") or counts(*args))
     f = GridFunction.indicator_ball([0.0, 0.0], 1.0, ((-64.0, 64.0),) * 2,
                                     256)
     cfg = default_config(f)
-    footprints = {tuple(_mx._runs(r, f.cell_sizes, (256, 256)))
-                  for r in cfg.radius_set}
+    footprints = _mx._Plan(cfg.radius_set, f.cell_sizes, (256, 256),
+                           cfg.center_stride).footprints
     _mx._staircase_maximal(f.values, f.cell_sizes, cfg)
     assert (len(footprints), calls.count("sums"),
             calls.count("dilate")) == (32, 27, 25)
