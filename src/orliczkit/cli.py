@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from functools import cache, partial
@@ -30,7 +31,7 @@ from . import transforms
 from .phi_core import PhiCurve, SpecError, _at, _finite, _positive, \
     _Reader, _seed
 from .conditions import _jsonable
-from .norms import GridFunction, _luxemburg_norms
+from .norms import GridFunction, _luxemburg_norms, _truncation_grid
 from .maximal import MaximalConfig, default_config, maximal
 from .gallery import EXAMPLE_NAMES, _check_call, _grid_from_spec, \
     _phi_spec, run_example, run_pipeline
@@ -105,8 +106,9 @@ def _phi_and_grid(args, dim=None) -> tuple:
         raise SpecError(f"--{sources[1]}" if sources else "--function",
                         "give one of --function, --csv and --binary")
     R = args.truncation_radius
-    box = tuple((-R, R) for _ in range(dim))
-    n = max(int(args.resolution * 2 * R), 8)
+    # the radius is at fault when the box's side 2R is past the largest float
+    with _at("--truncation-radius" if math.isinf(2.0 * R) else "--resolution"):
+        box, n = _truncation_grid(dim, R, args.resolution, least=8)
     if args.function is not None:
         return phi, _json_flag(args.function, "--function",
                                partial(_grid_from_spec, box=box, resolution=n))

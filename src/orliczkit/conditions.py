@@ -5,13 +5,13 @@ constant by direct supremum, a dyadic ladder or the package's one level
 search (``phi_core._last_t_where``), and returns a
 :class:`ConditionReport` carrying the constants, the sample spec and the
 worst witness, so failures are reproducible.  Every sampled inequality
-lhs <= rhs is judged by one rule, :func:`_holds`, and its witness,
-:func:`_worst`, is the sample of largest excess (over the rule's slack,
-when some sample breaks it).  "Almost every x" is
-approximated by the sample set; the catalog families have no exceptional
-sets.  Each checker builds phi's (and psi's) power table of its sample
-points once and reads every level of its dyadic ladder or level search off
-it.
+lhs <= rhs, here and in the bundles and reports, is judged by one rule,
+:func:`_within`, and its witness, :func:`_worst`, is the sample of largest
+excess (over the rule's slack, when some sample breaks it).  "Almost every
+x" is approximated by the sample set; the catalog families have no
+exceptional sets.  Each checker builds phi's (and psi's) power table of
+its sample points once and reads every level of its dyadic ladder or level
+search off it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .phi_core import (
+    INF,
     UNIT_BALL_VOLUME,
     Domain,
     PhiCurve,
@@ -45,8 +46,6 @@ from .phi_core import (
     region_from_dict,
 )
 
-INF = math.inf
-
 #: Default cap on an extracted almost-monotonicity constant before the
 #: condition is declared failed.  Well-behaved catalog instances stay below
 #: ~100; the deliberately failing ones blow past 1e3.
@@ -66,30 +65,36 @@ X_RADIUS = 16.0
 N_BALLS = 40
 
 
+def _ceiling(rhs):
+    """rhs + CHECK_TOL (1 + |rhs|), inf past the largest float."""
+    with np.errstate(over="ignore"):
+        return rhs + CHECK_TOL * (1.0 + abs(rhs))
+
+
+def _within(lhs, rhs):
+    """The one comparison rule, elementwise: lhs <= :func:`_ceiling` (rhs).
+    The same infinity on both sides passes (the ceiling of inf is inf)."""
+    return lhs <= _ceiling(rhs)
+
+
 def _holds(*pairs) -> bool:
-    """The one comparison rule of every sampled inequality: lhs <= rhs +
-    CHECK_TOL (1 + |rhs|) at every sample of every (lhs, rhs) pair.  The
-    same infinity on both sides passes: the right-hand side is then +inf
-    too."""
-    with np.errstate(over="ignore"):  # a slack past the largest float is inf
-        return all(bool(np.all(lhs <= rhs + CHECK_TOL * (1.0 + np.abs(rhs))))
-                   for lhs, rhs in pairs)
+    """:func:`_within` at every sample of every (lhs, rhs) pair."""
+    return all(bool(np.all(_within(lhs, rhs))) for lhs, rhs in pairs)
 
 
 def _worst(*pairs, broken: bool) -> tuple[tuple, float, float]:
     """The witness over the (lhs, rhs) pairs of same-shaped arrays, its
     largest lhs - rhs, and its rank.  For a ``broken`` check (some sample
     breaks :func:`_holds`) the rank is the largest excess over the rule's
-    slack, lhs - rhs - CHECK_TOL (1 + |rhs|), so that the witness
-    reproduces the failure; otherwise it is the largest lhs - rhs.  The
-    witness is the sample of largest rank, the first on ties; nan, the
-    same infinity on both sides, is no excess."""
+    slack, lhs - :func:`_ceiling` (rhs), so that the witness reproduces
+    the failure; otherwise it is the largest lhs - rhs.  The witness is
+    the sample of largest rank, the first on ties; nan, the same infinity
+    on both sides, is no excess."""
     with np.errstate(invalid="ignore", over="ignore"):
         # fmax skips a nan where it can
         excess = functools.reduce(np.fmax, [lhs - rhs for lhs, rhs in pairs])
         rank = functools.reduce(np.fmax, [
-            lhs - (rhs + CHECK_TOL * (1.0 + np.abs(rhs)))
-            for lhs, rhs in pairs]) if broken else excess
+            lhs - _ceiling(rhs) for lhs, rhs in pairs]) if broken else excess
     rank = np.where(np.isnan(rank), -INF, rank)
     ix = np.unravel_index(int(np.argmax(rank)), rank.shape)
     margin = float(excess[ix])
@@ -101,8 +106,9 @@ class SampleSpec:
     """Sampling lattice: a log-spaced t grid on [t_min, t_max] with
     ``POINTS_PER_DECADE`` points per decade, plus an x lattice of
     ``X_PER_AXIS`` points per axis over the domain (or over a window of
-    half-width ``X_RADIUS`` for unbounded domains).  ``describe()``
-    reports seed 0: only :func:`check_a1` draws, and it reports its own."""
+    half-width ``X_RADIUS`` for unbounded domains).  Only aInc and aDec
+    take a range.  ``describe()`` reports seed 0: only :func:`check_a1`
+    draws, and it reports its own."""
 
     t_min: float = 1e-4
     t_max: float = 1e4
@@ -398,16 +404,15 @@ def _refine_witness(phi, grid, p, increasing, a_star, witness):
 
 def check_a0(phi: PhiFunction) -> ConditionReport:
     """Largest beta in [2^-40, 1] with phi(x, beta) <= 1 <= phi(x, 1/beta)
-    at all sampled x, to 1e-9 relative by the one level search; the
-    condition fails, with beta 0, where even 2^-40 does not work, and its
-    witness is the first sample x where 2^-40 does not."""
+    at all sampled x by the one rule, to 1e-9 relative by the one level
+    search; the condition fails, with beta 0, where even 2^-40 does not
+    work, and its witness is the first sample x where 2^-40 does not."""
     X = default_x_samples(phi.domain)
     table = phi.table(X)
 
     def ok(beta: float) -> np.ndarray:
-        lowv = table.value(np.array([[beta]]))[:, 0]
-        highv = table.value(np.array([[1.0 / beta]]))[:, 0]
-        return (lowv <= 1.0 + CHECK_TOL) & (highv >= 1.0 - CHECK_TOL)
+        lowv, highv = table.value(np.array([[beta, 1.0 / beta]])).T
+        return _within(lowv, 1.0) & _within(1.0, highv)
 
     beta = _largest_beta(lambda b: bool(np.all(ok(b))))
     holds = beta > 0.0
@@ -505,8 +510,7 @@ def check_a1(phi: PhiFunction, seed: int = 0) -> ConditionReport:
 
 
 def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
-             beta: float, s: float = 1.0,
-             spec: SampleSpec | None = None) -> ConditionReport:
+             beta: float, s: float = 1.0) -> ConditionReport:
     """Verify phi(x, beta*t) <= phi_inf(t) + h(x) on {phi_inf(t) <= s} and
     phi_inf(beta*t) <= phi(x, t) + h(x) on {phi(x, t) <= s} by the one
     rule: at each sample, up to 1e-9 times one plus its right-hand side.
@@ -517,9 +521,8 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
         raise ValueError("beta must be in (0, 1]")
     if s <= 0:
         raise ValueError("s must be positive")
-    spec = spec or SampleSpec()
     X = default_x_samples(phi.domain)
-    grid = spec.t_grid()
+    grid = SampleSpec().t_grid()
     hv = h.many(X)[:, None]
     inf_t = phi_inf.value(grid)[None, :]
     table = phi.table(X)
@@ -544,7 +547,7 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
         condition="A2", holds=holds,
         constants={"beta": beta, "s": s,
                    "h_l1": h.l1_norm, "h_linf": h.linf_norm},
-        sample_spec={**spec.describe(), "n_x": len(X)},
+        sample_spec={**SampleSpec().describe(), "n_x": len(X)},
         worst_witness=worst, flags=("vacuous",) if vacuous else ())
 
 
@@ -552,8 +555,7 @@ def check_a2(phi: PhiFunction, phi_inf: PhiCurve, h: WeightFunction,
 # Equivalence and weak equivalence
 
 
-def check_equivalence(phi, psi, L: float,
-                      spec: SampleSpec | None = None) -> ConditionReport:
+def check_equivalence(phi, psi, L: float) -> ConditionReport:
     """Verify psi(x, t/L) <= phi(x, t) <= psi(x, L t) at all samples by the
     one rule, and find the least L that passes on the ladder 2^(k/4), k = 0
     .. 160 (inf for none).  The witness is the sample of largest excess
@@ -561,9 +563,8 @@ def check_equivalence(phi, psi, L: float,
     fails)."""
     phi = _as_phi(phi)
     psi = _as_phi(psi, phi.domain.dim)
-    spec = spec or SampleSpec()
     X = default_x_samples(phi.domain)
-    grid = spec.t_grid()[None, :]
+    grid = SampleSpec().t_grid()[None, :]
     phiv = phi.table(X).value(grid)
     psi_table = psi.table(X)
 
@@ -575,20 +576,19 @@ def check_equivalence(phi, psi, L: float,
     least = next((Lk for Lk in (2.0 ** (k / 4.0) for k in range(161))
                   if _holds(*pairs(Lk))), INF)
     return _equivalence_report("Equiv", pairs(L), {"L": L, "least_L": least},
-                               X, grid, spec)
+                               X, grid)
 
 
-def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
-                           spec: SampleSpec | None = None) -> ConditionReport:
+def check_weak_equivalence(phi, psi, L: float,
+                           h: WeightFunction) -> ConditionReport:
     """Verify psi(x, t) <= phi(x, L t) + h(x) and phi(x, t) <= psi(x, L t)
     + h(x) at all samples by the one rule.  The witness is the sample of
     largest excess over both inequalities (over the slack, when one
     fails)."""
     phi = _as_phi(phi)
     psi = _as_phi(psi, phi.domain.dim)
-    spec = spec or SampleSpec()
     X = default_x_samples(phi.domain)
-    grid = spec.t_grid()[None, :]
+    grid = SampleSpec().t_grid()[None, :]
     hv = h.many(X)[:, None]
     phi_table, psi_table = phi.table(X), psi.table(X)
     with np.errstate(over="ignore"):  # a level past the largest float is inf
@@ -596,18 +596,18 @@ def check_weak_equivalence(phi, psi, L: float, h: WeightFunction,
                  (phi_table.value(grid), psi_table.value(grid * L) + hv))
     return _equivalence_report(
         "WeakEquiv", pairs, {"L": L, "h_l1": h.l1_norm, "h_linf": h.linf_norm},
-        X, grid, spec)
+        X, grid)
 
 
-def _equivalence_report(condition: str, pairs, constants: dict, X, grid,
-                        spec: SampleSpec) -> ConditionReport:
+def _equivalence_report(condition: str, pairs, constants: dict, X,
+                        grid) -> ConditionReport:
     """The verdict on the (lhs, rhs) pairs over the samples X x grid by the
     one rule, and its witness."""
     holds = _holds(*pairs)
     (ix, it), margin, _ = _worst(*pairs, broken=not holds)
     return ConditionReport(
         condition=condition, holds=holds, constants=constants,
-        sample_spec={**spec.describe(), "n_x": len(X)},
+        sample_spec={**SampleSpec().describe(), "n_x": len(X)},
         worst_witness={"x": [float(v) for v in X[ix]], "t": float(grid[0, it]),
                        "margin": margin})
 

@@ -86,15 +86,13 @@ and passes them to both.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .norms import GridFunction, _luxemburg_norms, modular
-
-INF = math.inf
+from .phi_core import INF
 
 
 @dataclass(frozen=True)

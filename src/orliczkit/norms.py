@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_core import EPS_INV_BISECT, DomainError, PhiFunction, _T_RANGE, \
-    _as_point, _ball_volume, _last_t_where, _lattice, _norms
-
-INF = math.inf
+from .phi_core import EPS_INV_BISECT, INF, DomainError, PhiFunction, \
+    _T_RANGE, _as_point, _ball_volume, _last_t_where, _lattice, _norms
+from .conditions import _holds
 
 #: Relative tolerance of the Luxemburg norm: it is found to within this
 #: factor of itself, from above.
@@ -203,6 +202,19 @@ class GridFunction:
                              f"says {count} values ({8 * count} bytes)")
         vals = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         return GridFunction(tuple(box), vals.reshape(res).copy())
+
+
+def _truncation_grid(dim: int, R: float, per_unit: float,
+                    least: int = 0) -> tuple:
+    """The box (-R, R)^dim and max(int(per_unit * 2R), least) cells per
+    axis on it, for ``per_unit`` cells per unit length.  A count that is
+    not finite, or below one cell, raises ValueError."""
+    cells = per_unit * 2.0 * R
+    if not math.isfinite(cells) or max(int(cells), least) < 1:
+        raise ValueError(f"expected a finite count of at least one cell per "
+                         f"axis, got {per_unit:g} cells per unit length on "
+                         f"(-{R:g}, {R:g})")
+    return ((-R, R),) * dim, max(int(cells), least)
 
 
 def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:
@@ -460,7 +472,7 @@ def duality_lower_bound(phi: PhiFunction, f: GridFunction,
         "conj_norm_g": g_norm,
         "bound_constant": 2.0,
         "observed_constant": observed,
-        "holds": pair <= 2.0 * f_norm + 1e-9,
+        "holds": _holds((pair, 2.0 * f_norm)),
     }
 
 

@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from .phi_core import (
+    INF,
     ConstructionError,
     Domain,
     PhiCurve,
@@ -36,11 +37,10 @@ from .phi_core import (
 from .conditions import (
     SampleSpec,
     WeightFunction,
+    _within,
     default_x_samples,
     weight_from_dict,
 )
-
-INF = math.inf
 
 #: Relative tolerance of the threshold search: t1 is found to within this
 #: factor of itself, at every scale.
@@ -96,8 +96,9 @@ def glue_small_values(psi1: PhiFunction, region: Region,
     Requires psi1(x, 1) = 1 on the region (the normalization that makes
     the two branches agree at t = 1), and each piece of psi1 below t = 1
     there to be a single unshifted power, so that the result stays
-    power-law.  Construction checks both at the default sample lattice;
-    evaluation checks them at every point it is asked for.
+    power-law.  Construction checks both at the default sample lattice,
+    the normalization by the checkers' rule, and that the raised pieces
+    stay finite; evaluation checks them at every point it is asked for.
     """
     if p <= 1:
         raise ConstructionError("p must exceed 1")
@@ -106,20 +107,25 @@ def glue_small_values(psi1: PhiFunction, region: Region,
         on = region.contains_many(X)
         base = psi1.table(X)
         at_one = base.value(np.ones((len(X), 1)))[:, 0]
-        off = on & (np.abs(at_one - 1.0) > 1e-9)
+        off = on & ~(_within(at_one, 1.0) & _within(1.0, at_one))
         if np.any(off):
             raise ConstructionError(
                 f"psi1(x, 1) = {at_one[np.argmax(off)]} != 1 on the region; "
                 "normalize before glueing")
         low = (on[:, None] & base.live() & (base.bps < 1.0))[..., None]
         live = base.coef > 0
+        raising = low & live
         if np.any(low[..., 0] & (np.sum(live, axis=2) != 1)) or np.any(
-                low & live & ((base.shift != 0.0) | (base.expo == 0.0))):
+                raising & ((base.shift != 0.0) | (base.expo == 0.0))):
             raise ConstructionError(
                 "small-value glueing needs single-power pieces below t = 1")
-        raised = PowerTable(base.bps,
-                            np.where(low, np.where(live, base.coef ** p, 0.0), base.coef),
-                            np.where(low, np.where(live, base.expo * p, 0.0), base.expo),
+        with np.errstate(over="ignore"):  # reported below
+            coef = np.where(low, np.where(live, base.coef ** p, 0.0), base.coef)
+            expo = np.where(low, np.where(live, base.expo * p, 0.0), base.expo)
+        if not np.all(np.isfinite(coef[raising]) & np.isfinite(expo[raising])):
+            raise ConstructionError(
+                f"p = {p!r} raises a piece below t = 1 past the largest float")
+        raised = PowerTable(base.bps, coef, expo,
                             np.where(low & ~live, INF, base.shift), base.tail)
         return raised.join(base, np.where(on, 1.0, 0.0))
 

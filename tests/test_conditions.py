@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -30,7 +31,7 @@ from orliczkit import (
     reports_table,
     weight_from_dict,
 )
-from orliczkit.conditions import CHECK_TOL, _holds, _sampled_sup
+from orliczkit.conditions import CHECK_TOL, _holds, _sampled_sup, _within
 
 INF = math.inf
 
@@ -209,8 +210,8 @@ def test_a0_failing_witness_reproduces_the_failure():
     assert not rep.holds and rep.constants["beta"] == 0.0
     x = tuple(rep.worst_witness["x"])
     assert x == (0.0,)
-    assert not (phi.eval(x, 2.0 ** -40) <= 1.0 + CHECK_TOL
-                and phi.eval(x, 2.0 ** 40) >= 1.0 - CHECK_TOL)
+    assert not _holds((phi.eval(x, 2.0 ** -40), 1.0),
+                      (1.0, phi.eval(x, 2.0 ** 40)))
 
 
 def test_a0_needs_shrinking_beta():
@@ -218,6 +219,45 @@ def test_a0_needs_shrinking_beta():
     phi = from_curve(power_curve(2.0, coef=0.25))
     rep = check_a0(phi)
     assert rep.holds and abs(rep.constants["beta"] - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["example_3_4", "example_4_6"])
+def test_a0_judges_by_the_one_rule(families, name):
+    """A0's beta passes phi(x, beta) <= 1 <= phi(x, 1/beta) by the
+    checkers' rule at every sample and, found to CHECK_TOL relative, is
+    the cap 1 or no further than that from a beta that fails."""
+    phi = families[name]
+    X = default_x_samples(phi.domain)
+    beta = check_a0(phi).constants["beta"]
+
+    def passes(b):
+        return _holds((phi.eval_many(X, np.full(len(X), b)), 1.0),
+                      (1.0, phi.eval_many(X, np.full(len(X), 1.0 / b))))
+
+    assert passes(beta)
+    assert beta == 1.0 or not passes(beta * (1.0 + 2.0 * CHECK_TOL))
+
+
+def test_within_is_the_rule_elementwise():
+    rhs = np.array([0.0, 1.0, -1.0, 1e308, INF, INF])
+    slack = CHECK_TOL * (1.0 + np.abs(rhs[:4]))
+    lhs = np.concatenate([rhs[:4] + 0.5 * slack, [INF, -INF]])
+    assert np.all(_within(lhs, rhs))
+    assert not np.any(_within(rhs[:4] + 2.0 * slack, rhs[:4]))
+    assert _within(1.0 + 1.5 * CHECK_TOL, 1.0) == _holds((1.0 + 1.5 * CHECK_TOL,
+                                                          1.0))
+
+
+def test_only_ainc_and_adec_take_a_range():
+    """Every other checker samples SampleSpec()'s lattice and reports it."""
+    for check in (check_a0, check_a1, check_a2, check_equivalence,
+                  check_weak_equivalence):
+        assert "spec" not in inspect.signature(check).parameters
+    phi = from_curve(power_curve(2.0), dim=1)
+    for rep in (check_a2(phi, power_curve(2.0), WeightFunction.zero(), 1.0),
+                check_equivalence(phi, phi, 1.0),
+                check_weak_equivalence(phi, phi, 1.0, WeightFunction.zero())):
+        assert rep.sample_spec == {**SampleSpec().describe(), "n_x": 9}
 
 
 # ---------------------------------------------------------------------------

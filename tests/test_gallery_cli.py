@@ -22,7 +22,8 @@ from orliczkit import GridFunction, PhiCurve, SpecError, WeightFunction, \
     from_curve, glue_small_values, make_family, modular, power_curve, \
     region_from_dict, run_example, run_pipeline, small_value_threshold
 from orliczkit.cli import main
-from orliczkit.conditions import _jsonable
+from orliczkit.conditions import CHECK_TOL, ConditionReport, _jsonable
+from orliczkit.gallery import _bounded
 
 _cli = importlib.import_module("orliczkit.cli")
 
@@ -248,6 +249,18 @@ def test_pipeline_expected_failure_flips_verdict():
           ("maximal-divergence", {}, "/experiments/0/radii/0"),
           ("duality", {"f": {"const": 1}, "g": {"const": 1}},
            "/experiments/0/truncation_radius"))),
+    # only ainc and adec take a t range
+    *(({"phi": {"kind": "orlicz", "params": {"p": 2}},
+        "checks": [{"condition": cond, **fields}]}, f"/checks/0/{key}")
+      for cond, fields, key in (
+          ("a2", {"pair": {"phi_inf": power_curve(2.0).to_dict(),
+                           "h": {"weight": "zero"}, "beta": 1.0},
+                  "t_min": 0.5}, "t_min"),
+          ("equivalence", {"other": {"kind": "orlicz", "params": {"p": 2}},
+                           "t_max": 2}, "t_max"),
+          ("weak_equivalence", {"other": {"kind": "orlicz",
+                                          "params": {"p": 2}},
+                                "t_min": 0.5}, "t_min"))),
 ])
 def test_pipeline_errors_carry_pointers(spec, pointer):
     spec, resolution = spec if isinstance(spec, tuple) else (spec, 8.0)
@@ -255,6 +268,18 @@ def test_pipeline_errors_carry_pointers(spec, pointer):
         run_pipeline(spec, resolution)
     assert err.value.pointer == pointer or \
         err.value.pointer.startswith(pointer + "/")
+
+
+def test_bounded_claims_judge_by_the_one_rule():
+    """A sampled sup within the checkers' slack of its bound meets it, and
+    one past the slack breaks it, both ways round."""
+    def claim(sup, holds):
+        rep = ConditionReport("aInc_2", holds, {"sampled_sup": sup}, {})
+        return _bounded("c", rep, 2.0, holds=holds)["matches"]
+
+    within, past = 2.0 + 2.0 * CHECK_TOL, 2.0 + 4.0 * CHECK_TOL
+    assert claim(within, True) and not claim(past, True)
+    assert claim(past, False) and not claim(within, False)
 
 
 _VARIABLE_1D = {"kind": "variable_exponent",
@@ -729,6 +754,34 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
           ("maximal-divergence", {}, "/experiments/0/radii/0"),
           ("duality", {"f": {"const": 1}, "g": {"const": 1}},
            "/experiments/0/truncation_radius"))),
+    # a grid with no cell, or with a cell count past the largest float,
+    # once ended in exit 3
+    pytest.param(["example", "ex3_4", "--resolution", "0.01"], "/resolution",
+                 id="example-ex3_4-no-cell"),
+    *(pytest.param(["example", name, "--resolution", "1e308"], "/resolution",
+                   id=f"example-{name}-huge-resolution")
+      for name in ("ex3_4", "ex3_2")),
+    *(pytest.param(_pipeline({"kind": "orlicz", "params": {"p": 2, "dim": 2}},
+                             experiments=[{"experiment": kind}])[:2]
+                   + ["--resolution", "1e308"], pointer,
+                   id=f"pipeline-{kind}-huge-resolution")
+      for kind, pointer in (
+          ("operator-norm", "/experiments/0/truncation_radius"),
+          ("maximal-divergence", "/experiments/0/radii/0"))),
+    pytest.param(_pipeline(experiments=[{
+        "experiment": "duality", "truncation_radius": 1e308,
+        "f": {"const": 1}, "g": {"const": 1}}])[:2],
+        "/experiments/0/truncation_radius", id="pipeline-duality-huge-radius"),
+    pytest.param(["norm", "--phi", _PHI, "--function", '{"const": 1}',
+                  "--resolution", "1e308"], "--resolution",
+                 id="norm-huge-resolution"),
+    pytest.param(["maximal", "--dim", "1", "--function", '{"const": 1}',
+                  "--truncation-radius", "1e308"], "--truncation-radius",
+                 id="maximal-huge-truncation-radius"),
+    pytest.param(["transform", "--op", "glue_small_values", "--phi", json.dumps(
+        {"kind": "orlicz", "params": {"p": 2, "dim": 2}}), "--region",
+        '{"region": "ball", "center": [0, 0], "radius": 1}', "--p", "1e308"],
+        "", id="transform-glue-huge-p"),
 ])
 def test_malformed_input_is_exit_2_with_pointer(argv, pointer, capsys):
     assert main(argv) == 2

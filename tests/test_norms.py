@@ -32,7 +32,7 @@ from orliczkit import (
 from orliczkit.gallery import _BALLS, _ball_maxima
 from orliczkit.maximal import _norm_ratios
 from orliczkit.norms import EPS_LUX, LAMBDA_CAP, _domain_mask, _luxemburg_norms, \
-    _modular_at
+    _modular_at, _truncation_grid
 from orliczkit.phi_core import _last_t_where
 
 INF = math.inf
@@ -565,3 +565,26 @@ def test_annulus_test_function():
     inside = (np.abs(centers) > 0.5) & (np.abs(centers) < 1.0)
     assert np.all(vals[~inside] == 0.0)
     assert np.all(vals[inside] > 0.0)
+
+
+@settings(max_examples=100)
+@given(resolution=st.floats(1e-3, 1e3), R=st.floats(1e-3, 1e3),
+       dim=st.sampled_from([1, 2]))
+@example(resolution=1e308, R=16.0, dim=2)
+@example(resolution=8.0, R=1e308, dim=1)
+def test_truncation_grid_keeps_the_cell_counts(resolution, R, dim):
+    """The bundles' int(resolution * R) cells on (-R, R), at resolution / 2
+    cells per unit length, and the CLI's max(int(resolution * 2R), 8),
+    unchanged; a count past the largest float, or of no cell, raises."""
+    if not math.isfinite(resolution * R * 2.0):
+        with pytest.raises(ValueError, match="finite count"):
+            _truncation_grid(dim, R, resolution, least=8)
+        return
+    assert _truncation_grid(dim, R, resolution, least=8) == (
+        ((-R, R),) * dim, max(int(resolution * 2 * R), 8))
+    if int(resolution * R) >= 1:
+        assert _truncation_grid(dim, R, resolution / 2) == (
+            ((-R, R),) * dim, int(resolution * R))
+    else:
+        with pytest.raises(ValueError, match="at least one cell"):
+            _truncation_grid(dim, R, resolution / 2)

@@ -72,6 +72,16 @@ def test_glue_requires_normalization():
         glue_small_values(psi1, G, 2.0)
 
 
+def test_glue_with_a_huge_p_is_a_construction_error():
+    """t^2 raised to p = 1e308 below t = 1 has exponent 2e308, past the
+    largest float: an error, not an overflow warning and an infinite
+    exponent."""
+    psi1 = from_curve(power_curve(2.0), dim=2)
+    ball = region_from_dict({"region": "ball", "center": [0, 0], "radius": 1})
+    with pytest.raises(ConstructionError, match="past the largest float"):
+        glue_small_values(psi1, ball, 1e308)
+
+
 def test_glue_serialization_roundtrip(families):
     G = region_from_dict({"region": "inv_square_strip"})
     psi2 = glue_small_values(families["example_3_2"], G, 2.0)

@@ -16,9 +16,14 @@ For each metric the result holds both sides' quartiles, the median of the
 per-pair ratios change / parent, the pairs the change wins (strictly
 better, in the metric's ``better`` direction from ``BENCHMARK.json``), and
 whether the gap between the medians, in the change's favour, exceeds the
-parent's interquartile range; the raw runs are kept too.  It is printed as
-JSON, and with ``--out FILE`` also stored under its label
-(``W@seedS`` or ``NAME@R``) in the JSON object in FILE, made if missing.
+parent's interquartile range; the raw runs are kept too.  ``same_output``
+says whether both checkouts produced the same bundles: in example mode,
+every run's bundle hash; in workload mode, one run of each checkout's
+``tools/bundle_hashes.py --seeds S``, whose differing output keys are
+listed under ``differing_outputs`` (its modular evaluation counts are not
+outputs and are left out).  It is printed as JSON, and with ``--out
+FILE`` also stored under its label (``W@seedS`` or ``NAME@R``) in the JSON
+object in FILE, made if missing.
 """
 
 from __future__ import annotations
@@ -79,6 +84,16 @@ def _example(root: str, args) -> tuple:
         sys.exit(f"error: {root}: {args.example} verdict is "
                  f"{result['verdict']}")
     return {"run_s": result["run_s"]}, result["sha256"]
+
+
+def _hashes(root: str, seed: int) -> dict:
+    """``key -> sha256`` of every output line of ``tools/bundle_hashes.py
+    --seeds seed`` run in ``root``."""
+    done = subprocess.run(
+        [sys.executable, "tools/bundle_hashes.py", "--seeds", str(seed)],
+        cwd=root, capture_output=True, text=True, check=True)
+    return dict(line.rsplit(" ", 1) for line in done.stdout.splitlines()
+                if not line.startswith("evals "))
 
 
 def _quartiles(xs) -> dict:
@@ -153,6 +168,13 @@ def main(argv=None) -> int:
     if args.example:
         # every run of both checkouts gave the same bundle
         result["same_output"] = len(digests) == 1
+    else:
+        parent, change = (_hashes(roots[side], args.seed)
+                          for side in ("parent", "change"))
+        differing = sorted(k for k in parent.keys() | change.keys()
+                           if parent.get(k) != change.get(k))
+        result["same_output"], result["differing_outputs"] = \
+            not differing, differing
     print(json.dumps(result, indent=1))
     if args.out:
         store = {}
