@@ -11,7 +11,12 @@ excess (over the rule's slack, when some sample breaks it).  "Almost every
 x" is approximated by the sample set; the catalog families have no
 exceptional sets.  Each checker builds phi's (and psi's) power table of
 its sample points once and reads every level of its dyadic ladder or level
-search off it.
+search off it; at a level row that all samples share, each distinct table
+row is evaluated once (``PowerTable.value``), and aInc/aDec reduce each
+distinct row once (:func:`_sampled_sup`).  The beta searches of A0
+and A1' (:func:`_largest_beta`) test, after each failing probe, only the
+samples that failed it: every later probe lies below every failing one,
+and each sample's test holds on an initial interval of beta.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .phi_core import (
     Domain,
     PhiCurve,
     PhiFunction,
+    PowerTable,
     Region,
     SpecError,
     _Reader,
@@ -344,11 +350,13 @@ def _check_almost_monotone(phi, p, A, T, spec, increasing):
 def _sampled_sup(table, X, grid, p, increasing):
     """Largest sampled ratio(t)/ratio(s) and its witness, over the rows of
     ``table``, phi's table at the points X; ties go to the first row and
-    then the first t."""
+    then the first t.  Each distinct table row is reduced once: a repeated
+    row has its first occurrence's ratios."""
+    distinct, back = table._distinct or (table, np.arange(len(table.tail)))
     # t^p past the largest float is inf and below the least is 0: the
     # ratio is then 0 or inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = table.value(grid[None, :]) / grid[None, :] ** p  # (N_x, N_t)
+        r = distinct.value(grid[None, :]) / grid[None, :] ** p  # (distinct rows, N_t)
     if not increasing:
         # L-almost decreasing: r(s) <= L r(t) for t < s
         r = r[:, ::-1]
@@ -362,12 +370,12 @@ def _sampled_sup(table, X, grid, p, increasing):
     ratios = suff[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(r[:, :-1], ratios, out=ratios)
-    row_max = np.fmax.reduce(ratios, axis=1)  # nan only where all are nan
+    row_max = np.fmax.reduce(ratios, axis=1)[back]  # nan only where all are nan
     ix = int(np.argmax(np.where(np.isnan(row_max), -INF, row_max)))
     if np.isnan(row_max[ix]):
         return -INF, None
-    k = int(np.nanargmax(ratios[ix]))
-    later = r[ix, k + 1:]
+    k = int(np.nanargmax(ratios[back[ix]]))
+    later = r[back[ix], k + 1:]
     # the first least later ratio (np.nanargmin would take a nan before an
     # inf)
     j = k + 1 + int(np.argmax(later == np.nanmin(later)))
@@ -410,27 +418,47 @@ def check_a0(phi: PhiFunction) -> ConditionReport:
     X = default_x_samples(phi.domain)
     table = phi.table(X)
 
-    def ok(beta: float) -> np.ndarray:
-        lowv, highv = table.value(np.array([[beta, 1.0 / beta]])).T
+    def ok(rows: PowerTable, beta: float) -> np.ndarray:
+        lowv, highv = rows.value(np.array([[beta, 1.0 / beta]])).T
         return _within(lowv, 1.0) & _within(1.0, highv)
 
-    beta = _largest_beta(lambda b: bool(np.all(ok(b))))
+    beta = _largest_beta(table, lambda rows, i, b: ok(rows, b))
     holds = beta > 0.0
     return ConditionReport(
         condition="A0", holds=holds,
         constants={"beta": beta},
         sample_spec={**SampleSpec().describe(), "n_x": len(X)},
         worst_witness=None if holds else
-        {"x": [float(v) for v in X[np.argmin(ok(2.0 ** -40))]]})
+        {"x": [float(v) for v in X[np.argmin(ok(table, 2.0 ** -40))]]})
 
 
-def _largest_beta(ok: Callable[[float], bool]) -> float:
-    """The largest beta in [2^-40, 1] with ok(beta), to ``CHECK_TOL``
-    relative and from below, for a test that holds on an initial interval;
-    0 where ok(2^-40) fails."""
-    if ok(1.0):  # the cap: the search alone would go on above 1
+def _largest_beta(table: PowerTable,
+                  ok: Callable[[PowerTable, np.ndarray, float], np.ndarray]) -> float:
+    """The largest beta in [2^-40, 1] where every sample passes, to
+    ``CHECK_TOL`` relative and from below; 0 where some sample fails at
+    2^-40.  The samples are the rows of ``table``, and ``ok(table.rows(i),
+    i, beta)`` tests the samples i, one bool each; each sample's test
+    holds on an initial interval of beta.
+
+    Each failing probe keeps only the samples that failed it, and later
+    probes test only those.  This is exact: every later probe of the one
+    level search lies below every failing probe (the search starts from a
+    failure at beta = 1 and only halves and bisects), and a sample that
+    passed a larger beta passes every smaller one."""
+    i, rows = np.arange(len(table.tail)), table
+
+    def fits(beta: float) -> bool:
+        nonlocal i, rows
+        fail = ~ok(rows, i, beta)
+        if not fail.any():
+            return True
+        if not fail.all():
+            i, rows = i[fail], rows.rows(fail)
+        return False
+
+    if fits(1.0):  # the cap: the search alone would go on above 1
         return 1.0
-    lo = _last_t_where(lambda b: np.array([ok(float(b[0]))]), 1, CHECK_TOL,
+    lo = _last_t_where(lambda b: np.array([fits(float(b[0]))]), 1, CHECK_TOL,
                        floor=2.0 ** -40)[0]
     return float(lo[0])
 
@@ -449,34 +477,14 @@ def check_a1(phi: PhiFunction, seed: int = 0) -> ConditionReport:
     A run that keeps no pair is flagged ``vacuous`` and does not hold:
     no sampled evidence supports the condition."""
     sample_spec = {**SampleSpec().describe(), "seed": seed}
-    rng = np.random.default_rng(seed)
-    dim = phi.domain.dim
-    lower, upper = phi.domain.sampling_box(X_RADIUS)
-    lower = np.asarray(lower)
-    upper = np.asarray(upper)
-    omega = UNIT_BALL_VOLUME[dim]
-    r_max = (1.0 / omega) ** (1.0 / dim)
+    xs, ys, vols = _ball_pairs(phi.domain, np.random.default_rng(seed))
 
-    xs, ys, vols = [], [], []
-    for _ in range(N_BALLS):
-        center = lower + rng.random(dim) * (upper - lower)
-        radius = float(np.exp(rng.uniform(np.log(0.02), np.log(r_max))))
-        vol = _ball_volume(dim, radius)
-        pts = []
-        tries = 0
-        while len(pts) < 12 and tries < 200:  # six pairs
-            cand = center + rng.uniform(-radius, radius, dim)
-            tries += 1
-            if np.linalg.norm(cand - center) <= radius and phi.domain.contains(tuple(cand)):
-                pts.append(cand)
-        xs += pts[0:len(pts) - 1:2]
-        ys += pts[1::2]
-        vols += [vol] * (len(pts) // 2)
-
-    # levels t with phi(y, t) in [1, 1/|B|], all pairs at once
-    xs, ys, vols = np.reshape(xs, (-1, dim)), np.reshape(ys, (-1, dim)), np.asarray(vols)
+    # levels t with phi(y, t) in [1, 1/|B|], all pairs at once; both ends
+    # of every pair's range in one inversion of the table stacked on itself
     table = phi.table(ys)
-    t_lo, t_hi = table.inverse(1.0), table.inverse(1.0 / vols)
+    n = len(vols)
+    t_lo, t_hi = np.split(table.rows(np.tile(np.arange(n), 2)).inverse(
+        np.concatenate([np.ones(n), 1.0 / vols])), 2)
     good = (t_lo > 0) & np.isfinite(t_hi) & (t_hi >= t_lo)
     levels = np.geomspace(np.maximum(t_lo[good], 1e-12),
                           np.maximum(t_hi[good], t_lo[good]), 10, axis=1)
@@ -490,11 +498,14 @@ def check_a1(phi: PhiFunction, seed: int = 0) -> ConditionReport:
             condition="A1prime", holds=False, constants={"beta": 1.0},
             sample_spec={**sample_spec, "n_samples": 0},
             flags=("vacuous",))
-    at_x = phi.evaluator(X)
+    x_table = phi.table(X)
 
-    beta = _largest_beta(lambda beta: _holds((at_x(beta * Tv), R)))
+    def ok(rows: PowerTable, i: np.ndarray, beta: float) -> np.ndarray:
+        return _within(rows.value((beta * Tv[i])[:, None])[:, 0], R[i])
+
+    beta = _largest_beta(x_table, ok)
     holds = beta > 1e-6
-    lhs = at_x(beta * Tv) if beta > 0 else np.zeros_like(R)
+    lhs = x_table.value((beta * Tv)[:, None])[:, 0] if beta > 0 else np.zeros_like(R)
     # at the beta found the pair holds
     (k,), _, _ = _worst((lhs, R), broken=False)
     return ConditionReport(
@@ -503,6 +514,39 @@ def check_a1(phi: PhiFunction, seed: int = 0) -> ConditionReport:
         worst_witness={"x": [float(v) for v in X[k]],
                        "y": [float(v) for v in ys[k]],
                        "t": float(Tv[k]), "phi_y_t": float(R[k])})
+
+
+def _ball_pairs(domain: Domain, rng: np.random.Generator) -> tuple:
+    """``N_BALLS`` balls B with |B| <= 1 in the domain's sampling box, and
+    up to six point pairs in each, drawn from rng: per ball its center and
+    radius, then uniform candidates in the bounding cube, kept if in the
+    ball and the domain, until 12 are kept or 200 drawn.  Returns the
+    pairs' x (N, dim) and y (N, dim), and their balls' measures (N,).
+
+    Each round draws as many candidates as points are missing, capped at
+    the tries left: none of them can lie past the twelfth point, so the
+    stream is read as drawing one candidate at a time reads it."""
+    dim = domain.dim
+    lower, upper = (np.asarray(b) for b in domain.sampling_box(X_RADIUS))
+    r_max = (1.0 / UNIT_BALL_VOLUME[dim]) ** (1.0 / dim)
+    xs, ys, vols = [], [], []
+    for _ in range(N_BALLS):
+        center = lower + rng.random(dim) * (upper - lower)
+        radius = float(np.exp(rng.uniform(np.log(0.02), np.log(r_max))))
+        pts, tries = np.empty((0, dim)), 0
+        while len(pts) < 12 and tries < 200:
+            cand = center + rng.uniform(-radius, radius, (min(12 - len(pts), 200 - tries), dim))
+            tries += len(cand)
+            # each norm as np.linalg.norm takes it of one vector: the root
+            # of its dot product with itself
+            d = (cand - center)[:, None]
+            inside = ((np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0] <= radius)
+                      & domain.contains_many(cand))
+            pts = np.concatenate([pts, cand[inside]])
+        xs.append(pts[0:len(pts) - 1:2])
+        ys.append(pts[1::2])
+        vols += [_ball_volume(dim, radius)] * (len(pts) // 2)
+    return np.concatenate(xs), np.concatenate(ys), np.asarray(vols)
 
 
 # ---------------------------------------------------------------------------

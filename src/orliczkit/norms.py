@@ -35,6 +35,10 @@ EPS_LUX = 1e-6
 #: space.
 LAMBDA_CAP = 1e12
 
+#: The most cells a truncation grid may have in all: four times the largest
+#: gallery grid at resolution 16 (1024^2 cells), 32 MiB per float array.
+MAX_CELLS = 2 ** 22
+
 #: The norm search's seeding stops once a row's bracket is this narrow,
 #: relative to its lower end, far below EPS_LUX so that the search's own
 #: levels almost never fall inside it; or after this many steps, enough
@@ -208,13 +212,19 @@ def _truncation_grid(dim: int, R: float, per_unit: float,
                     least: int = 0) -> tuple:
     """The box (-R, R)^dim and max(int(per_unit * 2R), least) cells per
     axis on it, for ``per_unit`` cells per unit length.  A count that is
-    not finite, or below one cell, raises ValueError."""
+    not finite, below one cell per axis or past ``MAX_CELLS`` cells in all
+    raises ValueError, before anything is allocated."""
     cells = per_unit * 2.0 * R
     if not math.isfinite(cells) or max(int(cells), least) < 1:
         raise ValueError(f"expected a finite count of at least one cell per "
                          f"axis, got {per_unit:g} cells per unit length on "
                          f"(-{R:g}, {R:g})")
-    return ((-R, R),) * dim, max(int(cells), least)
+    n = max(int(cells), least)
+    if n ** dim > MAX_CELLS:
+        raise ValueError(f"expected at most {MAX_CELLS} cells in all, got "
+                         f"{n:.4g} per axis ({per_unit:g} cells per unit "
+                         f"length on (-{R:g}, {R:g})^{dim})")
+    return ((-R, R),) * dim, n
 
 
 def _domain_mask(phi, pts: np.ndarray) -> np.ndarray:

@@ -294,8 +294,12 @@ class PowerTable:
                           f(self.shift), f(self.tail))
 
     def rows(self, idx) -> "PowerTable":
-        """The sub-table of rows ``idx``."""
-        return self._map(lambda a: a[idx])
+        """The sub-table of rows ``idx``.  An array whose rows are one
+        broadcast row stays so, and its numbers keep their scalar fast
+        paths (see :attr:`_plan`)."""
+        n = len(self.tail[idx])
+        return self._map(lambda a: np.broadcast_to(a[:1], (n,) + a.shape[1:])
+                         if a.strides[0] == 0 else a[idx])
 
     def join(self, other: "PowerTable", at) -> "PowerTable":
         """Row i as self below ``at[i]`` and as other from there on, with
@@ -374,15 +378,35 @@ class PowerTable:
         """(N, K) mask of the pieces that are neither empty nor unused."""
         return np.isfinite(self.bps) & (self.bps < self._next_bps())
 
+    @cached_property
+    def _distinct(self) -> tuple | None:
+        """``(table, back)``: the first row of each distinct bit pattern as
+        a table, and each row's index into it; None when every row
+        differs."""
+        n = len(self.tail)
+        first, back = _first_of_each(np.concatenate(
+            [a.reshape(n, -1) for a in (self.bps, self.coef, self.expo, self.shift,
+                                        self.tail[:, None])], 1))
+        return None if len(first) == n else (self.rows(first), back)
+
     def value(self, T) -> np.ndarray:
         """Row i at levels ``T[i, m]``; T broadcasts to (N, M).  Returns
-        +inf past the tail."""
+        +inf past the tail.
+
+        At one shared row of levels T (1, M), each distinct table row (by
+        the bits of its numbers, so 0.0 and -0.0 stay apart) is evaluated
+        once and the values are gathered to every row with its bits.  This
+        is exact at finite levels, where a row's values do not depend on
+        how its row was batched."""
         T = np.asarray(T, dtype=float)
         if (T < 0).any():
             raise ValueError("t must be nonnegative")
+        table, back = self, slice(None)
         if len(T) != len(self.bps):
-            T = np.broadcast_to(T, (len(self.bps), T.shape[1]))
-        return self._value(T)
+            if len(T) == 1:
+                table, back = self._distinct or (self, back)
+            T = np.broadcast_to(T, (len(table.bps), T.shape[1]))
+        return table._value(T)[back]
 
     def end_exponents(self) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the least exponent of the live unshifted terms at t = 0
@@ -498,10 +522,9 @@ class PowerTable:
         out = np.where(T == 0.0, 0.0, np.where(diverges, INF, np.nan))
         i = np.flatnonzero(np.isnan(out))
         if len(i):
-            key = np.concatenate([a[i].reshape(len(i), -1) for a in
-                                  (self.bps, self.coef, self.expo, self.shift, self.tail, T)], 1)
-            _, first, back = np.unique(key.view(f"V{key.itemsize * key.shape[1]}")[:, 0],
-                                       return_index=True, return_inverse=True)
+            first, back = _first_of_each(np.concatenate(
+                [a[i].reshape(len(i), -1) for a in
+                 (self.bps, self.coef, self.expo, self.shift, self.tail, T)], 1))
             j = i[first]
             out[i] = self.rows(j)._conjugate_sup(T[j], e1[j] == 1.0)[back]
         return out
@@ -586,6 +609,15 @@ class PowerTable:
                         None if math.isinf(tail) else tail)
 
 
+def _first_of_each(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows of a 2D float array: the index of the first row of each
+    distinct bit pattern, and each row's index into those."""
+    key = np.ascontiguousarray(key)  # concatenated broadcast arrays may not be C-ordered
+    _, first, back = np.unique(key.view(f"V{key.itemsize * key.shape[1]}")[:, 0],
+                               return_index=True, return_inverse=True)
+    return first, back
+
+
 def _one_row(table: PowerTable, t):
     """Evaluate a one-row table at scalar or array t, keeping t's shape."""
     t = np.asarray(t, dtype=float)
@@ -607,33 +639,41 @@ def _last_t_where(fits: Callable[[np.ndarray], np.ndarray], n: int,
     1 / _T_RANGE get ``(0, hi)``; rows where fits still holds past
     _T_RANGE get ``(inf, inf)``.  fits is always given all n rows; rows
     the search is not asking about get the level 1."""
-    def holds(t, rows):
-        return rows & fits(np.where(rows, t, 1.0)) if rows.any() else rows
+    def holds(t, rows):  # rows & fits(t), fits asked at t on ``rows`` only
+        return rows & fits(np.where(rows, t, 1.0))
 
     up = fits(np.ones(n))
     lo, hi = np.where(up, 1.0, float(floor)), np.where(up, 2.0, 1.0)
     far, grow, shrink = np.zeros(n, dtype=bool), up, ~up
-    while np.any(grow):
+    while grow.any():
         grow = holds(hi, grow)
-        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+        np.copyto(lo, hi, where=grow)
+        np.multiply(hi, 2.0, out=hi, where=grow)
         far |= grow & (hi > _T_RANGE)
         grow &= ~far
-    while np.any(shrink):
-        shrink &= 0.5 * hi > max(floor, 1 / _T_RANGE)
-        ok = holds(0.5 * hi, shrink)
-        lo, hi = np.where(ok, 0.5 * hi, lo), np.where(shrink & ~ok, 0.5 * hi, hi)
-        shrink &= ~ok
+    while shrink.any():
+        half = 0.5 * hi
+        shrink &= half > max(floor, 1 / _T_RANGE)
+        if not shrink.any():
+            break
+        ok = holds(half, shrink)
+        np.copyto(lo, half, where=ok)
+        shrink ^= ok  # ok lies in shrink: the rows that failed
+        np.copyto(hi, half, where=shrink)
     low = ~up & (lo == floor)  # halved down to the floor: fits(floor) decides
-    fail = low & ~holds(np.full(n, float(floor)), low)
-    lo, hi = np.where(fail, 0.0, lo), np.where(fail, float(floor), hi)
+    if low.any():
+        fail = low & ~holds(float(floor), low)
+        np.copyto(lo, 0.0, where=fail)
+        np.copyto(hi, float(floor), where=fail)
     todo = (lo > 0) & ~far
     while True:
         todo &= hi - lo > tol * lo
-        if not np.any(todo):
+        if not todo.any():
             break
         mid = 0.5 * (lo + hi)
         ok = holds(mid, todo)
-        lo, hi = np.where(ok, mid, lo), np.where(todo & ~ok, mid, hi)
+        np.copyto(lo, mid, where=ok)
+        np.copyto(hi, mid, where=todo ^ ok)  # ok lies in todo
     return np.where(far, INF, lo), np.where(far, INF, hi)
 
 

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orliczkit import (
+    Domain,
     PhiCurve,
     PhiFunction,
     PowerTerm,
@@ -25,13 +26,18 @@ from orliczkit import (
     enlarge_ainc_constant,
     exponent_from_doubling,
     from_curve,
+    glue_small_values,
     make_family,
     power_curve,
     region_from_dict,
     reports_table,
     weight_from_dict,
 )
-from orliczkit.conditions import CHECK_TOL, _holds, _sampled_sup, _within
+from orliczkit import conditions
+from orliczkit.conditions import CHECK_TOL, N_BALLS, X_RADIUS, _ball_pairs, _holds, \
+    _sampled_sup, _within
+from orliczkit.phi_core import UNIT_BALL_VOLUME, _ball_volume, _first_of_each, \
+    _last_t_where
 
 INF = math.inf
 
@@ -120,10 +126,17 @@ def test_ainc_of_pure_power_property(e, frac):
 
 
 class _Table:
-    """A stand-in for phi's table whose values are given outright."""
+    """A stand-in for phi's table whose values are given outright; rows of
+    equal bits are one distinct row, as a PowerTable plans its rows."""
 
     def __init__(self, vals):
         self.vals = vals
+        self.tail = np.full(len(vals), INF)
+
+    @property
+    def _distinct(self):
+        first, back = _first_of_each(self.vals)
+        return None if len(first) == len(self.vals) else (_Table(self.vals[first]), back)
 
     def value(self, T):
         return self.vals.copy()
@@ -301,6 +314,116 @@ def test_a1_families(families):
     for name in ("example_3_2", "example_3_4", "example_3_5"):
         rep = check_a1(families[name])
         assert rep.holds and rep.constants["beta"] == 1.0, name
+
+
+def _one_draw_at_a_time(domain: Domain, rng) -> tuple:
+    """The ball pairs of ``conditions._ball_pairs`` drawn one candidate at
+    a time, and the number of balls whose 200 tries ran out."""
+    dim = domain.dim
+    lower, upper = (np.asarray(b) for b in domain.sampling_box(X_RADIUS))
+    r_max = (1.0 / UNIT_BALL_VOLUME[dim]) ** (1.0 / dim)
+    xs, ys, vols, ran_out = [], [], [], 0
+    for _ in range(N_BALLS):
+        center = lower + rng.random(dim) * (upper - lower)
+        radius = float(np.exp(rng.uniform(np.log(0.02), np.log(r_max))))
+        pts, tries = [], 0
+        while len(pts) < 12 and tries < 200:
+            cand = center + rng.uniform(-radius, radius, dim)
+            tries += 1
+            if np.linalg.norm(cand - center) <= radius and domain.contains(tuple(cand)):
+                pts.append(cand)
+        ran_out += len(pts) < 12
+        xs += pts[0:len(pts) - 1:2]
+        ys += pts[1::2]
+        vols += [_ball_volume(dim, radius)] * (len(pts) // 2)
+    return (np.reshape(xs, (-1, dim)), np.reshape(ys, (-1, dim)),
+            np.asarray(vols), ran_out)
+
+
+@pytest.mark.parametrize("domain", [
+    Domain(1), Domain(2), Domain(1, (-2.0,), (2.0,)),
+    Domain(2, (0.0, -1.0), (3.0, 1.0)),
+    # thinner than most balls: their 200 tries run out
+    Domain(2, (0.0, 0.0), (1.0, 1e-3))],
+    ids=["R1", "R2", "box1", "box2", "thin-box2"])
+def test_ball_pairs_are_the_one_draw_at_a_time_pairs(domain):
+    """The block draws keep the points, in order, that drawing one
+    candidate at a time keeps, and leave the stream where it leaves it."""
+    for seed in range(4):
+        block, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _ball_pairs(domain, block), _one_draw_at_a_time(domain, single)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        assert block.random() == single.random()
+        if domain.upper == (1.0, 1e-3):
+            assert want[3] > 0
+
+
+def _plain_largest_beta(table, ok) -> float:
+    """The level search of ``_largest_beta`` testing every sample at every
+    probe."""
+    every = np.arange(len(table.tail))
+
+    def fits(beta: float) -> bool:
+        return bool(np.all(ok(table, every, beta)))
+
+    if fits(1.0):
+        return 1.0
+    return float(_last_t_where(lambda b: np.array([fits(float(b[0]))]), 1,
+                               CHECK_TOL, floor=2.0 ** -40)[0][0])
+
+
+@st.composite
+def _catalog_family(draw):
+    """A catalog family with drawn parameters, in 1D or 2D."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["orlicz", "variable_exponent", "double_phase",
+                                 "vdp", "example_3_2", "example_3_4",
+                                 "example_4_6", "glued"]))
+    p = draw(st.floats(1.0, 3.0))
+    q = p + draw(st.floats(0.0, 2.0))
+    c = draw(st.floats(0.05, 20.0))
+    if kind == "orlicz":
+        return make_family(kind, {"p": p, "coef": c, "dim": dim})
+    if kind in ("example_3_2", "example_3_4", "example_4_6"):
+        return make_family(kind)
+    field = {"field": "abs_power", "coef": c, "offset": 0.1, "power": 1.0}
+    if kind == "variable_exponent":
+        return make_family(kind, {"dim": dim, "a": field, "p": {
+            "field": "pw_linear", "points": [[0.0, p], [draw(st.floats(1.0, 8.0)), q]]}})
+    if kind == "double_phase":
+        return make_family(kind, {"p": p, "q": q, "a": field, "dim": dim})
+    if kind == "vdp":
+        return make_family(kind, {"dim": dim, "p": {"field": "const", "value": p},
+                                  "q": {"field": "const", "value": q}, "a": field})
+    return glue_small_values(make_family("example_3_2"),
+                             region_from_dict({"region": "inv_square_strip"}), 1.0 + c)
+
+
+def test_active_samples_give_the_plain_search_beta(monkeypatch):
+    """_largest_beta, which tests only the samples that failed every
+    earlier probe, returns bit for bit the beta of the search that tests
+    every sample, for A0 and A1' on drawn families and seeds."""
+    betas = []
+    active = conditions._largest_beta
+
+    def both(table, ok):
+        betas.append((active(table, ok), _plain_largest_beta(table, ok)))
+        return betas[-1][0]
+
+    monkeypatch.setattr(conditions, "_largest_beta", both)
+
+    @settings(max_examples=25)
+    @given(phi=_catalog_family(), seed=st.integers(0, 2 ** 32 - 1))
+    def check(phi, seed):
+        check_a0(phi)
+        check_a1(phi, seed)
+        for got, want in betas:
+            assert got.hex() == want.hex()
+
+    check()
+    # many searches went below beta = 1 and found a positive beta
+    assert sum(0.0 < got < 1.0 for got, _ in betas) >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -775,6 +775,17 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
     pytest.param(["norm", "--phi", _PHI, "--function", '{"const": 1}',
                   "--resolution", "1e308"], "--resolution",
                  id="norm-huge-resolution"),
+    # a finite count past the cap once reached numpy: blamed on the grid
+    # that failed to allocate, or allocated until killed for memory
+    pytest.param(_pipeline(experiments=[{
+        "experiment": "duality", "truncation_radius": 1e308,
+        "f": {"const": 1}, "g": {"const": 1}}]),
+        "/experiments/0/truncation_radius", id="pipeline-duality-too-many-cells"),
+    pytest.param(["norm", "--phi", _PHI, "--function", '{"const": 1}',
+                  "--resolution", "1e7"], "--resolution",
+                 id="norm-too-many-cells"),
+    pytest.param(["example", "ex3_4", "--resolution", "1e5"], "/resolution",
+                 id="example-ex3_4-too-many-cells"),
     pytest.param(["maximal", "--dim", "1", "--function", '{"const": 1}',
                   "--truncation-radius", "1e308"], "--truncation-radius",
                  id="maximal-huge-truncation-radius"),

@@ -31,8 +31,8 @@ from orliczkit import (
 )
 from orliczkit.gallery import _BALLS, _ball_maxima
 from orliczkit.maximal import _norm_ratios
-from orliczkit.norms import EPS_LUX, LAMBDA_CAP, _domain_mask, _luxemburg_norms, \
-    _modular_at, _truncation_grid
+from orliczkit.norms import EPS_LUX, LAMBDA_CAP, MAX_CELLS, _domain_mask, \
+    _luxemburg_norms, _modular_at, _truncation_grid
 from orliczkit.phi_core import _last_t_where
 
 INF = math.inf
@@ -575,16 +575,30 @@ def test_annulus_test_function():
 def test_truncation_grid_keeps_the_cell_counts(resolution, R, dim):
     """The bundles' int(resolution * R) cells on (-R, R), at resolution / 2
     cells per unit length, and the CLI's max(int(resolution * 2R), 8),
-    unchanged; a count past the largest float, or of no cell, raises."""
+    unchanged up to MAX_CELLS cells in all; a count past the largest float,
+    of no cell or of more than MAX_CELLS cells raises."""
     if not math.isfinite(resolution * R * 2.0):
         with pytest.raises(ValueError, match="finite count"):
             _truncation_grid(dim, R, resolution, least=8)
         return
-    assert _truncation_grid(dim, R, resolution, least=8) == (
-        ((-R, R),) * dim, max(int(resolution * 2 * R), 8))
-    if int(resolution * R) >= 1:
-        assert _truncation_grid(dim, R, resolution / 2) == (
-            ((-R, R),) * dim, int(resolution * R))
-    else:
-        with pytest.raises(ValueError, match="at least one cell"):
-            _truncation_grid(dim, R, resolution / 2)
+    for per_unit, least, n in ((resolution, 8, max(int(resolution * 2 * R), 8)),
+                               (resolution / 2, 0, int(resolution * R))):
+        if n < 1:
+            with pytest.raises(ValueError, match="at least one cell"):
+                _truncation_grid(dim, R, per_unit, least)
+        elif n ** dim > MAX_CELLS:
+            with pytest.raises(ValueError, match="at most"):
+                _truncation_grid(dim, R, per_unit, least)
+        else:
+            assert _truncation_grid(dim, R, per_unit, least) == (((-R, R),) * dim, n)
+
+
+def test_truncation_grid_cap_passes_the_gallery_grids():
+    """The largest gallery grid at resolution 16, 1024^2 cells (R = 64),
+    lies under the cap; one cell per axis more than the cap allows does
+    not."""
+    assert _truncation_grid(2, 64.0, 8.0) == (((-64.0, 64.0),) * 2, 1024)
+    side = math.isqrt(MAX_CELLS)
+    assert _truncation_grid(2, side / 2, 1.0)[1] == side
+    with pytest.raises(ValueError, match="at most"):
+        _truncation_grid(2, (side + 1) / 2, 1.0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orliczkit import (
     AsymptotePair,
@@ -26,7 +26,8 @@ from orliczkit import (
     region_from_dict,
     small_value_threshold,
 )
-from orliczkit.phi_core import _last_t_where
+from orliczkit.conditions import default_x_samples
+from orliczkit.phi_core import PowerTable, _last_t_where
 
 INF = math.inf
 
@@ -312,6 +313,56 @@ def _sample_family(name, families):
 _SAMPLE_NAMES = ["example_3_2", "example_3_4", "example_3_5", "example_4_6",
                  "orlicz", "curve", "variable_exponent", "double_phase", "vdp",
                  "glued", "rebuilt"]
+
+
+def _repeated_row_table(name, families):
+    """A table whose rows repeat: a family's table at its default samples
+    (every row alike for an x-independent one, two kinds of row for
+    example_3_2) with every other point again; or per-row exponents 1, 2
+    and 0.5 in turn; or coefficients 0.0 and -0.0 in turn."""
+    if name == "exponents":
+        return PowerTable.build(7, [0.0], [[(1.5, np.resize([1.0, 2.0, 0.5], 7), 0.0)]])
+    if name == "signed_zero":
+        return PowerTable.build(4, [0.0], [[(np.array([0.0, -0.0, 0.0, -0.0]), 1.0, 0.0)]])
+    phi = _sample_family(name, families)
+    X = default_x_samples(phi.domain)
+    return phi.table(np.vstack([X, X[::2]]))
+
+
+@given(name=st.sampled_from(_SAMPLE_NAMES + ["exponents", "signed_zero"]),
+       levels=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                 st.floats(0.0, 1e300)), min_size=1, max_size=6))
+@example(name="signed_zero", levels=[0.0, 3.0])
+@example(name="exponents", levels=[0.25, 1.0, 4.0])
+@example(name="glued", levels=[0.5, 1.0, 2.0])
+@example(name="rebuilt", levels=[1e-3, 0.5, 2.0])
+def test_shared_levels_evaluate_each_row_as_alone(families, name, levels):
+    """At one shared row of levels, each distinct table row is evaluated
+    once and its values gathered to its repeats: every row is bit for bit
+    the row evaluated alone, and 0.0 and -0.0 coefficients stay apart."""
+    table = _repeated_row_table(name, families)
+    T = np.array([levels])
+    together = table.value(T)
+    alone = np.vstack([table.rows([i]).value(T) for i in range(len(table.tail))])
+    np.testing.assert_array_equal(together.view(np.int64), alone.view(np.int64))
+
+
+def test_distinct_rows_are_found_by_their_bits(families):
+    """The plan of distinct rows: one row for an x-independent family, one
+    per side of example_3_2's strip, none when every row differs."""
+    orlicz = make_family("orlicz", {"p": 2.0, "dim": 2})
+    X = default_x_samples(orlicz.domain)
+    assert len(orlicz.table(X)._distinct[0].tail) == 1
+    strip = families["example_3_2"].table(np.array([[0.0, 0.0], [5.0, 0.01], [5.0, 3.0]]))
+    assert len(strip._distinct[0].tail) == 2
+    # radial: the lattice's mirror points repeat rows, random points do not
+    radial = make_family("example_3_4")
+    assert len(radial.table(X)._distinct[0].tail) < len(X)
+    rng = np.random.default_rng(0)
+    assert radial.table(rng.uniform(-4.0, 4.0, (20, 2)))._distinct is None
+    signed = _repeated_row_table("signed_zero", families)
+    assert signed._distinct[1].tolist() in ([0, 1, 0, 1], [1, 0, 1, 0])
+    assert np.signbit(signed.value(np.array([[3.0]]))[:, 0]).tolist() == [False, True] * 2
 
 
 @pytest.mark.parametrize("name", _SAMPLE_NAMES)
