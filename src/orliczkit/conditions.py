@@ -61,6 +61,10 @@ DEFAULT_MAX_CONSTANT = 1e3
 #: beta that a level search returns.
 CHECK_TOL = 1e-9
 
+#: The least beta that the A0 and A1' searches probe: a condition that
+#: fails there has beta 0.
+BETA_FLOOR = 2.0 ** -40
+
 #: The fixed part of the sampling lattice: t points per decade, x points
 #: per axis, and the half-width of the x window on an unbounded domain.
 POINTS_PER_DECADE = 64
@@ -429,14 +433,14 @@ def check_a0(phi: PhiFunction) -> ConditionReport:
         constants={"beta": beta},
         sample_spec={**SampleSpec().describe(), "n_x": len(X)},
         worst_witness=None if holds else
-        {"x": [float(v) for v in X[np.argmin(ok(table, 2.0 ** -40))]]})
+        {"x": [float(v) for v in X[np.argmin(ok(table, BETA_FLOOR))]]})
 
 
 def _largest_beta(table: PowerTable,
                   ok: Callable[[PowerTable, np.ndarray, float], np.ndarray]) -> float:
-    """The largest beta in [2^-40, 1] where every sample passes, to
+    """The largest beta in [BETA_FLOOR, 1] where every sample passes, to
     ``CHECK_TOL`` relative and from below; 0 where some sample fails at
-    2^-40.  The samples are the rows of ``table``, and ``ok(table.rows(i),
+    BETA_FLOOR.  The samples are the rows of ``table``, and ``ok(table.rows(i),
     i, beta)`` tests the samples i, one bool each; each sample's test
     holds on an initial interval of beta.
 
@@ -458,8 +462,9 @@ def _largest_beta(table: PowerTable,
 
     if fits(1.0):  # the cap: the search alone would go on above 1
         return 1.0
-    lo = _last_t_where(lambda b: np.array([fits(float(b[0]))]), 1, CHECK_TOL,
-                       floor=2.0 ** -40)[0]
+    # the search's first probe, at 1, is the cap's, which failed
+    lo = _last_t_where(lambda b: np.array([b[0] < 1.0 and fits(float(b[0]))]), 1,
+                       CHECK_TOL, floor=BETA_FLOOR)[0]
     return float(lo[0])
 
 

@@ -3,19 +3,22 @@
 A :class:`GridFunction` samples a nonnegative function at cell centers of
 a uniform grid on an axis-aligned box (1D or 2D).  The modular is the
 midpoint-rule integral of phi(x, f(x)); the Luxemburg norm is the least
-scaling bringing the modular to 1, found by the package's one level
-search.  Functions that share a grid are measured together: phi is bound
-once to the cells in its domain where some of them is positive (phi(x, 0)
-= 0 elsewhere), and one search brackets every norm, each exactly as if
-searched alone; :func:`modular` and :func:`luxemburg_norm` are the
-one-function case.  Ball-norm and duality reports record empirical
-comparability constants rather than asserting fixed ones.
+scaling bringing the modular to 1, found by one bracket search on log
+modular against log 1/lam (:func:`_norm_levels`): secant steps, with
+geometric bisection where a secant step is not possible.  Functions
+that share a grid are measured together: phi is bound once to the cells
+in its domain where some of them is positive (phi(x, 0) = 0 elsewhere),
+and one search brackets every norm, each exactly as if searched alone;
+:func:`modular` and :func:`luxemburg_norm` are the one-function case.
+Ball-norm and duality reports record empirical comparability constants
+rather than asserting fixed ones.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import struct
 import warnings
@@ -39,12 +42,14 @@ LAMBDA_CAP = 1e12
 #: gallery grid at resolution 16 (1024^2 cells), 32 MiB per float array.
 MAX_CELLS = 2 ** 22
 
-#: The norm search's seeding stops once a row's bracket is this narrow,
-#: relative to its lower end, far below EPS_LUX so that the search's own
-#: levels almost never fall inside it; or after this many steps, enough
-#: for steps that double log u from 2 to pass 1e300.
-_SEED_TOL = 1e-12
-_SEED_ROUNDS = 16
+#: Each step of the norm search lands at least half this far inside its
+#: row's bracket, relative to its ends: far below EPS_LUX, so that a step
+#: just past a secant root closes the bracket.  A row's first
+#: _SECANT_ROUNDS steps may be secant steps, enough for steps that double
+#: log u from 2 to pass 1e300; every later step halves its bracket in log
+#: u or doubles log u past an open end, so that every search ends.
+_STEP_TOL = 1e-12
+_SECANT_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -277,27 +282,26 @@ def _modular_at(phi, fs: list):
     return at
 
 
-def _seeded_fits(at, n: int):
-    """``u -> at(u) <= 1`` for n rows, seeded so that the norm search
-    evaluates the modular only at levels the seeding left open, and the
-    modulars at u = 1, the seeding's first evaluation.
+def _norm_levels(at, n: int) -> tuple:
+    """Per row of n, lo of the final bracket ``[lo, hi]`` of ``sup{u :
+    at(u) <= 1}``, and the modulars at u = 1, the search's first
+    evaluation.
 
     Every evaluation records, per row, lo = the largest u known to fit
-    and hi = the least u known to fail.  The seeding evaluates u = 1 and
+    and hi = the least u known to fail.  The search evaluates u = 1 and
     then takes one step per round in every row: a secant step on log m
     against log u toward log m = 0, of the Illinois kind (Dowell &
-    Jarratt, BIT 11, 1971), where both kept log modulars are finite and
-    the step lands inside (lo, hi); else the geometric midpoint where the
-    bracket is closed; else a step past its open end that doubles |log u|
-    of its other end, to lo**2 but at least 2 or to hi**2 but at most 1/2
-    (from u = 1, the search's first level, 2 or 1/2).
-    Each step stays at least _SEED_TOL / 2 inside the bracket and inside
-    the search's range [1 / LAMBDA_CAP, _T_RANGE].  A row stops once hi -
-    lo <= _SEED_TOL * lo, once its bracket leaves that range, or after
-    _SEED_ROUNDS steps.  The modular grows with u, so a level <= lo fits
-    and one >= hi fails: the predicate answers without evaluating when
-    every row's level is one of these, and the search asks the same
-    levels and gets the same answers as unseeded."""
+    Jarratt, BIT 11, 1971), in the first _SECANT_ROUNDS rounds where
+    both kept log modulars are finite and the step lands inside (lo,
+    hi); else the geometric midpoint where the bracket is closed; else a
+    step past its open end that doubles |log u| of its other end, to
+    lo**2 but at least 2 or to hi**2 but at most 1/2.  Each step stays
+    at least _STEP_TOL / 2 inside the bracket and inside [1 / LAMBDA_CAP,
+    _T_RANGE].  A row stops once hi - lo <= EPS_LUX * lo or once its
+    bracket leaves that range: lo = 0 where 1 / LAMBDA_CAP fails and lo =
+    _T_RANGE where _T_RANGE fits.  The modular grows with u, and a row's
+    steps depend on its own modulars alone, so each row ends as if
+    searched alone."""
     lo, hi = np.zeros(n), np.full(n, INF)
 
     def look(u, m):  # log m, with lo and hi recorded
@@ -308,27 +312,22 @@ def _seeded_fits(at, n: int):
         hi[~ok] = np.minimum(hi[~ok], u[~ok])
         return l
 
-    def fits(u):
-        if np.all((u <= lo) | (u >= hi)):
-            return u <= lo
-        return look(u, at(u)) <= 0.0
-
     first = at(np.ones(n))
     x0 = x1 = np.zeros(n)
     l0 = l1 = look(np.ones(n), first)
-    for _ in range(_SEED_ROUNDS):
-        live = (hi - lo > _SEED_TOL * lo) & (lo < _T_RANGE) & (hi > 1.0 / LAMBDA_CAP)
+    for k in itertools.count():
+        live = (hi - lo > EPS_LUX * lo) & (lo < _T_RANGE) & (hi > 1.0 / LAMBDA_CAP)
         if not np.any(live):
-            break
+            return lo, first
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = np.exp(x1 - l1 * (x1 - x0) / (l1 - l0))
             # a step that rounds onto an end is clipped inside below
-            secant = np.isfinite(l0) & np.isfinite(l1) \
-                & (lo < u * (1 + _SEED_TOL)) & (u < hi * (1 + _SEED_TOL))
+            secant = (k < _SECANT_ROUNDS) & np.isfinite(l0) & np.isfinite(l1) \
+                & (lo < u * (1 + _STEP_TOL)) & (u < hi * (1 + _STEP_TOL))
             u = np.where(secant, u, np.where(
                 lo == 0.0, np.minimum(hi * hi, 0.5),  # past an open end
                 np.where(hi == INF, np.maximum(lo * lo, 2.0), np.sqrt(lo) * np.sqrt(hi))))
-        u = np.minimum(np.maximum(u, lo * (1 + _SEED_TOL / 2)), hi / (1 + _SEED_TOL / 2))
+        u = np.minimum(np.maximum(u, lo * (1 + _STEP_TOL / 2)), hi / (1 + _STEP_TOL / 2))
         u = np.where(live, np.minimum(np.maximum(u, 1.0 / LAMBDA_CAP), _T_RANGE), 1.0)
         l = look(u, at(u))
         # Illinois: a step on the latest point's side of a bracket keeps
@@ -337,26 +336,24 @@ def _seeded_fits(at, n: int):
         moved = live & ~kept
         x0, l0 = np.where(moved, x1, x0), np.where(moved, l1, np.where(kept, 0.5 * l0, l0))
         x1, l1 = np.where(live, np.log(u), x1), np.where(live, l, l1)
-    return fits, first
 
 
 def _luxemburg_norms(phi, fs: list) -> tuple:
     """:func:`luxemburg_norm` and :func:`modular` of each of fs, as two
-    lists: one binding of phi per grid and one level search for all of
-    that grid's members, each row bracketed as if searched alone.  The
-    search is seeded (:func:`_seeded_fits`), which changes how often it
-    evaluates the modular and none of its brackets; its first evaluation,
-    at u = 1, is each member's modular, bit for bit."""
+    lists: one binding of phi per grid and one norm search
+    (:func:`_norm_levels`) for all of that grid's members, each row
+    bracketed as if searched alone; its first evaluation, at u = 1, is
+    each member's modular, bit for bit."""
     groups = {}  # by grid; a function without a positive value has norm 0
     for i, f in enumerate(fs):
         if np.any(f.values > 0):
             groups.setdefault((f.box, f.resolution), []).append(i)
     norms, mods = [0.0] * len(fs), [0.0] * len(fs)
     for idx in groups.values():
-        fits, first = _seeded_fits(_modular_at(phi, [fs[i] for i in idx]), len(idx))
-        u = _last_t_where(fits, len(idx), EPS_LUX, floor=1.0 / LAMBDA_CAP)[0]
+        u, first = _norm_levels(_modular_at(phi, [fs[i] for i in idx]), len(idx))
         for i, ui, m in zip(idx, u, first):
-            norms[i], mods[i] = INF if ui == 0.0 else float(1.0 / ui), float(m)
+            norms[i] = INF if ui == 0.0 else 0.0 if ui >= _T_RANGE else float(1.0 / ui)
+            mods[i] = float(m)
     return norms, mods
 
 
@@ -368,16 +365,14 @@ def modular(phi, f: GridFunction) -> float:
 
 def luxemburg_norm(phi, f: GridFunction) -> float:
     """inf{lam > 0 : modular(f / lam) <= 1}, approximated from above to
-    EPS_LUX relative: the one level search finds the largest u = 1/lam
-    with modular(u f) <= 1 and the norm is 1/lo of its final bracket.
-    The search is seeded (:func:`_seeded_fits`), by secant, midpoint or
-    doubling steps on log modular against log u, which bracket the
-    answer far tighter than EPS_LUX in a few modulars; the search then
-    evaluates only at levels the seeding left open, so it asks the same
-    levels, gets the same answers and returns the same norm as unseeded.
-    Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the function
-    is outside the space at this truncation), and 0.0 for a norm below
-    1e-300, where the search's range ends."""
+    EPS_LUX relative: the norm search (:func:`_norm_levels`) brackets the
+    largest u = 1/lam with modular(u f) <= 1 by secant, midpoint or
+    doubling steps on log modular against log u, and the norm is 1/lo of
+    its final bracket.  Where log modular is linear in log u, as under
+    t^p, a secant step lands on the norm and it is found far closer than
+    EPS_LUX.  Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the
+    function is outside the space at this truncation), and 0.0 for a norm
+    of at most 1e-300, where the search's range ends."""
     return _luxemburg_norms(phi, [f])[0][0]
 
 

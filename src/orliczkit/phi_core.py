@@ -326,18 +326,25 @@ class PowerTable:
         slots ``(coef, exponent, shift)``.  Numbers of an array whose rows
         are one broadcast row, or of a one-row table, are floats, so
         numpy's scalar fast paths apply; others are (N, 1) columns.  Slots
-        unused in every row are left out."""
+        unused in every row are left out.  In a column, the inf breakpoint
+        of a row's unused piece and the inf shift of its unused slot read
+        nan, which no level passes, t = inf included, so a row's values
+        do not depend on how it was batched."""
         def num(a, idx=()):
             if len(a) and (len(a) == 1 or a.strides[0] == 0):
                 return float(a[(0,) + idx])
             return a[(slice(None),) + idx][:, None]
 
+        def unused_as_nan(a):
+            return a if isinstance(a, float) else np.where(a == INF, np.nan, a)
+
         pieces = []
         for k in range(self.bps.shape[1]):
             terms = [tuple(num(a, (k, j)) for a in (self.coef, self.expo, self.shift))
                      for j in range(self.coef.shape[2])]
-            pieces.append((num(self.bps, (k,)),
-                           [t for t in terms if not (isinstance(t[2], float) and t[2] == INF)]))
+            pieces.append((unused_as_nan(num(self.bps, (k,))),
+                           [(c, e, unused_as_nan(s)) for c, e, s in terms
+                            if not (isinstance(s, float) and s == INF)]))
         return num(self.tail), pieces
 
     def _piece(self, k: int, T: np.ndarray) -> np.ndarray:
@@ -346,7 +353,8 @@ class PowerTable:
         out = None
         with np.errstate(over="ignore"):
             for c, e, s in self._plan[1][k][1]:
-                u = T if isinstance(s, float) and s == 0.0 else np.maximum(T - s, 0.0)
+                # fmax: 0 at an unused slot's nan shift
+                u = T if isinstance(s, float) and s == 0.0 else np.fmax(T - s, 0.0)
                 g = _pow(u, e)
                 zero = e == 0.0
                 if zero if isinstance(zero, bool) else zero.any():
@@ -396,8 +404,8 @@ class PowerTable:
         At one shared row of levels T (1, M), each distinct table row (by
         the bits of its numbers, so 0.0 and -0.0 stay apart) is evaluated
         once and the values are gathered to every row with its bits.  This
-        is exact at finite levels, where a row's values do not depend on
-        how its row was batched."""
+        is exact: a row's values do not depend on how its row was
+        batched."""
         T = np.asarray(T, dtype=float)
         if (T < 0).any():
             raise ValueError("t must be nonnegative")

@@ -34,8 +34,8 @@ from orliczkit import (
     weight_from_dict,
 )
 from orliczkit import conditions
-from orliczkit.conditions import CHECK_TOL, N_BALLS, X_RADIUS, _ball_pairs, _holds, \
-    _sampled_sup, _within
+from orliczkit.conditions import BETA_FLOOR, CHECK_TOL, N_BALLS, X_RADIUS, _ball_pairs, \
+    _holds, _sampled_sup, _within
 from orliczkit.phi_core import UNIT_BALL_VOLUME, _ball_volume, _first_of_each, \
     _last_t_where
 
@@ -370,7 +370,7 @@ def _plain_largest_beta(table, ok) -> float:
     if fits(1.0):
         return 1.0
     return float(_last_t_where(lambda b: np.array([fits(float(b[0]))]), 1,
-                               CHECK_TOL, floor=2.0 ** -40)[0][0])
+                               CHECK_TOL, floor=BETA_FLOOR)[0][0])
 
 
 @st.composite
@@ -424,6 +424,30 @@ def test_active_samples_give_the_plain_search_beta(monkeypatch):
     check()
     # many searches went below beta = 1 and found a positive beta
     assert sum(0.0 < got < 1.0 for got, _ in betas) >= 10
+
+
+def test_largest_beta_probes_one_once(monkeypatch):
+    """The cap's probe at beta = 1 also answers the level search's first
+    probe: one evaluation at beta = 1 per search, for A0 and A1', where
+    both searches go below 1."""
+    probes = []
+    largest = conditions._largest_beta
+
+    def counted(table, ok):
+        probes.append([])
+
+        def counting(rows, i, beta):
+            probes[-1].append(beta)
+            return ok(rows, i, beta)
+
+        return largest(table, counting)
+
+    monkeypatch.setattr(conditions, "_largest_beta", counted)
+    a0 = check_a0(from_curve(power_curve(2.0, coef=0.25)))  # beta 1/2
+    a1 = check_a1(make_family("example_4_6"))  # beta about 0.89
+    assert a0.constants["beta"] == pytest.approx(0.5) and a1.constants["beta"] < 1.0
+    assert [b.count(1.0) for b in probes] == [1, 1]
+    assert all(len(b) > 1 for b in probes)
 
 
 # ---------------------------------------------------------------------------

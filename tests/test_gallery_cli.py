@@ -24,6 +24,7 @@ from orliczkit import GridFunction, PhiCurve, SpecError, WeightFunction, \
 from orliczkit.cli import main
 from orliczkit.conditions import CHECK_TOL, ConditionReport, _jsonable
 from orliczkit.gallery import _bounded
+from orliczkit.norms import EPS_LUX
 
 _cli = importlib.import_module("orliczkit.cli")
 
@@ -114,6 +115,25 @@ def test_pipeline_tail_asymptotes():
     assert rec["converged"]
     up = PhiCurve.from_dict(rec["upper"])
     assert up.value(2.0) == 6.0  # t^2 + t at t = 2
+
+
+def test_pipeline_duality_experiment_holds():
+    """f = 1 on (-1, 1), 8 cells, has norm sqrt(2) under t^2; g, the
+    indicator of 4 cells (measure 1), has norm 1/2 under (t^2)* = t^2 / 4;
+    their pairing 1 lies within the bound 2 ||f||."""
+    bundle = run_pipeline({
+        "phi": {"kind": "orlicz", "params": {"p": 2}},
+        "experiments": [{"experiment": "duality", "f": {"const": 1},
+                         "g": {"ball": {"center": [0], "radius": 0.5}}}]})
+    exp = bundle["experiments"][0]
+    assert exp["experiment"] == "duality" and bundle["verdict"] is True
+    rep = exp["report"]
+    assert set(rep) == {"pairing", "norm_f", "conj_norm_g", "bound_constant",
+                        "observed_constant", "holds"}
+    assert rep["holds"] is True and rep["pairing"] == 1.0
+    assert rep["norm_f"] == pytest.approx(math.sqrt(2.0), rel=EPS_LUX)
+    assert rep["conj_norm_g"] == pytest.approx(0.5, rel=EPS_LUX)
+    assert rep["observed_constant"] == rep["pairing"] / rep["norm_f"]
 
 
 def test_pipeline_empty_checks_echoes_phi():
@@ -393,6 +413,19 @@ def test_cli_maximal_writes_outputs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "maximal.json").exists()
     report = json.loads(capsys.readouterr().out)
     assert report["max_value"] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_cli_maximal_reports_norms_under_phi(phi_file, tmp_path, capsys):
+    """With --phi, maximal reports the norms of f and of Mf under phi
+    (t^2 here): ||f|| = sqrt(|B|) for f the indicator of a ball B, 16
+    cells of 1/8, and ||Mf|| > ||f||, as Mf >= f and Mf > 0 = f off B."""
+    assert main(["maximal", "--phi", f"@{phi_file}", "--dim", "1",
+                 "--function", '{"ball": {"center": [0], "radius": 1}}',
+                 "--truncation-radius", "4", "--resolution", "8",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["norm_f"] == pytest.approx(math.sqrt(2.0), rel=EPS_LUX)
+    assert report["norm_Mf"] > report["norm_f"]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

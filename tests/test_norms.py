@@ -171,8 +171,8 @@ def test_norm_ratios_bind_phi_twice_per_grid(table_builds):
     assert len(table_builds) == 2  # one per grid
 
 
-# The norm search as it was before batching, kept as the reference: phi
-# bound to every cell in its domain and one member searched at a time.
+# The modular as it was before batching, kept as the reference: phi
+# bound to every cell in its domain and one member at a time.
 
 
 def _reference_modular_at(phi, f):
@@ -188,15 +188,6 @@ def _reference_modular_at(phi, f):
         return float(np.sum(out) * f.cell_volume)
 
     return at
-
-
-def _reference_norm(phi, f):
-    if not np.any(f.values > 0):
-        return 0.0
-    at = _reference_modular_at(phi, f)
-    u = _last_t_where(lambda u: np.array([at(u[0]) <= 1.0]),
-                      1, EPS_LUX, floor=1.0 / LAMBDA_CAP)[0][0]
-    return INF if u == 0.0 else float(1.0 / u)
 
 
 def _bits(xs):
@@ -242,19 +233,19 @@ def test_batched_norms_match_one_member_reference(name, dim, data):
     phi = _BATCH_PHIS[name](dim)
     fam = data.draw(_family(dim))
     (norms, found), mods = _luxemburg_norms(phi, fam), _modular_at(phi, fam)(np.ones(len(fam)))
-    np.testing.assert_array_equal(_bits(norms), _bits([_reference_norm(phi, f) for f in fam]))
+    np.testing.assert_array_equal(_bits(norms), _bits([luxemburg_norm(phi, f) for f in fam]))
     reference = _bits([_reference_modular_at(phi, f)(1.0) for f in fam])
     np.testing.assert_array_equal(_bits(mods), reference)
     # the modulars the norm search starts from, zero members included
     np.testing.assert_array_equal(_bits(found), reference)
 
 
-# The seeded norm search against the plain one, _last_t_where on the
+# The norm search against the plain level search, _last_t_where on the
 # predicate at(u) <= 1 over the same binding of phi.
 
 
 @functools.cache
-def _seeded_phi(name, dim):
+def _search_phi(name, dim):
     if name == "glued":
         return glue_small_values(make_family("example_3_2", {}, None),
                                  region_from_dict({"region": "inv_square_strip"}), 1.5)
@@ -268,23 +259,23 @@ def _seeded_phi(name, dim):
     return _BATCH_PHIS[name](dim)
 
 
-def _plain_norms(phi, fs):
+def _plain_brackets(phi, fs):
+    """Per member, the plain search's final bracket (lo, hi) of u = 1/lam,
+    and (0, 0) for a member with no positive value."""
     idx = [i for i, f in enumerate(fs) if np.any(f.values > 0)]
-    out = [0.0] * len(fs)
+    lo, hi = np.zeros(len(fs)), np.zeros(len(fs))
     if idx:
         at = _modular_at(phi, [fs[i] for i in idx])
-        u = _last_t_where(lambda u: at(u) <= 1.0, len(idx), EPS_LUX,
-                          floor=1.0 / LAMBDA_CAP)[0]
-        for i, ui in zip(idx, u):
-            out[i] = INF if ui == 0.0 else float(1.0 / ui)
-    return out
+        lo[idx], hi[idx] = _last_t_where(lambda u: at(u) <= 1.0, len(idx), EPS_LUX,
+                                         floor=1.0 / LAMBDA_CAP)
+    return lo, hi
 
 
 @st.composite
 def _scaled_family(draw, dim):
     """A family on one grid: all-zero, dense and sparse members, and
-    members at the scale 1e-300 or 1e14.  The search doubles about a
-    thousand times for a 1e-300 member, so families are small."""
+    members at the scale 1e-300 or 1e14.  The plain search doubles about
+    a thousand times for a 1e-300 member, so families are small."""
     n = draw(st.integers(3, 6 if dim == 2 else 24))
     box = ((-3.0, 3.0),) * dim
     fam = []
@@ -304,19 +295,30 @@ def _scaled_family(draw, dim):
                              "variable_exponent", "conjugate") for dim in (1, 2)]
     + [("glued", 2)])
 def test_seeded_norm_search_is_the_plain_search(name, dim):
-    """Seeding changes how often the modular is evaluated, never a
-    bracket: every norm is bit for bit the plain search's.  A conjugate
-    modular costs milliseconds, so it gets fewer drawn examples; every
-    case also runs one family with a member at each extreme scale."""
-    phi = _seeded_phi(name, dim)
+    """Each norm is from above and within EPS_LUX of the plain search's:
+    above 1/hi, where the plain search's modular fails, and within EPS_LUX
+    of its 1/lo, since both brackets hold the norm's u and are EPS_LUX
+    narrow.  Both read inf where the floor 1/LAMBDA_CAP fails, and 0 for
+    a member with no positive value.  A conjugate modular costs
+    milliseconds, so it gets fewer drawn examples; every case also runs
+    one family with a member at each extreme scale."""
+    phi = _search_phi(name, dim)
     box, ramp = ((-3.0, 3.0),) * dim, np.linspace(0.0, 1.0, 4 ** dim).reshape((4,) * dim)
 
     @settings(max_examples=3 if name == "conjugate" else 8)
     @example([GridFunction(box, c * ramp) for c in (1e-300, 1e14)])
     @given(fam=_scaled_family(dim))
     def check(fam):
-        np.testing.assert_array_equal(_bits(_luxemburg_norms(phi, fam)[0]),
-                                      _bits(_plain_norms(phi, fam)))
+        norms = np.array(_luxemburg_norms(phi, fam)[0])
+        lo, hi = _plain_brackets(phi, fam)
+        np.testing.assert_array_equal(norms[hi == 0.0], 0.0)
+        np.testing.assert_array_equal(norms[(lo == 0.0) & (hi > 0.0)], INF)
+        # u fits at 2^996, the plain search's last doubling: a norm of at
+        # most 2^-996, read as 0 below 1e-300
+        assert np.all(norms[lo == INF] <= 2.0 ** -996 * (1.0 + EPS_LUX))
+        rest = (lo > 0.0) & (lo < INF)
+        assert np.all(norms[rest] > 1.0 / hi[rest])
+        np.testing.assert_allclose(norms[rest], 1.0 / lo[rest], rtol=EPS_LUX, atol=0.0)
 
     check()
 
@@ -342,9 +344,8 @@ def modular_calls(monkeypatch):
 
 def test_seeded_norm_search_evaluates_few_modulars(modular_calls):
     """Under t^2, log m is linear in log u: the first secant step lands on
-    the norm and one more closes the seeding's bracket, after which the
-    search asks no level left open.  The plain search evaluates 23
-    modulars."""
+    the norm and one more closes the bracket.  The plain search evaluates
+    23 modulars."""
     f = GridFunction.indicator_ball([0.0], 0.3, ((-1.0, 1.0),), 64)
     norm = luxemburg_norm(square(), f)
     assert norm == pytest.approx(math.sqrt(np.sum(f.values) * f.cell_volume), rel=2e-6)
@@ -359,9 +360,9 @@ _RAMP = np.linspace(0.1, 1.0, 8)
     + [("capped", c, 40) for c in (1e-200, 1e-150, 1e14)])
 def test_seeded_norm_search_at_extreme_scales(modular_calls, name, c, most):
     """A member whose modular underflows to 0 or overflows to inf at u = 1,
-    or lies past a capped phi's tail, is seeded like any other: its steps
-    double log u to a bracket instead of the search doubling u about a
-    thousand times."""
+    or lies past a capped phi's tail, is searched like any other: its
+    steps double log u to a bracket instead of doubling u about a thousand
+    times."""
     # ||c ramp|| is c |ramp|_2 under t^2, half that under (t^2)* = t^2 / 4,
     # and c under t capped at 1 (the modular is below 1 up to the cap);
     # a norm below 1e-300 reads 0 and one past LAMBDA_CAP inf
@@ -371,6 +372,20 @@ def test_seeded_norm_search_at_extreme_scales(modular_calls, name, c, most):
     f = GridFunction(((0.0, 1.0),), c * _RAMP)
     assert luxemburg_norm(_BATCH_PHIS[name](1), f) == pytest.approx(norm, rel=2e-6, abs=0.0)
     assert len(modular_calls) <= most
+
+
+@pytest.mark.parametrize("name,half", [("square", 1.0), ("conjugate", 0.5)])
+def test_norms_match_closed_forms(name, half):
+    """||f|| under t^2 is sqrt(h sum f^2) on the grid, and half that under
+    (t^2)* = t^2 / 4.  log m is linear in log u, so a secant step lands
+    on the norm: it is found far closer than EPS_LUX, at every scale."""
+    phi = _BATCH_PHIS[name](1)
+    fs = [GridFunction(((0.0, 1.0),), c * _RAMP) for c in (1e-200, 1e-3, 1.0)]
+    fs.append(GridFunction.indicator_ball([0.1], 0.3, ((-1.0, 1.0),), 64))
+    for f in fs:
+        c = f.values.max()  # squares of f / c do not underflow
+        l2 = c * math.sqrt(np.sum((f.values / c) ** 2) * f.cell_volume)
+        assert luxemburg_norm(phi, f) == pytest.approx(half * l2, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

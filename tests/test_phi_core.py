@@ -319,32 +319,43 @@ def _repeated_row_table(name, families):
     """A table whose rows repeat: a family's table at its default samples
     (every row alike for an x-independent one, two kinds of row for
     example_3_2) with every other point again; or per-row exponents 1, 2
-    and 0.5 in turn; or coefficients 0.0 and -0.0 in turn."""
+    and 0.5 in turn; or coefficients 0.0 and -0.0 in turn; or a second
+    piece, t^3 from 1 on, in every other row only."""
     if name == "exponents":
         return PowerTable.build(7, [0.0], [[(1.5, np.resize([1.0, 2.0, 0.5], 7), 0.0)]])
     if name == "signed_zero":
         return PowerTable.build(4, [0.0], [[(np.array([0.0, -0.0, 0.0, -0.0]), 1.0, 0.0)]])
+    if name == "ragged":
+        return PowerTable.build(4, [0.0, np.array([1.0, INF] * 2)], [
+            [(1.0, 2.0, 0.0)], [(np.array([1.0, 0.0] * 2), 3.0, np.array([0.0, INF] * 2))]])
     phi = _sample_family(name, families)
     X = default_x_samples(phi.domain)
     return phi.table(np.vstack([X, X[::2]]))
 
 
-@given(name=st.sampled_from(_SAMPLE_NAMES + ["exponents", "signed_zero"]),
-       levels=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+@given(name=st.sampled_from(_SAMPLE_NAMES + ["exponents", "signed_zero", "ragged"]),
+       levels=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, INF]),
                                  st.floats(0.0, 1e300)), min_size=1, max_size=6))
 @example(name="signed_zero", levels=[0.0, 3.0])
+@example(name="double_phase", levels=[1.0, INF])
+@example(name="ragged", levels=[2.0, INF])
 @example(name="exponents", levels=[0.25, 1.0, 4.0])
 @example(name="glued", levels=[0.5, 1.0, 2.0])
 @example(name="rebuilt", levels=[1e-3, 0.5, 2.0])
 def test_shared_levels_evaluate_each_row_as_alone(families, name, levels):
     """At one shared row of levels, each distinct table row is evaluated
     once and its values gathered to its repeats: every row is bit for bit
-    the row evaluated alone, and 0.0 and -0.0 coefficients stay apart."""
+    the row evaluated alone, at +inf too, as it is given the levels as its
+    own row, and 0.0 and -0.0 coefficients stay apart."""
+    if name == "signed_zero":  # 0 * inf is nan, with a warning, alone too
+        levels = [t for t in levels if t < INF] or [0.0]
     table = _repeated_row_table(name, families)
     T = np.array([levels])
     together = table.value(T)
     alone = np.vstack([table.rows([i]).value(T) for i in range(len(table.tail))])
     np.testing.assert_array_equal(together.view(np.int64), alone.view(np.int64))
+    per_row = table.value(np.repeat(T, len(alone), axis=0))  # one level row each
+    np.testing.assert_array_equal(per_row.view(np.int64), alone.view(np.int64))
 
 
 def test_distinct_rows_are_found_by_their_bits(families):

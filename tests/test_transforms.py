@@ -261,6 +261,22 @@ def test_tail_witnesses_are_the_curves_at_shell_points(families, table_builds, n
         assert got == curves[k]
 
 
+def test_tails_read_both_1d_shell_points(table_builds):
+    """In 1D each shell is the point pair -r, r.  A double phase family
+    whose second phase lives on a ball around both positive shell points
+    has the upper tail t^2 + t^3, read at r, and the lower tail t^2, read
+    at -r."""
+    ball = {"region": "ball", "center": [5500.0], "radius": 5000.0}
+    phi = make_family("double_phase", {"p": 2.0, "q": 3.0, "dim": 1,
+                                       "a": {"field": "indicator", "of": ball}})
+    est = tail_asymptotes(phi)
+    assert [_shell_points(phi.domain, r).tolist() for r in SHELL_RADII] == \
+        [[[-r], [r]] for r in SHELL_RADII]
+    assert table_builds == [2, 2]
+    assert est.converged and est.flags == ()
+    assert est.upper.value(2.0) == 12.0 and est.lower.value(2.0) == 4.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tails_with_equal_infinite_envelopes_converge():
     """Past the cap both shells read +inf: equal envelopes agree, with no
