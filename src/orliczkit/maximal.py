@@ -100,8 +100,10 @@ class MaximalConfig:
     """Discretization of the ball supremum.
 
     ``radius_set`` are the ball radii; centers live on the cell-center
-    grid thinned by ``center_stride``.  Balls leaving the domain average
-    over the intersected measure only.
+    grid thinned by ``center_stride``.  A stride past the grid's largest
+    axis samples the one center per axis, the first cell's, as a stride
+    equal to that axis does.  Balls leaving the domain average over the
+    intersected measure only.
     """
 
     radius_set: tuple
@@ -390,18 +392,22 @@ def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
             k[big] += 1
             scaled = np.ldexp(g, -k)
     g = scaled
-    s = cfg.center_stride
-    outs = _polyphase_maximal(g, cell_sizes, cfg)
+    # a stride of at least the largest axis samples only center 0 on each
+    # axis, so a larger one gives the same bits and only costs more (s x s
+    # residue pairs in the table, s polyphase parts)
+    s = min(cfg.center_stride, max(g.shape[1:]))
+    outs = _polyphase_maximal(g, cell_sizes, cfg.radius_set, s)
     out = np.empty_like(g)
     for r, part in enumerate(outs):
         out[..., r:: s] = part.transpose(1, 2, 0)
     return np.ldexp(out, k, out=out).reshape(v.shape)
 
 
-def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
-                       cfg: MaximalConfig) -> list:
-    """The maximal function of the (members, nx, ny) grids g as s
-    polyphase parts, y first: part r holds the grid columns r, r + s, ...
+def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
+                       s: int) -> list:
+    """The maximal function of the (members, nx, ny) grids g, over the
+    balls of ``radii`` at the centers of stride s, as s polyphase parts, y
+    first: part r holds the grid columns r, r + s, ...
     Every array here keeps y first, so that a shift along y moves whole
     contiguous blocks; all of them are freed before the parts are
     interleaved.
@@ -412,9 +418,8 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple,
     are all at most the floor before their ball sums, and the lattice
     centers outside the box of those above it before their dilation."""
     members, nx, ny = g.shape
-    s = cfg.center_stride
     lattice = (-(-nx // s), -(-ny // s))
-    plan = _Plan(cfg.radius_set, cell_sizes, (nx, ny), s)
+    plan = _Plan(radii, cell_sizes, (nx, ny), s)
     footprints = plan.footprints
     nruns = np.diff(plan.bounds)
     # on one row a footprint costs less than the tests that would skip it

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import math
+import time
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -24,6 +25,7 @@ from orliczkit import (
     run_pipeline,
 )
 from orliczkit.cli import main
+from orliczkit.gallery import _ball_maxima
 from orliczkit.norms import EPS_LUX
 
 # the package binds the name ``maximal`` to the function, so reach the
@@ -177,6 +179,21 @@ def test_huge_radius_reaches_the_whole_grid(dim):
                      np.random.default_rng(5).random((16,) * dim))
     huge, large = (maximal(f, MaximalConfig((0.5, r), dim)) for r in (1e308, 1e3))
     np.testing.assert_array_equal(huge.values, large.values)
+
+
+@pytest.mark.parametrize("shape", [(256,), (64, 64)])
+def test_stride_past_the_grid_costs_no_more_than_the_grid(shape):
+    """A stride past the largest axis samples only center 0 on each axis,
+    as a stride equal to that axis does, and each call takes under 1 s.
+    Its output is checked against the lattice of the stride itself by
+    ``test_1d_matches_brute_force`` and ``test_2d_matches_brute_force``."""
+    f = GridFunction(((-4.0, 4.0),) * len(shape),
+                     np.random.default_rng(3).random(shape))
+    radii = default_config(f).radius_set
+    for stride in (max(shape), 10 ** 6):
+        start = time.perf_counter()
+        maximal(f, MaximalConfig(radii, stride))
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +355,74 @@ def test_exact_1d_ratio_stays_below_the_sharp_constant(p):
 
 
 # ---------------------------------------------------------------------------
+# the 2D kernel against the exact uncentred operator on disc indicators
+
+
+def _lens(r1, r2, c):
+    """The area where discs of radii r1 and r2 overlap, their centers c > 0
+    apart.  Clipping the cosines and the root's radicand makes the one
+    form hold also when the discs are disjoint or one holds the other."""
+    a1 = np.arccos(np.clip((c * c + r1 * r1 - r2 * r2) / (2 * c * r1), -1, 1))
+    a2 = np.arccos(np.clip((c * c + r2 * r2 - r1 * r1) / (2 * c * r2), -1, 1))
+    k = (-c + r1 + r2) * (c + r1 - r2) * (c - r1 + r2) * (c + r1 + r2)
+    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * np.sqrt(np.maximum(k, 0.0))
+
+
+def _exact_disc_maximal(a, d):
+    """The uncentred M of the indicator of B(0, a) in R^2 at the distances
+    d from 0.  Inside the disc it is 1.  At d > a, of the balls of radius
+    rho that hold x, the one centered on the segment from x toward 0 lies
+    closest to 0, at |d - rho|, and overlaps B most; it reaches B once rho
+    >= (d - a) / 2, and holds it from rho = (d + a) / 2 on, past which the
+    average only falls.  So M is the max over that rho interval of
+    lens(rho, a, |d - rho|) / (pi rho^2), found on a grid of 513 radii
+    refined twice about its best point."""
+    d = np.asarray(d, float)
+    out = np.ones_like(d)
+    far = d > a
+    x = d[far][:, None]
+    lo, hi = (x - a) / 2, (x + a) / 2
+    for _ in range(3):
+        rho = lo + (hi - lo) * np.linspace(0.0, 1.0, 513)
+        avg = _lens(rho, a, np.abs(x - rho)) / (np.pi * rho * rho)
+        best = np.take_along_axis(rho, avg.argmax(axis=1)[:, None], axis=1)
+        step = (hi - lo) / 512
+        lo, hi = np.maximum(best - step, lo), np.minimum(best + step, hi)
+    out[far] = avg.max(axis=1)
+    return out
+
+
+def test_exact_disc_maximal_decays_as_the_enclosing_ball():
+    """The ball of diameter d + 1 through x holds the unit disc, so
+    M(x)(d + 1)^2 >= 4; on 2 <= d <= 16 the product stays below 4.23."""
+    d = np.linspace(2.0, 16.0, 141)
+    prod = _exact_disc_maximal(1.0, d) * (d + 1.0) ** 2
+    assert prod.min() >= 4.0 and prod.max() <= 4.23
+    assert np.all(_exact_disc_maximal(1.0, [0.0, 0.5, 1.0]) == 1.0)
+
+
+@pytest.mark.parametrize("resolution", [4.0, 8.0])
+def test_2d_kernel_lies_between_the_exact_operators_of_two_discs(resolution):
+    """The unit disc's pixel set (cells of size h whose centers lie in it)
+    lies between the discs of radius 1 - h/sqrt(2) and 1 + h/sqrt(2), and
+    M is monotone in f.  So on 2 <= |x| <= 16 the kernel is at most the
+    outer disc's exact M, and at least 2^(-1/2) times the inner one's:
+    ratio^(-2) for the 2D ladder ratio 2^(1/4) (each distinct |x| is
+    evaluated once)."""
+    fam, maxes = _ball_maxima(2, [32.0], resolution, [((0.0, 0.0), 1.0)])
+    f, Mf = fam[0], maxes[0]
+    h = f.cell_sizes[0]
+    d = np.linalg.norm(f.points(), axis=1)
+    cells = (d >= 2.0) & (d <= 16.0)
+    dist, at = np.unique(d[cells], return_inverse=True)
+    got = Mf.values.ravel()[cells]
+    outer, inner = (_exact_disc_maximal(a, dist)[at] for a in
+                    (1.0 + h / math.sqrt(2.0), 1.0 - h / math.sqrt(2.0)))
+    assert np.all(got <= outer)
+    assert np.all(got >= 2.0 ** -0.5 * inner)
+
+
+# ---------------------------------------------------------------------------
 # the kernel against a brute-force enumeration of lattice centers and balls
 
 _ORACLE_GRIDS_1D = [((13,), ((0.0, 2.0),)), ((20,), ((-1.0, 1.5),))]
@@ -405,13 +490,15 @@ def _check_brute_force(shape, box, stride):
                                        atol=0)
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
+# 50 passes every grid's largest axis: the kernel runs at that axis,
+# the oracle at the lattice of 50 itself
+@pytest.mark.parametrize("stride", [1, 2, 3, 50])
 @pytest.mark.parametrize("shape,box", _ORACLE_GRIDS_1D)
 def test_1d_matches_brute_force(shape, box, stride):
     _check_brute_force(shape, box, stride)
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3, 50])
 @pytest.mark.parametrize("shape,box", _ORACLE_GRIDS)
 def test_2d_matches_brute_force(shape, box, stride):
     _check_brute_force(shape, box, stride)

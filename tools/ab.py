@@ -18,12 +18,13 @@ better, in the metric's ``better`` direction from ``BENCHMARK.json``), and
 whether the gap between the medians, in the change's favour, exceeds the
 parent's interquartile range; the raw runs are kept too.  ``same_output``
 says whether both checkouts produced the same bundles: in example mode,
-every run's bundle hash; in workload mode, one run of each checkout's
-``tools/bundle_hashes.py --seeds S``, whose differing output keys are
-listed under ``differing_outputs`` (its modular evaluation counts are not
-outputs and are left out).  It is printed as JSON, and with ``--out
-FILE`` also stored under its label (``W@seedS`` or ``NAME@R``) in the JSON
-object in FILE, made if missing.
+every run's bundle hash; in workload mode, one walk of each checkout by
+this checkout's ``tools/bundles.py --seeds S``, so the parent needs no
+``tools/``.  The hashes of its values and files are compared, and the
+differing keys are listed under ``differing_outputs``.  It is printed as
+JSON, and with ``--out FILE`` also stored under its label (``W@seedS``
+or ``NAME@R``) in the JSON object in FILE, made if missing.  A child run
+that fails stops the harness with exit code 1 (``bundles.child``).
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
 
 import numpy as np
+
+import bundles
 
 #: One thread per BLAS/OpenMP pool in example runs, as ``bench/run.py``
 #: pins its own.
@@ -43,28 +45,23 @@ THREADS = {var: "1" for var in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
-#: Times one bundle in a fresh interpreter; prints seconds, verdict and the
-#: bundle's sha256 as one JSON line.
+#: Times one bundle in a fresh interpreter; prints its seconds and the
+#: bundle as one JSON line.
 EXAMPLE = """
-import hashlib, json, sys, time
+import json, sys, time
 sys.path.insert(0, "src")
 import orliczkit
 t = time.perf_counter()
 out = orliczkit.run_example(sys.argv[1], resolution=float(sys.argv[2]))
-run_s = time.perf_counter() - t
-print(json.dumps({"run_s": run_s, "verdict": out.get("verdict"),
-                  "sha256": hashlib.sha256(json.dumps(
-                      out, sort_keys=True, default=repr).encode()).hexdigest()}))
+print(json.dumps({"run_s": time.perf_counter() - t, "out": out}))
 """
 
 
 def _bench(root: str, args) -> tuple:
     """One ``bench/run.py`` run in ``root``: its end-to-end metrics."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds)],
-        cwd=root, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result = bundles.child(root, [
+        sys.executable, "bench/run.py", "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", str(args.seconds)])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     if not result["correct"] or metrics.get("ok_ratio") != 1.0:
         sys.exit(f"error: {root}: run not correct with ok_ratio 1.0: "
@@ -74,26 +71,14 @@ def _bench(root: str, args) -> tuple:
 
 def _example(root: str, args) -> tuple:
     """One fresh-process ``run_example`` in ``root``: its seconds, and
-    the sha256 of the bundle."""
-    done = subprocess.run(
-        [sys.executable, "-c", EXAMPLE, args.example, str(args.resolution)],
-        cwd=root, capture_output=True, text=True, check=True,
-        env={**os.environ, **THREADS})
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    if result["verdict"] is not True:
-        sys.exit(f"error: {root}: {args.example} verdict is "
-                 f"{result['verdict']}")
-    return {"run_s": result["run_s"]}, result["sha256"]
-
-
-def _hashes(root: str, seed: int) -> dict:
-    """``key -> sha256`` of every output line of ``tools/bundle_hashes.py
-    --seeds seed`` run in ``root``."""
-    done = subprocess.run(
-        [sys.executable, "tools/bundle_hashes.py", "--seeds", str(seed)],
-        cwd=root, capture_output=True, text=True, check=True)
-    return dict(line.rsplit(" ", 1) for line in done.stdout.splitlines()
-                if not line.startswith("evals "))
+    the bundle's ``bundles.digest``."""
+    result = bundles.child(
+        root, [sys.executable, "-c", EXAMPLE, args.example,
+               str(args.resolution)], env={**os.environ, **THREADS})
+    verdict = result["out"].get("verdict")
+    if verdict is not True:
+        sys.exit(f"error: {root}: {args.example} verdict is {verdict}")
+    return {"run_s": result["run_s"]}, bundles.digest(result["out"])
 
 
 def _quartiles(xs) -> dict:
@@ -169,7 +154,7 @@ def main(argv=None) -> int:
         # every run of both checkouts gave the same bundle
         result["same_output"] = len(digests) == 1
     else:
-        parent, change = (_hashes(roots[side], args.seed)
+        parent, change = (bundles.load(roots[side], [args.seed])[1]
                           for side in ("parent", "change"))
         differing = sorted(k for k in parent.keys() | change.keys()
                            if parent.get(k) != change.get(k))
