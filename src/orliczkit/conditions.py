@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -123,10 +124,23 @@ class SampleSpec:
     t_min: float = 1e-4
     t_max: float = 1e4
 
+    def __post_init__(self):
+        if not self.t_min < self.t_max:
+            raise ValueError(f"t_max must exceed t_min, got {self.t_max!r} "
+                             f"<= {self.t_min!r}")
+
     def t_grid(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
-        lo = self.t_min if lo is None or lo <= 0 else max(lo, 1e-300)
-        hi = self.t_max if hi is None or math.isinf(hi) else hi
-        lo, hi = min(lo, hi), max(lo, hi)
+        """Log-spaced samples of [lo, hi], inside it.  An open end (lo None
+        or at most 0, hi None or inf) is sampled to t_min or t_max, unless
+        the finite end lies at or past that bound: then the samples span
+        t_max / t_min beyond the finite end."""
+        span = self.t_max / self.t_min
+        if lo is None or lo <= 0:
+            lo = self.t_min if hi is None or hi > self.t_min else hi / span
+        if hi is None or math.isinf(hi):
+            hi = self.t_max if lo < self.t_max else lo * span
+        hi = min(hi, sys.float_info.max)
+        lo = min(max(lo, 1e-300), hi)
         if lo == hi:
             return np.array([lo])
         ratio = hi / lo

@@ -268,6 +268,15 @@ def _phi_spec(spec) -> PhiFunction:
     return _build_phi(spec)[0]
 
 
+def _sample_spec(r: _Reader) -> SampleSpec:
+    """The ``t_min`` and ``t_max`` of a check spec; a span with no t in
+    it fails at ``/t_max``."""
+    t_min = r("t_min", _positive, SampleSpec.t_min)
+    t_max = r("t_max", _positive, SampleSpec.t_max)
+    with _at("/t_max"):
+        return SampleSpec(t_min, t_max)
+
+
 def _check_call(phi, r: _Reader):
     """The run of one check spec (a pipeline's ``checks`` entry, or the
     CLI ``check`` flags) on ``phi``, its fields read; sampling defaults are
@@ -278,8 +287,7 @@ def _check_call(phi, r: _Reader):
         return partial(check, phi, r("p" if cond == "ainc" else "q", _finite),
                        A=r("A", _points(phi.domain.dim), None),
                        T=r("T", _t_range, (0.0, math.inf)),
-                       spec=SampleSpec(r("t_min", _positive, SampleSpec.t_min),
-                                       r("t_max", _positive, SampleSpec.t_max)))
+                       spec=_sample_spec(r))
     if cond == "a0":
         return partial(check_a0, phi)
     if cond == "a1":

@@ -23,19 +23,22 @@ hi is rounded to a grain of 2**-50 to 2**-49 times the grid's sum, fine
 enough that every sum and difference of its prefix sums is exact, and
 lo, the rest (at most half a grain a cell), is all zero on integer or
 dyadic input and is then skipped.  Each part gets one table, x prefix
-sums and then y prefix sums, with both axes stored by residue mod the
-stride.  A run's x-strip (the table at x + w + 1 less the table at x -
-w) depends on w alone, so it is built once per distinct half-width and
-serves every footprint of a chunk whose accumulators fit
-``_BATCH_CELLS`` cells; its two reads are unit-stride slices of residue
-blocks, and each band of rows then adds two y-corner reads of it.  So
-hi's ball sums are exact and lo's round relative to lo's own sums: each
-ball sum is accurate relative to that ball, not to the running prefix
-totals.  Measured against a brute-force oracle: within 1.6e-15 relative
-beside a cell 1e15 times the background (prefix-sum differences alone
-over-estimated there by 1.7e-2), within 6e-16 on random grids whose
-values span six decades, and bit for bit on integer input.  A sum of
-lo's rounded terms may dip below 0, so sums are clipped at 0.
+sums and then y prefix sums gathered at once into a layout that stores
+both axes by residue mod the stride, with x padded on both sides by the
+widest half-width, rounded up to a multiple of the stride: a read before
+the grid gives 0 and one past it the total.  A run's x-strip (the table
+at x + w + 1 less the table at x - w) depends on w alone, so it is built
+once per distinct half-width and serves every footprint of a chunk whose
+accumulators fit ``_BATCH_CELLS`` cells; it is one subtraction of two
+unit-stride slices of residue blocks, and each band of rows then adds
+two y-corner reads of it.  So hi's ball sums are exact and lo's round
+relative to lo's own sums: each ball sum is accurate relative to that
+ball, not to the running prefix totals.  Measured against a brute-force
+oracle: within 1.6e-15 relative beside a cell 1e15 times the background
+(prefix-sum differences alone over-estimated there by 1.7e-2), within
+6e-16 on random grids whose values span six decades, and bit for bit on
+integer input.  A sum of lo's rounded terms may dip below 0, so sums are
+clipped at 0.
 
 Dividing by the count of cells inside the grid gives each ball its true
 intersected measure; the max over admissible centers is a grayscale
@@ -47,17 +50,18 @@ over the flattened rows, each padded with -inf so that no window that is
 read reaches a neighbour's values.  Each run then maxes its window
 maxima into the output along each of its rows, whole rows at a time.
 Every array keeps y first, so a shift along y moves one contiguous
-block: the tables store y by residue mod the stride, and the output is
-built as that many polyphase parts, interleaved once at the end.  Plain
-y order (no residue blocks, no polyphase parts) took 15-22% more kernel
-time on the seven gallery families at resolution 4: slower in 25 and in
-29 of 30 pairs.  Contiguous blocks pay because numpy runs a ufunc over a
-view it cannot coalesce 3-4 times slower per element: ``np.maximum``
-takes 41 us on a 128 x 255 slice of a 128 x 256 array and 12 us on the
-whole array (numpy 2.4, 2-core host).  Whole rows, flat levels, x stored
-by residue and planning each call once took 11-12% off the median
-``ex3_4`` / ``ex3_2`` bundle at resolution 4 and 14-17% off each at
-resolution 16, in paired runs (``BENCH_27.json``).
+block: the tables and the output store y by residue mod the stride, one
+block per residue, and the output is put back in y order once at the
+end.  No step loops over the residues, so a stride as wide as the grid
+costs no more than stride 1.  Plain y order (no residue blocks) took
+15-22% more kernel time on the seven gallery families at resolution 4:
+slower in 25 and in 29 of 30 pairs.  Contiguous blocks pay because numpy
+runs a ufunc over a view it cannot coalesce 3-4 times slower per
+element: ``np.maximum`` takes 41 us on a 128 x 255 slice of a 128 x 256
+array and 12 us on the whole array (numpy 2.4, 2-core host).  Whole
+rows, flat levels, x stored by residue and planning each call once took
+11-12% off the median ``ex3_4`` / ``ex3_2`` bundle at resolution 4 and
+14-17% off each at resolution 16, in paired runs (``BENCH_27.json``).
 
 The output is a running max, and max is idempotent, so an average no
 larger than a member's least output so far, its floor, moves no bit
@@ -247,53 +251,51 @@ def _blocks(n: int, s: int) -> list:
     """(start, length) of each residue's block when the n values of an
     axis are stored by residue mod s: j = r, r + s, ... for each r in
     turn."""
-    lengths = [len(range(r, n, s)) for r in range(s)]
-    return [(sum(lengths[:r]), lengths[r]) for r in range(s)]
+    lengths = (n - 1 - np.arange(s)) // s + 1
+    return list(zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()))
 
 
-def _table(part: np.ndarray, s: int) -> np.ndarray:
+def _by_residue(n: int, s: int) -> np.ndarray:
+    """0 .. n - 1 in the order that ``_blocks`` stores them."""
+    j = np.arange(-(-n // s) * s).reshape(-1, s).T.ravel()
+    return j[j < n]
+
+
+def _table(part: np.ndarray, s: int, pad: int) -> np.ndarray:
     """Summed-area table of the (members, nx, ny) grids ``part``, y first:
-    ``[j, m, i]`` is the sum of ``part[m, :i, :j]``, with j and i each
-    stored by residue mod s.  The x and then the y prefix sums are taken in
-    ``part`` itself."""
+    ``[j, m, i]`` is the sum of ``part[m, :i, :j]``, with j = 0 .. ny
+    stored by residue mod s, and i stored by residue mod s from -pad to
+    past nx + pad in s blocks of one length (pad is a multiple of s): an i
+    before the grid reads 0 and one past it the total.  The x and then the
+    y prefix sums are taken in ``part`` itself, and the table is one
+    gather from them."""
     members, nx, ny = part.shape
     np.cumsum(part, axis=1, out=part)
     np.cumsum(part, axis=2, out=part)
-    sat = np.zeros((ny + 1, members, nx + 1))
-    for ry, (y0, ly) in enumerate(_blocks(ny + 1, s)):
-        for rx, (x0, lx) in enumerate(_blocks(nx + 1, s)):
-            # j = 0 (i = 0) is zero, and j > 0 sums part's y prefix j - 1
-            jy, ix = ry == 0, rx == 0
-            sat[y0 + jy: y0 + ly, :, x0 + ix: x0 + lx] = part[
-                :, rx - 1 + ix * s:: s, ry - 1 + jy * s:: s].transpose(2, 0, 1)
+    i = _by_residue(-(-(nx + 1) // s) * s + 2 * pad, s) - pad
+    j = _by_residue(ny + 1, s)
+    # i (j) sums the prefix at i - 1 (j - 1); rows of part are (m, i - 1)
+    rows = np.arange(members)[:, None] * nx + np.clip(i - 1, 0, nx - 1)
+    sat = part.reshape(-1, ny)[rows, np.maximum(j - 1, 0)[:, None, None]]
+    sat[0] = 0.0  # j = 0
+    sat[..., i <= 0] = 0.0
     return sat
 
 
-def _strip(out: np.ndarray, sat: np.ndarray, w: int, blocks: list) -> None:
+def _strip(out: np.ndarray, sat: np.ndarray, w: int, s: int,
+           pad: int) -> None:
     """The x-strip of half-width w into ``out``: ``out[..., a]`` is the
-    table at x = a s + w + 1 less the table at x = a s - w, an x past
-    either end of the grid reading the end, which makes it the y prefix
-    sums of the x-window [a s - w, a s + w] of lattice row a.  x is stored
-    by residue (``blocks``), so each read is one slice of a residue's
-    block, and each range of rows is written by one op: the rows before a
-    less x = 0, all zero, and those from n on read the total, at x = nx,
-    which ends its block."""
-    s, rows = len(blocks), out.shape[2]
-    start, length = blocks[(w + 1) % s]
-    plus = sat[..., start + (w + 1) // s: start + length]
-    n = min(rows, plus.shape[2])
-    a = min(rows, -(-w // s))
-    start = blocks[-w % s][0]
-    minus = sat[..., start: start + rows - a]
-    start, length = blocks[(sat.shape[2] - 1) % s]
-    total = sat[..., start + length - 1: start + length]
-    lo, hi = min(a, n), max(a, n)
-    out[..., :lo] = plus[..., :lo]
-    if a < n:
-        np.subtract(plus[..., a:n], minus[..., :n - a], out=out[..., a:n])
-    else:
-        out[..., n:a] = total
-    np.subtract(total, minus[..., hi - a:], out=out[..., hi:])
+    table at x = a s + w + 1 less the table at x = a s - w, which makes it
+    the y prefix sums of the x-window [a s - w, a s + w] of lattice row a,
+    clipped to the grid.  Each read is one slice of a residue's block of
+    the padded table (``_table``)."""
+    size, rows = sat.shape[2] // s, out.shape[2]
+
+    def at(x):  # the table at x, x + s, ... for every lattice row
+        start = x % s * size + (x + pad) // s
+        return sat[..., start: start + rows]
+
+    np.subtract(at(w + 1), at(-w), out=out)
 
 
 def _add_corner(acc: np.ndarray, strip: np.ndarray, c: int, op,
@@ -313,14 +315,14 @@ def _add_corner(acc: np.ndarray, strip: np.ndarray, c: int, op,
         op(acc[b1:], strip[start + length - 1], out=acc[b1:])
 
 
-def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
-            src: np.ndarray, runs: list, avg: np.ndarray,
-            box: tuple) -> None:
+def _dilate(out: np.ndarray, blocks: list, tab: np.ndarray,
+            spare: np.ndarray, src: np.ndarray, runs: list,
+            avg: np.ndarray, box: tuple) -> None:
     """Max of the lattice averages ``avg`` over the footprint ``runs``,
-    into the polyphase outputs: ``outs[r][q]`` holds the grid column q s +
-    r.  Only the lattice columns b0 <= b < b1 and rows a0 <= a <= a1 of
-    ``box = (b0, b1, a0, a1)`` are read; the rest must not exceed any
-    output.
+    into ``out``, whose grid columns are stored by residue mod s in the
+    ``blocks`` of ``_blocks(ny, s)``.  Only the lattice columns b0 <= b <
+    b1 and rows a0 <= a <= a1 of ``box = (b0, b1, a0, a1)`` are read; the
+    rest must not exceed any output.
 
     ``tab`` and ``spare`` have one row more than there are lattice
     columns.  For every lattice column b0 <= b < b1 and member (the first
@@ -334,14 +336,13 @@ def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
     read is its clipped window's max: the x-window [i - w, i + w] of a
     run is the max of two level-floor(log2(2w + 1)) entries, taken into
     ``src`` over whole rows.  Runs are visited narrowest first, so only
-    one level is alive.  Each run maxes its window maxima into the
-    outputs along its rows, whole rows at a time, -inf beyond the box's
-    reach: lattice column m lands on grid column m s + dy, which is
-    column m + dy // s of the polyphase output of residue dy % s, for the
-    m inside the box that land inside the grid."""
+    one level is alive.  Each run maxes its window maxima into ``out``
+    along its rows, whole rows at a time, -inf beyond the box's
+    reach: lattice column m lands on grid column m s + dy, which is entry
+    m + dy // s of the block of residue dy % s, for the m inside the box
+    that land inside the grid."""
     nx = src.shape[2]
-    s, pad = len(outs), tab.shape[2] - nx
-    lengths = [len(out) for out in outs]
+    s, pad = len(blocks), tab.shape[2] - nx
     b0, b1, a0, a1 = box
     tab, spare = tab[b0: b1 + 1], spare[b0: b1 + 1]
     tab.fill(-INF)
@@ -363,10 +364,11 @@ def _dilate(outs: list, tab: np.ndarray, spare: np.ndarray,
                    tab[:-1, :, right: right + nx], out=src[b0:b1])
         for lo, hi in _bands(d_lo, d_hi):
             for dy in range(lo, hi + 1):
-                r, q = dy % s, dy // s
-                m0, m1 = max(b0, -q), min(b1, lengths[r] - q)
+                start, length = blocks[dy % s]
+                q = dy // s
+                m0, m1 = max(b0, -q), min(b1, length - q)
                 if m1 > m0:
-                    dst = outs[r][m0 + q: m1 + q]
+                    dst = out[start + q + m0: start + q + m1]
                     np.maximum(dst, src[m0: m1], out=dst)
 
 
@@ -393,24 +395,22 @@ def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
             scaled = np.ldexp(g, -k)
     g = scaled
     # a stride of at least the largest axis samples only center 0 on each
-    # axis, so a larger one gives the same bits and only costs more (s x s
-    # residue pairs in the table, s polyphase parts)
+    # axis, so a larger one gives the same bits and only costs more (s
+    # residue blocks per axis)
     s = min(cfg.center_stride, max(g.shape[1:]))
-    outs = _polyphase_maximal(g, cell_sizes, cfg.radius_set, s)
     out = np.empty_like(g)
-    for r, part in enumerate(outs):
-        out[..., r:: s] = part.transpose(1, 2, 0)
+    out[..., _by_residue(g.shape[2], s)] = _residue_maximal(
+        g, cell_sizes, cfg.radius_set, s).transpose(1, 2, 0)
     return np.ldexp(out, k, out=out).reshape(v.shape)
 
 
-def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
-                       s: int) -> list:
+def _residue_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
+                     s: int) -> np.ndarray:
     """The maximal function of the (members, nx, ny) grids g, over the
-    balls of ``radii`` at the centers of stride s, as s polyphase parts, y
-    first: part r holds the grid columns r, r + s, ...
-    Every array here keeps y first, so that a shift along y moves whole
-    contiguous blocks; all of them are freed before the parts are
-    interleaved.
+    balls of ``radii`` at the centers of stride s, y first and stored by
+    residue mod s (``_blocks``).  Every array here keeps y first, so that
+    a shift along y moves whole contiguous blocks; all of them but the
+    result are freed before y is put back in order.
 
     The outputs start at 0, below no ball average.  On a 2D grid, work
     that cannot raise a member's output above its least value so far,
@@ -428,19 +428,16 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
     # any ball holds, up to the rounding that _BOUND_SLACK covers
     total = g.reshape(members, -1).sum(axis=1) * (1.0 + _BOUND_SLACK)
     tops = total / plan.fewest[:, None]
-    sat = _table(_split(g), s)
+    # the widest half-width, rounded up to a multiple of s: the room each
+    # table leaves beside the grid
+    pad = -(-max(runs[0][0] for runs in footprints) // s) * s
+    sat = _table(_split(g), s, pad)
     depth = sat.shape[1]  # the members, twice over if lo is kept
-    blocks, xblocks = _blocks(ny + 1, s), _blocks(nx + 1, s)
+    blocks, outblocks = _blocks(ny + 1, s), _blocks(ny, s)
     strip = np.empty((ny + 1, depth, lattice[0]))
-    outs = [np.zeros((len(range(r, ny, s)), members, nx)) for r in range(s)]
-
-    def floor():
-        return np.min([out.min(axis=(0, 2)) for out in outs if len(out)],
-                      axis=0)
-
+    out = np.zeros((ny, members, nx))
     # the doubling table, with room left of the grid for the widest window
     # and one row more than the lattice columns
-    pad = max(runs[0][0] for runs in footprints)
     tab = np.empty((lattice[1] + 1, members, pad + nx))
     spare = np.empty_like(tab)
     src = np.empty((lattice[1], members, nx))
@@ -453,7 +450,8 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
     while len(pending):
         size = chunk
         if prune:
-            pending = pending[np.any(tops[pending] > floor(), axis=1)]
+            floor = out.min(axis=(0, 2))
+            pending = pending[np.any(tops[pending] > floor, axis=1)]
             # a chunk of few runs leaves the floor fresh for the next
             size = max(1, np.count_nonzero(
                 np.cumsum(nruns[pending[:chunk]]) <= _CHUNK_RUNS))
@@ -468,7 +466,7 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
         # widest first, so each footprint adds its runs in one order
         # whatever the chunking
         for w in sorted(uses, reverse=True):
-            _strip(strip, sat, w, xblocks)
+            _strip(strip, sat, w, s, pad)
             for num, d_lo, d_hi in uses[w]:
                 for lo, hi in _bands(d_lo, d_hi):
                     _add_corner(num, strip, hi + 1, np.add, blocks)
@@ -482,22 +480,23 @@ def _polyphase_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
             np.divide(avg, plan.counts(i)[:, None], out=avg)
             box = whole
             if prune:
-                above = np.any(avg > floor()[:, None], axis=1)
+                above = np.any(avg > out.min(axis=(0, 2))[:, None], axis=1)
                 cols = np.flatnonzero(np.any(above, axis=1))
                 if not len(cols):
                     continue
                 rows = np.flatnonzero(np.any(above, axis=0))
                 box = (cols[0], cols[-1] + 1, rows[0], rows[-1])
-            _dilate(outs, tab, spare, src, footprints[i], avg, box)
-    return outs
+            _dilate(out, outblocks, tab, spare, src, footprints[i], avg, box)
+    return out
 
 
 #: Most grid cells, summed over members, that one kernel call evaluates,
 #: and most cells of ball-sum accumulators that it holds at once.  The
-#: kernel holds about seven arrays of that many floats, nine when the
-#: exact split keeps a low part: 8.8 MB at its peak for the 10-member
-#: ball family on a 128² grid, which runs as one batch (a 256² grid runs
-#: four members at a time).
+#: kernel holds about ten arrays of that many floats, fourteen when the
+#: exact split keeps a low part (its padded table is up to three grids
+#: wide): 12.9 MB at its peak for the 10-member ball family on a 128²
+#: grid, which runs as one batch (a 256² grid runs four members at a
+#: time).
 _BATCH_CELLS = 2 ** 18
 
 #: Most runs whose ball sums one chunk of a 2D grid's footprints takes

@@ -190,6 +190,29 @@ def test_t_grid_of_ordinary_ranges_is_unchanged(lo, hi):
     assert SampleSpec().t_grid(lo, hi).tobytes() == np.geomspace(lo, hi, n).tobytes()
 
 
+@pytest.mark.parametrize("p,T", [(3.0, (1e5, INF)), (1.0, (0.0, 1e-6))])
+def test_ainc_samples_inside_a_range_past_the_default_span(p, T):
+    """phi is t below 5e4 and t^3 / 2.5e9 above, so t^1 on (0, 1e-6) and
+    t^3 on [1e5, inf) are aInc with constant 1.  A range beyond the
+    default [1e-4, 1e4] is sampled over the default span from its finite
+    end: it once sampled [1e4, 1e5] and [1e-6, 1e-4], outside T, and
+    [1e4, 1e5] gave constant 25 with witness t = 1e4."""
+    phi = PhiCurve((0.0, 5e4), ((PowerTerm(1.0, 1.0),),
+                                (PowerTerm(1.0 / 2.5e9, 3.0),)))
+    for check in (check_ainc, check_adec):
+        rep = check(phi, p, T=T)
+        assert T[0] <= rep.worst_witness["t"] <= rep.worst_witness["s"] <= T[1]
+        assert rep.constants["sampled_sup"] <= 1.0 + 1e-12
+    grid = SampleSpec().t_grid(*T)
+    assert grid[-1] / grid[0] == pytest.approx(1e8)
+
+
+def test_sample_span_must_be_nonempty():
+    for t_min, t_max in ((1.0, 1.0), (1e5, 1e4)):
+        with pytest.raises(ValueError, match="t_max must exceed t_min"):
+            SampleSpec(t_min, t_max)
+
+
 def test_ainc_over_a_range_past_the_largest_float():
     """On [1e-300, 1e300], hi / lo is inf and the grid counts its 600
     decades from the logs.  t^2 and phi = t^2 both overflow at the top and

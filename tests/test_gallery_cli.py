@@ -748,6 +748,14 @@ _GLUE_BASE = {"kind": "example_3_2", "params": {}}
                  "/seed", id="check-ainc-seed"),
     pytest.param(_check("--condition", "a0", "--t-range", "0.5", "2"), "/T",
                  id="check-a0-t-range"),
+    # t_min >= t_max leaves no t to sample: it once ran on the swapped span
+    pytest.param(_check("--condition", "ainc", "--p", "2", "--t-min", "10",
+                        "--t-max", "1"), "/t_max", id="check-t-min-past-t-max"),
+    pytest.param(_check("--condition", "adec", "--q", "2", "--t-min", "1e5"),
+                 "/t_max", id="check-t-min-past-default-t-max"),
+    pytest.param(_pipeline(checks=[{"condition": "ainc", "p": 2, "t_min": 2,
+                                    "t_max": 2}]),
+                 "/checks/0/t_max", id="pipeline-t-min-at-t-max"),
     # the transform flags are one step: a flag the op does not read fails
     # at its field, and p is required wherever it is read
     pytest.param(["transform", "--op", "tail_asymptotes", "--phi", _PHI,
