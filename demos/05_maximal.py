@@ -4,9 +4,9 @@ Mf(x) is the supremum of averages of |f| over balls containing x, here
 discretized over a geometric ladder of radii and strided centers.  The
 discretization only under-approximates, so boundedness claims stay
 heuristic.  So does the evidence of unboundedness: it is flagged when,
-across at least three doublings of the truncation radius, every norm
-ratio is more than 1.05 times the one before, a rule that bounded
-operators near p = 1 meet too.
+across at least three doublings of the truncation radius, the norm ratio
+grows by a positive increment at every doubling and no increment is
+smaller than the one before; a bounded operator's increments shrink.
 """
 
 import numpy as np

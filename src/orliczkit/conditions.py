@@ -2,7 +2,8 @@
 
 Every checker samples a finite (x, t) lattice, extracts the extremal
 constant by direct supremum, a dyadic ladder or the package's one level
-search (``phi_core._last_t_where``), and returns a
+search (``phi_core._last_t_where``, the secant bracket that also finds
+inverses, t1 and Luxemburg norms), and returns a
 :class:`ConditionReport` carrying the constants, the sample spec and the
 worst witness, so failures are reproducible.  Every sampled inequality
 lhs <= rhs, here and in the bundles and reports, is judged by one rule,
@@ -460,9 +461,8 @@ def _largest_beta(table: PowerTable,
 
     Each failing probe keeps only the samples that failed it, and later
     probes test only those.  This is exact: every later probe of the one
-    level search lies below every failing probe (the search starts from a
-    failure at beta = 1 and only halves and bisects), and a sample that
-    passed a larger beta passes every smaller one."""
+    level search lies inside its bracket, below every failing probe, and
+    a sample that passed a larger beta passes every smaller one."""
     i, rows = np.arange(len(table.tail)), table
 
     def fits(beta: float) -> bool:
@@ -476,9 +476,10 @@ def _largest_beta(table: PowerTable,
 
     if fits(1.0):  # the cap: the search alone would go on above 1
         return 1.0
-    # the search's first probe, at 1, is the cap's, which failed
-    lo = _last_t_where(lambda b: np.array([b[0] < 1.0 and fits(float(b[0]))]), 1,
-                       CHECK_TOL, floor=BETA_FLOOR)[0]
+    # a yes/no search: 0 where the probe passes, inf where it fails; its
+    # first probe, at 1, is the cap's, which failed
+    lo = _last_t_where(lambda b: np.array([0.0 if b[0] < 1.0 and fits(float(b[0]))
+                                           else INF]), 1, CHECK_TOL, floor=BETA_FLOOR)[0]
     return float(lo[0])
 
 

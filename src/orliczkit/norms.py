@@ -3,13 +3,14 @@
 A :class:`GridFunction` samples a nonnegative function at cell centers of
 a uniform grid on an axis-aligned box (1D or 2D).  The modular is the
 midpoint-rule integral of phi(x, f(x)); the Luxemburg norm is the least
-scaling bringing the modular to 1, found by one bracket search on log
-modular against log 1/lam (:func:`_norm_levels`): secant steps, with
-geometric bisection where a secant step is not possible.  Functions
-that share a grid are measured together: phi is bound once to the cells
-in its domain where some of them is positive (phi(x, 0) = 0 elsewhere),
-and one search brackets every norm, each exactly as if searched alone;
-:func:`modular` and :func:`luxemburg_norm` are the one-function case.
+scaling bringing the modular to 1, found by the package's one level
+search (``phi_core._last_t_where``) on log modular against log 1/lam:
+secant steps, with geometric bisection where a secant step is not
+possible.  Functions that share a grid are measured together: phi is
+bound once to the cells in its domain where some of them is positive
+(phi(x, 0) = 0 elsewhere), and one search brackets every norm, each
+exactly as if searched alone; :func:`modular` and :func:`luxemburg_norm`
+are the one-function case.
 Ball-norm and duality reports record empirical comparability constants
 rather than asserting fixed ones.
 """
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -41,15 +42,6 @@ LAMBDA_CAP = 1e12
 #: The most cells a truncation grid may have in all: four times the largest
 #: gallery grid at resolution 16 (1024^2 cells), 32 MiB per float array.
 MAX_CELLS = 2 ** 22
-
-#: Each step of the norm search lands at least half this far inside its
-#: row's bracket, relative to its ends: far below EPS_LUX, so that a step
-#: just past a secant root closes the bracket.  A row's first
-#: _SECANT_ROUNDS steps may be secant steps, enough for steps that double
-#: log u from 2 to pass 1e300; every later step halves its bracket in log
-#: u or doubles log u past an open end, so that every search ends.
-_STEP_TOL = 1e-12
-_SECANT_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -282,75 +274,21 @@ def _modular_at(phi, fs: list):
     return at
 
 
-def _norm_levels(at, n: int) -> tuple:
-    """Per row of n, lo of the final bracket ``[lo, hi]`` of ``sup{u :
-    at(u) <= 1}``, and the modulars at u = 1, the search's first
-    evaluation.
-
-    Every evaluation records, per row, lo = the largest u known to fit
-    and hi = the least u known to fail.  The search evaluates u = 1 and
-    then takes one step per round in every row: a secant step on log m
-    against log u toward log m = 0, of the Illinois kind (Dowell &
-    Jarratt, BIT 11, 1971), in the first _SECANT_ROUNDS rounds where
-    both kept log modulars are finite and the step lands inside (lo,
-    hi); else the geometric midpoint where the bracket is closed; else a
-    step past its open end that doubles |log u| of its other end, to
-    lo**2 but at least 2 or to hi**2 but at most 1/2.  Each step stays
-    at least _STEP_TOL / 2 inside the bracket and inside [1 / LAMBDA_CAP,
-    _T_RANGE].  A row stops once hi - lo <= EPS_LUX * lo or once its
-    bracket leaves that range: lo = 0 where 1 / LAMBDA_CAP fails and lo =
-    _T_RANGE where _T_RANGE fits.  The modular grows with u, and a row's
-    steps depend on its own modulars alone, so each row ends as if
-    searched alone."""
-    lo, hi = np.zeros(n), np.full(n, INF)
-
-    def look(u, m):  # log m, with lo and hi recorded
-        with np.errstate(divide="ignore"):
-            l = np.log(m)
-        ok = l <= 0.0
-        lo[ok] = np.maximum(lo[ok], u[ok])
-        hi[~ok] = np.minimum(hi[~ok], u[~ok])
-        return l
-
-    first = at(np.ones(n))
-    x0 = x1 = np.zeros(n)
-    l0 = l1 = look(np.ones(n), first)
-    for k in itertools.count():
-        live = (hi - lo > EPS_LUX * lo) & (lo < _T_RANGE) & (hi > 1.0 / LAMBDA_CAP)
-        if not np.any(live):
-            return lo, first
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = np.exp(x1 - l1 * (x1 - x0) / (l1 - l0))
-            # a step that rounds onto an end is clipped inside below
-            secant = (k < _SECANT_ROUNDS) & np.isfinite(l0) & np.isfinite(l1) \
-                & (lo < u * (1 + _STEP_TOL)) & (u < hi * (1 + _STEP_TOL))
-            u = np.where(secant, u, np.where(
-                lo == 0.0, np.minimum(hi * hi, 0.5),  # past an open end
-                np.where(hi == INF, np.maximum(lo * lo, 2.0), np.sqrt(lo) * np.sqrt(hi))))
-        u = np.minimum(np.maximum(u, lo * (1 + _STEP_TOL / 2)), hi / (1 + _STEP_TOL / 2))
-        u = np.where(live, np.minimum(np.maximum(u, 1.0 / LAMBDA_CAP), _T_RANGE), 1.0)
-        l = look(u, at(u))
-        # Illinois: a step on the latest point's side of a bracket keeps
-        # the other end and halves its log modular
-        kept = live & ((l <= 0) == (l1 <= 0)) & ((l0 <= 0) != (l1 <= 0))
-        moved = live & ~kept
-        x0, l0 = np.where(moved, x1, x0), np.where(moved, l1, np.where(kept, 0.5 * l0, l0))
-        x1, l1 = np.where(live, np.log(u), x1), np.where(live, l, l1)
-
-
 def _luxemburg_norms(phi, fs: list) -> tuple:
     """:func:`luxemburg_norm` and :func:`modular` of each of fs, as two
-    lists: one binding of phi per grid and one norm search
-    (:func:`_norm_levels`) for all of that grid's members, each row
-    bracketed as if searched alone; its first evaluation, at u = 1, is
-    each member's modular, bit for bit."""
+    lists: one binding of phi per grid and one level search
+    (``phi_core._last_t_where``, to EPS_LUX from the floor 1/LAMBDA_CAP)
+    for all of that grid's members, each row bracketed as if searched
+    alone; its first evaluation, at u = 1, is each member's modular, bit
+    for bit."""
     groups = {}  # by grid; a function without a positive value has norm 0
     for i, f in enumerate(fs):
         if np.any(f.values > 0):
             groups.setdefault((f.box, f.resolution), []).append(i)
     norms, mods = [0.0] * len(fs), [0.0] * len(fs)
     for idx in groups.values():
-        u, first = _norm_levels(_modular_at(phi, [fs[i] for i in idx]), len(idx))
+        u, _, first = _last_t_where(_modular_at(phi, [fs[i] for i in idx]), len(idx),
+                                    EPS_LUX, floor=1.0 / LAMBDA_CAP)
         for i, ui, m in zip(idx, u, first):
             norms[i] = INF if ui == 0.0 else 0.0 if ui >= _T_RANGE else float(1.0 / ui)
             mods[i] = float(m)
@@ -365,12 +303,12 @@ def modular(phi, f: GridFunction) -> float:
 
 def luxemburg_norm(phi, f: GridFunction) -> float:
     """inf{lam > 0 : modular(f / lam) <= 1}, approximated from above to
-    EPS_LUX relative: the norm search (:func:`_norm_levels`) brackets the
-    largest u = 1/lam with modular(u f) <= 1 by secant, midpoint or
-    doubling steps on log modular against log u, and the norm is 1/lo of
-    its final bracket.  Where log modular is linear in log u, as under
-    t^p, a secant step lands on the norm and it is found far closer than
-    EPS_LUX.  Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the
+    EPS_LUX relative: the level search (``phi_core._last_t_where``)
+    brackets the largest u = 1/lam with modular(u f) <= 1 by secant,
+    midpoint or doubling steps on log modular against log u, and the norm
+    is 1/lo of its final bracket.  Where log modular is linear in log u,
+    as under t^p, a secant step lands on the norm and it is found far
+    closer than EPS_LUX.  Returns ``math.inf`` when no lam up to LAMBDA_CAP works (the
     function is outside the space at this truncation), and 0.0 for a norm
     of at most 1e-300, where the search's range ends."""
     return _luxemburg_norms(phi, [f])[0][0]
@@ -444,7 +382,10 @@ class ConjugateFunction:
 def _conjugate_inverse(phi: PhiFunction, X, tau: float) -> np.ndarray:
     """Per point of X, inf{t : phi*(x, t) >= tau}, all points in step."""
     table = phi.table(X)
-    return _last_t_where(lambda t: table.conjugate(t) < tau, len(table.tail),
+    if tau <= 0.0:  # reached at t = 0, where phi* is 0
+        return np.zeros(len(table.tail))
+    top = min(tau, sys.float_info.max)  # tau = inf: every finite phi* fits
+    return _last_t_where(lambda t: table.conjugate(t) / top, len(table.tail),
                          EPS_INV_BISECT)[0]
 
 

@@ -14,6 +14,7 @@ makes joint measurability automatic for every family in the catalog.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -26,14 +27,24 @@ import numpy as np
 
 INF = math.inf
 
-# Relative tolerance of the searches inverting multi-term pieces and
-# conjugates: the final bracket is no wider than this times its lower end,
-# at every scale.  Closed forms are exact up to rounding.
+# Relative tolerance of the level search when it inverts multi-term pieces
+# and conjugates: the final bracket is no wider than this times its lower
+# end, at every scale.  Closed forms are exact up to rounding.
 EPS_INV_BISECT = 1e-12
 
-# The range of the level search: a sup above _T_RANGE reads inf and one
-# below 1 / _T_RANGE reads 0.
+# The range of the level search: it asks no level above _T_RANGE, and none
+# below 1 / _T_RANGE unless its caller's floor lies higher.
 _T_RANGE = 1e300
+
+# Each step of the level search lands at least half this far inside its
+# row's bracket, relative to its ends: no larger than any search's
+# tolerance, so that a step just past a secant root closes the bracket.
+# A row's first _SECANT_ROUNDS steps may be secant steps, enough for steps
+# that double log t from 2 to pass 1e300; every later step halves its
+# bracket in log t or doubles log t past an open end, so that every search
+# ends.
+_STEP_TOL = 1e-12
+_SECANT_ROUNDS = 16
 
 _SCHEMA = "orliczkit-phi/1"
 
@@ -491,7 +502,7 @@ class PowerTable:
         i = np.flatnonzero(reach & ~single)
         if len(i):  # search the offset from lo; the bracket's upper end keeps value >= tau
             sub, a, goal = self.rows(i), lo[i], tau[i]
-            d = _last_t_where(lambda d: sub._piece(k, (a + d)[:, None])[:, 0] < goal,
+            d = _last_t_where(lambda d: sub._piece(k, (a + d)[:, None])[:, 0] / goal,
                               len(i), EPS_INV_BISECT)[1]
             out[i] = np.minimum(a + d, hi[i])
         return out
@@ -633,56 +644,63 @@ def _one_row(table: PowerTable, t):
     return float(out[0, 0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _last_t_where(fits: Callable[[np.ndarray], np.ndarray], n: int,
-                  tol: float, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i of n, the final bracket ``(lo, hi)`` of ``sup{t >= 0 :
-    fits(t)[i]}`` for a predicate on (n,) levels that holds on an initial
-    interval of [0, inf): fits(lo) holds, fits(hi) fails and ``hi - lo <=
-    tol * lo``, all rows in step.
+def _last_t_where(at: Callable[[np.ndarray], np.ndarray], n: int, tol: float,
+                  floor: float = 1 / _T_RANGE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row i of n, the final bracket ``(lo, hi)`` of ``sup{t : at(t)[i]
+    <= 1}`` for a nondecreasing ``at`` on (n,) levels, and at(1), the
+    search's first evaluation; all rows in step.
 
-    The search is scale-free: it doubles or halves from t = 1 to a bracket,
-    then bisects.  It asks fits at no level below ``floor`` (in [0, 1)),
-    the cut-off below which the answer counts as 0.  Rows where
-    fits(floor) fails get ``(0, floor)``; rows whose sup lies below
-    1 / _T_RANGE get ``(0, hi)``; rows where fits still holds past
-    _T_RANGE get ``(inf, inf)``.  fits is always given all n rows; rows
-    the search is not asking about get the level 1."""
-    def holds(t, rows):  # rows & fits(t), fits asked at t on ``rows`` only
-        return rows & fits(np.where(rows, t, 1.0))
+    Every evaluation records, per row, lo = the largest t known to fit
+    and hi = the least t known to fail.  The search evaluates t = 1 and
+    then takes one step per round in every row: a secant step on log at
+    against log t toward log at = 0, of the Illinois kind (Dowell &
+    Jarratt, BIT 11, 1971), in the first _SECANT_ROUNDS rounds where
+    both kept log values are finite and the step lands inside (lo, hi);
+    else the geometric midpoint where the bracket is closed; else a step
+    past its open end that doubles |log t| of its other end, to lo**2
+    but at least 2 or to hi**2 but at most 1/2.  Each step stays at
+    least _STEP_TOL / 2 inside the bracket and inside [floor, _T_RANGE],
+    so no level below the cut-off ``floor`` is asked.  A row stops once
+    hi - lo <= tol * lo or once its bracket leaves that range: (0, floor)
+    where floor fails and lo >= _T_RANGE (hi inf) where _T_RANGE fits.
+    A yes/no question passes 0 where it holds and inf where it fails,
+    and then takes geometric steps only.  A row's steps depend on its own
+    values alone, so each row ends as if searched alone; rows that have
+    ended are asked at the level 1."""
+    lo, hi = np.zeros(n), np.full(n, INF)
 
-    up = fits(np.ones(n))
-    lo, hi = np.where(up, 1.0, float(floor)), np.where(up, 2.0, 1.0)
-    far, grow, shrink = np.zeros(n, dtype=bool), up, ~up
-    while grow.any():
-        grow = holds(hi, grow)
-        np.copyto(lo, hi, where=grow)
-        np.multiply(hi, 2.0, out=hi, where=grow)
-        far |= grow & (hi > _T_RANGE)
-        grow &= ~far
-    while shrink.any():
-        half = 0.5 * hi
-        shrink &= half > max(floor, 1 / _T_RANGE)
-        if not shrink.any():
-            break
-        ok = holds(half, shrink)
-        np.copyto(lo, half, where=ok)
-        shrink ^= ok  # ok lies in shrink: the rows that failed
-        np.copyto(hi, half, where=shrink)
-    low = ~up & (lo == floor)  # halved down to the floor: fits(floor) decides
-    if low.any():
-        fail = low & ~holds(float(floor), low)
-        np.copyto(lo, 0.0, where=fail)
-        np.copyto(hi, float(floor), where=fail)
-    todo = (lo > 0) & ~far
-    while True:
-        todo &= hi - lo > tol * lo
-        if not todo.any():
-            break
-        mid = 0.5 * (lo + hi)
-        ok = holds(mid, todo)
-        np.copyto(lo, mid, where=ok)
-        np.copyto(hi, mid, where=todo ^ ok)  # ok lies in todo
-    return np.where(far, INF, lo), np.where(far, INF, hi)
+    def look(t, v):  # log v, with lo and hi recorded
+        with np.errstate(divide="ignore"):
+            l = np.log(v)
+        ok = l <= 0.0
+        lo[ok] = np.maximum(lo[ok], t[ok])
+        hi[~ok] = np.minimum(hi[~ok], t[~ok])
+        return l
+
+    first = at(np.ones(n))
+    x0 = x1 = np.zeros(n)
+    l0 = l1 = look(np.ones(n), first)
+    for k in itertools.count():
+        live = (hi - lo > tol * lo) & (lo < _T_RANGE) & (hi > floor)
+        if not np.any(live):
+            return lo, hi, first
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = np.exp(x1 - l1 * (x1 - x0) / (l1 - l0))
+            # a step that rounds onto an end is clipped inside below
+            secant = (k < _SECANT_ROUNDS) & np.isfinite(l0) & np.isfinite(l1) \
+                & (lo < t * (1 + _STEP_TOL)) & (t < hi * (1 + _STEP_TOL))
+            t = np.where(secant, t, np.where(
+                lo == 0.0, np.minimum(hi * hi, 0.5),  # past an open end
+                np.where(hi == INF, np.maximum(lo * lo, 2.0), np.sqrt(lo) * np.sqrt(hi))))
+        t = np.minimum(np.maximum(t, lo * (1 + _STEP_TOL / 2)), hi / (1 + _STEP_TOL / 2))
+        t = np.where(live, np.minimum(np.maximum(t, floor), _T_RANGE), 1.0)
+        l = look(t, at(t))
+        # Illinois: a step on the latest point's side of a bracket keeps
+        # the other end and halves its log value
+        kept = live & ((l <= 0) == (l1 <= 0)) & ((l0 <= 0) != (l1 <= 0))
+        moved = live & ~kept
+        x0, l0 = np.where(moved, x1, x0), np.where(moved, l1, np.where(kept, 0.5 * l0, l0))
+        x1, l1 = np.where(live, np.log(t), x1), np.where(live, l, l1)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def small_value_threshold(phi: PhiFunction, phi_inf: PhiCurve) -> float:
     X = default_x_samples(phi.domain)
 
     def last_at_most_one(table):
-        return _last_t_where(lambda t: table.value(t[:, None])[:, 0] <= 1.0,
+        return _last_t_where(lambda t: table.value(t[:, None])[:, 0],
                              len(table.tail), T1_TOL)[0]
 
     sup = float(np.min(last_at_most_one(phi.table(X)),

@@ -1034,3 +1034,75 @@ def test_pipeline_spec_unknown_key_at_any_depth(path, capsys):
     assert main(["pipeline", json.dumps(spec), "--resolution", "1"]) == 2
     pointer = "".join(f"/{key}" for key in path)
     assert capsys.readouterr().err.startswith(f"error: {pointer}/typo: ")
+
+
+# ---------------------------------------------------------------------------
+# Guard clauses of the API that no bundle, pipeline or CLI path reaches
+
+def _table():
+    return from_curve(power_curve(2.0)).table(np.zeros((1, 1)))
+
+
+def _rebuild_at(t1):
+    pair = orliczkit.AsymptotePair(power_curve(2.0), WeightFunction.recip_power(4.0, 1),
+                                   beta=1.0)
+    return orliczkit.rebuild_with_ainc(make_family("example_3_5", {"dim": 1}), pair, t1)
+
+
+_GUARDS = {
+    "value at t < 0": (lambda: _table().value(np.array([[-1.0]])), ValueError,
+                       "t must be nonnegative"),
+    "inverse at tau < 0": (lambda: _table().inverse(-1.0), ValueError,
+                           "tau must be nonnegative"),
+    "conjugate at t < 0": (lambda: _table().conjugate(-1.0), ValueError,
+                           "t must be nonnegative"),
+    "recip_power c = 0": (lambda: WeightFunction.recip_power(4.0, 1, c=0.0), ValueError,
+                          "c must be positive"),
+    "check_a2 s = 0": (lambda: orliczkit.check_a2(
+        from_curve(power_curve(2.0)), power_curve(2.0),
+        WeightFunction.recip_power(4.0, 1), 1.0, s=0.0), ValueError, "s must be positive"),
+    "Domain(3)": (lambda: orliczkit.Domain(3), orliczkit.ConstructionError,
+                  "only dimensions 1 and 2"),
+    "Domain lower alone": (lambda: orliczkit.Domain(1, lower=(0.0,)),
+                           orliczkit.ConstructionError, "given together"),
+    "double_phase a < 0": (lambda: make_family("double_phase", {
+        "p": 2, "q": 3, "a": {"field": "const", "value": -1.0}}).eval([0.0], 1.0),
+        orliczkit.ConstructionError, "weight a must be nonnegative"),
+    "vdp q < p": (lambda: make_family("vdp", {
+        "p": {"field": "const", "value": 2.0}, "q": {"field": "const", "value": 1.5}})
+        .eval([0.0], 1.0), orliczkit.ConstructionError, r"1 <= p\(x\) <= q\(x\)"),
+    "unknown kind": (lambda: make_family("no_such_kind"), orliczkit.ConstructionError,
+                     "unknown family kind"),
+    "glue p = 1": (lambda: glue_small_values(
+        make_family("example_3_2"), region_from_dict({"region": "inv_square_strip"}), 1.0),
+        orliczkit.ConstructionError, "p must exceed 1"),
+    "repair t1 = 0": (lambda: orliczkit.repair_asymptote(power_curve(1.0), 0.0, 2.0),
+                      orliczkit.ConstructionError, "t1 must be positive"),
+    "rebuild t1 = 0": (lambda: _rebuild_at(0.0), orliczkit.ConstructionError,
+                       "t1 must be positive"),
+    "t1 of phi > 1 near 0": (lambda: small_value_threshold(
+        from_curve(PhiCurve((0.0,), ((orliczkit.PowerTerm(1e308, 1.0),),))),
+        power_curve(2.0)), orliczkit.ConstructionError, "no positive threshold"),
+    "3D grid": (lambda: GridFunction(((0.0, 1.0),) * 3, np.ones((2, 2, 2))), ValueError,
+                "must be 1D or 2D"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guard_clauses(case):
+    call, error, message = _GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_raising_runner_gives_an_errored_bundle_and_exit_3(monkeypatch, capsys):
+    def broken(resolution, seed):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(importlib.import_module("orliczkit.gallery")._RUNNERS,
+                        "ex3_5", broken)
+    bundle = run_example("ex3_5")
+    assert bundle["errored"] == {"stage": "ex3_5", "error": "RuntimeError: runner broke"}
+    assert bundle["verdict"] is False and bundle["claims"] == []
+    assert main(["example", "ex3_5"]) == 3
+    assert json.loads(capsys.readouterr().out)["errored"] == bundle["errored"]

@@ -153,22 +153,35 @@ def test_operator_norm_skips_zero_functions():
     assert rep["indices"] == [1]
 
 
-_BOUNDED_NEAR_1 = "ROADMAP item 2: the 1.05 growth rule flags this bounded operator"
-
-
-@pytest.mark.parametrize("p", [
-    pytest.param(1.1, marks=pytest.mark.xfail(strict=True, reason=_BOUNDED_NEAR_1)),
-    pytest.param(1.2, marks=pytest.mark.xfail(strict=True, reason=_BOUNDED_NEAR_1)),
-    1.5])
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5])
 def test_bounded_powers_show_no_unbounded_evidence(p):
-    """M is bounded on L^p for every p > 1, yet t^1.1 (ratios 3.29 to
-    6.35) and t^1.2 (2.85 to 4.75) meet the 1.05 growth rule on
-    chi_(-1, 1) with R = 8 ... 128 at 8 cells per unit; t^1.5 (2.09 to
-    2.67) does not."""
+    """M is bounded on L^p for every p > 1: on chi_(-1, 1) with R = 8 ...
+    128 at 8 cells per unit, the ratios of t^1.1 (3.29 to 6.35), t^1.2
+    (2.85 to 4.75) and t^1.5 (2.09 to 2.67) grow by shrinking increments,
+    so none is flagged."""
     radii = [8.0, 16.0, 32.0, 64.0, 128.0]
     fam = [GridFunction.indicator_ball([0.0], 1.0, ((-R, R),), int(16 * R)) for R in radii]
     rep = operator_norm_estimate(from_curve(power_curve(p), dim=1), fam, radii=radii)
     assert not rep["unbounded_evidence"]
+
+
+@pytest.mark.parametrize("p,unbounded", [
+    (1.0, True), (1.05, False), (1.1, False), (1.2, False), (1.5, False)])
+def test_growth_rule_on_the_closed_form_ratios(p, unbounded):
+    """The rule on the exact 1D ratios ||M chi|| / ||chi|| under t^p,
+    chi = chi_(-1, 1) on (-R, R): M chi = min(1, 2 / (|x| + 1)), so
+    ||M chi||_p^p = 2 + 2^(p+1) (2^(1-p) - (R+1)^(1-p)) / (p - 1), and
+    2 + 4 log((R+1) / 2) at p = 1.  Their increments grow for t (M is
+    unbounded on L^1) and shrink for every p > 1, even at t^1.05, whose
+    first increment ratio is 0.998."""
+    radii = [8.0, 16.0, 32.0, 64.0, 128.0]
+    if p == 1.0:
+        mods = [2.0 + 4.0 * math.log((R + 1.0) / 2.0) for R in radii]
+    else:
+        mods = [2.0 + 2.0 ** (p + 1) * (2.0 ** (1 - p) - (R + 1.0) ** (1 - p)) / (p - 1)
+                for R in radii]
+    ratios = [(m / 2.0) ** (1.0 / p) for m in mods]
+    assert _mx._unbounded_evidence(radii, ratios) is unbounded
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -33,7 +33,6 @@ from orliczkit.gallery import _BALLS, _ball_maxima
 from orliczkit.maximal import _norm_ratios
 from orliczkit.norms import EPS_LUX, LAMBDA_CAP, MAX_CELLS, _domain_mask, \
     _luxemburg_norms, _modular_at, _truncation_grid
-from orliczkit.phi_core import _last_t_where
 
 INF = math.inf
 
@@ -240,7 +239,7 @@ def test_batched_norms_match_one_member_reference(name, dim, data):
     np.testing.assert_array_equal(_bits(found), reference)
 
 
-# The norm search against the plain level search, _last_t_where on the
+# The norm search against a plain bisection, written here, of the
 # predicate at(u) <= 1 over the same binding of phi.
 
 
@@ -260,22 +259,31 @@ def _search_phi(name, dim):
 
 
 def _plain_brackets(phi, fs):
-    """Per member, the plain search's final bracket (lo, hi) of u = 1/lam,
+    """Per member, a bracket (lo, hi) of u = 1/lam by plain bisection of
+    log u, each row on its own, until hi - lo <= EPS_LUX * lo: (0, floor)
+    where the floor 1/LAMBDA_CAP fails, (inf, inf) where u = 1e300 fits,
     and (0, 0) for a member with no positive value."""
     idx = [i for i, f in enumerate(fs) if np.any(f.values > 0)]
     lo, hi = np.zeros(len(fs)), np.zeros(len(fs))
     if idx:
         at = _modular_at(phi, [fs[i] for i in idx])
-        lo[idx], hi[idx] = _last_t_where(lambda u: at(u) <= 1.0, len(idx), EPS_LUX,
-                                         floor=1.0 / LAMBDA_CAP)
+        a, b = np.full(len(idx), 1.0 / LAMBDA_CAP), np.full(len(idx), 1e300)
+        with np.errstate(over="ignore"):  # u f past the largest float: modular inf
+            low, top = at(a) > 1.0, at(b) <= 1.0
+        todo = ~low & ~top
+        while np.any(todo := todo & (b - a > EPS_LUX * a)):
+            mid = np.sqrt(a) * np.sqrt(b)
+            fit = at(np.where(todo, mid, 1.0)) <= 1.0
+            a, b = np.where(todo & fit, mid, a), np.where(todo & ~fit, mid, b)
+        lo[idx] = np.where(low, 0.0, np.where(top, INF, a))
+        hi[idx] = np.where(low, a, np.where(top, INF, b))
     return lo, hi
 
 
 @st.composite
 def _scaled_family(draw, dim):
     """A family on one grid: all-zero, dense and sparse members, and
-    members at the scale 1e-300 or 1e14.  The plain search doubles about
-    a thousand times for a 1e-300 member, so families are small."""
+    members at the scale 1e-300 or 1e14; families are small."""
     n = draw(st.integers(3, 6 if dim == 2 else 24))
     box = ((-3.0, 3.0),) * dim
     fam = []
@@ -295,13 +303,13 @@ def _scaled_family(draw, dim):
                              "variable_exponent", "conjugate") for dim in (1, 2)]
     + [("glued", 2)])
 def test_seeded_norm_search_is_the_plain_search(name, dim):
-    """Each norm is from above and within EPS_LUX of the plain search's:
-    above 1/hi, where the plain search's modular fails, and within EPS_LUX
-    of its 1/lo, since both brackets hold the norm's u and are EPS_LUX
-    narrow.  Both read inf where the floor 1/LAMBDA_CAP fails, and 0 for
-    a member with no positive value.  A conjugate modular costs
-    milliseconds, so it gets fewer drawn examples; every case also runs
-    one family with a member at each extreme scale."""
+    """Each norm is from above and within EPS_LUX of the plain
+    bisection's: above 1/hi, where the bisection's modular fails, and
+    within EPS_LUX of its 1/lo, since both brackets hold the norm's u and
+    are EPS_LUX narrow.  Both read inf where the floor 1/LAMBDA_CAP fails,
+    and 0 where u = 1e300 fits or the member has no positive value.  A
+    conjugate modular costs milliseconds, so it gets fewer drawn examples;
+    every case also runs one family with a member at each extreme scale."""
     phi = _search_phi(name, dim)
     box, ramp = ((-3.0, 3.0),) * dim, np.linspace(0.0, 1.0, 4 ** dim).reshape((4,) * dim)
 
@@ -313,9 +321,7 @@ def test_seeded_norm_search_is_the_plain_search(name, dim):
         lo, hi = _plain_brackets(phi, fam)
         np.testing.assert_array_equal(norms[hi == 0.0], 0.0)
         np.testing.assert_array_equal(norms[(lo == 0.0) & (hi > 0.0)], INF)
-        # u fits at 2^996, the plain search's last doubling: a norm of at
-        # most 2^-996, read as 0 below 1e-300
-        assert np.all(norms[lo == INF] <= 2.0 ** -996 * (1.0 + EPS_LUX))
+        np.testing.assert_array_equal(norms[lo == INF], 0.0)
         rest = (lo > 0.0) & (lo < INF)
         assert np.all(norms[rest] > 1.0 / hi[rest])
         np.testing.assert_allclose(norms[rest], 1.0 / lo[rest], rtol=EPS_LUX, atol=0.0)
@@ -486,6 +492,11 @@ def test_conjugate_function_square():
     # (phi*)^{-1}(tau) = 2 sqrt(tau) for phi = t^2, at every scale
     for tau in (1.0, 1e-20, 1e-30):
         assert conj.inverse((0.0,), tau) == pytest.approx(2.0 * math.sqrt(tau), rel=1e-9, abs=0.0)
+    # reached at t = 0, without a search; (t)* is inf past 1, so it
+    # reaches tau = inf there
+    assert [conj.inverse((0.0,), tau) for tau in (-1.0, 0.0)] == [0.0, 0.0]
+    assert conjugate_function(from_curve(power_curve(1.0))).inverse(
+        (0.0,), INF) == pytest.approx(1.0, rel=1e-9)
     # (c t^p)* (s) = (p-1) p^(-p/(p-1)) c^(-1/(p-1)) s^(p/(p-1))
     for p, c in ((2.0, 3.0), (1.5, 0.5), (3.0, 2.0)):
         conj = conjugate_function(from_curve(power_curve(p, coef=c)))

@@ -524,21 +524,58 @@ def test_inverse_identity_property(p, log_tau, t, name):
 
 
 def test_level_search_brackets_at_every_scale():
-    # fits(lo) holds and fits(hi) fails, with hi - lo <= tol * lo, from
-    # 1e-200 to 1e200
+    # at(lo) <= 1 < at(hi), with hi - lo <= tol * lo, from 1e-200 to
+    # 1e200; the search's first evaluation, at 1, comes back with them
     roots = np.array([1e-200, 1e-30, 0.3, 1.0, 7e5, 1e200])
-    lo, hi = _last_t_where(lambda t: t < roots, len(roots), 1e-12)
-    assert np.all(lo < roots) and np.all(hi >= roots) and np.all(hi - lo <= 1e-12 * lo)
-    # 0 below 1e-300 (hi still fails) and where fits(0) fails; inf past 1e300
-    lo, hi = _last_t_where(lambda t: t < np.array([1e-305, 1e301, 0.0]), 3, 1e-12)
-    assert lo.tolist() == [0.0, INF, 0.0] and 1e-305 <= hi[0] <= 2e-300 and hi[2] == 0.0
+    lo, hi, first = _last_t_where(lambda t: t / roots, len(roots), 1e-12)
+    assert np.all(lo <= roots) and np.all(hi > roots) and np.all(hi - lo <= 1e-12 * lo)
+    np.testing.assert_array_equal(first, 1.0 / roots)
+    # (0, floor) below the floor 1e-300 and where at(0) > 1: no caller
+    # asks below the floor; (>= 1e300, inf) past 1e300
+    lo, hi, _ = _last_t_where(lambda t: t / np.array([1e-305, 1e301, 1.0]) + [0, 0, 2],
+                              3, 1e-12)
+    assert lo[[0, 2]].tolist() == [0.0, 0.0] and hi[[0, 2]].tolist() == [1e-300, 1e-300]
+    assert lo[1] >= 1e300 and hi[1] == INF
 
     def above_floor(t):  # a floor is a cut-off: nothing below it is asked
         assert np.all(t >= 2.0 ** -40)
-        return t < 1e-20
+        return t / 1e-20
 
-    lo, hi = _last_t_where(above_floor, 1, 1e-12, floor=2.0 ** -40)
+    lo, hi, _ = _last_t_where(above_floor, 1, 1e-12, floor=2.0 ** -40)
     assert (lo[0], hi[0]) == (0.0, 2.0 ** -40)
+
+
+@pytest.fixture
+def piece_calls(monkeypatch):
+    """The number of ``PowerTable._piece`` calls, reset by the test."""
+    calls, piece = [0], PowerTable._piece
+
+    def counted(self, *args):
+        calls[0] += 1
+        return piece(self, *args)
+
+    monkeypatch.setattr(PowerTable, "_piece", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,params,x", [
+    ("double_phase", {"p": 2, "q": 3, "a": {"field": "abs_power", "coef": 1, "power": 1}},
+     [0.5]),
+    ("example_3_4", {}, [0.5, 0.0])])
+def test_level_search_cost(piece_calls, name, params, x):
+    """A two-term piece is inverted at every level from 1e-30 to 1e30 in
+    at most 20 piece evaluations, to 1e-9 relative; the small-value
+    threshold of the double phase takes at most 20 too."""
+    table = make_family(name, params).table(np.array([x]))
+    for tau in 10.0 ** np.arange(-30.0, 31.0):
+        piece_calls[0] = 0
+        s = table.inverse(tau)[0]
+        assert piece_calls[0] <= 20, tau
+        assert abs(table.value(np.array([[s]]))[0, 0] - tau) <= 1e-9 * tau
+    if name == "double_phase":
+        piece_calls[0] = 0
+        small_value_threshold(make_family(name, params), power_curve(2.0))
+        assert piece_calls[0] <= 20
 
 
 def _multi_piece_curves(p: float) -> dict:

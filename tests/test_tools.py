@@ -17,23 +17,37 @@ from bundle_diff import diff, report  # noqa: E402
 
 
 def test_nan_equals_nan():
-    assert diff({"x": [math.nan]}, {"x": [math.nan]}) == ([], [])
+    assert diff({"x": [math.nan]}, {"x": [math.nan]}) == ([], [], [])
 
 
 def test_inf_against_a_finite_number_is_an_inf_move():
-    assert diff({"x": math.inf}, {"x": 1.0}) == ([(math.inf, "/x")], [])
-    assert diff([2.0], [1.0]) == ([(0.5, "/0")], [])
+    assert diff({"x": math.inf}, {"x": 1.0}) == ([(math.inf, "/x")], [], [])
+    assert diff([2.0], [1.0]) == ([(0.5, "/0")], [], [])
 
 
 def test_bool_against_int_is_a_non_numeric_difference():
-    assert diff({"ok": True}, {"ok": 1}) == ([], ["/ok: true -> 1"])
+    assert diff({"ok": True}, {"ok": 1}) == ([], [], ["/ok: true -> 1"])
 
 
 def test_a_key_on_one_side_and_a_changed_length():
     assert diff({"a": 1, "b": 2}, {"b": 2, "c": 3}) == (
-        [], ["/a: only in parent", "/c: only in change"])
+        [], [], ["/a: only in parent", "/c: only in change"])
     assert diff({"v": [1, 2]}, {"v": [1, 2, 3]}) == (
-        [], ["/v: [1, 2] -> [1, 2, 3]"])
+        [], [], ["/v: [1, 2] -> [1, 2, 3]"])
+
+
+def test_an_int_on_both_sides_is_a_count_not_a_relative_move():
+    # a count prints as a -> b; an int against a float is still a move
+    assert diff({"n": 2400, "x": 1.0}, {"n": 2395, "x": 1.5}) == (
+        [(1 / 3, "/x")], ["/n: 2400 -> 2395"], [])
+    assert diff([2], [1.0]) == ([(0.5, "/0")], [], [])
+    # so "largest" ranks the float moves only
+    walk = _walk({"example ex/4": {"n": 2400, "x": 1.0}}, {})
+    moved = _walk({"example ex/4": {"n": 1, "x": 1.0 + 1e-9}}, {})
+    assert report(walk, moved) == [
+        "example ex/4: moved 2, largest 1e-09 at /x",
+        "  /n: 2400 -> 1",
+        "total: 2 numbers moved in 1 bundles, 0 non-numeric differences"]
 
 
 def _walk(values: dict, files: dict) -> tuple:

@@ -6,11 +6,12 @@ source checkouts, number by number.
 Each checkout is walked by ``tools/bundles.py`` (this checkout's) in a
 fresh interpreter from its root.  Values are compared with a CLI bundle's
 stdout parsed as JSON.  One line is printed per bundle: its key, how many
-numbers moved, and the largest relative move |a - b| / max(|a|, |b|)
-with its path; under it, one indented line per non-numeric difference (a
-string, bool, null, key or length that changed).  Then one line per
-written file whose sha256 differs, or that only one checkout wrote.  A
-last line sums the bundles.  Bundles' timings are left out.
+numbers moved, and the largest relative move |a - b| / max(|a|, |b|) of
+a float with its path; under it, one indented line ``path: a -> b`` per
+count (an int on both sides) that changed, and one per non-numeric
+difference (a string, bool, null, key or length that changed).  Then one
+line per written file whose sha256 differs, or that only one checkout
+wrote.  A last line sums the bundles.  Bundles' timings are left out.
 """
 
 from __future__ import annotations
@@ -25,33 +26,37 @@ import bundles
 
 
 def diff(a, b, path: str = "") -> tuple:
-    """``(moves, others)``: ``(relative move, path)`` of every number that
-    differs between a and b (inf where one side is not finite), and a line
-    per non-numeric difference."""
+    """``(moves, counts, others)``: ``(relative move, path)`` of every
+    number with a float side that differs between a and b (inf where one
+    side is not finite), a line per count (int on both sides) that
+    differs, and a line per non-numeric difference."""
     # JSON values: a bool is not a number
     if type(a) in (int, float) and type(b) in (int, float):
         if a == b or (a != a and b != b):
-            return [], []
+            return [], [], []
+        if type(a) is int and type(b) is int:
+            return [], [f"{path}: {a} -> {b}"], []
         if math.isfinite(a) and math.isfinite(b):
-            return [(abs(a - b) / max(abs(a), abs(b)), path)], []
-        return [(math.inf, path)], []
+            return [(abs(a - b) / max(abs(a), abs(b)), path)], [], []
+        return [(math.inf, path)], [], []
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         a, b = dict(enumerate(a)), dict(enumerate(b))
     if isinstance(a, dict) and isinstance(b, dict):
         # keys are all str (JSON objects) or all int (lists)
-        moves, others = [], []
+        moves, counts, others = [], [], []
         for k in sorted(a.keys() & b.keys()):
-            m, o = diff(a[k], b[k], f"{path}/{k}")
+            m, c, o = diff(a[k], b[k], f"{path}/{k}")
             moves += m
+            counts += c
             others += o
         others += [f"{path}/{k}: only in {side}"
                    for side, keys in (("parent", a.keys() - b.keys()),
                                       ("change", b.keys() - a.keys()))
                    for k in sorted(keys)]
-        return moves, others
+        return moves, counts, others
     if type(a) is type(b) and a == b:
-        return [], []
-    return [], [f"{path}: {json.dumps(a)[:80]} -> {json.dumps(b)[:80]}"]
+        return [], [], []
+    return [], [], [f"{path}: {json.dumps(a)[:80]} -> {json.dumps(b)[:80]}"]
 
 
 def _parsed(value):
@@ -84,13 +89,13 @@ def report(parent: tuple, change: tuple) -> list:
             lines.append(f"{name}: {only}")
             others += 1
             continue
-        moves, other = diff(_parsed(values_a[key]), _parsed(values_b[key]))
+        moves, counts, other = diff(_parsed(values_a[key]), _parsed(values_b[key]))
         largest = max(moves, default=(0.0, ""))
-        lines.append(f"{name}: moved {len(moves)}, largest {largest[0]:.3g}"
+        lines.append(f"{name}: moved {len(moves) + len(counts)}, largest {largest[0]:.3g}"
                      + (f" at {largest[1]}" if moves else ""))
-        lines += [f"  {line}" for line in other]
-        moved += len(moves)
-        changed += bool(moves)
+        lines += [f"  {line}" for line in counts + other]
+        moved += len(moves) + len(counts)
+        changed += bool(moves or counts)
         others += len(other)
     return lines + files + [f"total: {moved} numbers moved in {changed} "
                             f"bundles, {others} non-numeric differences"]
