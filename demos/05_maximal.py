@@ -45,9 +45,10 @@ print("t^2 (bounded case): max ratio", round(rep["max_ratio"], 3),
       "unbounded evidence:", rep["unbounded_evidence"])
 
 # Divergent case: a profile that is linear for small values.  The modular
-# of M(chi_ball) over a truncation of radius R grows like log R.
+# of M(chi_ball) over a truncation of radius R grows like log R.  Four
+# radii give the three doublings that the growth rule needs.
 phi = make_family("example_3_4", {}, None)
-radii = [8.0, 16.0, 32.0]
+radii = [8.0, 16.0, 32.0, 64.0]
 fam = [GridFunction.indicator_ball((0.0, 0.0), 1.0, ((-r, r), (-r, r)),
                                    int(4 * r)) for r in radii]
 growth = modular_growth(phi, fam, radii=radii)

@@ -31,7 +31,7 @@ widest half-width, rounded up to a multiple of the stride: a read before
 the grid gives 0 and one past it the total.  A run's x-strip (the table
 at x + w + 1 less the table at x - w) depends on w alone, so it is built
 once per distinct half-width and serves every footprint of a chunk whose
-accumulators fit ``_BATCH_CELLS`` cells; it is one subtraction of two
+accumulators fit ``_SUM_CELLS`` cells; it is one subtraction of two
 unit-stride slices of residue blocks, and each band of rows then adds
 two y-corner reads of it.  So hi's ball sums are exact and lo's round
 relative to lo's own sums: each ball sum is accurate relative to that
@@ -83,9 +83,14 @@ they took a 512-cell call from 8.85 to 14.41 ms, slower in 40 of 40 pairs
 (each variant alternated with this kernel in one process, 2-core host).
 
 The members of a family that share a grid and a config run through the
-kernel together, stacked on a first axis, up to ``_BATCH_CELLS`` cells a
-call; every step is elementwise per member, so each result is bit for
-bit the member's alone.  Nothing is cached between calls: a bundle that
+kernel together, stacked on a first axis, up to ``norms.CELL_BUDGET``
+grid cells a call (at least one member); every step is elementwise per
+member, so each result is bit for bit the member's alone.  The budget of
+2**16 cells keeps each working array of a call near 512 KiB: the
+ten-ball family on a 128² grid runs in calls of 4, 4 and 2 members, each
+at most 5.8 MiB at its peak (tracemalloc), where all ten in one call
+held 11.0 MiB, and ``gallery_maximal``'s peak RSS fell by about 5.5 MB
+(``BENCH_34.json``).  Nothing is cached between calls: a bundle that
 needs one family's maximal functions in two reports computes them once
 and passes them to both.
 """
@@ -97,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import GridFunction, _luxemburg_norms, modular
+from .norms import CELL_BUDGET, GridFunction, _luxemburg_norms, modular
 from .phi_core import INF
 
 
@@ -263,6 +268,14 @@ def _by_residue(n: int, s: int) -> np.ndarray:
     return j[j < n]
 
 
+def _floor(out: np.ndarray) -> np.ndarray:
+    """Each member's least output so far, of the (ny, members, nx) output.
+    The min over y first takes whole contiguous (members, nx) blocks at a
+    time: half the time of one min over both axes, 37 against 72 us on ten
+    members of a 128² grid.  min is exact, so the order moves no bit."""
+    return out.min(axis=0).min(axis=1)
+
+
 def _table(part: np.ndarray, s: int, pad: int) -> np.ndarray:
     """Summed-area table of the (members, nx, ny) grids ``part``, y first:
     ``[j, m, i]`` is the sum of ``part[m, :i, :j]``, with j = 0 .. ny
@@ -400,9 +413,10 @@ def _staircase_maximal(v: np.ndarray, cell_sizes: tuple,
     # axis, so a larger one gives the same bits and only costs more (s
     # residue blocks per axis)
     s = min(cfg.center_stride, max(g.shape[1:]))
+    # the result is allocated once the kernel's working arrays are freed
+    res = _residue_maximal(g, cell_sizes, cfg.radius_set, s)
     out = np.empty_like(g)
-    out[..., _by_residue(g.shape[2], s)] = _residue_maximal(
-        g, cell_sizes, cfg.radius_set, s).transpose(1, 2, 0)
+    out[..., _by_residue(g.shape[2], s)] = res.transpose(1, 2, 0)
     return np.ldexp(out, k, out=out).reshape(v.shape)
 
 
@@ -444,15 +458,15 @@ def _residue_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
     spare = np.empty_like(tab)
     src = np.empty((lattice[1], members, nx))
     whole = (0, lattice[1], 0, lattice[0] - 1)
-    # footprints in chunks whose ball sums fit the batch budget
-    chunk = max(1, _BATCH_CELLS // (depth * math.prod(lattice)))
+    # footprints in chunks whose ball sums fit the accumulator bound
+    chunk = max(1, _SUM_CELLS // (depth * math.prod(lattice)))
     sums = np.empty((min(chunk, len(footprints)), lattice[1], depth,
                      lattice[0]))
     pending = np.arange(len(footprints))
     while len(pending):
         size = chunk
         if prune:
-            floor = out.min(axis=(0, 2))
+            floor = _floor(out)
             pending = pending[np.any(tops[pending] > floor, axis=1)]
             # a chunk of few runs leaves the floor fresh for the next
             size = max(1, np.count_nonzero(
@@ -482,7 +496,7 @@ def _residue_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
             np.divide(avg, plan.counts(i)[:, None], out=avg)
             box = whole
             if prune:
-                above = np.any(avg > out.min(axis=(0, 2))[:, None], axis=1)
+                above = np.any(avg > _floor(out)[:, None], axis=1)
                 cols = np.flatnonzero(np.any(above, axis=1))
                 if not len(cols):
                     continue
@@ -492,14 +506,13 @@ def _residue_maximal(g: np.ndarray, cell_sizes: tuple, radii: tuple,
     return out
 
 
-#: Most grid cells, summed over members, that one kernel call evaluates,
-#: and most cells of ball-sum accumulators that it holds at once.  The
-#: kernel holds about ten arrays of that many floats, fourteen when the
-#: exact split keeps a low part (its padded table is up to three grids
-#: wide): 12.9 MB at its peak for the 10-member ball family on a 128²
-#: grid, which runs as one batch (a 256² grid runs four members at a
-#: time).
-_BATCH_CELLS = 2 ** 18
+#: Most cells of ball-sum accumulators that one kernel call holds at once:
+#: four times the ``CELL_BUDGET`` that bounds its members' grid cells, so
+#: chunks are no finer than with ten 128² members a call.  Chunks of one
+#: budget rebuild the x-strips more often: ``ex3_4`` took 2% longer at
+#: resolution 4 (slower in 14 of 20 pairs) and 4% at 16 (2 of 2 pairs), in
+#: one process alternating both bounds on a 2-core host.
+_SUM_CELLS = 4 * CELL_BUDGET
 
 #: Most runs whose ball sums one chunk of a 2D grid's footprints takes
 #: before their dilations raise the floor that drops dead footprints.
@@ -519,7 +532,8 @@ def _maximal_family(family, cfg: MaximalConfig | None = None) -> list:
     """Discretized maximal functions of |f| for every f of ``family``.
 
     Members that share a grid and a config run through the kernel
-    together, in batches of at most ``_BATCH_CELLS`` cells."""
+    together, in batches of at most ``CELL_BUDGET`` cells (at least one
+    member)."""
     family = list(family)
     groups = {}
     for i, f in enumerate(family):
@@ -527,7 +541,7 @@ def _maximal_family(family, cfg: MaximalConfig | None = None) -> list:
         groups.setdefault(key, []).append(i)
     out = [None] * len(family)
     for (box, shape, c), members in groups.items():
-        size = max(1, _BATCH_CELLS // math.prod(shape))
+        size = max(1, CELL_BUDGET // math.prod(shape))
         for batch in (members[i: i + size]
                       for i in range(0, len(members), size)):
             vs = np.abs([family[i].values for i in batch])

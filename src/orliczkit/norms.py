@@ -8,8 +8,9 @@ search (``phi_core._last_t_where``) on log modular against log 1/lam:
 secant steps, with geometric bisection where a secant step is not
 possible.  Functions that share a grid are measured together: phi is
 bound once to the cells in its domain where some of them is positive
-(phi(x, 0) = 0 elsewhere), and one search brackets every norm, each
-exactly as if searched alone; :func:`modular` and :func:`luxemburg_norm`
+(phi(x, 0) = 0 elsewhere), in blocks of at most ``CELL_BUDGET`` cells
+over all of them, and one search brackets every norm, each exactly as if
+searched alone; :func:`modular` and :func:`luxemburg_norm`
 are the one-function case.
 Ball-norm and duality reports record empirical comparability constants
 rather than asserting fixed ones.
@@ -42,6 +43,14 @@ LAMBDA_CAP = 1e12
 #: The most cells a truncation grid may have in all: four times the largest
 #: gallery grid at resolution 16 (1024^2 cells), 32 MiB per float array.
 MAX_CELLS = 2 ** 22
+
+#: The most cells, summed over the functions evaluated together, that one
+#: working array of the modular or of the maximal kernel holds: 512 KiB of
+#: float64, so that the few arrays a step reads and writes fit a 2 MiB L2
+#: cache.  The modular evaluates phi in blocks of support cells of this
+#: size, and the maximal kernel takes at most this many grid cells of a
+#: family's members per call.
+CELL_BUDGET = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -101,20 +110,40 @@ class GridFunction:
     # -- constructors
 
     @staticmethod
-    def from_callable(func, box, resolution) -> "GridFunction":
+    def _zeros(box, resolution) -> "GridFunction":
+        """The zero function on ``resolution`` cells per axis (one count
+        for every axis, or one per axis) of ``box``."""
         box = tuple(box)
         res = (resolution,) * len(box) if np.isscalar(resolution) else tuple(resolution)
-        pts = GridFunction(box, np.zeros(res)).points()
-        return GridFunction(box, np.asarray(func(pts), float).reshape(res))
+        return GridFunction(box, np.zeros(res))
+
+    @staticmethod
+    def from_callable(func, box, resolution) -> "GridFunction":
+        grid = GridFunction._zeros(box, resolution)
+        return GridFunction(grid.box, np.asarray(func(grid.points()), float)
+                            .reshape(grid.resolution))
 
     @staticmethod
     def indicator_ball(center, radius: float, box, resolution) -> "GridFunction":
-        center = np.atleast_1d(np.asarray(center, float))
-
-        def ind(X):
-            return (_norms(X - center[None, :]) < radius).astype(float)
-
-        return GridFunction.from_callable(ind, box, resolution)
+        """1 at the cell centers x with |x - center| < radius, else 0.
+        The squared offsets along each axis are summed over the grid by
+        broadcasting; cells where that sum overflows take ``_norms``'s
+        rescaled distance, so the result is bit for bit that of ``_norms``
+        over every cell center."""
+        grid = GridFunction._zeros(box, resolution)
+        center = np.broadcast_to(np.asarray(center, float), (grid.dim,))
+        with np.errstate(over="ignore"):
+            # the offsets along axis i vary along axis i only
+            offsets = [np.reshape(a - c, [-1 if j == i else 1 for j in range(grid.dim)])
+                       for i, (a, c) in enumerate(zip(grid.axis_centers(), center))]
+            squares = np.square(offsets[0])
+            for d in offsets[1:]:
+                squares = squares + np.square(d)
+        dist = np.sqrt(squares)
+        big = np.isinf(dist)
+        if big.any():
+            dist[big] = _norms(grid.points()[big.ravel()] - center)
+        return GridFunction(grid.box, (dist < radius).astype(float))
 
     # -- CSV form: header then one row per cell (flat index, coords, value)
 
@@ -242,26 +271,34 @@ def _modular_at(phi, fs: list):
 
     phi is bound once, to the cell centers in its domain where some
     member is positive: elsewhere every member is 0 and phi(x, 0) = 0, so
-    those cells add exact zeros.  Every member is evaluated at every call,
-    scattered into zero rows over all cells in the domain, and each row is
-    summed alone (a C-contiguous row, numpy's pairwise summation), so
-    member i's modular is bit for bit the one it has alone on the full
-    grid."""
+    those cells add exact zeros.  The binding is one evaluator per block
+    of support cells, at most ``CELL_BUDGET`` cells over all members, so
+    the temporaries of each evaluation stay block-sized.  Every member is
+    evaluated at every call, each block scattered into zero rows over all
+    cells in the domain, and each row is summed whole (a C-contiguous
+    row, numpy's pairwise summation); phi's value at a cell does not
+    depend on the other cells evaluated with it, so member i's modular is
+    bit for bit the one it has alone on the full grid."""
     pts = fs[0].points()
     mask = _domain_mask(phi, pts)
     values = np.stack([f.values.ravel()[mask] for f in fs])
     positive = np.any(values > 0, axis=0)
-    # every cell: plain slices, no gather or scatter
-    support = slice(None) if positive.all() else np.flatnonzero(positive)
-    levels = values[:, support]
-    evaluate = phi.evaluator(pts[mask][support]) if positive.any() else None
+    support = np.flatnonzero(positive)
+    step = max(1, CELL_BUDGET // len(fs))
+    if positive.all():  # every cell: plain slices, no gather or scatter
+        blocks = [slice(a, a + step) for a in range(0, len(support), step)]
+    else:
+        blocks = [support[a: a + step] for a in range(0, len(support), step)]
+    cells = pts[mask]
+    parts = [(block, values[:, block], phi.evaluator(cells[block]))
+             for block in blocks]
     volume = fs[0].cell_volume
 
     def at(u: np.ndarray) -> np.ndarray:
         out = np.zeros(values.shape)
-        if evaluate is not None:
+        for block, levels, evaluate in parts:
             # the evaluator takes (cells, members): a transposed view
-            out[:, support] = evaluate((levels * u[:, None]).T).T
+            out[:, block] = evaluate((levels * u[:, None]).T).T
         with np.errstate(over="ignore"):  # an overflowing modular is inf
             sums = np.sum(out, axis=1)
             scaled = sums * volume

@@ -1,4 +1,4 @@
-"""Every demo runs clean as a script."""
+"""Every demo runs clean as a script and prints what it shows."""
 
 import os
 import subprocess
@@ -8,6 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: What a demo must print: the divergent case of ``05_maximal.py`` spans
+#: three doublings of the truncation radius, the least that the growth
+#: rule flags.
+PRINTS = {"05_maximal.py": "-> unbounded evidence: True"}
 
 
 @pytest.mark.parametrize("script", [
@@ -21,3 +26,4 @@ def test_demo_runs(script):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+    assert PRINTS.get(script, "") in done.stdout

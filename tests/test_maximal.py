@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -25,7 +26,7 @@ from orliczkit import (
     run_pipeline,
 )
 from orliczkit.cli import main
-from orliczkit.gallery import _ball_maxima
+from orliczkit.gallery import _BALLS, _ball_maxima
 from orliczkit.norms import EPS_LUX
 
 # the package binds the name ``maximal`` to the function, so reach the
@@ -664,7 +665,7 @@ def test_skipped_work_leaves_the_max_unchanged(family, stride,
     cfg = MaximalConfig(default_config(f).radius_set, stride)
     with pytest.MonkeyPatch.context() as mp:
         if one_per_chunk:
-            mp.setattr(_mx, "_BATCH_CELLS", 1)
+            mp.setattr(_mx, "_SUM_CELLS", 1)
         got = _mx._staircase_maximal(vs, f.cell_sizes, cfg)
     each = [_mx._staircase_maximal(vs, f.cell_sizes, MaximalConfig((r,),
                                                                    stride))
@@ -743,14 +744,39 @@ def test_divergence_experiment_runs_the_kernel_once_per_grid(kernel_calls,
     assert exp["operator_norm"]["indices"] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("name,sizes", [("ex3_2", [10, 10, 10]),
+@pytest.mark.parametrize("name,sizes", [("ex3_2", [10, 10, 4, 4, 2]),
                                         ("ex3_4", [1, 1, 1, 1])])
 def test_bundles_run_one_kernel_call_per_family_grid(kernel_calls, name,
                                                      sizes):
-    """At resolution 4, ex3_2's three ten-ball families each fit one
-    call, and ex3_4 runs one call on each of its four grids."""
+    """At resolution 4, ex3_2's ten-ball families on the 32² and 64²
+    grids each fit one call, and the one on the 128² grid runs in calls
+    of at most 4 members, the ``CELL_BUDGET`` of 2**16 cells; ex3_4 runs
+    one call on each of its four grids."""
     run_example(name, resolution=4)
     assert kernel_calls == sizes
+
+
+def test_kernel_calls_stay_within_the_cell_budget(monkeypatch):
+    """Each kernel call over the ten-ball family on the 128² grid of R =
+    32 holds at most 6 MiB at its peak (tracemalloc): the budget splits
+    the family into calls of 4, 4 and 2 members, where all ten in one
+    call held 11.0 MiB."""
+    fam = _ball_maxima(2, [32.0], 4.0, _BALLS)[0]
+    peaks = []
+    kernel = _mx._staircase_maximal
+
+    def traced(v, *args):
+        tracemalloc.start()
+        try:
+            return kernel(v, *args)
+        finally:
+            peaks.append((len(v), tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(_mx, "_staircase_maximal", traced)
+    _mx._maximal_family(fam)
+    assert [n for n, _ in peaks] == [4, 4, 2]
+    assert max(peak for _, peak in peaks) <= 6 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +809,7 @@ def test_family_batches_match_lone_members(shape, stride, members,
         return kernel(v, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_mx, "_BATCH_CELLS", per_batch * math.prod(shape))
+        mp.setattr(_mx, "CELL_BUDGET", per_batch * math.prod(shape))
         mp.setattr(_mx, "_staircase_maximal", counted)
         got = _mx._maximal_family(family, cfg)
     assert calls == [min(per_batch, members + 1 - i)

@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from orliczkit.gallery import _BALLS, _ball_maxima
 from orliczkit.maximal import _norm_ratios
 from orliczkit.norms import EPS_LUX, LAMBDA_CAP, MAX_CELLS, _domain_mask, \
     _luxemburg_norms, _modular_at, _truncation_grid
+from orliczkit.phi_core import _norms
 
 INF = math.inf
 
@@ -55,6 +57,23 @@ def test_grid_function_validation():
     g = GridFunction(((0.0, 2.0), (0.0, 1.0)), np.ones((8, 4)))
     assert g.cell_volume == pytest.approx(0.0625)
     assert g.points().shape == (32, 2)
+
+
+def test_indicator_ball_matches_the_distance_of_every_cell_center():
+    """The broadcast squared offsets give bit for bit the indicator of
+    ``_norms`` over the cell centers, also on a box about 1e200 wide, where
+    the squares overflow and those cells take the rescaled distance."""
+    cases = [((0.0,), 1.0, ((-8.0, 8.0),), 64),
+             ((1.0, -2.0), 0.5, ((-3.0, 7.0), (-2.0, 5.0)), (13, 17)),
+             ((1e199, 0.0), 5e199, ((-1e200, 1e200),) * 2, 16)]
+    for center, radius, box, res in cases:
+        got = GridFunction.indicator_ball(center, radius, box, res)
+        c = np.asarray(center)
+        want = GridFunction.from_callable(
+            lambda X: (_norms(X - c) < radius).astype(float), box, res)
+        assert got.box == want.box
+        assert got.values.tobytes() == want.values.tobytes()
+        assert 0 < got.values.sum() < got.values.size
 
 
 def test_binary_roundtrip(tmp_path):
@@ -237,6 +256,67 @@ def test_batched_norms_match_one_member_reference(name, dim, data):
     np.testing.assert_array_equal(_bits(mods), reference)
     # the modulars the norm search starts from, zero members included
     np.testing.assert_array_equal(_bits(found), reference)
+
+
+def _blocked(phi, fam, budget):
+    """The modulars at u = 1 and at u = 1, 2, ..., and the norms and
+    modulars of the search, with the cell budget at ``budget``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms_module, "CELL_BUDGET", budget)
+        at = _modular_at(phi, fam)
+        return (at(np.ones(len(fam))), at(np.arange(1.0, len(fam) + 1.0)),
+                *_luxemburg_norms(phi, fam))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(_BATCH_PHIS))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_blocked_evaluation_keeps_every_bit(name, dim, data):
+    """With the cell budget cut to a few cells, phi is bound and evaluated
+    in blocks of one to a few support cells: every modular and norm is bit
+    for bit the one of a single block (the default on these grids)."""
+    phi = _BATCH_PHIS[name](dim)
+    fam = data.draw(_family(dim))
+    budget = data.draw(st.integers(1, 7))
+    for a, b in zip(_blocked(phi, fam, budget),
+                    _blocked(phi, fam, norms_module.CELL_BUDGET)):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_blocked_evaluation_on_sparse_support_and_inf():
+    """Blocks of a sparse support (four ball indicators on a 24² grid, a
+    gather and a scatter per block) keep every bit under a spatial phi,
+    the conjugate of t^2 and a capped phi under which one member's
+    modular is inf."""
+    fam = [GridFunction.indicator_ball(c, r, ((-6.0, 6.0),) * 2, 24)
+           for c, r in _BALLS[:4]]
+    capped = from_curve(cap_curve(power_curve(1.0), 1.0), dim=2)
+    cases = [(make_family("example_3_2", {}, None), fam),
+             (conjugate_function(square(2)), fam),
+             (capped, fam + [fam[1].scaled(3.0)])]
+    for phi, members in cases:
+        for budget in (1, 5, 3 * len(members)):
+            for a, b in zip(_blocked(phi, members, budget),
+                            _blocked(phi, members, norms_module.CELL_BUDGET)):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+    assert _blocked(capped, cases[2][1], 5)[0][-1] == INF
+
+
+def test_norm_search_memory_stays_within_the_cell_budget():
+    """The norm search over the maximal functions of the ten-ball family
+    on the 128² grid of R = 32 holds at most 5 MiB at its peak
+    (tracemalloc): phi is evaluated in blocks of the cell budget, where
+    one block of all cells held 6.9 MiB."""
+    phi = make_family("example_3_2", {}, None)
+    maxima = _ball_maxima(2, [32.0], 4.0, _BALLS)[1]
+    tracemalloc.start()
+    try:
+        _luxemburg_norms(phi, maxima)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
 
 
 # The norm search against a plain bisection, written here, of the

@@ -5,12 +5,13 @@
 
 The first form runs each checkout's ``bench/run.py --workload W --seed S
 --seconds T`` once per pair; the second times ``run_example(NAME,
-resolution=R)`` in a fresh subprocess of each checkout.  The two runs of a
-pair are back to back, the parent first in even pairs (0, 2, ...) and the
-change first in odd ones, so a host that drifts between a fast and a slow
-state loads both sides alike.  A bench run that is not ``correct`` with
-``ok_ratio`` 1.0, or an example whose verdict is not true, stops the
-harness with exit code 1.
+resolution=R)`` in a fresh subprocess of each checkout and reads that
+process's peak RSS, as ``peak_rss_mb`` in the workload runs.  The two
+runs of a pair are back to back, the parent first in even pairs (0, 2,
+...) and the change first in odd ones, so a host that drifts between a
+fast and a slow state loads both sides alike.  A bench run that is not
+``correct`` with ``ok_ratio`` 1.0, or an example whose verdict is not
+true, stops the harness with exit code 1.
 
 For each metric the result holds both sides' quartiles, the median of the
 per-pair ratios change / parent, the pairs the change wins (strictly
@@ -45,15 +46,18 @@ THREADS = {var: "1" for var in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
-#: Times one bundle in a fresh interpreter; prints its seconds and the
-#: bundle as one JSON line.
+#: Times one bundle in a fresh interpreter; prints its seconds, the
+#: process's peak RSS in MB (as ``bench/run.py`` reads it) and the bundle
+#: as one JSON line.
 EXAMPLE = """
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, "src")
 import orliczkit
 t = time.perf_counter()
 out = orliczkit.run_example(sys.argv[1], resolution=float(sys.argv[2]))
-print(json.dumps({"run_s": time.perf_counter() - t, "out": out}))
+run_s = time.perf_counter() - t
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"run_s": run_s, "peak_rss_mb": rss, "out": out}))
 """
 
 
@@ -70,15 +74,16 @@ def _bench(root: str, args) -> tuple:
 
 
 def _example(root: str, args) -> tuple:
-    """One fresh-process ``run_example`` in ``root``: its seconds, and
-    the bundle's ``bundles.digest``."""
+    """One fresh-process ``run_example`` in ``root``: its seconds and
+    peak RSS, and the bundle's ``bundles.digest``."""
     result = bundles.child(
         root, [sys.executable, "-c", EXAMPLE, args.example,
                str(args.resolution)], env={**os.environ, **THREADS})
     verdict = result["out"].get("verdict")
     if verdict is not True:
         sys.exit(f"error: {root}: {args.example} verdict is {verdict}")
-    return {"run_s": result["run_s"]}, bundles.digest(result["out"])
+    return ({"run_s": result["run_s"], "peak_rss_mb": result["peak_rss_mb"]},
+            bundles.digest(result["out"]))
 
 
 def _quartiles(xs) -> dict:
